@@ -22,7 +22,6 @@ from .gridfield import (
 )
 from .kernel import (
     KernelProfile,
-    PhSolutionOperator,
     decay_fit,
     fundamental_solution,
     phe_solve,
@@ -43,7 +42,6 @@ from .degeneracy import (
     DegeneracyFunction,
     RegPath,
     degeneracy_function,
-    f_eval,
     f_pow_n,
     log_expansion_residual,
     phi_eps,
@@ -55,7 +53,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     bf_energies,
-    flux_accumulate,
     interface_report,
     rhs,
     solve,

@@ -1,6 +1,6 @@
 """Command-line front door: configuration, orchestration, and reporting.
 
-    polyheat <command> --config <file> [--out <dir>] [--workers <k>] [--seed <s>]
+    polyheat <command> --config <file> [--out <dir>] [--seed <s>]
 
 Commands: kernel (profile tabulation + decay fit), spectrum (eigenpair and
 biorthogonality checks), solve (one regularized run with energy monitoring),
@@ -8,9 +8,11 @@ sweep (homotopy convergence study), branch (sweep plus first-order-correction
 analysis), report (digest of run manifests).
 
 Configs are strict JSON: unknown keys are rejected with their field path so
-a typo cannot silently corrupt a convergence study.  Every run writes its
-artifacts plus a manifest (config echo, artifact checksums, timing, outcome);
-the exit code is 0 exactly when the manifest outcome is ok.
+a typo cannot silently corrupt a convergence study, and each block is
+validated by building its library objects, whose constructors own the
+invariants.  Every run writes its artifacts plus a manifest (config echo,
+artifact checksums, timing, outcome).  Exit codes: 0 ok; 1 the run failed
+(the manifest says why); 2 bad config (no manifest is written).
 """
 
 from __future__ import annotations
@@ -21,34 +23,31 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .degeneracy import DegeneracyFunction, RegPath, degeneracy_function
-from .gridfield import Field, bump, l2_norm, make_grid, write_phf1
+from ._validate import require_int, require_real, require_reals
+from .degeneracy import DegeneracyFunction, RegPath
+from .gridfield import Field, GridSpec, bump, l2_norm, write_phf1
 from .homotopy import (
     Schedule,
-    correction_phi,
-    linear_trajectory,
     sweep,
     write_plot_data,
     write_summary_json,
     write_table_csv,
 )
 from .kernel import (
-    QuadratureSpec,
-    default_quadrature,
     profile_bessel,
+    profile_quadrature,
     with_decay_fit,
     write_profile_csv,
 )
-from .solver import SolverConfig, interface_report, solve, write_energy_csv
+from .solver import SolverConfig, eventual_positivity, interface_report, solve, write_energy_csv
 from .spectral_theory import (
-    MultiIndex,
     adjoint_eigenpolynomial,
     apply_L,
     apply_L_star,
@@ -73,7 +72,6 @@ class RunConfig:
     blocks: dict
     out_dir: str = "polyheat-out"
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -106,14 +104,6 @@ _BLOCK_KEYS = {
     "spectrum": {"m", "max_order"},
 }
 
-_REQUIRED_BLOCKS = {
-    "kernel": ("kernel",),
-    "spectrum": ("grid", "spectrum"),
-    "solve": ("grid", "degeneracy", "solver", "u0"),
-    "sweep": ("grid", "degeneracy", "schedule", "sweep", "u0"),
-    "branch": ("grid", "degeneracy", "schedule", "branch", "u0"),
-}
-
 
 def _check_keys(block_name: str, block: dict) -> None:
     if not isinstance(block, dict):
@@ -127,9 +117,9 @@ def _check_keys(block_name: str, block: dict) -> None:
 def parse_config(text: str, command: str | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Unknown keys anywhere are rejected, and the module-level invariants the
-    blocks feed into are pre-checked so failures name a field path instead
-    of surfacing deep inside a run.
+    Unknown keys anywhere are rejected, and the blocks the command needs are
+    built once, so every invariant is checked by the constructor that owns
+    it and a failure names its block instead of surfacing deep inside a run.
     """
     try:
         raw = json.loads(text)
@@ -138,7 +128,7 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    top_allowed = {"command", "out_dir", "seed", "workers"} | set(_BLOCK_KEYS)
+    top_allowed = {"command", "out_dir", "seed"} | set(_BLOCK_KEYS)
     for key in raw:
         if key not in top_allowed:
             raise ConfigError(f"unknown key {key!r} at top level")
@@ -151,123 +141,136 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; choose from {_COMMANDS}")
 
-    for name in _REQUIRED_BLOCKS[cmd]:
-        if name not in raw:
-            raise ConfigError(f"command {cmd!r} requires a {name!r} block")
-        _check_keys(name, raw[name])
-
-    # invariant pre-checks with field paths
-    if "grid" in raw:
-        g = raw["grid"]
-        if g.get("dim") not in (1, 2):
-            raise ConfigError("grid.dim must be 1 or 2")
-        if not g.get("half_width", 0) > 0:
-            raise ConfigError("grid.half_width must be positive")
-        m = g.get("points_per_dim", 0)
-        if m % 2 != 0 or m < 8:
-            raise ConfigError("grid.points_per_dim must be even >= 8")
-    if "solver" in raw:
-        s = raw["solver"]
-        if s.get("m") not in (2, 3):
-            raise ConfigError("solver.m must be 2 or 3")
-        if not (0.0 < s.get("eps", 0.0) <= 1.0):
-            raise ConfigError("solver.eps must lie in (0, 1]")
-        if not s.get("dt_init", 0) > 0:
-            raise ConfigError("solver.dt_init must be positive")
-        if not s.get("t_final", 0) > 0:
-            raise ConfigError("solver.t_final must be positive")
-        if s.get("variant", "full") not in ("full", "simple"):
-            raise ConfigError("solver.variant must be 'full' or 'simple'")
-    if "degeneracy" in raw:
-        d = raw["degeneracy"]
-        if d.get("n", 0.0) < 0:
-            raise ConfigError("degeneracy.n must be nonnegative")
-        try:
-            _degeneracy_from_block(d)
-        except (ValueError, KeyError) as err:
-            raise ConfigError(f"degeneracy: {err}") from err
-    if "schedule" in raw:
-        sch = raw["schedule"]
-        if sch.get("kind") not in ("n_of_eps", "eps_of_n"):
-            raise ConfigError("schedule.kind must be 'n_of_eps' or 'eps_of_n'")
-        if not sch.get("c", 0) > 0:
-            raise ConfigError("schedule.c must be positive")
-    if "u0" in raw:
-        u = raw["u0"]
-        if u.get("type", "bump") not in ("bump", "random_bumps"):
-            raise ConfigError("u0.type must be 'bump' or 'random_bumps'")
-    if "kernel" in raw:
-        k = raw["kernel"]
-        if k.get("m", 0) < 1:
-            raise ConfigError("kernel.m must be a positive integer")
-        if k.get("dim") not in (1, 2):
-            raise ConfigError("kernel.dim must be 1 or 2")
-        if not k.get("r_max", 0) > 0 or not k.get("dr", 0) > 0:
-            raise ConfigError("kernel.r_max and kernel.dr must be positive")
-    if "spectrum" in raw:
-        sp = raw["spectrum"]
-        if sp.get("m", 0) < 1:
-            raise ConfigError("spectrum.m must be a positive integer")
-        if not 0 <= sp.get("max_order", -1) <= 4:
-            raise ConfigError("spectrum.max_order must lie in 0..4")
-
-    out_dir = raw.get("out_dir", "polyheat-out")
-    return RunConfig(
+    seed, out_dir = raw.get("seed", 0), raw.get("out_dir", "polyheat-out")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    config = RunConfig(
         command=cmd,
         blocks={k: v for k, v in raw.items() if k in _BLOCK_KEYS},
         out_dir=out_dir,
-        seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
+        seed=seed,
     )
+    _build(config)
+    return config
 
 
 # ---------------------------------------------------------------------------
-# block constructors
+# block builders: one per block, shared by parse_config and the commands
 
 
-def _degeneracy_from_block(block: dict) -> DegeneracyFunction:
-    params = dict(block.get("params", {}))
-    t_max = block.get("t_max", 10.0)
-    return degeneracy_function(block["kind"], t_max=t_max, **params)
+def _build(config: RunConfig) -> dict:
+    """Build the library objects of the blocks the command needs, keyed by
+    block name; a missing block, an unknown key, or a ValueError, TypeError,
+    KeyError or OverflowError (from an absurd magnitude) raised while
+    building becomes a ConfigError naming the block."""
+    built = {}
+
+    def build(name, builder, *args):
+        if name not in config.blocks:
+            raise ConfigError(f"command {config.command!r} requires a {name!r} block")
+        _check_keys(name, config.blocks[name])
+        try:
+            built[name] = builder(config.blocks[name], *args)
+        except KeyError as err:
+            raise ConfigError(f"{name}: missing key {err}") from err
+        except (ValueError, TypeError, OverflowError) as err:
+            raise ConfigError(f"{name}: {err}") from err
+        return built[name]
+
+    if config.command == "kernel":
+        build("kernel", _kernel_from_block)
+        return built
+    grid = build("grid", lambda b: GridSpec(b["dim"], b["half_width"], b["points_per_dim"]))
+    if config.command == "spectrum":
+        build("spectrum", _spectrum_from_block)
+        return built
+    path = build("degeneracy", _path_from_block, config.command == "solve")
+    if config.command == "solve":
+        build("solver", _solver_from_block, path)
+    else:
+        build("schedule", lambda b: Schedule(b["kind"], b["c"], path.f))
+        build(config.command, _sweep_from_block, path.f)
+    build("u0", _u0_from_block, grid, config.seed)
+    return built
 
 
-def _grid_from_block(block: dict):
-    return make_grid(block["dim"], block["half_width"], block["points_per_dim"])
+def _kernel_from_block(block: dict) -> tuple:
+    """(m, dim, r_max, dr, quadrature); the run lays out the radii."""
+    require_real("r_max", block["r_max"], "positive")
+    require_real("dr", block["dr"], "positive")
+    quad = profile_quadrature(block["m"], block["dim"], block.get("s_max"), block.get("nodes"))
+    return block["m"], block["dim"], block["r_max"], block["dr"], quad
 
 
-def _u0_from_block(block: dict, grid, seed: int) -> Field:
+def _spectrum_from_block(block: dict) -> tuple:
+    require_int("m", block["m"], lo=1)
+    require_int("max_order", block["max_order"], choices=(0, 1, 2, 3, 4))
+    return block["m"], block["max_order"]
+
+
+def _path_from_block(block: dict, needs_n: bool) -> RegPath:
+    """The nonlinearity with its exponent n (required only where a run uses it)."""
+    f = DegeneracyFunction(block["kind"], block.get("params", {}), block.get("t_max", 10.0))
+    return RegPath(f, block["n"] if needs_n else block.get("n", 0.0))
+
+
+def _solver_from_block(block: dict, path: RegPath) -> SolverConfig:
+    fields = dict(block)  # every key but variant is a SolverConfig field
+    return SolverConfig(path=replace(path, variant=fields.pop("variant", "full")), **fields)
+
+
+def _sweep_from_block(block: dict, f: DegeneracyFunction) -> dict:
+    """Keyword arguments for ``sweep``; m, dt_init and dealias are checked by
+    building the SolverConfig of the sweep's n = 0 control row."""
+    kwargs = {"m": 2, **block}
+    require_real("t_eval", kwargs["t_eval"], "positive")
+    require_reals("n_values", kwargs["n_values"], min_len=1, sign="nonnegative")
+    require_int("time_nodes", kwargs.get("time_nodes", 41), lo=2)
+    if kwargs.get("clamp_floor") is not None:
+        require_real("clamp_floor", kwargs["clamp_floor"], "positive")
+    SolverConfig(
+        m=kwargs["m"], path=RegPath(f, 0.0, "simple"), eps=1.0, dt_init=kwargs.get("dt_init", 2e-5),
+        t_final=kwargs["t_eval"], dealias=kwargs.get("dealias", False),
+    )
+    return kwargs
+
+
+def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
     kind = block.get("type", "bump")
+    if kind not in ("bump", "random_bumps"):
+        raise ValueError(f"type must be 'bump' or 'random_bumps', got {kind!r}")
+    amplitude, steepness = block.get("amplitude", 1.0), block.get("steepness", 6.0)
+    width = block.get("width", 4.0 if kind == "bump" else 2.0)
+    require_real("amplitude", amplitude)
+    require_real("width", width, "positive")
+    require_real("steepness", steepness, "positive")
     if kind == "bump":
-        return bump(
-            grid,
-            amplitude=block.get("amplitude", 1.0),
-            width=block.get("width", 4.0),
-            center=block.get("center"),
-            steepness=block.get("steepness", 6.0),
-        )
+        center = block.get("center")
+        if center is not None:
+            require_reals("center", center if isinstance(center, list) else [center])
+        return bump(grid, amplitude, width, center=center, steepness=steepness)
+    count = block.get("count", 3)
+    require_int("count", count, lo=1)
     rng = np.random.default_rng(seed)
-    count = int(block.get("count", 3))
-    width = block.get("width", 2.0)
     vals = np.zeros(grid.shape)
     span = 0.4 * grid.half_width - width
     for _ in range(count):
         center = rng.uniform(-span, span, size=grid.dim)
-        amp = rng.uniform(0.3, 1.0) * block.get("amplitude", 1.0)
-        vals += bump(grid, amp, width, center=center, steepness=block.get("steepness", 6.0)).values
+        amp = rng.uniform(0.3, 1.0) * amplitude
+        vals += bump(grid, amp, width, center=center, steepness=steepness).values
     return Field(grid, vals, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# command implementations (each returns (artifact names, highlights))
+# command implementations (each takes the built blocks and returns
+# (artifact names, highlights))
 
 
-def _cmd_kernel(config: RunConfig, out: Path):
-    block = config.blocks["kernel"]
-    m, dim = block["m"], block["dim"]
-    radii = np.arange(0.0, block["r_max"] + 0.5 * block["dr"], block["dr"])
-    quad = default_quadrature(m)
-    quad = QuadratureSpec(block.get("s_max", quad.s_max), block.get("nodes", quad.nodes))
-    profile = profile_bessel(m, dim, radii, quad)
+def _cmd_kernel(built: dict, out: Path):
+    m, dim, r_max, dr, quad = built["kernel"]
+    profile = profile_bessel(m, dim, np.arange(0.0, r_max + 0.5 * dr, dr), quad)
     highlights = {"m": m, "dim": dim}
     try:
         profile = with_decay_fit(profile)
@@ -281,10 +284,9 @@ def _cmd_kernel(config: RunConfig, out: Path):
     return [name], highlights
 
 
-def _cmd_spectrum(config: RunConfig, out: Path):
-    grid = _grid_from_block(config.blocks["grid"])
-    block = config.blocks["spectrum"]
-    m, max_order = block["m"], block["max_order"]
+def _cmd_spectrum(built: dict, out: Path):
+    grid = built["grid"]
+    m, max_order = built["spectrum"]
     betas = multi_indices_up_to(grid.dim, max_order)
     rows = ["beta,lambda,rel_residual"]
     worst = 0.0
@@ -318,25 +320,8 @@ def _cmd_spectrum(config: RunConfig, out: Path):
     return ["eigen_residuals.csv", "gram.csv", "adjoint_check.json"], highlights
 
 
-def _cmd_solve(config: RunConfig, out: Path):
-    grid = _grid_from_block(config.blocks["grid"])
-    f = _degeneracy_from_block(config.blocks["degeneracy"])
-    s = config.blocks["solver"]
-    path = RegPath(f, config.blocks["degeneracy"]["n"], s.get("variant", "full"))
-    solver_config = SolverConfig(
-        m=s["m"],
-        path=path,
-        eps=s["eps"],
-        dt_init=s["dt_init"],
-        t_final=s["t_final"],
-        c=s.get("c"),
-        dealias=s.get("dealias", True),
-        energy_tol=s.get("energy_tol", 1e-8),
-        snapshot_times=tuple(s.get("snapshot_times", ())),
-        report_stride=int(s.get("report_stride", 1)),
-    )
-    u0 = _u0_from_block(config.blocks["u0"], grid, config.seed)
-    trajectory = solve(u0, solver_config)
+def _cmd_solve(built: dict, out: Path):
+    trajectory = solve(built["u0"], built["solver"])
 
     artifacts = []
     for snap in trajectory.snapshots:
@@ -348,17 +333,7 @@ def _cmd_solve(config: RunConfig, out: Path):
 
     first, last = trajectory.reports[0], trajectory.reports[-1]
     iface = interface_report(trajectory.snapshots[-1])
-    # eventual positivity on the compact box |x_i| <= 1: latest snapshot with
-    # a nonpositive minimum there, and whether all later snapshots are positive
-    mins = [
-        (snap.time_tag, interface_report(snap, region_half_width=1.0).min_on_region)
-        for snap in trajectory.snapshots
-    ]
-    t_positive = 0.0
-    for t_snap, mn in mins:
-        if mn <= 0.0:
-            t_positive = t_snap
-    later = [mn for t_snap, mn in mins if t_snap > t_positive]
+    t_positive, positive_after = eventual_positivity(trajectory.snapshots, region_half_width=1.0)
     highlights = {
         "run_id": trajectory.run_id,
         "mass_drift": abs(last.mass - first.mass) / max(abs(first.mass), 1e-300),
@@ -368,40 +343,22 @@ def _cmd_solve(config: RunConfig, out: Path):
         "sign_changes_final": iface.sign_change_count,
         "positivity_on_region": iface.positivity_on_region,
         "eventual_positivity_T": t_positive,
-        "positive_after_T": bool(later) and all(mn > 0.0 for mn in later),
+        "positive_after_T": positive_after,
         "min_attained": min(float(np.min(s.values)) for s in trajectory.snapshots),
     }
     return artifacts, highlights
 
 
-def _sweep_common(config: RunConfig, out: Path, block_name: str):
-    grid = _grid_from_block(config.blocks["grid"])
-    f = _degeneracy_from_block(config.blocks["degeneracy"])
-    sch = Schedule(config.blocks["schedule"]["kind"], config.blocks["schedule"]["c"], f)
-    block = config.blocks[block_name]
-    u0 = _u0_from_block(config.blocks["u0"], grid, config.seed)
-    m = int(block.get("m", 2))
-    table = sweep(
-        u0,
-        m,
-        f,
-        sch,
-        block["t_eval"],
-        block["n_values"],
-        dt_init=block.get("dt_init", 2e-5),
-        dealias=block.get("dealias", False),
-        time_nodes=int(block.get("time_nodes", 41)),
-        clamp_floor=block.get("clamp_floor"),
-        workers=config.workers,
-    )
+def _sweep_common(built: dict, out: Path, block_name: str):
+    table = sweep(built["u0"], f=built["degeneracy"].f, schedule=built["schedule"], **built[block_name])
     write_table_csv(out / "table.csv", table)
     write_summary_json(out / "summary.json", table)
     write_plot_data(out / "plotdata.csv", table)
-    return grid, f, m, u0, table, ["table.csv", "summary.json", "plotdata.csv"]
+    return table, ["table.csv", "summary.json", "plotdata.csv"]
 
 
-def _cmd_sweep(config: RunConfig, out: Path):
-    *_, table, artifacts = _sweep_common(config, out, "sweep")
+def _cmd_sweep(built: dict, out: Path):
+    table, artifacts = _sweep_common(built, out, "sweep")
     highlights = {
         "slope": table.slope,
         "slope_ci": list(table.slope_ci),
@@ -412,16 +369,9 @@ def _cmd_sweep(config: RunConfig, out: Path):
     return artifacts, highlights
 
 
-def _cmd_branch(config: RunConfig, out: Path):
-    grid, f, m, u0, table, artifacts = _sweep_common(config, out, "branch")
-    block = config.blocks["branch"]
-    t_eval = block["t_eval"]
-    time_nodes = int(block.get("time_nodes", 41))
-    phi_raw = correction_phi(
-        linear_trajectory(u0, m, np.linspace(0.0, t_eval, time_nodes)),
-        m, f, t_eval, time_nodes=time_nodes, clamp_floor=block.get("clamp_floor"),
-    )
-    phi = Field(grid, phi_raw.values * table.sign_of_phi, t_eval)
+def _cmd_branch(built: dict, out: Path):
+    table, artifacts = _sweep_common(built, out, "branch")
+    phi = Field(table.phi.grid, table.phi.values, table.phi.t)
     write_phf1(out / "phi.phf1", phi)
     artifacts = artifacts + ["phi.phf1", "branch.csv"]
 
@@ -472,7 +422,7 @@ def run(config: RunConfig) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        names, highlights = _DISPATCH[config.command](config, out)
+        names, highlights = _DISPATCH[config.command](_build(config), out)
         outcome, reason = "ok", None
     except Exception as err:  # noqa: BLE001 - the manifest carries the reason
         names, highlights = [], {}
@@ -484,7 +434,7 @@ def run(config: RunConfig) -> RunManifest:
     )
     manifest = RunManifest(
         command=config.command,
-        config={"blocks": config.blocks, "seed": config.seed, "workers": config.workers},
+        config={"blocks": config.blocks, "seed": config.seed},
         artifacts=artifacts,
         elapsed_seconds=elapsed,
         outcome=outcome,
@@ -493,21 +443,7 @@ def run(config: RunConfig) -> RunManifest:
         highlights=highlights,
     )
     with open(out / "manifest.json", "w") as fh:
-        json.dump(
-            {
-                "command": manifest.command,
-                "config": manifest.config,
-                "artifacts": list(manifest.artifacts),
-                "elapsed_seconds": manifest.elapsed_seconds,
-                "outcome": manifest.outcome,
-                "reason": manifest.reason,
-                "tool_version": manifest.tool_version,
-                "highlights": manifest.highlights,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
 
@@ -561,7 +497,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (default: config out_dir, "
                        "then POLYHEAT_OUT, then ./polyheat-out)")
-        p.add_argument("--workers", type=int, default=None, help="worker threads for sweep rows (default 1)")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized test fields (default 0)")
     rp = sub.add_parser("report", help="summarize run manifests")
     rp.add_argument("manifests", nargs="*", help="manifest.json files to digest")
@@ -572,29 +507,17 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        text = Path(args.config).read_text()
+        config = parse_config(Path(args.config).read_text(), command=args.command)
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
-    try:
-        config = parse_config(text, command=args.command)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    out_dir = args.out or os.environ.get("POLYHEAT_OUT") or config.out_dir
-    overrides = {"out_dir": out_dir}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    config = replace(config, out_dir=args.out or os.environ.get("POLYHEAT_OUT") or config.out_dir)
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = RunConfig(
-        command=config.command,
-        blocks=config.blocks,
-        out_dir=out_dir,
-        seed=overrides.get("seed", config.seed),
-        workers=overrides.get("workers", config.workers),
-    )
+        config = replace(config, seed=args.seed)
     manifest = run(config)
     if manifest.outcome == "ok":
         print(f"ok: {len(manifest.artifacts)} artifacts in {config.out_dir}")

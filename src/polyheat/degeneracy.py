@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._validate import require_real, require_reals
+
 __all__ = [
     "DegeneracyFunction",
     "RegPath",
     "degeneracy_function",
-    "f_eval",
     "f_pow_n",
     "phi_eps",
     "psi_eps",
@@ -55,9 +56,14 @@ class DegeneracyFunction:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown degeneracy kind {self.kind!r}; choose from {_KINDS}")
-        if self.kind == "power" and not self.params.get("kappa", 0) > 0:
-            raise ValueError("power kind needs kappa > 0")
+        if not isinstance(self.params, dict):
+            raise TypeError(f"params must be an object, got {self.params!r}")
+        require_real("t_max", self.t_max, "positive")
+        if self.kind == "power":
+            require_real("kappa", self.params.get("kappa"), "positive")
         if self.kind == "spline":
+            require_reals("spline knots", self.params.get("knots"), min_len=2)
+            require_reals("spline values", self.params.get("values"), min_len=2)
             ts = np.asarray(self.params["knots"], dtype=float)
             fs = np.asarray(self.params["values"], dtype=float)
             if ts[0] != 0.0 or fs[0] != 0.0:
@@ -141,15 +147,9 @@ class RegPath:
     variant: str = "full"
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("exponent n must be nonnegative")
+        require_real("n", self.n, "nonnegative")
         if self.variant not in ("full", "simple"):
             raise ValueError("variant must be 'full' or 'simple'")
-
-
-def f_eval(f: DegeneracyFunction, t):
-    """f(t) with the domain check; vectorized."""
-    return f(t)
 
 
 def f_pow_n(f: DegeneracyFunction, n: float, t):
@@ -157,21 +157,20 @@ def f_pow_n(f: DegeneracyFunction, n: float, t):
 
     n = 0 gives exactly 1 everywhere (the degeneracy is switched off).
     """
-    vals = np.asarray(f(t), dtype=float)
+    out = _pow_underflow(np.asarray(f(t), dtype=float), n)
+    return out if out.ndim else float(out)
+
+
+def _pow_underflow(vals: np.ndarray, n: float) -> np.ndarray:
+    """vals^n = exp(n ln vals) for vals >= 0, exact 0 below e^-700, 1 at n = 0."""
     if n == 0:
-        out = np.ones_like(vals)
-        return out if out.ndim else float(out)
+        return np.ones_like(vals)
     out = np.zeros_like(vals)
     pos = vals > 0
     with np.errstate(divide="ignore"):
         expo = n * np.log(vals[pos])
     out[pos] = np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
-    return out if out.ndim else float(out)
-
-
-def _check_eps(eps: float, lo: float) -> None:
-    if not (lo <= eps <= 1.0):
-        raise ValueError(f"eps must lie in ({'0' if lo == 0 else '0'}, 1], got {eps:g}")
+    return out
 
 
 def phi_eps(path: RegPath, eps: float, u):
@@ -229,17 +228,4 @@ def log_expansion_residual(f: DegeneracyFunction, n: float, t_grid, c0: float = 
     if not np.any(mask):
         return 0.0
     fv = vals[mask]
-    return float(np.max(np.abs((1.0 - f_pow_n_values(fv, n)) / n + np.log(fv))))
-
-
-def f_pow_n_values(vals: np.ndarray, n: float) -> np.ndarray:
-    """f^n from precomputed f values (same underflow policy as f_pow_n)."""
-    vals = np.asarray(vals, dtype=float)
-    if n == 0:
-        return np.ones_like(vals)
-    out = np.zeros_like(vals)
-    pos = vals > 0
-    with np.errstate(divide="ignore"):
-        expo = n * np.log(vals[pos])
-    out[pos] = np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
-    return out
+    return float(np.max(np.abs((1.0 - _pow_underflow(fv, n)) / n + np.log(fv))))

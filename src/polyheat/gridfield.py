@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._validate import require_int, require_real
+
 __all__ = [
     "GridSpec",
     "Field",
@@ -79,10 +81,9 @@ class GridSpec:
     points_per_dim: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        require_int("dim", self.dim, choices=(1, 2))
+        require_real("half_width", self.half_width, "positive")
+        require_int("points_per_dim", self.points_per_dim)
         m = self.points_per_dim
         if m % 2 != 0 or m < 8:
             raise ValueError("points_per_dim must be even >= 8")
@@ -106,7 +107,7 @@ class GridSpec:
 
 def make_grid(dim: int, half_width: float, points_per_dim: int) -> GridSpec:
     """Validated grid constructor; see :class:`GridSpec` for the invariants."""
-    return GridSpec(dim=dim, half_width=float(half_width), points_per_dim=int(points_per_dim))
+    return GridSpec(dim=dim, half_width=half_width, points_per_dim=points_per_dim)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._validate import require_real, require_reals
 from .degeneracy import DegeneracyFunction, RegPath, f_pow_n, theta
 from .gridfield import (
     DecayAssertionError,
@@ -92,8 +92,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("n_of_eps", "eps_of_n"):
             raise ValueError("schedule kind must be 'n_of_eps' or 'eps_of_n'")
-        if not self.c > 0:
-            raise ValueError("schedule constant c must be positive")
+        require_real("c", self.c, "positive")
+        require_reals("sample_points", self.sample_points)
         pts = tuple(sorted(float(p) for p in self.sample_points))
         object.__setattr__(self, "sample_points", pts)
         if len(pts) >= 2:
@@ -277,6 +277,7 @@ class ConvergenceTable:
     clamped_fraction: float
     schedule_kind: str
     schedule_c: float
+    phi: CorrectionField = field(repr=False, compare=False)
 
 
 def _fit_slope(ns, gaps):
@@ -304,11 +305,10 @@ def sweep(
     energy_tol: float = 1e-8,
     time_nodes: int = 41,
     clamp_floor: float | None = None,
-    workers: int = 1,
 ) -> ConvergenceTable:
     """One solver run per schedule point, measured against the cached linear
-    solution; the correction field is computed once and its sign is resolved
-    on the smallest successful n.
+    solution; the correction field is computed once, its sign is resolved
+    on the smallest successful n, and it is returned as ``table.phi``.
 
     ``n_values`` hold the schedule's own parameter (n for ``eps_of_n``, eps
     for ``n_of_eps``); the coupled pair is derived per row, with 0 meaning
@@ -324,24 +324,17 @@ def sweep(
         time_nodes=time_nodes, clamp_floor=clamp_floor,
     )
 
-    def run_row(v):
-        n_eff, eps = (0.0, 1.0) if v == 0.0 else schedule_eval(schedule, v)
-        path = RegPath(f, n_eff, "simple")
-        config = SolverConfig(
-            m=m, path=path, eps=eps, dt_init=dt_init, t_final=t_eval,
-            dealias=dealias, energy_tol=energy_tol, report_stride=10**9,
-        )
-        traj = solve(u0, config)
-        return n_eff, eps, traj.snapshots[-1]
-
     results = {}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {pool.submit(run_row, v): v for v in params}
-        for fut, v in futures.items():
-            try:
-                results[v] = ("ok", fut.result())
-            except (StiffnessError, BlowupError, DecayAssertionError, ScheduleRangeError, ValueError) as err:
-                results[v] = ("failed: " + str(err), None)
+    for v in params:
+        try:
+            n_eff, eps = (0.0, 1.0) if v == 0.0 else schedule_eval(schedule, v)
+            config = SolverConfig(
+                m=m, path=RegPath(f, n_eff, "simple"), eps=eps, dt_init=dt_init, t_final=t_eval,
+                dealias=dealias, energy_tol=energy_tol, report_stride=10**9,
+            )
+            results[v] = ("ok", (n_eff, eps, solve(u0, config).snapshots[-1]))
+        except (StiffnessError, BlowupError, DecayAssertionError, ScheduleRangeError, ValueError) as err:
+            results[v] = ("failed: " + str(err), None)
 
     ok_payloads = [results[v][1] for v in params if results[v][0] == "ok" and results[v][1][0] > 0]
     if ok_payloads:
@@ -385,6 +378,7 @@ def sweep(
         clamped_fraction=phi.clamped_fraction,
         schedule_kind=schedule.kind,
         schedule_c=schedule.c,
+        phi=phi,
     )
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from ._validate import require_int, require_real
 from .bessel import besselj
 from .gridfield import (
     Field,
@@ -40,9 +41,9 @@ __all__ = [
     "QuadratureSpec",
     "KernelProfile",
     "DecayFit",
-    "PhSolutionOperator",
     "QuadratureError",
     "default_quadrature",
+    "profile_quadrature",
     "profile_bessel",
     "profile_fourier",
     "fundamental_solution",
@@ -50,7 +51,6 @@ __all__ = [
     "decay_fit",
     "radial_integral",
     "sign_change_count",
-    "eventual_positivity_time",
     "write_profile_csv",
     "read_profile_csv",
 ]
@@ -70,6 +70,10 @@ class QuadratureSpec:
 
     s_max: float
     nodes: int
+
+    def __post_init__(self):
+        require_real("s_max", self.s_max, "positive")
+        require_int("nodes", self.nodes, lo=1)
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,20 @@ def default_quadrature(m: int) -> QuadratureSpec:
     return QuadratureSpec(s_max=2.0 * 40.0 ** (1.0 / (2 * m)), nodes=64)
 
 
+def profile_quadrature(m: int, dim: int, s_max: float | None = None, nodes: int | None = None) -> QuadratureSpec:
+    """The checked quadrature for tabulating F_{m,N}: unset fields take
+    ``default_quadrature(m)``, and an s_max that cuts e^(-s^(2m)) off above
+    1e-16 is rejected."""
+    require_int("m", m, lo=1)
+    require_int("dim", dim, choices=(1, 2))
+    default = default_quadrature(m)
+    quad = QuadratureSpec(default.s_max if s_max is None else s_max, default.nodes if nodes is None else nodes)
+    with np.errstate(over="ignore"):
+        if np.exp(-np.float64(quad.s_max) ** (2 * m)) >= 1e-16:
+            raise ValueError(f"s_max = {quad.s_max:g} truncates the integral too early for m = {m}")
+    return quad
+
+
 _PANEL_NODES = 32
 
 
@@ -138,13 +156,8 @@ def profile_bessel(m: int, dim: int, radii, quadrature: QuadratureSpec | None = 
     so no separate limit formula is needed).  Node counts double until the
     tabulation stabilizes; failure to stabilize below 1e-8 is an error.
     """
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer")
-    if dim not in (1, 2):
-        raise ValueError("dim must be 1 or 2")
-    quadrature = quadrature or default_quadrature(m)
-    if np.exp(-quadrature.s_max ** (2 * m)) >= 1e-16:
-        raise ValueError(f"s_max = {quadrature.s_max:g} truncates the integral too early for m = {m}")
+    s_max, nodes = (quadrature.s_max, quadrature.nodes) if quadrature else (None, None)
+    quadrature = profile_quadrature(m, dim, s_max, nodes)
     radii = np.asarray(radii, dtype=float)
     r_eval = np.where(radii == 0.0, 1e-8, radii)
 
@@ -232,26 +245,6 @@ def phe_solve(u0: Field, m: int, t: float, check_decay: bool = True) -> Field:
     return Field(u0.grid, vals, (u0.time_tag or 0.0) + t)
 
 
-@dataclass(frozen=True)
-class PhSolutionOperator:
-    """Cached-symbol solution operator for the linear equation on one grid."""
-
-    grid: GridSpec
-    m: int
-
-    @property
-    def symbol(self) -> np.ndarray:
-        sym = k_squared(self.grid) ** self.m
-        if np.any(sym < 0):
-            raise AssertionError("symbol must be nonnegative")
-        return sym
-
-    def __call__(self, u0: Field, t: float, check_decay: bool = True) -> Field:
-        if u0.grid != self.grid:
-            raise ValueError("field does not live on the operator's grid")
-        return phe_solve(u0, self.m, t, check_decay=check_decay)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics on tabulated profiles
 
@@ -320,29 +313,6 @@ def decay_fit(profile: KernelProfile, floor: float = 1e-13) -> DecayFit:
     )
     log_c, a, alpha = sol.x
     return DecayFit(C=float(np.exp(log_c)), a=float(a), alpha=float(alpha))
-
-
-def eventual_positivity_time(u0: Field, m: int, times, region_half_width: float = 1.0):
-    """Scan the linear evolution for positivity on the compact box |x_i| <= h.
-
-    Returns ``(T, all_positive_after)``: the latest sampled time at which the
-    minimum over the region is nonpositive (0.0 if none), and whether every
-    later sample is strictly positive there.
-    """
-    from .gridfield import coordinates
-
-    grid = u0.grid
-    mask = np.ones(grid.shape, dtype=bool)
-    for x in coordinates(grid):
-        mask &= np.broadcast_to(np.abs(x) <= region_half_width, grid.shape)
-    times = sorted(float(t) for t in times)
-    mins = [float(np.min(phe_solve(u0, m, t).values[mask])) for t in times]
-    T = 0.0
-    for t, mn in zip(times, mins):
-        if mn <= 0.0:
-            T = t
-    later = [mn for t, mn in zip(times, mins) if t > T]
-    return T, (len(later) > 0 and all(mn > 0.0 for mn in later))
 
 
 # ---------------------------------------------------------------------------

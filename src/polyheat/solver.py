@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._validate import require_int, require_real, require_reals
 from .degeneracy import RegPath, coefficient_bound, reg_coefficient
 from .gridfield import (
     Field,
@@ -54,8 +55,8 @@ __all__ = [
     "bf_energies",
     "flux_density",
     "dissipation_density",
-    "flux_accumulate",
     "interface_report",
+    "eventual_positivity",
     "write_energy_csv",
 ]
 
@@ -91,14 +92,19 @@ class SolverConfig:
     tripwire_factor: float = 10.0
 
     def __post_init__(self):
-        if self.m not in (2, 3):
-            raise ValueError("m must be 2 or 3")
+        require_int("m", self.m, choices=(2, 3))
+        require_int("report_stride", self.report_stride, lo=1)
+        require_real("eps", self.eps)
+        for name in ("dt_init", "t_final", "tripwire_factor"):
+            require_real(name, getattr(self, name), "positive")
+        require_real("energy_tol", self.energy_tol, "nonnegative")
+        if self.c is not None:
+            require_real("c", self.c)
+        if not isinstance(self.dealias, bool):
+            raise TypeError(f"dealias must be true or false, got {self.dealias!r}")
+        require_reals("snapshot_times", self.snapshot_times)
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps:g}")
-        if not self.dt_init > 0:
-            raise ValueError("dt_init must be positive")
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
         if self.c is None:
             object.__setattr__(self, "c", 1.1 * coefficient_bound(self.path, self.eps))
         u_samples = np.linspace(-self.path.f.t_max, self.path.f.t_max, 201)
@@ -234,7 +240,7 @@ def _flux_parts(grid: GridSpec, config: SolverConfig, u_vals: np.ndarray, u_hat:
         g = np.fft.ifftn(gh).real
         flux += np.sum((coef * g) ** 2)
         diss += np.sum(coef * g**2)
-    return grid.cell_volume * flux, grid.cell_volume * diss
+    return float(grid.cell_volume * flux), float(grid.cell_volume * diss)
 
 
 def flux_density(u: Field, config: SolverConfig) -> float:
@@ -247,11 +253,6 @@ def dissipation_density(u: Field, config: SolverConfig) -> float:
     """int coef(u) |grad Delta^(m-1) u|^2 dx at one instant."""
     u_hat = np.fft.fftn(u.values)
     return float(_flux_parts(u.grid, config, u.values, u_hat)[1])
-
-
-def flux_accumulate(u: Field, config: SolverConfig, dt: float, running: float) -> float:
-    """Advance the running space-time flux integral by dt at the state u."""
-    return running + dt * flux_density(u, config)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +411,19 @@ def interface_report(u: Field, threshold: float | None = None, region_half_width
         positivity_on_region=min_region > 0.0,
         min_on_region=min_region,
     )
+
+
+def eventual_positivity(snapshots, region_half_width: float = 1.0) -> tuple:
+    """``(T, all_positive_after)`` on the box |x_i| <= h: the latest snapshot
+    time with a nonpositive minimum there (0.0 if none), and whether later
+    snapshots exist and are all strictly positive there."""
+    mins = [
+        (s.time_tag, interface_report(s, region_half_width=region_half_width).min_on_region)
+        for s in snapshots
+    ]
+    T = max((t for t, mn in mins if mn <= 0.0), default=0.0)
+    later = [mn for t, mn in mins if t > T]
+    return T, bool(later) and all(mn > 0.0 for mn in later)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def acceptance_sweep():
     start = time.perf_counter()
     table = sweep(
         U0, 2, RATIONAL, schedule, 0.1, [1e-1, 3e-2, 1e-2, 3e-3],
-        dt_init=2e-5, dealias=False, time_nodes=641, clamp_floor=1e-14, workers=2,
+        dt_init=2e-5, dealias=False, time_nodes=641, clamp_floor=1e-14,
     )
     return table, time.perf_counter() - start
 
@@ -290,7 +290,7 @@ def test_criterion_12_sweep_determinism(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]) == 0
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         outs.append(out)
     for name in ("table.csv", "plotdata.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -2,12 +2,19 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyheat.cli import ConfigError, main, parse_config, report, run
-from polyheat.gridfield import read_phf1
+from polyheat.degeneracy import DegeneracyFunction, RegPath
+from polyheat.gridfield import GridSpec, read_phf1
+from polyheat.homotopy import Schedule
+from polyheat.kernel import QuadratureSpec
+from polyheat.solver import SolverConfig
 
 MINIMAL_SOLVE = {
     "grid": {"dim": 1, "half_width": 24.0, "points_per_dim": 256},
@@ -29,6 +36,8 @@ SWEEP_CONFIG = {
         "clamp_floor": 1e-14, "time_nodes": 21,
     },
 }
+
+MINIMAL_KERNEL = {"kernel": {"m": 2, "dim": 1, "r_max": 28.0, "dr": 0.05}}
 
 
 def _dump(tmp_path, name, payload):
@@ -136,8 +145,8 @@ class TestRunCommands:
 
     def test_sweep_determinism_bitwise(self, tmp_path):
         path = _dump(tmp_path, "sweep.json", SWEEP_CONFIG)
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "a"), "--workers", "2"]) == 0
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "b"), "--workers", "2"]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
         for name in ("table.csv", "summary.json", "plotdata.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -193,3 +202,109 @@ class TestReport:
     def test_cli_report_subcommand(self, capsys):
         assert main(["report"]) == 0
         assert capsys.readouterr().out.strip() == "no runs"
+
+
+# (block, key, raw JSON token) for MINIMAL_SOLVE; each must be a config error
+SOLVE_DEFECTS = [
+    ("grid", "points_per_dim", '"256"'),
+    ("solver", "eps", "null"),
+    ("degeneracy", "params", "[1]"),
+    ("solver", "t_final", "1e400"),
+    ("solver", "dt_init", "Infinity"),
+    ("grid", "half_width", "true"),
+    ("grid", "dim", "1.0"),
+    ("degeneracy", "n", "NaN"),
+    ("solver", "report_stride", "0"),
+    ("solver", "energy_tol", "NaN"),
+    ("solver", "energy_tol", "-1"),
+    ("solver", "c", "NaN"),
+    ("solver", "c", "Infinity"),
+    ("solver", "snapshot_times", '"0.1"'),
+    ("u0", "amplitude", '"1"'),
+]
+
+_RATIONAL = DegeneracyFunction("rational")
+_LINEAR = RegPath(_RATIONAL, 0.0, "simple")
+_SOLVER = dict(m=2, path=_LINEAR, eps=1e-3, dt_init=1e-4, t_final=0.01)
+
+CONSTRUCTOR_DEFECTS = {
+    "GridSpec dim float": lambda: GridSpec(1.0, 24.0, 256),
+    "GridSpec half_width bool": lambda: GridSpec(1, True, 256),
+    "GridSpec points_per_dim str": lambda: GridSpec(1, 24.0, "256"),
+    "GridSpec half_width inf": lambda: GridSpec(1, math.inf, 256),
+    "SolverConfig t_final inf": lambda: SolverConfig(**dict(_SOLVER, t_final=math.inf)),
+    "SolverConfig dt_init nan": lambda: SolverConfig(**dict(_SOLVER, dt_init=math.nan)),
+    "SolverConfig eps None": lambda: SolverConfig(**dict(_SOLVER, eps=None)),
+    "SolverConfig m float": lambda: SolverConfig(**dict(_SOLVER, m=2.0)),
+    "SolverConfig c inf": lambda: SolverConfig(**dict(_SOLVER, c=math.inf)),
+    "SolverConfig energy_tol negative": lambda: SolverConfig(**dict(_SOLVER, energy_tol=-1.0)),
+    "SolverConfig report_stride zero": lambda: SolverConfig(**dict(_SOLVER, report_stride=0)),
+    "SolverConfig dealias int": lambda: SolverConfig(**dict(_SOLVER, dealias=1)),
+    "SolverConfig snapshot_times str": lambda: SolverConfig(**dict(_SOLVER, snapshot_times="0.1")),
+    "RegPath n nan": lambda: RegPath(_RATIONAL, math.nan),
+    "RegPath n str": lambda: RegPath(_RATIONAL, "0.1"),
+    "Schedule c inf": lambda: Schedule("eps_of_n", math.inf, _RATIONAL),
+    "Schedule c bool": lambda: Schedule("eps_of_n", True, _RATIONAL),
+    "DegeneracyFunction params list": lambda: DegeneracyFunction("rational", [1]),
+    "DegeneracyFunction power without kappa": lambda: DegeneracyFunction("power"),
+    "DegeneracyFunction kappa nan": lambda: DegeneracyFunction("power", {"kappa": math.nan}),
+    "DegeneracyFunction knots str": lambda: DegeneracyFunction("spline", {"knots": "01", "values": [0, 1]}),
+    "DegeneracyFunction t_max inf": lambda: DegeneracyFunction("tanh", t_max=math.inf),
+    "QuadratureSpec nodes float": lambda: QuadratureSpec(8.0, 64.0),
+}
+
+# arbitrary JSON; integers stay small because a drawn grid size allocates
+# a field of that many points while the config is built
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [path for key, child in items for path in _leaf_paths(child, prefix + (key,))]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("block,key,token", SOLVE_DEFECTS, ids=[f"{b}.{k}={t}" for b, k, t in SOLVE_DEFECTS])
+    def test_solve_defect_exits_2_naming_block(self, tmp_path, capsys, block, key, token):
+        cfg = json.loads(json.dumps(MINIMAL_SOLVE))
+        cfg[block][key] = "@DEFECT@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg).replace('"@DEFECT@"', token))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {block}: ")
+        assert "Traceback" not in captured.err
+        assert "ok" not in captured.out
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("make", CONSTRUCTOR_DEFECTS.values(), ids=CONSTRUCTOR_DEFECTS.keys())
+    def test_constructor_rejects(self, make):
+        with pytest.raises((TypeError, ValueError)):
+            make()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_leaf_replacement_parses_or_config_error(self, data):
+        command, base = data.draw(st.sampled_from(
+            [("solve", MINIMAL_SOLVE), ("sweep", SWEEP_CONFIG), ("kernel", MINIMAL_KERNEL)]
+        ))
+        path = data.draw(st.sampled_from(_leaf_paths(base)))
+        cfg = json.loads(json.dumps(base))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            parse_config(json.dumps(cfg), command=command)
+        except ConfigError:
+            pass

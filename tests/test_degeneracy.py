@@ -9,7 +9,6 @@ from polyheat.degeneracy import (
     RegPath,
     coefficient_bound,
     degeneracy_function,
-    f_eval,
     f_pow_n,
     log_expansion_residual,
     phi_eps,
@@ -34,12 +33,12 @@ def rational():
 @pytest.mark.parametrize("kind,params", KINDS.items())
 def test_vanishes_at_zero(kind, params):
     f = degeneracy_function(kind, **params)
-    assert f_eval(f, 0.0) == 0.0
-    assert f_eval(f, 1e-6) > 0.0
+    assert f(0.0) == 0.0
+    assert f(1e-6) > 0.0
 
 
 def test_rational_at_one(rational):
-    assert f_eval(rational, 1.0) == 0.5
+    assert rational(1.0) == 0.5
 
 
 def test_tanh_power_evaluation():
@@ -51,7 +50,7 @@ def test_tanh_power_evaluation():
 
 def test_rejects_negative_argument(rational):
     with pytest.raises(ValueError):
-        f_eval(rational, -0.5)
+        rational(-0.5)
 
 
 def test_admissibility_rejects_bad_spline():
@@ -160,7 +159,7 @@ class TestTheta:
         n = 1e-4
         p = RegPath(rational, n, "simple")
         got = theta(p, 0.0, 1.0) / n
-        target = -np.log(f_eval(rational, 1.0))
+        target = -np.log(rational(1.0))
         assert abs(got - target) / target <= 1e-3
 
     @settings(max_examples=40, deadline=None)

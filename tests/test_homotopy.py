@@ -49,7 +49,7 @@ def small_sweep(u0, rational):
     sch = Schedule("eps_of_n", 1.0, rational)
     return sweep(
         u0, 2, rational, sch, 0.1, [0.0, 1e-1, 3e-2, 1e-2],
-        dt_init=5e-5, clamp_floor=1e-14, workers=2,
+        dt_init=5e-5, clamp_floor=1e-14,
     )
 
 

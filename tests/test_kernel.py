@@ -8,11 +8,9 @@ from scipy.special import gamma
 from polyheat.gridfield import Field, bump, coordinates, integrate, l2_norm, make_grid
 from polyheat.kernel import (
     KernelProfile,
-    PhSolutionOperator,
     QuadratureSpec,
     decay_fit,
     default_quadrature,
-    eventual_positivity_time,
     fundamental_solution,
     phe_solve,
     profile_bessel,
@@ -23,6 +21,7 @@ from polyheat.kernel import (
     with_decay_fit,
     write_profile_csv,
 )
+from polyheat.solver import eventual_positivity
 
 
 @pytest.fixture(scope="module")
@@ -158,20 +157,14 @@ class TestPheSolve:
         u0 = bump(grid24, 1.0, 3.0)
         assert integrate(phe_solve(u0, 2, 0.2)) == integrate(u0)
 
-    def test_solution_operator_wrapper(self, grid24):
-        op = PhSolutionOperator(grid24, 2)
-        assert np.all(op.symbol >= 0.0)
-        assert op.symbol[0] == 0.0
-        u0 = bump(grid24, 1.0, 3.0)
-        assert np.array_equal(op(u0, 0.1).values, phe_solve(u0, 2, 0.1).values)
-
     def test_eventual_positivity_narrow_bump(self):
         grid = make_grid(1, 20.0, 512)
         u0 = bump(grid, 1.0, 0.8, steepness=6.0)
         times = (0.002, 0.005, 0.01, 0.05, 0.1, 0.2)
         early = phe_solve(u0, 2, 0.002)
         assert np.min(early.values) < 0.0
-        T, positive_after = eventual_positivity_time(u0, 2, times, region_half_width=1.0)
+        snapshots = [phe_solve(u0, 2, t) for t in times]
+        T, positive_after = eventual_positivity(snapshots, region_half_width=1.0)
         assert positive_after
         assert 0.0 < T < 0.2
 
