@@ -38,6 +38,8 @@ __all__ = [
     "k_squared",
     "dealias_mask",
     "laplacian_power",
+    "grad_chain",
+    "divergence_hat",
     "gradient",
     "divergence",
     "integrate",
@@ -262,21 +264,32 @@ def laplacian_power(f: Field, k: int) -> Field:
     return Field(f.grid, out, f.time_tag)
 
 
+def grad_chain(grid: GridSpec, u_hat: np.ndarray, k: int) -> list:
+    """Real components of grad Delta^k u from u_hat = fftn(u)."""
+    lap = (-k_squared(grid)) ** k
+    return [np.fft.ifftn(1j * ki * lap * u_hat).real for ki in wavevectors(grid, odd=True)]
+
+
+def divergence_hat(grid: GridSpec, components, dealias: bool) -> np.ndarray:
+    """Fourier coefficients of the divergence of real components; with
+    ``dealias`` each component's spectrum is cut to the 2/3-rule band first."""
+    acc = np.zeros(grid.shape, dtype=complex)
+    for ki, ci in zip(wavevectors(grid, odd=True), components):
+        ch = np.fft.fftn(ci)
+        if dealias:
+            ch = np.where(dealias_mask(grid), ch, 0.0)
+        acc += 1j * ki * ch
+    return acc
+
+
 def gradient(f: Field) -> VectorField:
     """Spectral gradient of a scalar field."""
-    fh = np.fft.fftn(f.values)
-    ks = wavevectors(f.grid, odd=True)
-    comps = tuple(np.fft.ifftn(1j * ki * fh).real for ki in ks)
-    return VectorField(f.grid, comps)
+    return VectorField(f.grid, tuple(grad_chain(f.grid, np.fft.fftn(f.values), 0)))
 
 
 def divergence(v: VectorField) -> Field:
     """Spectral divergence of a vector field."""
-    ks = wavevectors(v.grid, odd=True)
-    acc = np.zeros(v.grid.shape, dtype=complex)
-    for ki, ci in zip(ks, v.components):
-        acc += 1j * ki * np.fft.fftn(ci)
-    return Field(v.grid, np.fft.ifftn(acc).real)
+    return Field(v.grid, np.fft.ifftn(divergence_hat(v.grid, v.components, False)).real)
 
 
 def integrate(f: Field) -> float:

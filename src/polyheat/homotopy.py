@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._validate import require_real, require_reals
-from .degeneracy import DegeneracyFunction, RegPath, f_pow_n, theta
+from .degeneracy import DegeneracyFunction, RegPath, theta
 from .gridfield import (
     DecayAssertionError,
     Field,
-    dealias_mask,
+    divergence_hat,
+    grad_chain,
     k_squared,
     l2_norm,
-    wavevectors,
 )
 from .kernel import phe_solve
 from .solver import (
@@ -196,23 +196,17 @@ def correction_phi(
     if not eta > 0:
         raise ValueError("clamp floor must be positive")
 
-    ks = wavevectors(grid, odd=True)
-    lap = (-k_squared(grid)) ** (m - 1)
     sym = k_squared(grid) ** m
-    mask = dealias_mask(grid)
     weights = np.full(time_nodes, t / (time_nodes - 1))
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
     phi_hat = np.zeros(grid.shape, dtype=complex)
     for s, wt, snap in zip(nodes, weights, fields):
-        u_hat = np.fft.fftn(snap.values)
         logf = np.log(f(np.maximum(np.abs(snap.values), eta)))
-        prop = np.exp(-sym * (t - s))
-        for ki in ks:
-            g_i = np.fft.ifftn(1j * ki * lap * u_hat).real
-            w_hat = np.where(mask, np.fft.fftn(logf * g_i), 0.0)
-            phi_hat += wt * (1j * ki * prop * w_hat)
+        g = grad_chain(grid, np.fft.fftn(snap.values), m - 1)
+        w_hat = divergence_hat(grid, [logf * gi for gi in g], True)
+        phi_hat += wt * (np.exp(-sym * (t - s)) * w_hat)
     values = np.fft.ifftn(phi_hat).real
 
     final = fields[-1]
@@ -446,7 +440,7 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
     grid = snaps[0].grid
     times = np.array([s.time_tag for s in snaps])
     T = times[-1]
-    from .gridfield import coordinates, gradient, laplacian_power
+    from .gridfield import coordinates, gradient
 
     x1 = np.broadcast_to(coordinates(grid)[0], grid.shape)
     sign = (-1.0) ** m
@@ -461,8 +455,8 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
             dphi = gradient(Field(grid, spatial))
             for j, s in enumerate(snaps):
                 term1[j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
-                gv = gradient(laplacian_power(s, m - 1))
-                dot = sum(a * b for a, b in zip(dphi.components, gv.components))
+                gv = grad_chain(grid, np.fft.fftn(s.values), m - 1)
+                dot = sum(a * b for a, b in zip(dphi.components, gv))
                 term2[j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
             resid = abs(np.trapezoid(term1 + sign * term2, times))
             worst = max(worst, resid)

@@ -13,7 +13,11 @@ Step control is the energy monitor itself: a step is accepted only when the
 parity-appropriate energy  int |xi|^(2(m-1)) |u_hat|^2  (equal to
 int |Delta^((m-1)/2) u|^2 for odd m and int |grad Delta^((m-2)/2) u|^2 for
 even m) does not increase beyond the configured tolerance; otherwise dt is
-halved, up to 30 times.  The divergence form keeps the zero mode untouched,
+halved, up to 30 times.  The coefficient and the gradient chain
+grad Delta^(m-1) u are evaluated once per accepted state: the flux monitors
+of that state and the remainder R_hat(u) + c |xi|^(2m) u_hat of the next
+step both read them, and each halving only re-applies e^(-c |xi|^(2m) dt)
+to that remainder.  The divergence form keeps the zero mode untouched,
 so the mass is conserved exactly, and the accumulated dissipation
 2 int_0^t int coef |grad Delta^(m-1) u|^2 is tracked so the energy identity
 
@@ -25,7 +29,7 @@ can be monitored as a runtime residual.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +39,11 @@ from .gridfield import (
     Field,
     GridSpec,
     assert_boundary_decay,
-    dealias_mask,
+    divergence_hat,
+    grad_chain,
     k_squared,
     radius,
     spectral_tail_fraction,
-    wavevectors,
 )
 
 __all__ = [
@@ -103,6 +107,8 @@ class SolverConfig:
         if not isinstance(self.dealias, bool):
             raise TypeError(f"dealias must be true or false, got {self.dealias!r}")
         require_reals("snapshot_times", self.snapshot_times)
+        if not all(0.0 <= t <= self.t_final for t in self.snapshot_times):
+            raise ValueError(f"snapshot_times must lie in [0, t_final = {self.t_final:g}]")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps:g}")
         if self.c is None:
@@ -146,40 +152,23 @@ class InterfaceReport:
 # spectral building blocks (shared by the public ops and the solve loop)
 
 
-def _grad_chain_hat(grid: GridSpec, m: int, u_hat: np.ndarray):
-    """Fourier coefficients of grad Delta^(m-1) u, one array per component."""
-    lap = (-k_squared(grid)) ** (m - 1)
-    return [1j * ki * lap * u_hat for ki in wavevectors(grid, odd=True)]
+def _state(grid: GridSpec, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
+    """coef(u) and the real components of g = grad Delta^(m-1) u for one state."""
+    return reg_coefficient(config.path, config.eps, u), grad_chain(grid, u_hat, config.m - 1)
 
 
-def _rhs_hat(grid: GridSpec, config: SolverConfig, u_vals: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-    coef = reg_coefficient(config.path, config.eps, u_vals)
+def _rhs_hat(grid: GridSpec, config: SolverConfig, coef: np.ndarray, g: list) -> np.ndarray:
+    products = [coef * gi for gi in g]
+    if not all(np.all(np.isfinite(p)) for p in products):
+        raise BlowupError("non-finite coefficient-gradient product (blow-up signal)")
     sign = 1.0 if config.m % 2 == 1 else -1.0  # (-1)^(m-1)
-    mask = dealias_mask(grid) if config.dealias else None
-    out = np.zeros(grid.shape, dtype=complex)
-    ks = wavevectors(grid, odd=True)
-    for ki, gh in zip(ks, _grad_chain_hat(grid, config.m, u_hat)):
-        prod = coef * np.fft.ifftn(gh).real
-        if not np.all(np.isfinite(prod)):
-            raise BlowupError("non-finite coefficient-gradient product (blow-up signal)")
-        ph = np.fft.fftn(prod)
-        if mask is not None:
-            ph = np.where(mask, ph, 0.0)
-        out += 1j * ki * ph
-    return sign * out
+    return sign * divergence_hat(grid, products, config.dealias)
 
 
 def rhs(u: Field, config: SolverConfig) -> Field:
     """(-1)^(m-1) div( coef(u) grad Delta^(m-1) u ), dealiased product."""
-    u_hat = np.fft.fftn(u.values)
-    return Field(u.grid, np.fft.ifftn(_rhs_hat(u.grid, config, u.values, u_hat)).real, u.time_tag)
-
-
-def _step_hat(grid: GridSpec, config: SolverConfig, u_hat: np.ndarray, dt: float) -> np.ndarray:
-    sym = k_squared(grid) ** config.m
-    u_vals = np.fft.ifftn(u_hat).real
-    r_hat = _rhs_hat(grid, config, u_vals, u_hat)
-    return np.exp(-config.c * sym * dt) * (u_hat + dt * (r_hat + config.c * sym * u_hat))
+    r_hat = _rhs_hat(u.grid, config, *_state(u.grid, config, u.values, np.fft.fftn(u.values)))
+    return Field(u.grid, np.fft.ifftn(r_hat).real, u.time_tag)
 
 
 def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
@@ -187,7 +176,10 @@ def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
     if not dt > 0:
         raise ValueError("dt must be positive")
     u_hat = np.fft.fftn(u.values)
-    out = np.fft.ifftn(_step_hat(u.grid, config, u_hat, dt)).real
+    lin = config.c * k_squared(u.grid) ** config.m
+    state = _state(u.grid, config, np.fft.ifftn(u_hat).real, u_hat)
+    rem_hat = _rhs_hat(u.grid, config, *state) + lin * u_hat
+    out = np.fft.ifftn(np.exp(-lin * dt) * (u_hat + dt * rem_hat)).real
     t0 = u.time_tag or 0.0
     return Field(u.grid, out, t0 + dt)
 
@@ -231,28 +223,21 @@ def bf_energies(u: Field, m: int) -> EnergyReport:
     )
 
 
-def _flux_parts(grid: GridSpec, config: SolverConfig, u_vals: np.ndarray, u_hat: np.ndarray):
+def _flux_parts(grid: GridSpec, coef: np.ndarray, g: list):
     """(int |coef * g|^2, int coef |g|^2) with g = grad Delta^(m-1) u."""
-    coef = reg_coefficient(config.path, config.eps, u_vals)
-    flux = 0.0
-    diss = 0.0
-    for gh in _grad_chain_hat(grid, config.m, u_hat):
-        g = np.fft.ifftn(gh).real
-        flux += np.sum((coef * g) ** 2)
-        diss += np.sum(coef * g**2)
+    flux = sum(np.sum((coef * gi) ** 2) for gi in g)
+    diss = sum(np.sum(coef * gi**2) for gi in g)
     return float(grid.cell_volume * flux), float(grid.cell_volume * diss)
 
 
 def flux_density(u: Field, config: SolverConfig) -> float:
     """int |coef(u) grad Delta^(m-1) u|^2 dx at one instant."""
-    u_hat = np.fft.fftn(u.values)
-    return float(_flux_parts(u.grid, config, u.values, u_hat)[0])
+    return _flux_parts(u.grid, *_state(u.grid, config, u.values, np.fft.fftn(u.values)))[0]
 
 
 def dissipation_density(u: Field, config: SolverConfig) -> float:
     """int coef(u) |grad Delta^(m-1) u|^2 dx at one instant."""
-    u_hat = np.fft.fftn(u.values)
-    return float(_flux_parts(u.grid, config, u.values, u_hat)[1])
+    return _flux_parts(u.grid, *_state(u.grid, config, u.values, np.fft.fftn(u.values)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +275,16 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
     _validate_initial(u0, config)
     grid = u0.grid
     sup0 = float(np.max(np.abs(u0.values)))
-    targets = sorted(set(t for t in config.snapshot_times if 0.0 < t <= config.t_final))
-    if config.t_final not in targets:
-        targets.append(config.t_final)
+    targets = sorted(set(t for t in config.snapshot_times if t > 0.0) | {config.t_final})
 
+    lin = config.c * k_squared(grid) ** config.m
     u_hat = np.fft.fftn(u0.values).astype(complex)
+    u = np.fft.ifftn(u_hat).real
+    coef, g = _state(grid, config, u, u_hat)
     t = 0.0
     bf, bf_lo = _bf_from_hat(grid, config.m, u_hat)
     bf0 = bf
-    flux_now, diss_now = _flux_parts(grid, config, u0.values, u_hat)
+    flux_now, diss_now = _flux_parts(grid, coef, g)
     flux_acc = 0.0
     diss_acc = 0.0
 
@@ -323,9 +309,10 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
     for target in targets:
         while t < target - 1e-15 * max(1.0, target):
             dt = min(dt_cap, target - t)
+            rem_hat = _rhs_hat(grid, config, coef, g) + lin * u_hat
             halvings = 0
             while True:
-                cand_hat = _step_hat(grid, config, u_hat, dt)
+                cand_hat = np.exp(-lin * dt) * (u_hat + dt * rem_hat)
                 cand_bf, cand_bf_lo = _bf_from_hat(grid, config.m, cand_hat)
                 finite = np.all(np.isfinite(cand_hat))
                 ok = (
@@ -342,14 +329,15 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                         f"(bf jump {cand_bf - bf:.3e}, finite = {finite})"
                     )
                 dt *= 0.5
-            u_vals = np.fft.ifftn(cand_hat).real
-            sup = float(np.max(np.abs(u_vals)))
+            u = np.fft.ifftn(cand_hat).real
+            sup = float(np.max(np.abs(u)))
             if sup > config.tripwire_factor * sup0:
                 raise BlowupError(
                     f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
                     f"{config.tripwire_factor:g} * sup|u0| = {config.tripwire_factor * sup0:.3g} at t = {t + dt:g}"
                 )
-            flux_new, diss_new = _flux_parts(grid, config, u_vals, cand_hat)
+            coef, g = _state(grid, config, u, cand_hat)
+            flux_new, diss_new = _flux_parts(grid, coef, g)
             flux_acc += 0.5 * dt * (flux_now + flux_new)
             diss_acc += 0.5 * dt * (diss_now + diss_new)
             flux_now, diss_now = flux_new, diss_new
@@ -363,7 +351,7 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                 dt_cap = dt
             if steps % config.report_stride == 0:
                 reports.append(report(t, bf, bf_lo))
-        snap = Field(grid, np.fft.ifftn(u_hat).real, t)
+        snap = Field(grid, u, t)
         assert_boundary_decay(snap)
         snapshots.append(snap)
         if reports[-1].t != t:

@@ -220,6 +220,7 @@ SOLVE_DEFECTS = [
     ("solver", "c", "NaN"),
     ("solver", "c", "Infinity"),
     ("solver", "snapshot_times", '"0.1"'),
+    ("solver", "snapshot_times", "[0.0005, 0.5, -1.0]"),
     ("u0", "amplitude", '"1"'),
 ]
 
@@ -241,6 +242,8 @@ CONSTRUCTOR_DEFECTS = {
     "SolverConfig report_stride zero": lambda: SolverConfig(**dict(_SOLVER, report_stride=0)),
     "SolverConfig dealias int": lambda: SolverConfig(**dict(_SOLVER, dealias=1)),
     "SolverConfig snapshot_times str": lambda: SolverConfig(**dict(_SOLVER, snapshot_times="0.1")),
+    "SolverConfig snapshot_times past t_final": lambda: SolverConfig(**dict(_SOLVER, snapshot_times=(0.005, 0.02))),
+    "SolverConfig snapshot_times negative": lambda: SolverConfig(**dict(_SOLVER, snapshot_times=(-1e-3,))),
     "RegPath n nan": lambda: RegPath(_RATIONAL, math.nan),
     "RegPath n str": lambda: RegPath(_RATIONAL, "0.1"),
     "Schedule c inf": lambda: Schedule("eps_of_n", math.inf, _RATIONAL),

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n
 from polyheat.gridfield import (
@@ -11,6 +13,7 @@ from polyheat.gridfield import (
     band_limited,
     bump,
     coordinates,
+    divergence_hat,
     integrate,
     k_squared,
     l2_norm,
@@ -257,12 +260,83 @@ class TestSolve:
         with pytest.raises(StiffnessError, match="30 halvings"):
             solve(u0, config)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_one_step_solve_is_step_imex(self, u0, rational, m, dealias):
+        # solve and step_imex share the spectral kernel, so a one-step run
+        # ends on exactly the raw step
+        config = SolverConfig(
+            m=m, path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=1e-5,
+            t_final=1e-5, dealias=dealias,
+        )
+        final = solve(u0, config).snapshots[-1]
+        assert final.time_tag == 1e-5
+        assert np.array_equal(final.values, step_imex(u0, 1e-5, config).values)
+
+    def test_temporal_order_one(self, grid, u0, rational):
+        exact = phe_solve(u0, 2, 0.02)
+        errs = []
+        for dt in (4e-4, 2e-4, 1e-4):
+            config = _linear_config(rational, dt_init=dt, t_final=0.02, report_stride=10**6)
+            final = solve(u0, config).snapshots[-1]
+            errs.append(l2_norm(Field(grid, final.values - exact.values)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders >= 0.95) & (orders <= 1.05)), orders
+
     def test_run_id_deterministic(self, u0, rational):
         config = _linear_config(rational, t_final=0.002, report_stride=10**6)
         a = solve(u0, config)
         b = solve(u0, config)
         assert a.run_id == b.run_id
         assert np.array_equal(a.snapshots[-1].values, b.snapshots[-1].values)
+
+
+# band-limited fields: distinct low wavevectors (nonnegative components, so
+# no two of them are the same wave), each with amplitude >= 0.1 and a phase
+_PROPERTY_GRIDS = {1: make_grid(1, 10.0, 64), 2: make_grid(2, 10.0, 32)}
+
+
+@st.composite
+def _low_mode_field(draw, dim):
+    ks = draw(st.lists(
+        st.tuples(*[st.integers(0, 4)] * dim).filter(any), min_size=1, max_size=4, unique=True
+    ))
+    grid = _PROPERTY_GRIDS[dim]
+    xs = [np.broadcast_to(x, grid.shape) for x in coordinates(grid)]
+    values = np.zeros(grid.shape)
+    for k in ks:
+        amp = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        phase = draw(st.floats(0.0, 2.0 * np.pi))
+        values += amp * np.cos(sum(ki * np.pi * x / grid.half_width for ki, x in zip(k, xs)) + phase)
+    return Field(grid, values)
+
+
+class TestKernelProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from((1, 2)), dealias=st.booleans())
+    def test_divergence_zero_mode_is_exactly_zero(self, data, dim, dealias):
+        comps = [data.draw(_low_mode_field(dim)).values for _ in range(dim)]
+        div_hat = divergence_hat(_PROPERTY_GRIDS[dim], comps, dealias)
+        assert div_hat[(0,) * dim] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(), dim=st.sampled_from((1, 2)), m=st.sampled_from((2, 3)),
+        dealias=st.booleans(), shift=st.integers(-40, 40),
+    )
+    def test_rhs_commutes_with_shift(self, rational, data, dim, m, dealias, shift):
+        u = data.draw(_low_mode_field(dim))
+        config = SolverConfig(
+            m=m, path=RegPath(rational, 0.3, "full"), eps=0.1, dt_init=1e-4, t_final=0.01,
+            dealias=dealias,
+        )
+        axes = tuple(range(dim))
+        expected = np.roll(rhs(u, config).values, shift, axis=axes)
+        got = rhs(Field(u.grid, np.roll(u.values, shift, axis=axes)), config).values
+        # the chain lifts the transforms' round-off in the top modes by up to
+        # |xi|^(2m), so the scale is the operator bound c |xi|_max^(2m) sup|u|
+        bound = config.c * np.max(k_squared(u.grid)) ** m * np.max(np.abs(u.values))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * bound
 
 
 class TestInterfaceReport:
