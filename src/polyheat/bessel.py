@@ -1,124 +1,30 @@
-"""Bessel functions of the first kind for the kernel quadrature.
+"""J_0 via ``scipy.special.j0`` for the 2-D kernel quadrature, with an
+integral-representation cross-check route.
 
-Only the orders the radial kernel integral actually needs are covered:
-half-integer nu = +/-1/2 (closed trigonometric forms) and nonnegative
-integer orders.  Integer orders use the ascending power series
-
-    J_n(z) = sum_k (-1)^k (z/2)^(n+2k) / (k! (n+k)!)
-
-for z <= 12 (cancellation stays below ~3 digits there) and the Hankel
-asymptotic expansion
-
-    J_n(z) ~ sqrt(2/(pi z)) [P(n,z) cos(chi) - Q(n,z) sin(chi)],
-    chi = z - n pi/2 - pi/4
-
-beyond, with terms accumulated until they stop decreasing.  The expansion is
-applied directly only for n in {0, 1} (its terms grow initially once
-4n^2 - 1 > 8z); higher orders at z > 12 come from the upward recurrence
-J_{n+1} = (2n/z) J_n - J_{n-1}, stable there because n stays below z.
-Everything is vectorized over z.  The integral representation
+The radial integral of the 2-D kernel profile carries the factor J_0(r s);
+no other Bessel function is evaluated anywhere in the package, so
+``besselj`` covers order 0 only and rejects every other order.  The integral
+representation
 
     J_n(z) = (1/pi) int_0^pi cos(n tau - z sin(tau)) d tau
 
-is kept as an independent cross-check route.
+is kept as an independent route for the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import j0
 
 __all__ = ["besselj", "besselj_integral"]
 
-_SERIES_CUT = 12.0
-
-
-def _besselj_half(sign: int, z: np.ndarray) -> np.ndarray:
-    # J_{1/2}(z) = sqrt(2/(pi z)) sin z ; J_{-1/2}(z) = sqrt(2/(pi z)) cos z
-    if np.any(z <= 0):
-        raise ValueError("half-integer orders need z > 0")
-    amp = np.sqrt(2.0 / (np.pi * z))
-    return amp * (np.sin(z) if sign > 0 else np.cos(z))
-
-
-def _besselj_int_series(n: int, z: np.ndarray) -> np.ndarray:
-    half = 0.5 * z
-    half_sq = half * half
-    term = half**n / _factorial(n)
-    total = term.copy()
-    for k in range(1, 60):
-        term = term * (-half_sq) / (k * (n + k))
-        total += term
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(total)), 1e-300):
-            break
-    return total
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _besselj_int_asymptotic(n: int, z: np.ndarray) -> np.ndarray:
-    # only used for n in {0, 1}: there the Hankel terms decrease from the
-    # first one for every z > 12, so truncating at the smallest term is safe
-    mu = 4.0 * n * n
-    inv8z = 1.0 / (8.0 * z)
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    term = np.ones_like(z)
-    prev_max = np.inf
-    for k in range(1, 30):
-        term = term * (mu - (2 * k - 1) ** 2) / k * inv8z
-        cur_max = np.max(np.abs(term))
-        if cur_max >= prev_max:
-            break
-        prev_max = cur_max
-        if k % 2 == 1:
-            q += term if (k - 1) % 4 == 0 else -term
-        else:
-            p += -term if k % 4 == 2 else term
-        if cur_max < 1e-17:
-            break
-    chi = z - (0.5 * n + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _besselj_int_large(n: int, z: np.ndarray) -> np.ndarray:
-    # upward recurrence from the asymptotic J_0, J_1; stable since z > 12 >= n
-    # is enforced at the call site (J_n and Y_n are comparable there)
-    jm, j = _besselj_int_asymptotic(0, z), _besselj_int_asymptotic(1, z)
-    if n == 0:
-        return jm
-    for k in range(1, n):
-        jm, j = j, (2.0 * k / z) * j - jm
-    return j
-
 
 def besselj(nu, z):
-    """J_nu(z) for nu in {-1/2, 1/2} or integer nu, vectorized over z >= 0."""
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if nu == 0.5 or nu == -0.5:
-        out = _besselj_half(+1 if nu > 0 else -1, z)
-        return float(out[0]) if scalar else out
-    if float(nu) != int(nu):
-        raise ValueError(f"order {nu} not supported (half-integer +/-1/2 or integer only)")
-    n = int(nu)
-    if n < 0:
-        out = besselj(-n, z)
-        return -out if (-n) % 2 else out
-    if n > _SERIES_CUT:
-        raise ValueError(f"integer order {n} above the supported range (<= {int(_SERIES_CUT)})")
-    out = np.empty_like(z)
-    small = z <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _besselj_int_series(n, z[small])
-    if np.any(~small):
-        out[~small] = _besselj_int_large(n, z[~small])
-    return float(out[0]) if scalar else out
+    """J_nu(z) for nu = 0, vectorized over z; a float for scalar z."""
+    if nu != 0:
+        raise ValueError(f"order {nu} not supported (only J_0 is needed)")
+    out = j0(np.asarray(z, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def besselj_integral(n: int, z, nodes: int = 256):

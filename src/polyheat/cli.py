@@ -73,6 +73,11 @@ class RunConfig:
     out_dir: str = "polyheat-out"
     seed: int = 0
 
+    def __post_init__(self):
+        require_int("seed", self.seed, lo=0)
+        if not isinstance(self.out_dir, str):
+            raise TypeError(f"out_dir must be a string, got {self.out_dir!r}")
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -141,17 +146,15 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; choose from {_COMMANDS}")
 
-    seed, out_dir = raw.get("seed", 0), raw.get("out_dir", "polyheat-out")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    config = RunConfig(
-        command=cmd,
-        blocks={k: v for k, v in raw.items() if k in _BLOCK_KEYS},
-        out_dir=out_dir,
-        seed=seed,
-    )
+    try:
+        config = RunConfig(
+            command=cmd,
+            blocks={k: v for k, v in raw.items() if k in _BLOCK_KEYS},
+            out_dir=raw.get("out_dir", "polyheat-out"),
+            seed=raw.get("seed", 0),
+        )
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err)) from err
     _build(config)
     return config
 
@@ -457,6 +460,8 @@ def report(manifest_paths) -> str:
     for p in manifest_paths:
         try:
             data = json.loads(Path(p).read_text())
+            if not isinstance(data, dict) or not isinstance(data.get("highlights", {}), dict):
+                raise ValueError("not a manifest object")
             outcome = data["outcome"]
         except (OSError, ValueError, KeyError):
             unreadable += 1
@@ -508,16 +513,18 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(Path(args.config).read_text(), command=args.command)
+        # the overrides pass RunConfig's checks again, like the config keys
+        config = replace(
+            config,
+            out_dir=args.out or os.environ.get("POLYHEAT_OUT") or config.out_dir,
+            seed=config.seed if args.seed is None else args.seed,
+        )
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
-    except ConfigError as err:
+    except ValueError as err:  # a ConfigError, or a bad --seed
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    config = replace(config, out_dir=args.out or os.environ.get("POLYHEAT_OUT") or config.out_dir)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     manifest = run(config)
     if manifest.outcome == "ok":
         print(f"ok: {len(manifest.artifacts)} artifacts in {config.out_dir}")

@@ -32,8 +32,10 @@ from .degeneracy import DegeneracyFunction, RegPath, theta
 from .gridfield import (
     DecayAssertionError,
     Field,
+    coordinates,
     divergence_hat,
     grad_chain,
+    gradient,
     k_squared,
     l2_norm,
 )
@@ -440,27 +442,24 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
     grid = snaps[0].grid
     times = np.array([s.time_tag for s in snaps])
     T = times[-1]
-    from .gridfield import coordinates, gradient
-
     x1 = np.broadcast_to(coordinates(grid)[0], grid.shape)
     sign = (-1.0) ** m
-    worst = 0.0
+    time_part = np.sin(np.pi * times / T) ** 2
+    dtime_part = 2.0 * np.sin(np.pi * times / T) * np.cos(np.pi * times / T) * np.pi / T
+    tests = []
     for k in range(1, mode_count + 1):
         kappa = k * np.pi / grid.half_width
         for spatial in (np.cos(kappa * x1), np.sin(kappa * x1)):
-            time_part = np.sin(np.pi * times / T) ** 2
-            dtime_part = 2.0 * np.sin(np.pi * times / T) * np.cos(np.pi * times / T) * np.pi / T
-            term1 = np.empty(len(snaps))
-            term2 = np.empty(len(snaps))
-            dphi = gradient(Field(grid, spatial))
-            for j, s in enumerate(snaps):
-                term1[j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
-                gv = grad_chain(grid, np.fft.fftn(s.values), m - 1)
-                dot = sum(a * b for a, b in zip(dphi.components, gv))
-                term2[j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
-            resid = abs(np.trapezoid(term1 + sign * term2, times))
-            worst = max(worst, resid)
-    return worst
+            tests.append((spatial, gradient(Field(grid, spatial)).components))
+    term1 = np.empty((len(tests), len(snaps)))
+    term2 = np.empty((len(tests), len(snaps)))
+    for j, s in enumerate(snaps):
+        gv = grad_chain(grid, np.fft.fftn(s.values), m - 1)
+        for i, (spatial, dphi) in enumerate(tests):
+            term1[i, j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
+            dot = sum(a * b for a, b in zip(dphi, gv))
+            term2[i, j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
+    return max(abs(np.trapezoid(a + sign * b, times)) for a, b in zip(term1, term2))
 
 
 @dataclass(frozen=True)

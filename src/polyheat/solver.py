@@ -39,6 +39,7 @@ from .gridfield import (
     Field,
     GridSpec,
     assert_boundary_decay,
+    coordinates,
     divergence_hat,
     grad_chain,
     k_squared,
@@ -387,8 +388,6 @@ def interface_report(u: Field, threshold: float | None = None, region_half_width
         live = line[np.abs(line) > threshold]
         if live.size >= 2:
             flips += int(np.sum(np.sign(live[:-1]) * np.sign(live[1:]) < 0))
-    from .gridfield import coordinates
-
     mask = np.ones(u.grid.shape, dtype=bool)
     for x in coordinates(u.grid):
         mask &= np.broadcast_to(np.abs(x) <= region_half_width, u.grid.shape)

@@ -37,6 +37,7 @@ from .gridfield import (
     gradient,
     inner,
     laplacian_power,
+    radius,
     spectral_tail_fraction,
     wavevectors,
 )
@@ -261,8 +262,6 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec, weight=None):
     psis = [eigenfunction(b, m, grid) for b in betas]
     poly_vals = [adjoint_eigenpolynomial(b, m).evaluate(grid) for b in betas]
     if weight is not None:
-        from .gridfield import radius
-
         w = np.exp(weight.sign * weight.a * radius(grid) ** weight.alpha)
         poly_vals = [p * w for p in poly_vals]
     out = np.empty((len(betas), len(betas)))

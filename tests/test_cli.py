@@ -169,9 +169,30 @@ class TestRunCommands:
         b = read_phf1(tmp_path / "r2" / "u_t0.000000.phf1")
         assert not np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, where):
+        cfg = json.loads(json.dumps(MINIMAL_SOLVE))
+        cfg["u0"] = {"type": "random_bumps", "count": 2, "width": 4.0, "steepness": 6.0}
+        flag = ["--seed", "-1"] if where == "flag" else []
+        if where == "config":
+            cfg["seed"] = -1
+        path = _dump(tmp_path, "solve.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be at least 0, got -1\n"
+        assert not (out / "manifest.json").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/does/not/exist.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestReport:
@@ -194,10 +215,12 @@ class TestReport:
         assert "log-singularity dominates" in digest
 
     def test_corrupt_manifest_listed(self, tmp_path):
-        junk = tmp_path / "manifest.json"
-        junk.write_text("{broken")
-        digest = report([junk])
-        assert "unreadable" in digest
+        # malformed JSON, and valid JSON that is not a manifest object
+        for text in ("{broken", "[1]", '{"outcome": "ok", "highlights": null}'):
+            junk = tmp_path / "manifest.json"
+            junk.write_text(text)
+            digest = report([junk])
+            assert digest.startswith("0/0 runs ok, 1 unreadable"), text
 
     def test_cli_report_subcommand(self, capsys):
         assert main(["report"]) == 0

@@ -225,6 +225,14 @@ class TestVeryWeakResidual:
         assert fine <= 1e-6
         assert coarse / fine >= 3.5
 
+    def test_one_transform_per_snapshot_and_test_function(self, u0, monkeypatch):
+        snaps = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 21))
+        calls = []
+        fftn = np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+        very_weak_residual(snaps, 2, mode_count=3)
+        assert len(calls) == len(snaps) + 2 * 3
+
     def test_decreases_along_schedule(self, u0, rational):
         sch = Schedule("eps_of_n", 1.0, rational)
         resids = []

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+function the benchmark's layer tracer wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,16 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_traced_layer_functions_exist():
+    # bench/layertrace.py aborts a traced run on a missing boundary function;
+    # catching that here keeps a deleted layer from surfacing only there
+    path = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("_layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for module_name, functions in layertrace.LAYER_FUNCTIONS.values():
+        module = importlib.import_module(module_name)
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -339,6 +339,30 @@ class TestKernelProperties:
         assert np.max(np.abs(got - expected)) <= 1e-12 * bound
 
 
+class TestScaling:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(-6, 3), variant=st.sampled_from(("full", "simple")),
+        center=st.sampled_from((-2.0, 0.0, 1.5)),
+    )
+    def test_linear_flow_commutes_with_power_of_two_scaling(self, grid, rational, k, variant, center):
+        # at n = 0 the flow is linear, and scaling by 2^k is exact in floating
+        # point, so u -> lambda u holds bit for bit
+        lam = 2.0**k
+        u = bump(grid, 1.0, 4.0, center=center, steepness=6.0)
+        config = SolverConfig(
+            m=2, path=RegPath(rational, 0.0, variant), eps=1e-3, dt_init=1e-4, t_final=0.002,
+            snapshot_times=(0.001,), report_stride=1,
+        )
+        base = solve(u, config)
+        scaled = solve(Field(grid, lam * u.values), config)
+        assert len(scaled.snapshots) == len(base.snapshots)
+        for a, b in zip(scaled.snapshots, base.snapshots):
+            assert a.time_tag == b.time_tag
+            assert np.array_equal(a.values, lam * b.values)
+        assert [r.bf_energy for r in scaled.reports] == [lam**2 * r.bf_energy for r in base.reports]
+
+
 class TestInterfaceReport:
     def test_positive_bump(self, grid):
         u = bump(grid, 1.0, 4.0, steepness=6.0)
