@@ -9,8 +9,14 @@ divergence and integer Laplacian powers are exact on band-limited data and
 conservation identities (zero integral of any divergence, adjointness of
 gradient and divergence) hold to round-off.
 
-Transform convention: forward FFT unnormalized, inverse carries 1/M^N
-(numpy's default).  Wavevectors are pi*k/L for k = -M/2 .. M/2-1.
+Transform convention: every field is real, so the operators transform with
+``rfft``/``irfft`` (numpy's ``rfftn``/``irfftn`` over all axes, forward
+unnormalized, inverse carrying 1/M^N) and work on the half spectrum of shape
+grid.shape[:-1] + (M/2 + 1,): full FFT order on every axis but the last,
+which keeps k = 0 .. M/2.  Wavevectors are pi*k/L for k = -M/2 .. M/2-1.
+The multipliers of one (grid, m) are tabled once, read-only, in
+``_spectrum``; a sum over the half spectrum weights the last axis's 0 and
+M/2 columns once and every other column twice (Hermitian symmetry).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,8 @@ __all__ = [
     "wavevectors",
     "k_squared",
     "dealias_mask",
+    "rfft",
+    "irfft",
     "laplacian_power",
     "grad_chain",
     "divergence_hat",
@@ -112,8 +121,8 @@ def make_grid(dim: int, half_width: float, points_per_dim: int) -> GridSpec:
     return GridSpec(dim=dim, half_width=half_width, points_per_dim=points_per_dim)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -249,8 +258,58 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return out
 
 
+class _Spectrum(NamedTuple):
+    """Read-only half-spectrum multipliers of one (grid, m)."""
+
+    grid: GridSpec
+    chain: tuple  # i xi_j (-|xi|^2)^(m-1) per axis, Nyquist zeroed
+    div: tuple  # i xi_j per axis, Nyquist zeroed (broadcastable)
+    k2m: np.ndarray  # |xi|^(2m)
+    band: np.ndarray  # 2/3-rule mask, True on retained modes
+    w_hi: np.ndarray  # |xi|^(2(m-1)) times the Parseval weight
+    w_lo: np.ndarray  # |xi|^(2(m-2)) times the Parseval weight (0 for m < 2)
+
+
+@lru_cache(maxsize=64)
+def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
+    """The multipliers of order m on the half spectrum, built on first use.
+
+    They are the full-spectrum ones cut to the last axis's columns
+    0 .. M/2, whose wavenumbers agree up to the sign of the Nyquist entry.
+    The Parseval weight cell_volume / M^N carries the Hermitian multiplicity:
+    1 on the last axis's 0 and M/2 columns, 2 on the others.
+    """
+    h = grid.points_per_dim // 2 + 1
+    k2 = k_squared(grid)[..., :h]
+    div = [1j * ki[..., :h] for ki in wavevectors(grid, odd=True)]
+    lap = (-k2) ** (m - 1)
+    mult = np.full(h, 2.0)
+    mult[[0, -1]] = 1.0
+    parseval = grid.cell_volume / grid.points_per_dim**grid.dim * mult
+    w_lo = parseval * k2 ** (m - 2) if m >= 2 else np.zeros_like(k2)
+    return _Spectrum(
+        grid=grid,
+        chain=tuple(_freeze(d * lap, complex) for d in div),
+        div=tuple(_freeze(d, complex) for d in div),
+        k2m=_freeze(k2**m),
+        band=_freeze(dealias_mask(grid)[..., :h], bool),
+        w_hi=_freeze(parseval * k2 ** (m - 1)),
+        w_lo=_freeze(w_lo),
+    )
+
+
 # ---------------------------------------------------------------------------
 # spectral operators
+
+
+def rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real grid array (unnormalized)."""
+    return np.fft.rfftn(values, s=grid.shape, axes=tuple(range(grid.dim)))
+
+
+def irfft(grid: GridSpec, values_hat: np.ndarray) -> np.ndarray:
+    """Real grid array of a half spectrum; the inverse of ``rfft``."""
+    return np.fft.irfftn(values_hat, s=grid.shape, axes=tuple(range(grid.dim)))
 
 
 def laplacian_power(f: Field, k: int) -> Field:
@@ -259,37 +318,36 @@ def laplacian_power(f: Field, k: int) -> Field:
         raise ValueError("Laplacian power k must be a nonnegative integer")
     if k == 0:
         return f
-    fh = np.fft.fftn(f.values)
-    out = np.fft.ifftn((-k_squared(f.grid)) ** k * fh).real
-    return Field(f.grid, out, f.time_tag)
+    k2 = _spectrum(f.grid, 1).k2m  # |xi|^2
+    return Field(f.grid, irfft(f.grid, (-k2) ** k * rfft(f.grid, f.values)), f.time_tag)
 
 
-def grad_chain(grid: GridSpec, u_hat: np.ndarray, k: int) -> list:
-    """Real components of grad Delta^k u from u_hat = fftn(u)."""
-    lap = (-k_squared(grid)) ** k
-    return [np.fft.ifftn(1j * ki * lap * u_hat).real for ki in wavevectors(grid, odd=True)]
+def grad_chain(spec: _Spectrum, u_hat: np.ndarray) -> list:
+    """Real components of grad Delta^(m-1) u from u_hat = rfft(u), for the
+    order m of the multiplier table ``spec``."""
+    return [irfft(spec.grid, c * u_hat) for c in spec.chain]
 
 
-def divergence_hat(grid: GridSpec, components, dealias: bool) -> np.ndarray:
-    """Fourier coefficients of the divergence of real components; with
+def divergence_hat(spec: _Spectrum, components, dealias: bool) -> np.ndarray:
+    """Half-spectrum coefficients of the divergence of real components; with
     ``dealias`` each component's spectrum is cut to the 2/3-rule band first."""
-    acc = np.zeros(grid.shape, dtype=complex)
-    for ki, ci in zip(wavevectors(grid, odd=True), components):
-        ch = np.fft.fftn(ci)
+    acc = np.zeros(spec.k2m.shape, dtype=complex)
+    for d, c in zip(spec.div, components):
+        ch = rfft(spec.grid, c)
         if dealias:
-            ch = np.where(dealias_mask(grid), ch, 0.0)
-        acc += 1j * ki * ch
+            ch = np.where(spec.band, ch, 0.0)
+        acc += d * ch
     return acc
 
 
 def gradient(f: Field) -> VectorField:
     """Spectral gradient of a scalar field."""
-    return VectorField(f.grid, tuple(grad_chain(f.grid, np.fft.fftn(f.values), 0)))
+    return VectorField(f.grid, tuple(grad_chain(_spectrum(f.grid, 1), rfft(f.grid, f.values))))
 
 
 def divergence(v: VectorField) -> Field:
     """Spectral divergence of a vector field."""
-    return Field(v.grid, np.fft.ifftn(divergence_hat(v.grid, v.components, False)).real)
+    return Field(v.grid, irfft(v.grid, divergence_hat(_spectrum(v.grid, 1), v.components, False)))
 
 
 def integrate(f: Field) -> float:
@@ -325,12 +383,12 @@ def weighted_l2_norm(f: Field, weight: WeightSpec) -> float:
 
 def spectral_tail_fraction(f: Field) -> float:
     """Fraction of spectral energy in the dealiased (top-third) modes."""
-    fh = np.fft.fftn(f.values)
-    total = np.sum(np.abs(fh) ** 2)
+    spec = _spectrum(f.grid, 1)  # w_hi is the plain Parseval weight at m = 1
+    energy = spec.w_hi * np.abs(rfft(f.grid, f.values)) ** 2
+    total = np.sum(energy)
     if total == 0.0:
         return 0.0
-    tail = np.sum(np.abs(fh[~dealias_mask(f.grid)]) ** 2)
-    return float(tail / total)
+    return float(np.sum(energy[~spec.band]) / total)
 
 
 def band_limited(f: Field) -> Field:
@@ -339,8 +397,9 @@ def band_limited(f: Field) -> Field:
     On the result the dealiased product rules are exact no-ops, which the
     operator-identity tests rely on.
     """
-    fh = np.where(dealias_mask(f.grid), np.fft.fftn(f.values), 0.0)
-    return Field(f.grid, np.fft.ifftn(fh).real, f.time_tag)
+    spec = _spectrum(f.grid, 1)
+    fh = np.where(spec.band, rfft(f.grid, f.values), 0.0)
+    return Field(f.grid, irfft(f.grid, fh), f.time_tag)
 
 
 def boundary_shell_max(f: Field, shell: float = 0.9) -> float:

@@ -32,12 +32,14 @@ from .degeneracy import DegeneracyFunction, RegPath, theta
 from .gridfield import (
     DecayAssertionError,
     Field,
+    _spectrum,
     coordinates,
     divergence_hat,
     grad_chain,
     gradient,
-    k_squared,
+    irfft,
     l2_norm,
+    rfft,
 )
 from .kernel import phe_solve
 from .solver import (
@@ -198,18 +200,18 @@ def correction_phi(
     if not eta > 0:
         raise ValueError("clamp floor must be positive")
 
-    sym = k_squared(grid) ** m
+    spec = _spectrum(grid, m)
     weights = np.full(time_nodes, t / (time_nodes - 1))
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
-    phi_hat = np.zeros(grid.shape, dtype=complex)
+    phi_hat = np.zeros(spec.k2m.shape, dtype=complex)
     for s, wt, snap in zip(nodes, weights, fields):
         logf = np.log(f(np.maximum(np.abs(snap.values), eta)))
-        g = grad_chain(grid, np.fft.fftn(snap.values), m - 1)
-        w_hat = divergence_hat(grid, [logf * gi for gi in g], True)
-        phi_hat += wt * (np.exp(-sym * (t - s)) * w_hat)
-    values = np.fft.ifftn(phi_hat).real
+        g = grad_chain(spec, rfft(grid, snap.values))
+        w_hat = divergence_hat(spec, [logf * gi for gi in g], True)
+        phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w_hat)
+    values = irfft(grid, phi_hat)
 
     final = fields[-1]
     clamped = float(np.mean(np.abs(final.values) < eta))
@@ -451,10 +453,11 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
         kappa = k * np.pi / grid.half_width
         for spatial in (np.cos(kappa * x1), np.sin(kappa * x1)):
             tests.append((spatial, gradient(Field(grid, spatial)).components))
+    spec = _spectrum(grid, m)
     term1 = np.empty((len(tests), len(snaps)))
     term2 = np.empty((len(tests), len(snaps)))
     for j, s in enumerate(snaps):
-        gv = grad_chain(grid, np.fft.fftn(s.values), m - 1)
+        gv = grad_chain(spec, rfft(grid, s.values))
         for i, (spatial, dphi) in enumerate(tests):
             term1[i, j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
             dot = sum(a * b for a, b in zip(dphi, gv))

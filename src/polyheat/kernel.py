@@ -33,8 +33,11 @@ from .bessel import besselj
 from .gridfield import (
     Field,
     GridSpec,
+    _spectrum,
     assert_boundary_decay,
+    irfft,
     k_squared,
+    rfft,
 )
 
 __all__ = [
@@ -240,9 +243,10 @@ def phe_solve(u0: Field, m: int, t: float, check_decay: bool = True) -> Field:
         assert_boundary_decay(u0)
     if t == 0.0:
         return Field(u0.grid, u0.values, 0.0)
-    mult = np.exp(-(k_squared(u0.grid) ** m) * t)
-    vals = np.fft.ifftn(mult * np.fft.fftn(u0.values)).real
-    return Field(u0.grid, vals, (u0.time_tag or 0.0) + t)
+    grid = u0.grid
+    mult = np.exp(-_spectrum(grid, m).k2m * t)
+    vals = irfft(grid, mult * rfft(grid, u0.values))
+    return Field(grid, vals, (u0.time_tag or 0.0) + t)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ halved, up to 30 times.  The coefficient and the gradient chain
 grad Delta^(m-1) u are evaluated once per accepted state: the flux monitors
 of that state and the remainder R_hat(u) + c |xi|^(2m) u_hat of the next
 step both read them, and each halving only re-applies e^(-c |xi|^(2m) dt)
-to that remainder.  The divergence form keeps the zero mode untouched,
-so the mass is conserved exactly, and the accumulated dissipation
-2 int_0^t int coef |grad Delta^(m-1) u|^2 is tracked so the energy identity
+to that remainder.  Every transform is a real FFT on the half spectrum, the
+multipliers are tabled once per (grid, m), and the propagator
+e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The divergence form
+keeps the zero mode untouched, so the mass is conserved exactly, and the
+accumulated dissipation 2 int_0^t int coef |grad Delta^(m-1) u|^2 is
+tracked so the energy identity
 
     bf(0) = bf(t) + 2 * dissipation(t)
 
@@ -38,12 +41,15 @@ from .degeneracy import RegPath, coefficient_bound, reg_coefficient
 from .gridfield import (
     Field,
     GridSpec,
+    _spectrum,
+    _Spectrum,
     assert_boundary_decay,
     coordinates,
     divergence_hat,
     grad_chain,
-    k_squared,
+    irfft,
     radius,
+    rfft,
     spectral_tail_fraction,
 )
 
@@ -153,34 +159,36 @@ class InterfaceReport:
 # spectral building blocks (shared by the public ops and the solve loop)
 
 
-def _state(grid: GridSpec, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
+def _state(spec: _Spectrum, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
     """coef(u) and the real components of g = grad Delta^(m-1) u for one state."""
-    return reg_coefficient(config.path, config.eps, u), grad_chain(grid, u_hat, config.m - 1)
+    return reg_coefficient(config.path, config.eps, u), grad_chain(spec, u_hat)
 
 
-def _rhs_hat(grid: GridSpec, config: SolverConfig, coef: np.ndarray, g: list) -> np.ndarray:
+def _rhs_hat(spec: _Spectrum, config: SolverConfig, coef: np.ndarray, g: list) -> np.ndarray:
     products = [coef * gi for gi in g]
     if not all(np.all(np.isfinite(p)) for p in products):
         raise BlowupError("non-finite coefficient-gradient product (blow-up signal)")
     sign = 1.0 if config.m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return sign * divergence_hat(grid, products, config.dealias)
+    return sign * divergence_hat(spec, products, config.dealias)
 
 
 def rhs(u: Field, config: SolverConfig) -> Field:
     """(-1)^(m-1) div( coef(u) grad Delta^(m-1) u ), dealiased product."""
-    r_hat = _rhs_hat(u.grid, config, *_state(u.grid, config, u.values, np.fft.fftn(u.values)))
-    return Field(u.grid, np.fft.ifftn(r_hat).real, u.time_tag)
+    spec = _spectrum(u.grid, config.m)
+    r_hat = _rhs_hat(spec, config, *_state(spec, config, u.values, rfft(u.grid, u.values)))
+    return Field(u.grid, irfft(u.grid, r_hat), u.time_tag)
 
 
 def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
     """One raw stabilized IMEX step (no acceptance control; see ``solve``)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    u_hat = np.fft.fftn(u.values)
-    lin = config.c * k_squared(u.grid) ** config.m
-    state = _state(u.grid, config, np.fft.ifftn(u_hat).real, u_hat)
-    rem_hat = _rhs_hat(u.grid, config, *state) + lin * u_hat
-    out = np.fft.ifftn(np.exp(-lin * dt) * (u_hat + dt * rem_hat)).real
+    spec = _spectrum(u.grid, config.m)
+    u_hat = rfft(u.grid, u.values)
+    lin = config.c * spec.k2m
+    state = _state(spec, config, irfft(u.grid, u_hat), u_hat)
+    rem_hat = _rhs_hat(spec, config, *state) + lin * u_hat
+    out = irfft(u.grid, np.exp(-lin * dt) * (u_hat + dt * rem_hat))
     t0 = u.time_tag or 0.0
     return Field(u.grid, out, t0 + dt)
 
@@ -189,17 +197,10 @@ def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
 # monitors
 
 
-def _bf_weights(grid: GridSpec, m: int):
-    k2 = k_squared(grid)
-    w_lo = k2 ** (m - 2) if m >= 2 else np.zeros_like(k2)
-    return k2 ** (m - 1), w_lo
-
-
-def _bf_from_hat(grid: GridSpec, m: int, u_hat: np.ndarray):
-    scale = grid.cell_volume / grid.points_per_dim**grid.dim
-    w_hi, w_lo = _bf_weights(grid, m)
+def _bf_from_hat(spec: _Spectrum, u_hat: np.ndarray):
+    """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u)."""
     p = np.abs(u_hat) ** 2
-    return float(scale * np.sum(w_hi * p)), float(scale * np.sum(w_lo * p))
+    return float(np.sum(spec.w_hi * p)), float(np.sum(spec.w_lo * p))
 
 
 def bf_energies(u: Field, m: int) -> EnergyReport:
@@ -210,8 +211,7 @@ def bf_energies(u: Field, m: int) -> EnergyReport:
     sum |xi|^(2(m-1)) |u_hat|^2.  bf_lower is the |xi|^(2(m-2)) analogue
     (the lower-order bound, meaningful for even m).
     """
-    u_hat = np.fft.fftn(u.values)
-    bf, bf_lo = _bf_from_hat(u.grid, m, u_hat)
+    bf, bf_lo = _bf_from_hat(_spectrum(u.grid, m), rfft(u.grid, u.values))
     mass = float(u.grid.cell_volume * np.sum(u.values))
     return EnergyReport(
         t=u.time_tag if u.time_tag is not None else 0.0,
@@ -233,12 +233,14 @@ def _flux_parts(grid: GridSpec, coef: np.ndarray, g: list):
 
 def flux_density(u: Field, config: SolverConfig) -> float:
     """int |coef(u) grad Delta^(m-1) u|^2 dx at one instant."""
-    return _flux_parts(u.grid, *_state(u.grid, config, u.values, np.fft.fftn(u.values)))[0]
+    spec = _spectrum(u.grid, config.m)
+    return _flux_parts(u.grid, *_state(spec, config, u.values, rfft(u.grid, u.values)))[0]
 
 
 def dissipation_density(u: Field, config: SolverConfig) -> float:
     """int coef(u) |grad Delta^(m-1) u|^2 dx at one instant."""
-    return _flux_parts(u.grid, *_state(u.grid, config, u.values, np.fft.fftn(u.values)))[1]
+    spec = _spectrum(u.grid, config.m)
+    return _flux_parts(u.grid, *_state(spec, config, u.values, rfft(u.grid, u.values)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +280,13 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
     sup0 = float(np.max(np.abs(u0.values)))
     targets = sorted(set(t for t in config.snapshot_times if t > 0.0) | {config.t_final})
 
-    lin = config.c * k_squared(grid) ** config.m
-    u_hat = np.fft.fftn(u0.values).astype(complex)
-    u = np.fft.ifftn(u_hat).real
-    coef, g = _state(grid, config, u, u_hat)
+    spec = _spectrum(grid, config.m)
+    lin = config.c * spec.k2m
+    u_hat = rfft(grid, u0.values)
+    u = irfft(grid, u_hat)
+    coef, g = _state(spec, config, u, u_hat)
     t = 0.0
-    bf, bf_lo = _bf_from_hat(grid, config.m, u_hat)
+    bf, bf_lo = _bf_from_hat(spec, u_hat)
     bf0 = bf
     flux_now, diss_now = _flux_parts(grid, coef, g)
     flux_acc = 0.0
@@ -306,15 +309,21 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
     reports = [report(0.0, bf, bf_lo)]
     dt_cap = config.dt_init
     steps = 0
+    prop_dt = prop = None  # e^(-lin dt) of the last candidate's dt
 
     for target in targets:
         while t < target - 1e-15 * max(1.0, target):
             dt = min(dt_cap, target - t)
-            rem_hat = _rhs_hat(grid, config, coef, g) + lin * u_hat
+            try:
+                rem_hat = _rhs_hat(spec, config, coef, g) + lin * u_hat
+            except BlowupError as err:
+                raise BlowupError(f"{err} at t = {t:g}, dt = {dt:.3e}") from None
             halvings = 0
             while True:
-                cand_hat = np.exp(-lin * dt) * (u_hat + dt * rem_hat)
-                cand_bf, cand_bf_lo = _bf_from_hat(grid, config.m, cand_hat)
+                if dt != prop_dt:
+                    prop_dt, prop = dt, np.exp(-lin * dt)
+                cand_hat = prop * (u_hat + dt * rem_hat)
+                cand_bf, cand_bf_lo = _bf_from_hat(spec, cand_hat)
                 finite = np.all(np.isfinite(cand_hat))
                 ok = (
                     finite
@@ -327,17 +336,17 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                 if halvings > 30:
                     raise StiffnessError(
                         f"stiffness failure at t = {t:g}: dt underflowed after 30 halvings "
-                        f"(bf jump {cand_bf - bf:.3e}, finite = {finite})"
+                        f"(last dt = {dt:.3e}, bf jump {cand_bf - bf:.3e}, finite = {finite})"
                     )
                 dt *= 0.5
-            u = np.fft.ifftn(cand_hat).real
+            u = irfft(grid, cand_hat)
             sup = float(np.max(np.abs(u)))
             if sup > config.tripwire_factor * sup0:
                 raise BlowupError(
                     f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
                     f"{config.tripwire_factor:g} * sup|u0| = {config.tripwire_factor * sup0:.3g} at t = {t + dt:g}"
                 )
-            coef, g = _state(grid, config, u, cand_hat)
+            coef, g = _state(spec, config, u, cand_hat)
             flux_new, diss_new = _flux_parts(grid, coef, g)
             flux_acc += 0.5 * dt * (flux_now + flux_new)
             diss_acc += 0.5 * dt * (diss_now + diss_new)

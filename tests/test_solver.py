@@ -1,27 +1,36 @@
 """Time-integration, monitor, and interface-diagnostic tests."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyheat import solver as solver_module
 from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n
 from polyheat.gridfield import (
     Field,
+    GridSpec,
+    _spectrum,
     band_limited,
     bump,
     coordinates,
+    dealias_mask,
     divergence_hat,
+    grad_chain,
     integrate,
     k_squared,
     l2_norm,
     make_grid,
+    rfft,
+    wavevectors,
 )
 from polyheat.kernel import phe_solve
 from polyheat.solver import (
     BlowupError,
+    _bf_from_hat,
     EnergyReport,
     SolverConfig,
     StiffnessError,
@@ -257,8 +266,47 @@ class TestSolve:
         # no step can pass a negative tolerance; the constructor rejects
         # one, so it is set past the check
         object.__setattr__(config, "energy_tol", -1.0)
-        with pytest.raises(StiffnessError, match="30 halvings"):
+        with pytest.raises(StiffnessError, match="30 halvings") as info:
             solve(u0, config)
+        assert f"dt = {config.dt_init * 2.0**-30:.3e}" in str(info.value)
+
+    def test_blowup_names_t_and_dt(self, u0, rational, monkeypatch):
+        config = _linear_config(rational, report_stride=10**6)
+        monkeypatch.setattr(solver_module, "reg_coefficient", lambda path, eps, u: np.full_like(u, np.inf))
+        with pytest.raises(BlowupError, match=r"non-finite .* at t = 0, dt = 1\.000e-04"):
+            solve(u0, config)
+
+    @pytest.mark.parametrize("dim,half_width,points", [(1, 24.0, 256), (2, 12.0, 128)])
+    def test_real_transforms_per_step(self, rational, monkeypatch, dim, half_width, points):
+        # no complex transform at all; per accepted step one inverse of the
+        # new state, dim for its chain and dim for the next divergence, on
+        # top of 3 + dim at set-up (tail check, u0 there and back, first
+        # chain); with the tables built, the grid is hashed a fixed number
+        # of times per run, not per step
+        grid = make_grid(dim, half_width, points)
+        u = bump(grid, 1.0, 4.0, steepness=6.0)
+
+        def config(steps):
+            return _linear_config(rational, t_final=steps * 1e-4, dealias=False, report_stride=1)
+
+        solve(u, config(1))  # builds the cached tables
+        calls = Counter()
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=fn, _n=name, **k: calls.update([_n]) or _f(*a, **k))
+        grid_hash = GridSpec.__hash__
+        hashes = []
+        monkeypatch.setattr(GridSpec, "__hash__", lambda self: hashes.append(1) or grid_hash(self))
+        counted = []
+        for steps in (4, 8):
+            calls.clear()
+            hashes.clear()
+            traj = solve(u, config(steps))
+            assert len(traj.reports) == steps + 1  # no halving
+            assert calls["fftn"] == calls["ifftn"] == 0
+            assert calls["rfftn"] + calls["irfftn"] == 3 + dim + (1 + 2 * dim) * steps
+            counted.append(len(hashes))
+        assert counted[0] == counted[1]
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("dealias", [True, False])
@@ -316,7 +364,7 @@ class TestKernelProperties:
     @given(data=st.data(), dim=st.sampled_from((1, 2)), dealias=st.booleans())
     def test_divergence_zero_mode_is_exactly_zero(self, data, dim, dealias):
         comps = [data.draw(_low_mode_field(dim)).values for _ in range(dim)]
-        div_hat = divergence_hat(_PROPERTY_GRIDS[dim], comps, dealias)
+        div_hat = divergence_hat(_spectrum(_PROPERTY_GRIDS[dim], 2), comps, dealias)
         assert div_hat[(0,) * dim] == 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -337,6 +385,51 @@ class TestKernelProperties:
         # |xi|^(2m), so the scale is the operator bound c |xi|_max^(2m) sup|u|
         bound = config.c * np.max(k_squared(u.grid)) ** m * np.max(np.abs(u.values))
         assert np.max(np.abs(got - expected)) <= 1e-12 * bound
+
+
+def _nyquist_field(data, dim):
+    # low modes plus energy in the last axis's Nyquist column, where the half
+    # spectrum's multiplicity is 1 instead of 2
+    u = data.draw(_low_mode_field(dim))
+    xs = [np.broadcast_to(x, u.grid.shape) for x in coordinates(u.grid)]
+    nyquist = np.cos(np.pi * (u.grid.points_per_dim // 2) * xs[-1] / u.grid.half_width)
+    if dim == 2:  # complex coefficients in that column, off the k_0 = 0 row
+        nyquist = nyquist * np.cos(np.pi * xs[0] / u.grid.half_width + 0.3)
+    return Field(u.grid, u.values + data.draw(st.floats(0.1, 1.0)) * nyquist)
+
+
+class TestHalfSpectrumKernel:
+    """The rfft kernel against a full complex-FFT reference written here."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from((1, 2)), m=st.sampled_from((2, 3)), dealias=st.booleans())
+    def test_matches_complex_reference(self, data, dim, m, dealias):
+        u = _nyquist_field(data, dim)
+        grid = u.grid
+        spec = _spectrum(grid, m)
+        k2 = k_squared(grid)
+        k_odd = wavevectors(grid, odd=True)
+        h = grid.points_per_dim // 2 + 1
+        bound = np.max(k2) ** m * np.max(np.abs(u.values))
+
+        u_full = np.fft.fftn(u.values)
+        ref_chain = [np.fft.ifftn(1j * ki * (-k2) ** (m - 1) * u_full).real for ki in k_odd]
+        for got, ref in zip(grad_chain(spec, rfft(grid, u.values)), ref_chain):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * bound
+
+        comps = [u.values] + [_nyquist_field(data, dim).values for _ in range(dim - 1)]
+        ref_div = np.zeros(grid.shape, dtype=complex)
+        for ki, c in zip(k_odd, comps):
+            ch = np.fft.fftn(c)
+            ref_div += 1j * ki * (np.where(dealias_mask(grid), ch, 0.0) if dealias else ch)
+        got_div = divergence_hat(spec, comps, dealias)
+        assert got_div.shape == grid.shape[:-1] + (h,)
+        assert np.max(np.abs(got_div - ref_div[..., :h])) <= 1e-12 * bound * grid.points_per_dim**dim
+
+        scale = grid.cell_volume / grid.points_per_dim**dim
+        power = np.abs(u_full) ** 2
+        ref_bf = (scale * np.sum(k2 ** (m - 1) * power), scale * np.sum(k2 ** (m - 2) * power))
+        assert _bf_from_hat(spec, rfft(grid, u.values)) == pytest.approx(ref_bf, rel=1e-12)
 
 
 class TestScaling:
