@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -415,11 +416,22 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+_TRACEBACK_FRAMES = 3
+
+
+def _failure_reason(err: Exception) -> str:
+    """``Type: message``, then the innermost frames of the error's traceback."""
+    lines = traceback.format_exception(err, limit=-_TRACEBACK_FRAMES, chain=False)
+    frames = "".join(line for line in lines if line.startswith("  File "))
+    return f"{type(err).__name__}: {err}\n{frames}".rstrip()
+
+
 def run(config: RunConfig) -> RunManifest:
     """Execute a validated config: dispatch, write artifacts, write manifest.
 
     Module errors become a failed outcome (and later a nonzero exit code)
-    rather than a traceback; the manifest always lands on disk.
+    rather than a traceback on the terminal; the manifest always lands on
+    disk, its reason carrying the error and its innermost frames.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -429,7 +441,7 @@ def run(config: RunConfig) -> RunManifest:
         outcome, reason = "ok", None
     except Exception as err:  # noqa: BLE001 - the manifest carries the reason
         names, highlights = [], {}
-        outcome, reason = "failed", f"{type(err).__name__}: {err}"
+        outcome, reason = "failed", _failure_reason(err)
     elapsed = time.perf_counter() - start
 
     artifacts = tuple(
@@ -479,7 +491,8 @@ def report(manifest_paths) -> str:
             if key in h:
                 extras.append(f"{key}={h[key]}")
         detail = f" [{', '.join(extras)}]" if extras else ""
-        why = f" ({data.get('reason')})" if outcome != "ok" else ""
+        headline = str(data.get("reason")).partition("\n")[0]  # the traceback tail stays in the manifest
+        why = f" ({headline})" if outcome != "ok" else ""
         lines.append(f"{p}: {data.get('command')} {outcome}{why}{detail}")
     total = ok + failed
     header = f"{ok}/{total} runs ok" + (f", {unreadable} unreadable" if unreadable else "")

@@ -17,12 +17,15 @@ Theta = 1 - psi_eps and the first-order expansion (1 - f^n)/n -> -ln f.
 
 Powers f^n are evaluated in log space so that tiny arguments underflow to an
 exact zero (below e^-700) instead of producing spurious denormals, and n = 0
-yields exactly 1 everywhere, including at the degeneracy point.
+yields exactly 1 everywhere, including at the degeneracy point, without
+evaluating f.  The constant f^n(eps) of the full path is computed once per
+(path, eps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +50,11 @@ _ADMISSIBILITY_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class DegeneracyFunction:
-    """One admissible nonlinearity; checked on 1e4 sample points at build time."""
+    """One admissible nonlinearity; checked on 1e4 sample points at build time.
+
+    Hashable despite the ``params`` dict: the hash covers kind and t_max only,
+    and equal functions agree on both.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -76,6 +83,9 @@ class DegeneracyFunction:
             object.__setattr__(self, "t_max", float(ts[-1]))
         self._check_admissible()
 
+    def __hash__(self):
+        return hash((self.kind, self.t_max))
+
     @property
     def unbounded(self) -> bool:
         return self.kind == "power"
@@ -90,9 +100,7 @@ class DegeneracyFunction:
         return float(np.asarray(self.params["values"], dtype=float)[-1])
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("f is defined on t >= 0; callers pass |u|")
+        t = _domain(t)
         if self.kind == "tanh":
             out = np.tanh(t)
         elif self.kind == "rational":
@@ -134,6 +142,14 @@ class DegeneracyFunction:
             raise ValueError("f exceeds its stated bound")
 
 
+def _domain(t) -> np.ndarray:
+    """t as a float array, rejected unless t >= 0."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError("f is defined on t >= 0; callers pass |u|")
+    return t
+
+
 def degeneracy_function(kind: str, t_max: float = 10.0, **params) -> DegeneracyFunction:
     return DegeneracyFunction(kind=kind, params=params, t_max=t_max)
 
@@ -155,22 +171,24 @@ class RegPath:
 def f_pow_n(f: DegeneracyFunction, n: float, t):
     """f(t)^n = exp(n ln f(t)), with exact 0 below the underflow cut e^-700.
 
-    n = 0 gives exactly 1 everywhere (the degeneracy is switched off).
+    n = 0 gives exactly 1 everywhere (the degeneracy is switched off) without
+    evaluating f; t < 0 is rejected either way.
     """
-    out = _pow_underflow(np.asarray(f(t), dtype=float), n)
+    out = np.ones_like(_domain(t)) if n == 0 else _pow_underflow(np.asarray(f(t), dtype=float), n)
     return out if out.ndim else float(out)
 
 
 def _pow_underflow(vals: np.ndarray, n: float) -> np.ndarray:
-    """vals^n = exp(n ln vals) for vals >= 0, exact 0 below e^-700, 1 at n = 0."""
-    if n == 0:
-        return np.ones_like(vals)
-    out = np.zeros_like(vals)
-    pos = vals > 0
+    """vals^n = exp(n ln vals) for vals >= 0 and n > 0, exact 0 below e^-700."""
     with np.errstate(divide="ignore"):
-        expo = n * np.log(vals[pos])
-    out[pos] = np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
-    return out
+        expo = n * np.log(vals)  # -inf at vals == 0
+    return np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
+
+
+@lru_cache(maxsize=64)
+def _floor(path: RegPath, eps: float) -> float:
+    """f^n(eps), the constant term of the full path."""
+    return f_pow_n(path.f, path.n, eps)
 
 
 def phi_eps(path: RegPath, eps: float, u):
@@ -180,8 +198,7 @@ def phi_eps(path: RegPath, eps: float, u):
     if path.variant != "full":
         raise ValueError("phi_eps is the full-path coefficient; path variant is 'simple'")
     u = np.asarray(u, dtype=float)
-    base = f_pow_n(path.f, path.n, eps)
-    out = base + (1.0 - eps) * f_pow_n(path.f, path.n, np.sqrt(eps**2 + u**2))
+    out = _floor(path, float(eps)) + (1.0 - eps) * f_pow_n(path.f, path.n, np.sqrt(eps**2 + u**2))
     return out if np.ndim(out) else float(out)
 
 

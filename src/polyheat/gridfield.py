@@ -10,8 +10,9 @@ conservation identities (zero integral of any divergence, adjointness of
 gradient and divergence) hold to round-off.
 
 Transform convention: every field is real, so the operators transform with
-``rfft``/``irfft`` (numpy's ``rfftn``/``irfftn`` over all axes, forward
-unnormalized, inverse carrying 1/M^N) and work on the half spectrum of shape
+``rfft``/``irfft`` (numpy's ``rfftn``/``irfftn`` over both axes in 2-D and
+the bitwise-equal ``rfft``/``irfft`` in 1-D; forward unnormalized, inverse
+carrying 1/M^N) and work on the half spectrum of shape
 grid.shape[:-1] + (M/2 + 1,): full FFT order on every axis but the last,
 which keeps k = 0 .. M/2.  Wavevectors are pi*k/L for k = -M/2 .. M/2-1.
 The multipliers of one (grid, m) are tabled once, read-only, in
@@ -227,6 +228,12 @@ def radius(grid: GridSpec) -> np.ndarray:
     return np.sqrt(np.broadcast_to(r2, grid.shape))
 
 
+@lru_cache(maxsize=64)
+def _shell_mask(grid: GridSpec, shell: float) -> np.ndarray:
+    """Read-only boolean mask of the shell |x| > shell * L."""
+    return _freeze(radius(grid) > shell * grid.half_width, bool)
+
+
 def wavevectors(grid: GridSpec, odd: bool = False) -> list:
     """Wavevector component arrays, broadcastable to the grid shape.
 
@@ -304,12 +311,16 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
 
 def rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Half spectrum of a real grid array (unnormalized)."""
-    return np.fft.rfftn(values, s=grid.shape, axes=tuple(range(grid.dim)))
+    if grid.dim == 1:  # the same transform as rfftn, minus its n-d set-up
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, s=grid.shape, axes=(0, 1))
 
 
 def irfft(grid: GridSpec, values_hat: np.ndarray) -> np.ndarray:
     """Real grid array of a half spectrum; the inverse of ``rfft``."""
-    return np.fft.irfftn(values_hat, s=grid.shape, axes=tuple(range(grid.dim)))
+    if grid.dim == 1:
+        return np.fft.irfft(values_hat, n=grid.points_per_dim)
+    return np.fft.irfftn(values_hat, s=grid.shape, axes=(0, 1))
 
 
 def laplacian_power(f: Field, k: int) -> Field:
@@ -404,8 +415,8 @@ def band_limited(f: Field) -> Field:
 
 def boundary_shell_max(f: Field, shell: float = 0.9) -> float:
     """max |f| over the shell |x| > shell * L."""
-    mask = radius(f.grid) > shell * f.grid.half_width
-    if not np.any(mask):
+    mask = _shell_mask(f.grid, shell)
+    if not mask.any():
         return 0.0
     return float(np.max(np.abs(f.values[mask])))
 

@@ -13,16 +13,18 @@ Step control is the energy monitor itself: a step is accepted only when the
 parity-appropriate energy  int |xi|^(2(m-1)) |u_hat|^2  (equal to
 int |Delta^((m-1)/2) u|^2 for odd m and int |grad Delta^((m-2)/2) u|^2 for
 even m) does not increase beyond the configured tolerance; otherwise dt is
-halved, up to 30 times.  The coefficient and the gradient chain
-grad Delta^(m-1) u are evaluated once per accepted state: the flux monitors
-of that state and the remainder R_hat(u) + c |xi|^(2m) u_hat of the next
-step both read them, and each halving only re-applies e^(-c |xi|^(2m) dt)
-to that remainder.  Every transform is a real FFT on the half spectrum, the
-multipliers are tabled once per (grid, m), and the propagator
-e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The divergence form
-keeps the zero mode untouched, so the mass is conserved exactly, and the
-accumulated dissipation 2 int_0^t int coef |grad Delta^(m-1) u|^2 is
-tracked so the energy identity
+halved, up to 30 times.  Each accepted state goes through one pass that
+evaluates the coefficient, the gradient chain g = grad Delta^(m-1) u and the
+products p = coef g once.  The remainder R_hat(u) + c |xi|^(2m) u_hat of the
+next step, its non-finite-product blow-up guard and the flux monitors
+int |p|^2 and int p . g (dot products) all read that pass, and each halving
+only re-applies e^(-c |xi|^(2m) dt) to the remainder.  At n = 0 the
+coefficient is exactly 1 and f is not evaluated.  Every transform is a real
+FFT on the half spectrum, the multipliers are tabled once per (grid, m), and
+the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The
+divergence form keeps the zero mode untouched, so the mass is conserved
+exactly, and the accumulated dissipation 2 int_0^t int coef |g|^2 is tracked
+so the energy identity
 
     bf(0) = bf(t) + 2 * dissipation(t)
 
@@ -40,15 +42,14 @@ from ._validate import require_int, require_real, require_reals
 from .degeneracy import RegPath, coefficient_bound, reg_coefficient
 from .gridfield import (
     Field,
-    GridSpec,
     _spectrum,
     _Spectrum,
     assert_boundary_decay,
+    boundary_shell_max,
     coordinates,
     divergence_hat,
     grad_chain,
     irfft,
-    radius,
     rfft,
     spectral_tail_fraction,
 )
@@ -159,24 +160,33 @@ class InterfaceReport:
 # spectral building blocks (shared by the public ops and the solve loop)
 
 
-def _state(spec: _Spectrum, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
-    """coef(u) and the real components of g = grad Delta^(m-1) u for one state."""
-    return reg_coefficient(config.path, config.eps, u), grad_chain(spec, u_hat)
+def _pass(spec: _Spectrum, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
+    """The per-state pass: the products p = coef(u) g with g = grad Delta^(m-1) u,
+    the flux int |p|^2 and the dissipation integrand int coef |g|^2 = int p . g.
+
+    The remainder and its blow-up guard read p; the monitors read the integrals.
+    """
+    coef = reg_coefficient(config.path, config.eps, u)
+    g = grad_chain(spec, u_hat)
+    p = [coef * gi for gi in g]
+    flux = sum(np.vdot(pi, pi) for pi in p)
+    diss = sum(np.vdot(pi, gi) for pi, gi in zip(p, g))
+    return p, float(spec.grid.cell_volume * flux), float(spec.grid.cell_volume * diss)
 
 
-def _rhs_hat(spec: _Spectrum, config: SolverConfig, coef: np.ndarray, g: list) -> np.ndarray:
-    products = [coef * gi for gi in g]
-    if not all(np.all(np.isfinite(p)) for p in products):
+def _rhs_hat(spec: _Spectrum, config: SolverConfig, p: list) -> np.ndarray:
+    """(-1)^(m-1) div p on the half spectrum, from the products of ``_pass``."""
+    if not all(np.isfinite(pi).all() for pi in p):
         raise BlowupError("non-finite coefficient-gradient product (blow-up signal)")
     sign = 1.0 if config.m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return sign * divergence_hat(spec, products, config.dealias)
+    return sign * divergence_hat(spec, p, config.dealias)
 
 
 def rhs(u: Field, config: SolverConfig) -> Field:
     """(-1)^(m-1) div( coef(u) grad Delta^(m-1) u ), dealiased product."""
     spec = _spectrum(u.grid, config.m)
-    r_hat = _rhs_hat(spec, config, *_state(spec, config, u.values, rfft(u.grid, u.values)))
-    return Field(u.grid, irfft(u.grid, r_hat), u.time_tag)
+    p, _, _ = _pass(spec, config, u.values, rfft(u.grid, u.values))
+    return Field(u.grid, irfft(u.grid, _rhs_hat(spec, config, p)), u.time_tag)
 
 
 def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
@@ -186,8 +196,8 @@ def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
     spec = _spectrum(u.grid, config.m)
     u_hat = rfft(u.grid, u.values)
     lin = config.c * spec.k2m
-    state = _state(spec, config, irfft(u.grid, u_hat), u_hat)
-    rem_hat = _rhs_hat(spec, config, *state) + lin * u_hat
+    p, _, _ = _pass(spec, config, irfft(u.grid, u_hat), u_hat)
+    rem_hat = _rhs_hat(spec, config, p) + lin * u_hat
     out = irfft(u.grid, np.exp(-lin * dt) * (u_hat + dt * rem_hat))
     t0 = u.time_tag or 0.0
     return Field(u.grid, out, t0 + dt)
@@ -199,8 +209,8 @@ def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
 
 def _bf_from_hat(spec: _Spectrum, u_hat: np.ndarray):
     """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u)."""
-    p = np.abs(u_hat) ** 2
-    return float(np.sum(spec.w_hi * p)), float(np.sum(spec.w_lo * p))
+    power = u_hat.real**2 + u_hat.imag**2
+    return float(np.vdot(spec.w_hi, power)), float(np.vdot(spec.w_lo, power))
 
 
 def bf_energies(u: Field, m: int) -> EnergyReport:
@@ -224,23 +234,16 @@ def bf_energies(u: Field, m: int) -> EnergyReport:
     )
 
 
-def _flux_parts(grid: GridSpec, coef: np.ndarray, g: list):
-    """(int |coef * g|^2, int coef |g|^2) with g = grad Delta^(m-1) u."""
-    flux = sum(np.sum((coef * gi) ** 2) for gi in g)
-    diss = sum(np.sum(coef * gi**2) for gi in g)
-    return float(grid.cell_volume * flux), float(grid.cell_volume * diss)
-
-
 def flux_density(u: Field, config: SolverConfig) -> float:
     """int |coef(u) grad Delta^(m-1) u|^2 dx at one instant."""
     spec = _spectrum(u.grid, config.m)
-    return _flux_parts(u.grid, *_state(spec, config, u.values, rfft(u.grid, u.values)))[0]
+    return _pass(spec, config, u.values, rfft(u.grid, u.values))[1]
 
 
 def dissipation_density(u: Field, config: SolverConfig) -> float:
     """int coef(u) |grad Delta^(m-1) u|^2 dx at one instant."""
     spec = _spectrum(u.grid, config.m)
-    return _flux_parts(u.grid, *_state(spec, config, u.values, rfft(u.grid, u.values)))[1]
+    return _pass(spec, config, u.values, rfft(u.grid, u.values))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +254,7 @@ def _validate_initial(u0: Field, config: SolverConfig) -> None:
     sup = float(np.max(np.abs(u0.values)))
     if sup == 0.0:
         return
-    outside = radius(u0.grid) > 0.5 * u0.grid.half_width
-    if np.any(outside) and float(np.max(np.abs(u0.values[outside]))) > 1e-8 * sup:
+    if boundary_shell_max(u0, 0.5) > 1e-8 * sup:
         raise ValueError("u0 must be supported within |x| <= L/2")
     tail = spectral_tail_fraction(u0)
     if tail > 1e-10:
@@ -284,11 +286,10 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
     lin = config.c * spec.k2m
     u_hat = rfft(grid, u0.values)
     u = irfft(grid, u_hat)
-    coef, g = _state(spec, config, u, u_hat)
+    p, flux_now, diss_now = _pass(spec, config, u, u_hat)
     t = 0.0
     bf, bf_lo = _bf_from_hat(spec, u_hat)
     bf0 = bf
-    flux_now, diss_now = _flux_parts(grid, coef, g)
     flux_acc = 0.0
     diss_acc = 0.0
 
@@ -315,7 +316,7 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
         while t < target - 1e-15 * max(1.0, target):
             dt = min(dt_cap, target - t)
             try:
-                rem_hat = _rhs_hat(spec, config, coef, g) + lin * u_hat
+                rem_hat = _rhs_hat(spec, config, p) + lin * u_hat
             except BlowupError as err:
                 raise BlowupError(f"{err} at t = {t:g}, dt = {dt:.3e}") from None
             halvings = 0
@@ -324,7 +325,7 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                     prop_dt, prop = dt, np.exp(-lin * dt)
                 cand_hat = prop * (u_hat + dt * rem_hat)
                 cand_bf, cand_bf_lo = _bf_from_hat(spec, cand_hat)
-                finite = np.all(np.isfinite(cand_hat))
+                finite = np.isfinite(cand_hat).all()
                 ok = (
                     finite
                     and cand_bf <= bf + config.energy_tol
@@ -340,14 +341,13 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                     )
                 dt *= 0.5
             u = irfft(grid, cand_hat)
-            sup = float(np.max(np.abs(u)))
+            sup = float(np.abs(u).max())
             if sup > config.tripwire_factor * sup0:
                 raise BlowupError(
                     f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
                     f"{config.tripwire_factor:g} * sup|u0| = {config.tripwire_factor * sup0:.3g} at t = {t + dt:g}"
                 )
-            coef, g = _state(spec, config, u, cand_hat)
-            flux_new, diss_new = _flux_parts(grid, coef, g)
+            p, flux_new, diss_new = _pass(spec, config, u, cand_hat)
             flux_acc += 0.5 * dt * (flux_now + flux_new)
             diss_acc += 0.5 * dt * (diss_now + diss_new)
             flux_now, diss_now = flux_new, diss_new

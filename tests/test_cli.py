@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyheat import cli
 from polyheat.cli import ConfigError, main, parse_config, report, run
 from polyheat.degeneracy import DegeneracyFunction, RegPath
 from polyheat.gridfield import GridSpec, read_phf1
@@ -142,6 +143,21 @@ class TestRunCommands:
         data = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert data["outcome"] == "failed"
         assert "log-singularity dominates" in data["reason"]
+
+    def test_failed_reason_keeps_traceback_tail(self, tmp_path, monkeypatch, capsys):
+        def _exploding_solve(u0, config):
+            raise FloatingPointError("solver went off the rails")
+
+        monkeypatch.setattr(cli, "solve", _exploding_solve)
+        path = _dump(tmp_path, "solve.json", MINIMAL_SOLVE)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        reason = json.loads((tmp_path / "s" / "manifest.json").read_text())["reason"]
+        headline, _, tail = reason.partition("\n")
+        assert headline == "FloatingPointError: solver went off the rails"
+        assert "in _exploding_solve" in tail and "in _cmd_solve" in tail
+        assert "failed: FloatingPointError" in capsys.readouterr().err
+        digest = report([tmp_path / "s" / "manifest.json"])
+        assert digest.endswith("solve failed (FloatingPointError: solver went off the rails)")
 
     def test_sweep_determinism_bitwise(self, tmp_path):
         path = _dump(tmp_path, "sweep.json", SWEEP_CONFIG)

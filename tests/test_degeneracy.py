@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyheat import degeneracy as degeneracy_module
 from polyheat.degeneracy import (
+    DegeneracyFunction,
     RegPath,
     coefficient_bound,
     degeneracy_function,
@@ -79,6 +81,88 @@ class TestPowers:
         t = np.linspace(0.01, 5.0, 50)
         direct = rational(t) ** 1.7
         assert np.max(np.abs(f_pow_n(rational, 1.7, t) - direct)) <= 1e-14
+
+
+def _pow_underflow_oracle(vals, n):
+    # the boolean-mask formula the single np.where replaced, kept as an oracle
+    if n == 0:
+        return np.ones_like(vals)
+    out = np.zeros_like(vals)
+    pos = vals > 0
+    with np.errstate(divide="ignore"):
+        expo = n * np.log(vals[pos])
+    out[pos] = np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
+    return out
+
+
+class TestPowUnderflow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vals=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(5e-324, 2.2e-308),  # subnormals
+                st.floats(1e-300, 1e-30),  # n ln v below -700 for the larger n
+                st.floats(1e-30, 10.0),
+            ),
+            min_size=1, max_size=40,
+        ),
+        n=st.sampled_from((1e-4, 0.2, 1.0, 2.5, 40.0, 200.0)),
+    )
+    def test_bitwise_equal_to_masked_formula(self, vals, n):
+        arr = np.array(vals)
+        got = degeneracy_module._pow_underflow(arr, n)
+        assert got.dtype == arr.dtype and got.shape == arr.shape
+        assert got.tobytes() == _pow_underflow_oracle(arr, n).tobytes()
+
+    @pytest.mark.parametrize("v", [0.0, 5e-324, 1e-310, 1e-200, 0.3, 7.0])
+    def test_zero_dimensional_input(self, v):
+        arr = np.array(v)
+        for n in (0.2, 5.0):
+            got = degeneracy_module._pow_underflow(arr, n)
+            assert got.ndim == 0
+            assert got.tobytes() == _pow_underflow_oracle(arr, n).tobytes()
+
+    def test_exact_zero_below_the_cut(self):
+        vals = np.array([0.0, 1e-310, np.exp(-701.0), np.exp(-699.0)])
+        out = degeneracy_module._pow_underflow(vals, 1.0)
+        assert list(out[:3]) == [0.0, 0.0, 0.0] and out[3] > 0.0
+
+
+class TestPowersAtNZero:
+    def test_ones_without_evaluating_f(self, rational, monkeypatch):
+        def boom(self, t):
+            raise AssertionError("f evaluated at n = 0")
+
+        monkeypatch.setattr(DegeneracyFunction, "__call__", boom)
+        for t in (0.0, 2.5, np.linspace(0.0, 3.0, 7), np.zeros((3, 4))):
+            out = f_pow_n(rational, 0.0, t)
+            assert np.shape(out) == np.shape(t)
+            assert np.all(np.asarray(out) == 1.0)
+        assert type(f_pow_n(rational, 0.0, 1.0)) is float
+
+    def test_still_rejects_negative_argument(self, rational):
+        with pytest.raises(ValueError, match="t >= 0"):
+            f_pow_n(rational, 0, -1.0)
+        with pytest.raises(ValueError, match="t >= 0"):
+            f_pow_n(rational, 0.0, np.array([1.0, -1e-12]))
+
+
+class TestFullPathFloor:
+    def test_bitwise_equal_to_direct_evaluation(self, rational):
+        u = np.linspace(-3.0, 3.0, 101)
+        for n, eps in ((0.2, 1e-3), (0.0, 0.5), (2.0, 1e-8)):
+            p = RegPath(rational, n, "full")
+            direct = f_pow_n(rational, n, eps) + (1.0 - eps) * f_pow_n(rational, n, np.sqrt(eps**2 + u**2))
+            assert phi_eps(p, eps, u).tobytes() == direct.tobytes()
+            assert phi_eps(p, eps, u).tobytes() == direct.tobytes()  # from the memo
+
+    def test_equal_functions_share_a_hash(self):
+        knots = {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9]}
+        a = degeneracy_function("spline", **knots)
+        b = degeneracy_function("spline", **knots)
+        assert a == b and hash(a) == hash(b)
+        assert hash(RegPath(a, 0.1, "full")) == hash(RegPath(b, 0.1, "full"))
 
 
 class TestFullPath:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyheat import gridfield as gridfield_module
 from polyheat.gridfield import (
     DecayAssertionError,
     Field,
@@ -25,6 +26,7 @@ from polyheat.gridfield import (
     laplacian_power,
     make_field,
     make_grid,
+    radius,
     read_phf1,
     spectral_tail_fraction,
     weighted_l2_norm,
@@ -235,6 +237,18 @@ class TestDecayAssertion:
         x = np.broadcast_to(coordinates(grid1)[0], grid1.shape)
         vals = np.where(np.abs(x) > 18.0, 0.5, 0.0)
         assert boundary_shell_max(make_field(grid1, vals)) == 0.5
+
+    @pytest.mark.parametrize("shell", [0.5, 0.9, 1.5])
+    def test_cached_shell_mask_matches_radius(self, grid1, grid2, shell):
+        rng = np.random.default_rng(3)
+        for grid in (grid1, grid2):
+            mask = gridfield_module._shell_mask(grid, shell)
+            direct = radius(grid) > shell * grid.half_width
+            assert np.array_equal(mask, direct)
+            assert not mask.flags.writeable
+            f = make_field(grid, rng.standard_normal(grid.shape))
+            expected = float(np.max(np.abs(f.values[direct]))) if direct.any() else 0.0
+            assert boundary_shell_max(f, shell) == expected
 
 
 class TestBump:

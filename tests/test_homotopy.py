@@ -228,7 +228,7 @@ class TestVeryWeakResidual:
     def test_one_transform_per_snapshot_and_test_function(self, u0, monkeypatch):
         snaps = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 21))
         calls = []
-        for name in ("fftn", "rfftn"):  # every forward transform, complex or real
+        for name in ("fftn", "rfftn", "rfft"):  # every forward transform, complex or real
             forward = getattr(np.fft, name)
             monkeypatch.setattr(
                 np.fft, name, lambda *a, _f=forward, **k: calls.append(1) or _f(*a, **k)

@@ -281,7 +281,8 @@ class TestSolve:
         # no complex transform at all; per accepted step one inverse of the
         # new state, dim for its chain and dim for the next divergence, on
         # top of 3 + dim at set-up (tail check, u0 there and back, first
-        # chain); with the tables built, the grid is hashed a fixed number
+        # chain); one coefficient per accepted state, the initial one
+        # included; with the tables built, the grid is hashed a fixed number
         # of times per run, not per step
         grid = make_grid(dim, half_width, points)
         u = bump(grid, 1.0, 4.0, steepness=6.0)
@@ -291,20 +292,27 @@ class TestSolve:
 
         solve(u, config(1))  # builds the cached tables
         calls = Counter()
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        real = ("rfft", "irfft", "rfftn", "irfftn")
+        for name in ("fft", "ifft", "fftn", "ifftn") + real:
             fn = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *a, _f=fn, _n=name, **k: calls.update([_n]) or _f(*a, **k))
+        coef = solver_module.reg_coefficient
+        monkeypatch.setattr(
+            solver_module, "reg_coefficient", lambda *a: calls.update(["coef"]) or coef(*a)
+        )
         grid_hash = GridSpec.__hash__
         hashes = []
         monkeypatch.setattr(GridSpec, "__hash__", lambda self: hashes.append(1) or grid_hash(self))
         counted = []
         for steps in (4, 8):
+            run_config = config(steps)  # its own check samples the coefficient once
             calls.clear()
             hashes.clear()
-            traj = solve(u, config(steps))
+            traj = solve(u, run_config)
             assert len(traj.reports) == steps + 1  # no halving
-            assert calls["fftn"] == calls["ifftn"] == 0
-            assert calls["rfftn"] + calls["irfftn"] == 3 + dim + (1 + 2 * dim) * steps
+            assert calls["fft"] == calls["ifft"] == calls["fftn"] == calls["ifftn"] == 0
+            assert sum(calls[n] for n in real) == 3 + dim + (1 + 2 * dim) * steps
+            assert calls["coef"] == 1 + steps
             counted.append(len(hashes))
         assert counted[0] == counted[1]
 
@@ -454,6 +462,28 @@ class TestScaling:
             assert a.time_tag == b.time_tag
             assert np.array_equal(a.values, lam * b.values)
         assert [r.bf_energy for r in scaled.reports] == [lam**2 * r.bf_energy for r in base.reports]
+
+
+class TestRunInvariants:
+    """The invariants every run report must keep, over a few dozen steps."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.floats(0.0, 0.5), variant=st.sampled_from(("full", "simple")), m=st.sampled_from((2, 3)))
+    def test_mass_energy_and_dissipation_identity(self, rational, n, variant, m):
+        # a Gaussian is resolved on 64 points and negligible past L/2
+        grid = make_grid(1, 16.0, 64)
+        x = coordinates(grid)[0]
+        u = Field(grid, np.exp(-(x**2) / (2.0 * 1.3**2)))
+        config = SolverConfig(
+            m=m, path=RegPath(rational, n, variant), eps=1e-3, dt_init=1e-4, t_final=3e-3,
+            dealias=False, report_stride=1,
+        )
+        reports = solve(u, config).reports
+        assert len(reports) >= 31
+        assert all(r.mass == reports[0].mass for r in reports)
+        bf = [r.bf_energy for r in reports]
+        assert all(b2 <= b1 + config.energy_tol for b1, b2 in zip(bf, bf[1:]))
+        assert max(abs(r.dissipation_residual) for r in reports) <= 1e-4 * bf[0]
 
 
 class TestInterfaceReport:
