@@ -8,22 +8,17 @@ from .gridfield import (
     Field,
     GridSpec,
     VectorField,
-    WeightSpec,
     bump,
-    divergence,
     gradient,
     integrate,
     laplacian_power,
-    make_field,
     make_grid,
     read_phf1,
-    weighted_l2_norm,
     write_phf1,
 )
 from .kernel import (
     KernelProfile,
     decay_fit,
-    fundamental_solution,
     phe_solve,
     profile_bessel,
     profile_fourier,
@@ -43,20 +38,16 @@ from .degeneracy import (
     RegPath,
     degeneracy_function,
     f_pow_n,
-    log_expansion_residual,
     phi_eps,
     psi_eps,
-    theta,
 )
 from .solver import (
     EnergyReport,
     SolverConfig,
     Trajectory,
-    bf_energies,
     interface_report,
     rhs,
     solve,
-    step_imex,
 )
 from .homotopy import (
     ConvergenceTable,
@@ -65,7 +56,6 @@ from .homotopy import (
     branching_residual,
     correction_phi,
     path_dependence_report,
-    perturbation_smallness_report,
     schedule_eval,
     sweep,
     very_weak_residual,

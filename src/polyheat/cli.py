@@ -47,7 +47,14 @@ from .kernel import (
     with_decay_fit,
     write_profile_csv,
 )
-from .solver import SolverConfig, eventual_positivity, interface_report, solve, write_energy_csv
+from .solver import (
+    SolverConfig,
+    _validate_initial,
+    eventual_positivity,
+    interface_report,
+    solve,
+    write_energy_csv,
+)
 from .spectral_theory import (
     adjoint_eigenpolynomial,
     apply_L,
@@ -242,6 +249,8 @@ def _sweep_from_block(block: dict, f: DegeneracyFunction) -> dict:
 
 
 def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
+    """The initial field, held to the solver's initial-data preconditions
+    here so that a violation is a config error, not a failed run."""
     kind = block.get("type", "bump")
     if kind not in ("bump", "random_bumps"):
         raise ValueError(f"type must be 'bump' or 'random_bumps', got {kind!r}")
@@ -254,17 +263,20 @@ def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
         center = block.get("center")
         if center is not None:
             require_reals("center", center if isinstance(center, list) else [center])
-        return bump(grid, amplitude, width, center=center, steepness=steepness)
-    count = block.get("count", 3)
-    require_int("count", count, lo=1)
-    rng = np.random.default_rng(seed)
-    vals = np.zeros(grid.shape)
-    span = 0.4 * grid.half_width - width
-    for _ in range(count):
-        center = rng.uniform(-span, span, size=grid.dim)
-        amp = rng.uniform(0.3, 1.0) * amplitude
-        vals += bump(grid, amp, width, center=center, steepness=steepness).values
-    return Field(grid, vals, 0.0)
+        u0 = bump(grid, amplitude, width, center=center, steepness=steepness)
+    else:
+        count = block.get("count", 3)
+        require_int("count", count, lo=1)
+        rng = np.random.default_rng(seed)
+        vals = np.zeros(grid.shape)
+        span = 0.4 * grid.half_width - width
+        for _ in range(count):
+            center = rng.uniform(-span, span, size=grid.dim)
+            amp = rng.uniform(0.3, 1.0) * amplitude
+            vals += bump(grid, amp, width, center=center, steepness=steepness).values
+        u0 = Field(grid, vals, 0.0)
+    _validate_initial(u0)
+    return u0
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ Theta = 1 - psi_eps and the first-order expansion (1 - f^n)/n -> -ln f.
 Powers f^n are evaluated in log space so that tiny arguments underflow to an
 exact zero (below e^-700) instead of producing spurious denormals, and n = 0
 yields exactly 1 everywhere, including at the degeneracy point, without
-evaluating f.  The constant f^n(eps) of the full path is computed once per
-(path, eps).
+evaluating f (the paths do not form sqrt(eps^2 + u^2) there either).  The
+constant f^n(eps) of the full path is computed once per (path, eps).
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ __all__ = [
     "f_pow_n",
     "phi_eps",
     "psi_eps",
-    "theta",
     "reg_coefficient",
     "coefficient_bound",
-    "log_expansion_residual",
 ]
 
 _KINDS = ("tanh", "rational", "exp_saturating", "power", "spline")
@@ -191,14 +189,22 @@ def _floor(path: RegPath, eps: float) -> float:
     return f_pow_n(path.f, path.n, eps)
 
 
+def _pow_shifted(path: RegPath, eps: float, u):
+    """f^n(sqrt(eps^2 + u^2)) as an array shaped like u; at n = 0 exactly 1,
+    without forming the root."""
+    u = np.asarray(u, dtype=float)
+    if path.n == 0:
+        return np.ones_like(u)
+    return f_pow_n(path.f, path.n, np.sqrt(eps**2 + u**2))
+
+
 def phi_eps(path: RegPath, eps: float, u):
     """Full path f^n(eps) + (1 - eps) f^n(sqrt(eps^2 + u^2)); eps in (0, 1]."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps:g}")
     if path.variant != "full":
         raise ValueError("phi_eps is the full-path coefficient; path variant is 'simple'")
-    u = np.asarray(u, dtype=float)
-    out = _floor(path, float(eps)) + (1.0 - eps) * f_pow_n(path.f, path.n, np.sqrt(eps**2 + u**2))
+    out = _floor(path, float(eps)) + (1.0 - eps) * _pow_shifted(path, eps, u)
     return out if np.ndim(out) else float(out)
 
 
@@ -212,14 +218,8 @@ def psi_eps(path: RegPath, eps: float, u):
         raise ValueError(f"eps must lie in [0, 1], got {eps:g}")
     if path.variant != "simple":
         raise ValueError("psi_eps is the simple-path coefficient; path variant is 'full'")
-    u = np.asarray(u, dtype=float)
-    out = f_pow_n(path.f, path.n, np.sqrt(eps**2 + u**2))
+    out = _pow_shifted(path, eps, u)
     return out if np.ndim(out) else float(out)
-
-
-def theta(path: RegPath, eps: float, u):
-    """Perturbation size Theta = 1 - psi_eps(u)."""
-    return 1.0 - psi_eps(path, eps, u)
 
 
 def reg_coefficient(path: RegPath, eps: float, u):
@@ -233,16 +233,3 @@ def coefficient_bound(path: RegPath, eps: float) -> float:
     if path.variant == "full":
         return float(f_pow_n(path.f, path.n, eps) + cf_n)
     return float(cf_n)
-
-
-def log_expansion_residual(f: DegeneracyFunction, n: float, t_grid, c0: float = 1e-3) -> float:
-    """sup over {f >= c0} of |(1 - f^n)/n + ln f|, the first-order defect of
-    1 - f^n = -n ln f (1 + o(n)).  O(n) on any set bounded away from f = 0."""
-    if n <= 0:
-        raise ValueError("the expansion residual needs n > 0")
-    vals = np.asarray(f(np.asarray(t_grid, dtype=float)))
-    mask = vals >= c0
-    if not np.any(mask):
-        return 0.0
-    fv = vals[mask]
-    return float(np.max(np.abs((1.0 - _pow_underflow(fv, n)) / n + np.log(fv))))

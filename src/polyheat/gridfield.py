@@ -35,11 +35,9 @@ __all__ = [
     "GridSpec",
     "Field",
     "VectorField",
-    "WeightSpec",
     "GridMismatchError",
     "DecayAssertionError",
     "make_grid",
-    "make_field",
     "coordinates",
     "radius",
     "wavevectors",
@@ -51,13 +49,10 @@ __all__ = [
     "grad_chain",
     "divergence_hat",
     "gradient",
-    "divergence",
     "integrate",
     "inner",
     "l2_norm",
-    "weighted_l2_norm",
     "spectral_tail_fraction",
-    "band_limited",
     "boundary_shell_max",
     "assert_boundary_decay",
     "bump",
@@ -162,27 +157,6 @@ class VectorField:
                 raise FloatingPointError("vector field contains non-finite values")
             comps.append(_freeze(c))
         object.__setattr__(self, "components", tuple(comps))
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Exponential weight exp(sign * a * |x|^alpha) with alpha in (1, 2]."""
-
-    a: float
-    alpha: float
-    sign: int
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("weight constant a must be positive")
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 (growing) or -1 (decaying)")
-
-
-def make_field(grid: GridSpec, values: np.ndarray, time_tag: float | None = None) -> Field:
-    return Field(grid=grid, values=np.asarray(values, dtype=np.float64), time_tag=time_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +330,6 @@ def gradient(f: Field) -> VectorField:
     return VectorField(f.grid, tuple(grad_chain(_spectrum(f.grid, 1), rfft(f.grid, f.values))))
 
 
-def divergence(v: VectorField) -> Field:
-    """Spectral divergence of a vector field."""
-    return Field(v.grid, irfft(v.grid, divergence_hat(_spectrum(v.grid, 1), v.components, False)))
-
-
 def integrate(f: Field) -> float:
     """∫ f dx over the box: dx^N times the sample sum (exact on the torus
     for trigonometric polynomials)."""
@@ -378,20 +347,6 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(f.grid.cell_volume) * np.linalg.norm(f.values.ravel()))
 
 
-def weighted_l2_norm(f: Field, weight: WeightSpec) -> float:
-    """(∫ |f|^2 exp(sign*a*|x|^alpha) dx)^(1/2) over the box.
-
-    Growing weights are rejected once a*L^alpha exceeds 600 since the weight
-    would leave the representable range.
-    """
-    grid = f.grid
-    peak = weight.a * grid.half_width**weight.alpha
-    if weight.sign > 0 and peak > 600.0:
-        raise OverflowError(f"weight exponent a*L^alpha = {peak:.3g} exceeds representable range (600)")
-    w = np.exp(weight.sign * weight.a * radius(grid) ** weight.alpha)
-    return float(np.sqrt(grid.cell_volume * np.sum(f.values**2 * w)))
-
-
 def spectral_tail_fraction(f: Field) -> float:
     """Fraction of spectral energy in the dealiased (top-third) modes."""
     spec = _spectrum(f.grid, 1)  # w_hi is the plain Parseval weight at m = 1
@@ -400,17 +355,6 @@ def spectral_tail_fraction(f: Field) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(energy[~spec.band]) / total)
-
-
-def band_limited(f: Field) -> Field:
-    """Project onto the 2/3-rule band (zero the top-third modes).
-
-    On the result the dealiased product rules are exact no-ops, which the
-    operator-identity tests rely on.
-    """
-    spec = _spectrum(f.grid, 1)
-    fh = np.where(spec.band, rfft(f.grid, f.values), 0.0)
-    return Field(f.grid, irfft(f.grid, fh), f.time_tag)
 
 
 def boundary_shell_max(f: Field, shell: float = 0.9) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._validate import require_real, require_reals
-from .degeneracy import DegeneracyFunction, RegPath, theta
+from .degeneracy import DegeneracyFunction, RegPath
 from .gridfield import (
     DecayAssertionError,
     Field,
@@ -57,7 +57,6 @@ __all__ = [
     "ConvergenceTable",
     "CorrectionField",
     "BranchingResidual",
-    "PerturbationReport",
     "PathDependenceReport",
     "schedule_eval",
     "linear_trajectory",
@@ -65,7 +64,6 @@ __all__ = [
     "resolve_phi_sign",
     "branching_residual",
     "sweep",
-    "perturbation_smallness_report",
     "very_weak_residual",
     "path_dependence_report",
     "write_table_csv",
@@ -381,51 +379,7 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# perturbation-size bookkeeping
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    n: float
-    eps: float
-    n_ln_f_eps: float
-    thresholds: tuple
-    sup_theta_degenerate: tuple
-    sup_theta_far: tuple
-    theta_at_zero: float
-
-
-def perturbation_smallness_report(trajectory, f: DegeneracyFunction, n: float, eps: float, thresholds=(1e-2, 1e-1)) -> PerturbationReport:
-    """Measure Theta = 1 - f^n over the space-time grid, split at each
-    threshold t_i into the near-degenerate set {eps^2 + u^2 <= t_i} and its
-    complement, together with the schedule product n |ln f(eps)|."""
-    if any(t_i <= 0 for t_i in thresholds):
-        raise ValueError("thresholds must be positive")
-    snaps = trajectory.snapshots if isinstance(trajectory, Trajectory) else tuple(trajectory)
-    path = RegPath(f, n, "simple")
-    sup_deg, sup_far = [], []
-    all_theta = [np.asarray(theta(path, eps, s.values)) for s in snaps]
-    shifted = [eps**2 + s.values**2 for s in snaps]
-    for t_i in thresholds:
-        deg_max, far_max = 0.0, 0.0
-        for th, sq in zip(all_theta, shifted):
-            on = sq <= t_i
-            if np.any(on):
-                deg_max = max(deg_max, float(np.max(th[on])))
-            if np.any(~on):
-                far_max = max(far_max, float(np.max(th[~on])))
-        sup_deg.append(deg_max)
-        sup_far.append(far_max)
-    product = n * abs(math.log(f(eps))) if 0 < f(eps) < 1 else 0.0
-    return PerturbationReport(
-        n=n,
-        eps=eps,
-        n_ln_f_eps=product,
-        thresholds=tuple(thresholds),
-        sup_theta_degenerate=tuple(sup_deg),
-        sup_theta_far=tuple(sup_far),
-        theta_at_zero=float(theta(path, eps, 0.0)),
-    )
+# the linear very-weak identity
 
 
 def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:

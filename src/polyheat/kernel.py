@@ -49,7 +49,6 @@ __all__ = [
     "profile_quadrature",
     "profile_bessel",
     "profile_fourier",
-    "fundamental_solution",
     "phe_solve",
     "decay_fit",
     "radial_integral",
@@ -214,22 +213,6 @@ def profile_fourier(m: int, grid: GridSpec) -> Field:
     _check_symbol_resolved(grid, m)
     symbol = np.exp(-(k_squared(grid) ** m))
     return Field(grid, _symbol_synthesis(grid, symbol), 1.0)
-
-
-def fundamental_solution(m: int, grid: GridSpec, t: float) -> Field:
-    """H(., t) = t^(-N/2m) F(x t^(-1/2m)) sampled on the grid.
-
-    Rejects times at which the grid cannot represent the kernel: too small
-    (sharper than the mesh) or too large (mass leaks into the boundary shell).
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if grid.dx > 0.5 * t ** (1.0 / (2 * m)):
-        raise ValueError(f"kernel at t = {t:g} is unresolved: dx = {grid.dx:g} > 0.5 t^(1/2m)")
-    symbol = np.exp(-(k_squared(grid) ** m) * t)
-    out = Field(grid, _symbol_synthesis(grid, symbol), t)
-    assert_boundary_decay(out)
-    return out
 
 
 def phe_solve(u0: Field, m: int, t: float, check_decay: bool = True) -> Field:

@@ -62,11 +62,7 @@ __all__ = [
     "StiffnessError",
     "BlowupError",
     "rhs",
-    "step_imex",
     "solve",
-    "bf_energies",
-    "flux_density",
-    "dissipation_density",
     "interface_report",
     "eventual_positivity",
     "write_energy_csv",
@@ -157,7 +153,7 @@ class InterfaceReport:
 
 
 # ---------------------------------------------------------------------------
-# spectral building blocks (shared by the public ops and the solve loop)
+# spectral building blocks (shared by rhs and the solve loop)
 
 
 def _pass(spec: _Spectrum, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
@@ -189,68 +185,26 @@ def rhs(u: Field, config: SolverConfig) -> Field:
     return Field(u.grid, irfft(u.grid, _rhs_hat(spec, config, p)), u.time_tag)
 
 
-def step_imex(u: Field, dt: float, config: SolverConfig) -> Field:
-    """One raw stabilized IMEX step (no acceptance control; see ``solve``)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    spec = _spectrum(u.grid, config.m)
-    u_hat = rfft(u.grid, u.values)
-    lin = config.c * spec.k2m
-    p, _, _ = _pass(spec, config, irfft(u.grid, u_hat), u_hat)
-    rem_hat = _rhs_hat(spec, config, p) + lin * u_hat
-    out = irfft(u.grid, np.exp(-lin * dt) * (u_hat + dt * rem_hat))
-    t0 = u.time_tag or 0.0
-    return Field(u.grid, out, t0 + dt)
-
-
 # ---------------------------------------------------------------------------
 # monitors
 
 
 def _bf_from_hat(spec: _Spectrum, u_hat: np.ndarray):
-    """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u)."""
+    """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u): the sums
+    of |xi|^(2(m-1)) |u_hat|^2 and of its |xi|^(2(m-2)) analogue (the
+    lower-order bound, meaningful for even m)."""
     power = u_hat.real**2 + u_hat.imag**2
     return float(np.vdot(spec.w_hi, power)), float(np.vdot(spec.w_lo, power))
-
-
-def bf_energies(u: Field, m: int) -> EnergyReport:
-    """Instantaneous monitored quantities (accumulators left at zero).
-
-    bf_energy is int |Delta^((m-1)/2) u|^2 (odd m) alias
-    int |grad Delta^((m-2)/2) u|^2 (even m); both equal the single multiplier
-    sum |xi|^(2(m-1)) |u_hat|^2.  bf_lower is the |xi|^(2(m-2)) analogue
-    (the lower-order bound, meaningful for even m).
-    """
-    bf, bf_lo = _bf_from_hat(_spectrum(u.grid, m), rfft(u.grid, u.values))
-    mass = float(u.grid.cell_volume * np.sum(u.values))
-    return EnergyReport(
-        t=u.time_tag if u.time_tag is not None else 0.0,
-        mass=mass,
-        bf_energy=bf,
-        bf_lower=bf_lo,
-        flux_l2_accum=0.0,
-        dissipation_accum=0.0,
-        dissipation_residual=0.0,
-    )
-
-
-def flux_density(u: Field, config: SolverConfig) -> float:
-    """int |coef(u) grad Delta^(m-1) u|^2 dx at one instant."""
-    spec = _spectrum(u.grid, config.m)
-    return _pass(spec, config, u.values, rfft(u.grid, u.values))[1]
-
-
-def dissipation_density(u: Field, config: SolverConfig) -> float:
-    """int coef(u) |grad Delta^(m-1) u|^2 dx at one instant."""
-    spec = _spectrum(u.grid, config.m)
-    return _pass(spec, config, u.values, rfft(u.grid, u.values))[2]
 
 
 # ---------------------------------------------------------------------------
 # the run loop
 
 
-def _validate_initial(u0: Field, config: SolverConfig) -> None:
+def _validate_initial(u0: Field) -> None:
+    """The initial-data preconditions: support within |x| <= L/2, a spectral
+    tail fraction of at most 1e-10, and decay in the boundary shell.  The
+    zero field passes."""
     sup = float(np.max(np.abs(u0.values)))
     if sup == 0.0:
         return
@@ -277,7 +231,7 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
     StiffnessError when 30 dt-halvings cannot make a step acceptable and
     BlowupError if the uniform-boundedness tripwire fires.
     """
-    _validate_initial(u0, config)
+    _validate_initial(u0)
     grid = u0.grid
     sup0 = float(np.max(np.abs(u0.values)))
     targets = sorted(set(t for t in config.snapshot_times if t > 0.0) | {config.t_final})
@@ -385,10 +339,11 @@ def interface_report(u: Field, threshold: float | None = None, region_half_width
     """Support measure, oscillation count, and positivity on a compact box.
 
     Sign changes are counted along each axis line through the domain center,
-    ignoring entries below the threshold (default 1e-8 of the field's peak).
+    ignoring entries below the threshold (default 1e-8 of the field's peak;
+    the zero field has no entry above it, so no support and no sign change).
     """
     if threshold is None:
-        threshold = 1e-8 * float(np.max(np.abs(u.values)))
+        threshold = 1e-8 * float(np.max(np.abs(u.values))) or np.inf
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     support = float(u.grid.cell_volume * np.count_nonzero(np.abs(u.values) > threshold))

@@ -37,7 +37,6 @@ from .gridfield import (
     gradient,
     inner,
     laplacian_power,
-    radius,
     spectral_tail_fraction,
     wavevectors,
 )
@@ -249,21 +248,17 @@ def apply_L_star(poly: PolynomialNVar, m: int) -> PolynomialNVar:
     return lap.scaled(-1) + poly.euler().scaled(Fraction(-1, 2 * m))
 
 
-def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec, weight=None):
+def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     """Gram matrix <psi_beta, psi*_gamma> for all |beta|, |gamma| <= max_order.
 
     Plain L^2 pairing over the box (the profile decay makes the polynomial
-    growth integrable); passing a WeightSpec multiplies the pairing by the
-    corresponding exponential weight.  Returns (indices, matrix).
+    growth integrable).  Returns (indices, matrix).
     """
     if max_order > 4:
         raise ValueError("biorthogonality matrix limited to max_order <= 4")
     betas = multi_indices_up_to(grid.dim, max_order)
     psis = [eigenfunction(b, m, grid) for b in betas]
     poly_vals = [adjoint_eigenpolynomial(b, m).evaluate(grid) for b in betas]
-    if weight is not None:
-        w = np.exp(weight.sign * weight.a * radius(grid) ** weight.alpha)
-        poly_vals = [p * w for p in poly_vals]
     out = np.empty((len(betas), len(betas)))
     for i, psi in enumerate(psis):
         for j, pv in enumerate(poly_vals):

@@ -159,6 +159,16 @@ class TestRunCommands:
         digest = report([tmp_path / "s" / "manifest.json"])
         assert digest.endswith("solve failed (FloatingPointError: solver went off the rails)")
 
+    def test_zero_initial_data_runs(self, tmp_path):
+        cfg = json.loads(json.dumps(MINIMAL_SOLVE))
+        cfg["u0"]["amplitude"] = 0.0
+        path = _dump(tmp_path, "solve.json", cfg)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "z")]) == 0
+        data = json.loads((tmp_path / "z" / "manifest.json").read_text())
+        assert data["outcome"] == "ok"
+        assert data["highlights"]["sign_changes_final"] == 0
+        assert data["highlights"]["positivity_on_region"] is False
+
     def test_sweep_determinism_bitwise(self, tmp_path):
         path = _dump(tmp_path, "sweep.json", SWEEP_CONFIG)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
@@ -261,6 +271,8 @@ SOLVE_DEFECTS = [
     ("solver", "snapshot_times", '"0.1"'),
     ("solver", "snapshot_times", "[0.0005, 0.5, -1.0]"),
     ("u0", "amplitude", '"1"'),
+    ("u0", "center", "15.0"),  # support past |x| <= L/2
+    ("u0", "steepness", "0.01"),  # spectral tail above 1e-10
 ]
 
 _RATIONAL = DegeneracyFunction("rational")
@@ -327,6 +339,20 @@ class TestValidation:
         assert captured.err.startswith(f"error: {block}: ")
         assert "Traceback" not in captured.err
         assert "ok" not in captured.out
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "branch"])
+    def test_u0_outside_support_exits_2(self, tmp_path, capsys, command):
+        # every row of the study would fail the solver's initial-data check
+        cfg = json.loads(json.dumps(SWEEP_CONFIG))
+        cfg[command] = cfg.pop("sweep")
+        cfg["u0"]["width"] = 18.0
+        path = _dump(tmp_path, "bad.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: u0: u0 must be supported within |x| <= L/2")
+        assert "Traceback" not in captured.err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("make", CONSTRUCTOR_DEFECTS.values(), ids=CONSTRUCTOR_DEFECTS.keys())

@@ -1,4 +1,4 @@
-"""Nonlinearity kinds, regularization paths, and expansion residuals."""
+"""Nonlinearity kinds, regularization paths, and the small-n expansion."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,8 @@ from polyheat.degeneracy import (
     coefficient_bound,
     degeneracy_function,
     f_pow_n,
-    log_expansion_residual,
     phi_eps,
     psi_eps,
-    theta,
 )
 
 KINDS = {
@@ -148,6 +146,22 @@ class TestPowersAtNZero:
             f_pow_n(rational, 0.0, np.array([1.0, -1e-12]))
 
 
+class TestPathsAtNZero:
+    def test_no_power_over_the_grid(self, rational, monkeypatch):
+        # the coefficient is exactly 1 on the simple path and 1 + (1 - eps)
+        # on the full one, without taking f^n of sqrt(eps^2 + u^2)
+        def boom(f, n, t):
+            raise AssertionError("f^n formed over u at n = 0")
+
+        u = np.linspace(-3.0, 3.0, 101)
+        simple, full = RegPath(rational, 0.0, "simple"), RegPath(rational, 0.0, "full")
+        phi_eps(full, 0.5, 0.0)  # memoises the constant f^0(eps)
+        monkeypatch.setattr(degeneracy_module, "f_pow_n", boom)
+        assert psi_eps(simple, 1e-3, u).tobytes() == np.ones_like(u).tobytes()
+        assert phi_eps(full, 0.5, u).tobytes() == np.full_like(u, 1.0 + (1.0 - 0.5)).tobytes()
+        assert type(psi_eps(simple, 1e-3, 0.7)) is float
+
+
 class TestFullPathFloor:
     def test_bitwise_equal_to_direct_evaluation(self, rational):
         u = np.linspace(-3.0, 3.0, 101)
@@ -229,6 +243,11 @@ class TestSimplePath:
             phi_eps(RegPath(rational, 0.2, "simple"), 0.5, 1.0)
 
 
+def theta(path, eps, u):
+    """The perturbation size Theta = 1 - psi_eps(u) of the branching analysis."""
+    return 1.0 - psi_eps(path, eps, u)
+
+
 class TestTheta:
     def test_identically_zero_at_n_zero(self, rational):
         p = RegPath(rational, 0.0, "simple")
@@ -264,23 +283,6 @@ class TestTheta:
 
 
 class TestLogExpansionResidual:
-    def test_first_order_scaling(self, rational):
-        grid = np.linspace(0.0, 10.0, 1000)
-        r2 = log_expansion_residual(rational, 1e-2, grid)
-        r3 = log_expansion_residual(rational, 1e-3, grid)
-        assert 7.0 <= r2 / r3 <= 13.0
-
-    def test_zero_residual_where_f_is_one(self):
-        f = degeneracy_function("power", kappa=1.0)
-        assert log_expansion_residual(f, 1e-3, np.array([1.0])) <= 1e-13
-
-    def test_taylor_bound_at_floor(self, rational):
-        n, c0 = 1e-4, 1e-3
-        t0 = rational.inverse(c0) * (1.0 + 1e-9)
-        resid = log_expansion_residual(rational, n, np.array([t0]), c0=c0)
-        bound = n * np.log(c0) ** 2 * np.exp(n * abs(np.log(c0)))
-        assert 0.0 < resid <= bound
-
     def test_weak_limit_surrogate(self, rational):
         # windowed L1 distance between (1 - f^n)/n and -ln f shrinks with n
         t = np.linspace(1e-4, 1.0, 4000)
@@ -292,10 +294,6 @@ class TestLogExpansionResidual:
         gaps = [l1_gap(n) for n in (1e-1, 1e-2, 1e-3)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 0.05 * gaps[0]
-
-    def test_requires_positive_n(self, rational):
-        with pytest.raises(ValueError):
-            log_expansion_residual(rational, 0.0, np.array([1.0]))
 
 
 def test_coefficient_bound_variants(rational):

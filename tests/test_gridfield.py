@@ -11,25 +11,23 @@ from polyheat.gridfield import (
     Field,
     GridMismatchError,
     VectorField,
-    WeightSpec,
     assert_boundary_decay,
-    band_limited,
     boundary_shell_max,
     bump,
     coordinates,
     dealias_mask,
-    divergence,
+    divergence_hat,
     gradient,
     inner,
     integrate,
+    irfft,
     l2_norm,
     laplacian_power,
-    make_field,
     make_grid,
     radius,
     read_phf1,
+    rfft,
     spectral_tail_fraction,
-    weighted_l2_norm,
     write_phf1,
 )
 
@@ -44,9 +42,21 @@ def grid2():
     return make_grid(2, 10.0, 128)
 
 
+def _band_limited(f):
+    """Project onto the 2/3-rule band (zero the top-third modes)."""
+    band = gridfield_module._spectrum(f.grid, 1).band
+    return Field(f.grid, irfft(f.grid, np.where(band, rfft(f.grid, f.values), 0.0)), f.time_tag)
+
+
+def divergence(v):
+    """Spectral divergence of a vector field, through the solver's kernel."""
+    spec = gridfield_module._spectrum(v.grid, 1)
+    return Field(v.grid, irfft(v.grid, divergence_hat(spec, v.components, False)))
+
+
 def _gaussian(grid, scale=1.0):
     r2 = sum(np.broadcast_to(x, grid.shape) ** 2 for x in coordinates(grid))
-    return make_field(grid, np.exp(-r2 / scale))
+    return Field(grid, np.exp(-r2 / scale))
 
 
 class TestGridSpec:
@@ -82,27 +92,20 @@ class TestFieldTypes:
         vals = np.zeros(grid1.shape)
         vals[3] = np.nan
         with pytest.raises(FloatingPointError):
-            make_field(grid1, vals)
+            Field(grid1, vals)
 
     def test_rejects_shape_mismatch(self, grid1):
         with pytest.raises(ValueError):
-            make_field(grid1, np.zeros(12))
+            Field(grid1, np.zeros(12))
 
     def test_values_immutable(self, grid1):
-        f = make_field(grid1, np.zeros(grid1.shape))
+        f = Field(grid1, np.zeros(grid1.shape))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
     def test_vector_component_count(self, grid2):
         with pytest.raises(ValueError):
             VectorField(grid2, (np.zeros(grid2.shape),))
-
-    def test_weight_spec_alpha_range(self):
-        with pytest.raises(ValueError):
-            WeightSpec(a=1.0, alpha=0.9, sign=+1)
-        with pytest.raises(ValueError):
-            WeightSpec(a=1.0, alpha=2.1, sign=-1)
-        WeightSpec(a=1.0, alpha=2.0, sign=+1)
 
 
 class TestLaplacianPower:
@@ -112,7 +115,7 @@ class TestLaplacianPower:
 
     def test_sine_eigenfunction(self, grid1):
         x = np.broadcast_to(coordinates(grid1)[0], grid1.shape)
-        u = make_field(grid1, np.sin(np.pi * x / 20.0))
+        u = Field(grid1, np.sin(np.pi * x / 20.0))
         lap = laplacian_power(u, 1)
         assert np.max(np.abs(lap.values + (np.pi / 20.0) ** 2 * u.values)) <= 1e-10
 
@@ -126,7 +129,7 @@ class TestLaplacianPower:
         assert poly.all_coeffs() == [16, 0, -48, 0, 12]
 
         x = np.broadcast_to(coordinates(grid1)[0], grid1.shape)
-        u = make_field(grid1, np.exp(-(x**2)))
+        u = Field(grid1, np.exp(-(x**2)))
         expected = (12.0 - 48.0 * x**2 + 16.0 * x**4) * np.exp(-(x**2))
         assert np.max(np.abs(laplacian_power(u, 2).values - expected)) <= 1e-6
 
@@ -148,7 +151,7 @@ class TestLaplacianPower:
 
 class TestGradientDivergence:
     def test_gradient_of_constant(self, grid2):
-        g = gradient(make_field(grid2, np.ones(grid2.shape)))
+        g = gradient(Field(grid2, np.ones(grid2.shape)))
         for c in g.components:
             assert np.max(np.abs(c)) <= 1e-14
 
@@ -173,7 +176,7 @@ class TestGradientDivergence:
 class TestIntegrate:
     def test_constant(self):
         grid = make_grid(1, 20.0, 64)
-        assert integrate(make_field(grid, np.full(grid.shape, 3.0))) == pytest.approx(120.0)
+        assert integrate(Field(grid, np.full(grid.shape, 3.0))) == pytest.approx(120.0)
 
     def test_gaussian(self, grid1):
         assert integrate(_gaussian(grid1)) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
@@ -186,38 +189,13 @@ class TestIntegrate:
         assert abs(phys - spec) <= 1e-12 * phys
 
 
-class TestWeightedNorm:
-    def test_zero_field(self, grid1):
-        assert weighted_l2_norm(make_field(grid1, np.zeros(grid1.shape)), WeightSpec(1.0, 1.5, -1)) == 0.0
-
-    def test_decaying_weight_monotone_in_a(self, grid1):
-        one = make_field(grid1, np.ones(grid1.shape))
-        norms = [weighted_l2_norm(one, WeightSpec(a, 1.5, -1)) for a in (0.5, 1.0, 2.0, 4.0)]
-        assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
-
-    def test_gaussian_growing_weight_closed_form(self, grid1):
-        # int e^(-2x^2) e^(x^2/4) dx = sqrt(pi / (7/4)); oracle via quadrature
-        from scipy.integrate import quad
-
-        oracle, err = quad(lambda x: np.exp(-2.0 * x**2 + 0.25 * np.abs(x) ** 2), -20.0, 20.0)
-        assert err < 1e-8
-        assert oracle == pytest.approx(np.sqrt(np.pi / 1.75), abs=1e-12)
-        got = weighted_l2_norm(_gaussian(grid1), WeightSpec(0.25, 2.0, +1))
-        assert got == pytest.approx(np.sqrt(oracle), abs=1e-10)
-
-    def test_overflow_guard(self):
-        grid = make_grid(1, 50.0, 64)
-        with pytest.raises(OverflowError):
-            weighted_l2_norm(make_field(grid, np.ones(grid.shape)), WeightSpec(1.0, 2.0, +1))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6), st.randoms())
 def test_gradient_divergence_adjoint(ku, kv, rnd):
     """<grad u, v> = -<u, div v> for random low-mode trig fields."""
     grid = make_grid(1, 10.0, 64)
     x = np.broadcast_to(coordinates(grid)[0], grid.shape)
-    u = make_field(grid, np.sin(ku * np.pi * x / 10.0) + 0.3 * np.cos(2 * np.pi * x / 10.0))
+    u = Field(grid, np.sin(ku * np.pi * x / 10.0) + 0.3 * np.cos(2 * np.pi * x / 10.0))
     v = VectorField(grid, (np.cos(kv * np.pi * x / 10.0) + rnd.uniform(-1, 1),))
     du = gradient(u)
     lhs = grid.cell_volume * np.sum(du.components[0] * v.components[0])
@@ -231,12 +209,12 @@ class TestDecayAssertion:
 
     def test_fires_for_wide_field(self, grid1):
         with pytest.raises(DecayAssertionError):
-            assert_boundary_decay(make_field(grid1, np.ones(grid1.shape)))
+            assert_boundary_decay(Field(grid1, np.ones(grid1.shape)))
 
     def test_shell_max_value(self, grid1):
         x = np.broadcast_to(coordinates(grid1)[0], grid1.shape)
         vals = np.where(np.abs(x) > 18.0, 0.5, 0.0)
-        assert boundary_shell_max(make_field(grid1, vals)) == 0.5
+        assert boundary_shell_max(Field(grid1, vals)) == 0.5
 
     @pytest.mark.parametrize("shell", [0.5, 0.9, 1.5])
     def test_cached_shell_mask_matches_radius(self, grid1, grid2, shell):
@@ -246,7 +224,7 @@ class TestDecayAssertion:
             direct = radius(grid) > shell * grid.half_width
             assert np.array_equal(mask, direct)
             assert not mask.flags.writeable
-            f = make_field(grid, rng.standard_normal(grid.shape))
+            f = Field(grid, rng.standard_normal(grid.shape))
             expected = float(np.max(np.abs(f.values[direct]))) if direct.any() else 0.0
             assert boundary_shell_max(f, shell) == expected
 
@@ -265,7 +243,7 @@ class TestBump:
         assert t6 < t1 * 1e-2
 
     def test_band_limited_kills_tail(self, grid1):
-        u = band_limited(bump(grid1, 1.0, 2.0))
+        u = _band_limited(bump(grid1, 1.0, 2.0))
         assert spectral_tail_fraction(u) <= 1e-30
 
     def test_2d_center(self, grid2):

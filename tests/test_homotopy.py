@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n, theta
+from polyheat.degeneracy import RegPath, degeneracy_function
 from polyheat.gridfield import Field, bump, l2_norm, make_grid
 from polyheat.homotopy import (
     ConvergenceRow,
@@ -16,7 +16,6 @@ from polyheat.homotopy import (
     correction_phi,
     linear_trajectory,
     path_dependence_report,
-    perturbation_smallness_report,
     resolve_phi_sign,
     schedule_eval,
     sweep,
@@ -196,24 +195,6 @@ class TestSweep:
         plot = (tmp_path / "p.csv").read_text().splitlines()
         assert plot[0] == "log10_n,log10_l2_gap"
         assert len(plot) == 1 + sum(1 for r in small_sweep.rows if r.n > 0)
-
-
-class TestPerturbationReport:
-    def test_schedule_product_and_sups(self, u0, rational):
-        n = 1e-2
-        sch = Schedule("eps_of_n", 1.0, rational)
-        _, eps = schedule_eval(sch, n)
-        traj = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 6))
-        rep = perturbation_smallness_report(traj, rational, n, eps, thresholds=(1e-2, 1e-1))
-        assert rep.n_ln_f_eps == pytest.approx(0.1, rel=1e-10)
-        # Theta is monotone decreasing in |u|, so the far-set sup obeys the
-        # threshold bound and the near-set sup is attained at u = 0
-        path = RegPath(rational, n, "simple")
-        for t_i, far in zip(rep.thresholds, rep.sup_theta_far):
-            u_edge = math.sqrt(max(t_i - eps**2, 0.0))
-            assert far <= float(theta(path, eps, u_edge)) + 1e-12
-        assert rep.theta_at_zero == pytest.approx(1.0 - f_pow_n(rational, n, eps), rel=1e-12)
-        assert max(rep.sup_theta_degenerate) <= rep.theta_at_zero + 1e-12
 
 
 class TestVeryWeakResidual:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every name
+it exports is read by the package, a demo or the benchmark, and every
 function the benchmark's layer tracer wraps exists."""
 
 import ast
@@ -9,7 +10,16 @@ import pytest
 
 import polyheat
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in Path(polyheat.__file__).parent.glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+# exported names that no run, demo or benchmark reads, kept on purpose
+KEEP_EXPORTED = {
+    "rhs": "the one public single-state evaluator of the operator; its shift, stationarity and mean are tested",
+    "very_weak_residual": "reference code: tests check solve's trajectories against the very-weak identity",
+    "besselj_integral": "reference code: tests check besselj against the integral representation",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -34,6 +44,80 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+
+
+def exported(source: str) -> list:
+    """The entries of a module's literal ``__all__``."""
+    for stmt in ast.parse(source).body:
+        if _is_all(stmt):
+            return [elt.value for elt in stmt.value.elts]
+    return []
+
+
+def _reads(node) -> set:
+    """Identifiers read under a node: loaded names, attribute names and
+    identifier strings (the benchmark looks functions up by name)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            found.add(sub.value)
+    return found
+
+
+def unread_exports(modules: dict, callers, keep=()) -> list:
+    """``module.name`` for each exported name (module -> source) that nothing
+    live reads.  Live are the caller sources, the modules' top-level
+    statements other than definitions and ``__all__``, the names in ``keep``,
+    and, repeatedly, what a live definition reads; so a name read only by
+    dead code, or only by its own definition, is unread."""
+    defs, live = {}, set(keep)
+    for source in modules.values():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, set()).update(_reads(stmt) - {stmt.name})
+            elif not _is_all(stmt):
+                live |= _reads(stmt)
+    for source in callers:
+        live |= _reads(ast.parse(source))
+    frontier = set(live)
+    while frontier:
+        frontier = set().union(*(defs.get(name, set()) for name in frontier)) - live
+        live |= frontier
+    return sorted(
+        f"{mod}.{name}" for mod, source in modules.items() for name in exported(source) if name not in live
+    )
+
+
+def test_detects_unread_export():
+    lib = (
+        '__all__ = ["used", "by_name", "helper", "kept", "self_only", "dead", "dead_helper"]\n'
+        "def used(): return helper()\n"
+        "def helper(): pass\n"
+        "def by_name(): pass\n"
+        "def kept(): pass\n"
+        "def self_only(n): return self_only(n - 1) if n else 0\n"
+        "def dead(): return dead_helper()\n"
+        "def dead_helper(): pass\n"
+    )
+    caller = 'from lib import used\nused()\nLAYERS = ("by_name",)\n'
+    unread = unread_exports({"lib": lib}, [caller], keep={"kept"})
+    assert unread == ["lib.dead", "lib.dead_helper", "lib.self_only"]
+
+
+def test_every_export_has_a_reader():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in CALLERS]
+    assert unread_exports(modules, callers, keep=KEEP_EXPORTED) == []
+    # each kept name is still exported and still has no reader but the tests
+    assert {entry.partition(".")[2] for entry in unread_exports(modules, callers)} == set(KEEP_EXPORTED)
 
 
 def test_traced_layer_functions_exist():

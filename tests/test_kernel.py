@@ -1,4 +1,4 @@
-"""Kernel profile, fundamental solution, and decay-fit tests."""
+"""Kernel profile, polyharmonic flow, and decay-fit tests."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from polyheat.kernel import (
     QuadratureSpec,
     decay_fit,
     default_quadrature,
-    fundamental_solution,
     phe_solve,
     profile_bessel,
     profile_fourier,
@@ -99,39 +98,6 @@ class TestProfileFourier:
         lookup = dict(zip(p.radii.round(12), p.values))
         worst = max(abs(F.values[i] - lookup[round(abs(x[i]), 12)]) for i in np.nonzero(sel)[0])
         assert worst <= 1e-5
-
-
-class TestFundamentalSolution:
-    def test_m1_t1_heat_kernel(self, grid24):
-        H = fundamental_solution(1, grid24, 1.0)
-        x = np.broadcast_to(coordinates(grid24)[0], grid24.shape)
-        assert np.max(np.abs(H.values - (4 * np.pi) ** -0.5 * np.exp(-(x**2) / 4.0))) <= 1e-10
-
-    def test_unit_mass(self, grid24):
-        for m, t in [(1, 0.5), (1, 2.0), (2, 0.25), (2, 0.5)]:
-            assert integrate(fundamental_solution(m, grid24, t)) == pytest.approx(1.0, abs=1e-6)
-        # the m = 3 kernel has the fattest tail (alpha = 6/5) and needs a
-        # wider box before it fits
-        wide = make_grid(1, 52.0, 512)
-        assert integrate(fundamental_solution(3, wide, 0.5)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_self_similarity(self, grid24):
-        m, t = 2, 0.5
-        H = fundamental_solution(m, grid24, t)
-        lam = t ** (1.0 / (2 * m))
-        shrunk = make_grid(1, grid24.half_width / lam, grid24.points_per_dim)
-        F_scaled = profile_fourier(m, shrunk)
-        assert np.max(np.abs(H.values - F_scaled.values / lam)) <= 1e-10
-
-    def test_rejects_unresolved_time(self, grid24):
-        with pytest.raises(ValueError, match="unresolved"):
-            fundamental_solution(2, grid24, 1e-6)
-
-    def test_rejects_leaking_time(self, grid24):
-        from polyheat.gridfield import DecayAssertionError
-
-        with pytest.raises(DecayAssertionError):
-            fundamental_solution(1, grid24, 40.0)
 
 
 class TestPheSolve:
