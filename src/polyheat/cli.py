@@ -8,11 +8,12 @@ sweep (homotopy convergence study), branch (sweep plus first-order-correction
 analysis), report (digest of run manifests).
 
 Configs are strict JSON: unknown keys are rejected with their field path so
-a typo cannot silently corrupt a convergence study, and each block is
-validated by building its library objects, whose constructors own the
-invariants.  Every run writes its artifacts plus a manifest (config echo,
+a typo cannot silently corrupt a convergence study.  The ``RunConfig``
+constructor builds each block once, after the output directory and seed are
+resolved; the block constructors own the invariants, and the run uses what
+they built.  Every run writes its artifacts plus a manifest (config echo,
 artifact checksums, timing, outcome).  Exit codes: 0 ok; 1 the run failed
-(the manifest says why); 2 bad config (no manifest is written).
+(the manifest says why); 2 bad config or output directory (no manifest).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,9 +68,6 @@ from .spectral_theory import (
 
 __all__ = ["RunConfig", "RunManifest", "ConfigError", "parse_config", "run", "report", "main"]
 
-_COMMANDS = ("kernel", "spectrum", "solve", "sweep", "branch")
-
-
 class ConfigError(ValueError):
     """Malformed or invalid run configuration; message carries the field path."""
 
@@ -80,11 +78,13 @@ class RunConfig:
     blocks: dict
     out_dir: str = "polyheat-out"
     seed: int = 0
+    built: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         require_int("seed", self.seed, lo=0)
         if not isinstance(self.out_dir, str):
             raise TypeError(f"out_dir must be a string, got {self.out_dir!r}")
+        object.__setattr__(self, "built", _build(self))
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,10 @@ _BLOCK_KEYS = {
     },
     "schedule": {"kind", "c"},
     "sweep": {"m", "t_eval", "n_values", "dt_init", "dealias", "time_nodes", "clamp_floor"},
-    "branch": {"m", "t_eval", "n_values", "dt_init", "dealias", "time_nodes", "clamp_floor"},
     "kernel": {"m", "dim", "r_max", "dr", "s_max", "nodes"},
     "spectrum": {"m", "max_order"},
 }
+_BLOCK_KEYS["branch"] = _BLOCK_KEYS["sweep"]  # both go to _sweep_from_block
 
 
 def _check_keys(block_name: str, block: dict) -> None:
@@ -127,12 +127,15 @@ def _check_keys(block_name: str, block: dict) -> None:
             raise ConfigError(f"unknown key {key!r} in {block_name}")
 
 
-def parse_config(text: str, command: str | None = None) -> RunConfig:
+def parse_config(text: str, command: str | None = None,
+                 out_dir: str | None = None, seed: int | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Unknown keys anywhere are rejected, and the blocks the command needs are
-    built once, so every invariant is checked by the constructor that owns
-    it and a failure names its block instead of surfacing deep inside a run.
+    ``command``, ``out_dir`` and ``seed``, when given, replace the config's
+    own values.  Unknown keys anywhere are rejected, and the ``RunConfig``
+    constructor then builds the blocks the command needs once, so every
+    invariant is checked by the constructor that owns it, on the objects
+    that run, and a failure names its block instead of surfacing in a run.
     """
     try:
         raw = json.loads(text)
@@ -151,24 +154,22 @@ def parse_config(text: str, command: str | None = None) -> RunConfig:
         raise ConfigError("no command given (config 'command' or CLI subcommand)")
     if command is not None and "command" in raw and raw["command"] != command:
         raise ConfigError(f"config command {raw['command']!r} conflicts with CLI command {command!r}")
-    if cmd not in _COMMANDS:
-        raise ConfigError(f"unknown command {cmd!r}; choose from {_COMMANDS}")
+    if cmd not in _DISPATCH:
+        raise ConfigError(f"unknown command {cmd!r}; choose from {tuple(_DISPATCH)}")
 
     try:
-        config = RunConfig(
+        return RunConfig(
             command=cmd,
             blocks={k: v for k, v in raw.items() if k in _BLOCK_KEYS},
-            out_dir=raw.get("out_dir", "polyheat-out"),
-            seed=raw.get("seed", 0),
+            out_dir=out_dir or raw.get("out_dir", "polyheat-out"),
+            seed=raw.get("seed", 0) if seed is None else seed,
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    _build(config)
-    return config
 
 
 # ---------------------------------------------------------------------------
-# block builders: one per block, shared by parse_config and the commands
+# block builders: one per block, run once by the RunConfig constructor
 
 
 def _build(config: RunConfig) -> dict:
@@ -439,7 +440,7 @@ def _failure_reason(err: Exception) -> str:
 
 
 def run(config: RunConfig) -> RunManifest:
-    """Execute a validated config: dispatch, write artifacts, write manifest.
+    """Execute a config: dispatch its built blocks, write artifacts, write manifest.
 
     Module errors become a failed outcome (and later a nonzero exit code)
     rather than a traceback on the terminal; the manifest always lands on
@@ -449,7 +450,7 @@ def run(config: RunConfig) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        names, highlights = _DISPATCH[config.command](_build(config), out)
+        names, highlights = _DISPATCH[config.command](config.built, out)
         outcome, reason = "ok", None
     except Exception as err:  # noqa: BLE001 - the manifest carries the reason
         names, highlights = [], {}
@@ -522,11 +523,11 @@ def main(argv=None) -> int:
         "and the polyharmonic heat kernel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in _COMMANDS:
+    for cmd in _DISPATCH:
         p = sub.add_parser(cmd, help=f"run the {cmd} pipeline from a JSON config")
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (default: config out_dir, "
-                       "then POLYHEAT_OUT, then ./polyheat-out)")
+        p.add_argument("--out", default=os.environ.get("POLYHEAT_OUT"), help="output directory "
+                       "(default: POLYHEAT_OUT, then config out_dir, then ./polyheat-out)")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized test fields (default 0)")
     rp = sub.add_parser("report", help="summarize run manifests")
     rp.add_argument("manifests", nargs="*", help="manifest.json files to digest")
@@ -537,18 +538,17 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = parse_config(Path(args.config).read_text(), command=args.command)
-        # the overrides pass RunConfig's checks again, like the config keys
-        config = replace(
-            config,
-            out_dir=args.out or os.environ.get("POLYHEAT_OUT") or config.out_dir,
-            seed=config.seed if args.seed is None else args.seed,
-        )
+        config = parse_config(Path(args.config).read_text(), args.command, args.out, args.seed)
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:  # a ConfigError, or a bad --seed
+    except ValueError as err:  # a ConfigError, or an undecodable config file
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot create output directory: {err}", file=sys.stderr)
         return 2
     manifest = run(config)
     if manifest.outcome == "ok":

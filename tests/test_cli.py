@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,17 @@ SWEEP_CONFIG = {
 }
 
 MINIMAL_KERNEL = {"kernel": {"m": 2, "dim": 1, "r_max": 28.0, "dr": 0.05}}
+
+# one solver step from random bumps; the config's own seed 0 places every bump
+# within the initial-data preconditions, seed 6 does not
+SEEDED_SOLVE = {
+    "grid": {"dim": 2, "half_width": 12.0, "points_per_dim": 512},
+    "degeneracy": {"kind": "rational", "n": 0.1},
+    "u0": {"type": "random_bumps", "count": 12, "width": 1.0, "steepness": 6.0},
+    "solver": {"m": 2, "eps": 1e-3, "dt_init": 1e-4, "t_final": 1e-4},
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _dump(tmp_path, name, payload):
@@ -90,6 +103,12 @@ class TestParseConfig:
                              "params": {"knots": [0, 1], "values": [0.0, -0.5]}}
         with pytest.raises(ConfigError, match="degeneracy"):
             parse_config(json.dumps(bad), command="solve")
+
+    def test_readme_examples_parse(self):
+        examples = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.DOTALL)
+        assert examples
+        for text in examples:
+            parse_config(text)
 
 
 class TestRunCommands:
@@ -158,6 +177,31 @@ class TestRunCommands:
         assert "failed: FloatingPointError" in capsys.readouterr().err
         digest = report([tmp_path / "s" / "manifest.json"])
         assert digest.endswith("solve failed (FloatingPointError: solver went off the rails)")
+
+    def test_os_error_in_a_command_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
+        def _denied(u0, config):
+            raise PermissionError("snapshot store is read-only")
+
+        monkeypatch.setattr(cli, "solve", _denied)
+        path = _dump(tmp_path, "solve.json", MINIMAL_SOLVE)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        data = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert data["outcome"] == "failed"
+        assert data["reason"].startswith("PermissionError: snapshot store is read-only\n")
+        assert "failed: PermissionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg", [("solve", MINIMAL_SOLVE), ("sweep", SWEEP_CONFIG)])
+    def test_main_builds_each_block_once(self, tmp_path, monkeypatch, command, cfg):
+        calls = {"_u0_from_block": 0, "_path_from_block": 0}
+        for name in calls:
+            def counting(*args, _name=name, _builder=getattr(cli, name)):
+                calls[_name] += 1
+                return _builder(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        path = _dump(tmp_path, f"{command}.json", cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"_u0_from_block": 1, "_path_from_block": 1}
 
     def test_zero_initial_data_runs(self, tmp_path):
         cfg = json.loads(json.dumps(MINIMAL_SOLVE))
@@ -353,6 +397,29 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: u0: u0 must be supported within |x| <= L/2")
         assert "Traceback" not in captured.err
+        assert not (out / "manifest.json").exists()
+
+    def test_seed_flag_applies_before_the_build(self, tmp_path, capsys):
+        parse_config(json.dumps(SEEDED_SOLVE), command="solve")
+        path = _dump(tmp_path, "solve.json", SEEDED_SOLVE)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out), "--seed", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: u0: u0 must be supported within |x| <= L/2")
+        assert "Traceback" not in captured.err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_unusable_out_dir_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "run" if below else blocker
+        path = _dump(tmp_path, "kernel.json", MINIMAL_KERNEL)
+        assert main(["kernel", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot create output directory: ")
+        assert "Traceback" not in captured.err
+        assert blocker.read_text() == ""
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("make", CONSTRUCTOR_DEFECTS.values(), ids=CONSTRUCTOR_DEFECTS.keys())
