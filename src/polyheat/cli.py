@@ -268,9 +268,16 @@ def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
     else:
         count = block.get("count", 3)
         require_int("count", count, lo=1)
+        room = 0.5 * grid.half_width - width
+        if room <= 0.0:
+            raise ValueError(
+                f"random_bumps width {width:g} leaves no room: it must be below L/2 = {0.5 * grid.half_width:g}"
+            )
+        # centres in the box inscribed in the ball |c| <= L/2 - width, so
+        # every bump lies within |x| <= L/2 whatever the seed
+        span = room / np.sqrt(grid.dim)
         rng = np.random.default_rng(seed)
         vals = np.zeros(grid.shape)
-        span = 0.4 * grid.half_width - width
         for _ in range(count):
             center = rng.uniform(-span, span, size=grid.dim)
             amp = rng.uniform(0.3, 1.0) * amplitude

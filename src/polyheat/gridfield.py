@@ -15,16 +15,18 @@ the bitwise-equal ``rfft``/``irfft`` in 1-D; forward unnormalized, inverse
 carrying 1/M^N) and work on the half spectrum of shape
 grid.shape[:-1] + (M/2 + 1,): full FFT order on every axis but the last,
 which keeps k = 0 .. M/2.  Wavevectors are pi*k/L for k = -M/2 .. M/2-1.
-The multipliers of one (grid, m) are tabled once, read-only, in
-``_spectrum``; a sum over the half spectrum weights the last axis's 0 and
-M/2 columns once and every other column twice (Hermitian symmetry).
+``rfft`` and ``irfft`` here are the package's only transforms, and
+``_spectrum``, which tables the multipliers of one (grid, m) once, read-only,
+is the only place that knows the wavenumber layout.  A sum over the half
+spectrum weights the last axis's 0 and M/2 columns once and every other
+column twice (Hermitian symmetry).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +42,6 @@ __all__ = [
     "make_grid",
     "coordinates",
     "radius",
-    "wavevectors",
-    "k_squared",
-    "dealias_mask",
     "rfft",
     "irfft",
     "laplacian_power",
@@ -107,10 +106,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.dx**self.dim
 
-    @property
-    def box_volume(self) -> float:
-        return (2.0 * self.half_width) ** self.dim
-
 
 def make_grid(dim: int, half_width: float, points_per_dim: int) -> GridSpec:
     """Validated grid constructor; see :class:`GridSpec` for the invariants."""
@@ -169,21 +164,6 @@ def _axis_coordinate(grid: GridSpec) -> np.ndarray:
     return _freeze(-length + grid.dx * np.arange(m))
 
 
-@lru_cache(maxsize=64)
-def _axis_wavenumber(grid: GridSpec) -> np.ndarray:
-    # pi*k/L in FFT order, Nyquist entry at index M/2 carries k = -M/2.
-    return _freeze(2.0 * np.pi * np.fft.fftfreq(grid.points_per_dim, d=grid.dx))
-
-
-@lru_cache(maxsize=64)
-def _axis_wavenumber_odd(grid: GridSpec) -> np.ndarray:
-    # For odd-order derivatives the unpaired Nyquist mode is zeroed so that
-    # derivatives of real fields stay real (see e.g. Johnson's FFT notes).
-    k = np.array(_axis_wavenumber(grid))
-    k[grid.points_per_dim // 2] = 0.0
-    return _freeze(k)
-
-
 def _broadcast_axis(arr: np.ndarray, axis: int, dim: int) -> np.ndarray:
     shape = [1] * dim
     shape[axis] = arr.size
@@ -208,37 +188,6 @@ def _shell_mask(grid: GridSpec, shell: float) -> np.ndarray:
     return _freeze(radius(grid) > shell * grid.half_width, bool)
 
 
-def wavevectors(grid: GridSpec, odd: bool = False) -> list:
-    """Wavevector component arrays, broadcastable to the grid shape.
-
-    With ``odd=True`` the Nyquist entries are zeroed (required for odd-order
-    derivative multipliers applied to real data).
-    """
-    ax = _axis_wavenumber_odd(grid) if odd else _axis_wavenumber(grid)
-    return [_broadcast_axis(ax, i, grid.dim) for i in range(grid.dim)]
-
-
-@lru_cache(maxsize=64)
-def k_squared(grid: GridSpec) -> np.ndarray:
-    """|xi|^2 on the full (symmetric) wavevector set, grid-shaped."""
-    ks = wavevectors(grid)
-    return _freeze(np.broadcast_to(sum(k**2 for k in ks), grid.shape).copy())
-
-
-@lru_cache(maxsize=64)
-def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean 2/3-rule mask: True on retained modes."""
-    m = grid.points_per_dim
-    idx = np.rint(np.fft.fftfreq(m) * m).astype(int)
-    keep1 = np.abs(idx) <= m // 3
-    mask = keep1
-    for i in range(1, grid.dim):
-        mask = np.logical_and.outer(mask, keep1)
-    out = np.broadcast_to(mask, grid.shape).copy()
-    out.setflags(write=False)
-    return out
-
-
 class _Spectrum(NamedTuple):
     """Read-only half-spectrum multipliers of one (grid, m)."""
 
@@ -255,25 +204,37 @@ class _Spectrum(NamedTuple):
 def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     """The multipliers of order m on the half spectrum, built on first use.
 
-    They are the full-spectrum ones cut to the last axis's columns
-    0 .. M/2, whose wavenumbers agree up to the sign of the Nyquist entry.
-    The Parseval weight cell_volume / M^N carries the Hermitian multiplicity:
-    1 on the last axis's 0 and M/2 columns, 2 on the others.
+    Every axis takes its wavenumbers pi*k/L and indices k from
+    ``np.fft.fftfreq`` in FFT order; the last axis keeps k = 0 .. M/2 only.
+    ``div`` and ``chain`` zero each axis's Nyquist index k = -M/2, whose mode
+    has no partner, so that odd-order derivatives of real fields stay real;
+    ``band`` keeps |k| <= M/3 on every axis.  The Parseval weight
+    cell_volume / M^N carries the Hermitian multiplicity: 1 on the last
+    axis's 0 and M/2 columns, 2 on the others.
     """
-    h = grid.points_per_dim // 2 + 1
-    k2 = k_squared(grid)[..., :h]
-    div = [1j * ki[..., :h] for ki in wavevectors(grid, odd=True)]
+    n, h = grid.points_per_dim, grid.points_per_dim // 2 + 1
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    xi_odd = xi.copy()
+    xi_odd[n // 2] = 0.0
+    keep = np.abs(np.rint(np.fft.fftfreq(n) * n)) <= n // 3
+
+    def axis(a, i):  # a along axis i, cut to the half spectrum on the last
+        return _broadcast_axis(a[:h] if i == grid.dim - 1 else a, i, grid.dim)
+
+    k2 = sum(axis(xi, i) ** 2 for i in range(grid.dim))
+    div = [1j * axis(xi_odd, i) for i in range(grid.dim)]
+    band = reduce(np.logical_and, (axis(keep, i) for i in range(grid.dim)))
     lap = (-k2) ** (m - 1)
     mult = np.full(h, 2.0)
     mult[[0, -1]] = 1.0
-    parseval = grid.cell_volume / grid.points_per_dim**grid.dim * mult
+    parseval = grid.cell_volume / n**grid.dim * mult
     w_lo = parseval * k2 ** (m - 2) if m >= 2 else np.zeros_like(k2)
     return _Spectrum(
         grid=grid,
         chain=tuple(_freeze(d * lap, complex) for d in div),
         div=tuple(_freeze(d, complex) for d in div),
         k2m=_freeze(k2**m),
-        band=_freeze(dealias_mask(grid)[..., :h], bool),
+        band=_freeze(band, bool),
         w_hi=_freeze(parseval * k2 ** (m - 1)),
         w_lo=_freeze(w_lo),
     )

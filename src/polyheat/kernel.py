@@ -12,8 +12,9 @@ independent routes:
   N = 1 the half-integer Bessel factor collapses to a cosine and the rule
   reads (1/pi) int e^(-s^(2m)) cos(r s) ds; for N = 2 the factor is J_0.
 
-* ``profile_fourier`` synthesizes the same function on a periodic grid from
-  its Fourier transform e^(-|xi|^(2m)).
+* ``profile_fourier`` computes the same function on a periodic grid as the
+  exact linear flow of a unit point mass at x = 0, taken to t = 1: the
+  multiplier e^(-|xi|^(2m)) that ``phe_solve`` applies is F's transform.
 
 For m = 1 both reduce to the Gaussian (4 pi)^(-N/2) e^(-r^2/4); for m >= 2
 the profile oscillates and decays like exp(-a r^alpha), alpha = 2m/(2m-1),
@@ -36,7 +37,6 @@ from .gridfield import (
     _spectrum,
     assert_boundary_decay,
     irfft,
-    k_squared,
     rfft,
 )
 
@@ -187,19 +187,6 @@ def profile_bessel(m: int, dim: int, radii, quadrature: QuadratureSpec | None = 
     )
 
 
-def _symbol_synthesis(grid: GridSpec, symbol: np.ndarray) -> np.ndarray:
-    # Synthesize (2L)^-N sum_k symbol(xi_k) e^(i x . xi_k) on the grid; the
-    # alternating sign (-1)^k is the phase of the box origin at x = -L.
-    m = grid.points_per_dim
-    idx = np.rint(np.fft.fftfreq(m) * m).astype(int)
-    sgn = np.where(idx % 2 == 0, 1.0, -1.0)
-    phase = sgn
-    for _ in range(1, grid.dim):
-        phase = np.multiply.outer(phase, sgn)
-    coeff = symbol * phase * (m**grid.dim / grid.box_volume)
-    return np.fft.ifftn(coeff).real
-
-
 def _check_symbol_resolved(grid: GridSpec, m: int) -> None:
     xi_max = np.pi * (grid.points_per_dim // 2) / grid.half_width
     if np.exp(-(xi_max ** (2 * m))) >= 1e-16:
@@ -209,10 +196,11 @@ def _check_symbol_resolved(grid: GridSpec, m: int) -> None:
 
 
 def profile_fourier(m: int, grid: GridSpec) -> Field:
-    """Synthesize F_{m,N} on the grid from its transform e^(-|xi|^(2m))."""
+    """F_{m,N} on the grid: the flow of a unit point mass at x = 0 to t = 1."""
     _check_symbol_resolved(grid, m)
-    symbol = np.exp(-(k_squared(grid) ** m))
-    return Field(grid, _symbol_synthesis(grid, symbol), 1.0)
+    delta = np.zeros(grid.shape)
+    delta[(grid.points_per_dim // 2,) * grid.dim] = 1.0 / grid.cell_volume  # x = 0
+    return phe_solve(Field(grid, delta), m, 1.0)
 
 
 def phe_solve(u0: Field, m: int, t: float, check_decay: bool = True) -> Field:

@@ -68,6 +68,10 @@ __all__ = [
     "write_energy_csv",
 ]
 
+# The loose uniform-boundedness guard: the equation has no blow-up
+# mechanism, so sup|u| past this multiple of sup|u0| aborts the run loudly.
+_TRIPWIRE_FACTOR = 10.0
+
 
 class StiffnessError(RuntimeError):
     """dt underflowed after the maximum number of halvings."""
@@ -82,9 +86,7 @@ class SolverConfig:
     """Run parameters for one regularized evolution.
 
     ``c`` defaults to 1.1 times the coefficient bound f^n(eps) + C_f^n, which
-    keeps the explicit remainder non-amplifying.  ``tripwire_factor`` is the
-    loose uniform-boundedness guard: the equation has no blow-up mechanism,
-    so sup|u| past that multiple of sup|u0| aborts the run loudly.
+    keeps the explicit remainder non-amplifying.
     """
 
     m: int
@@ -97,13 +99,12 @@ class SolverConfig:
     energy_tol: float = 1e-8
     snapshot_times: tuple = ()
     report_stride: int = 1
-    tripwire_factor: float = 10.0
 
     def __post_init__(self):
         require_int("m", self.m, choices=(2, 3))
         require_int("report_stride", self.report_stride, lo=1)
         require_real("eps", self.eps)
-        for name in ("dt_init", "t_final", "tripwire_factor"):
+        for name in ("dt_init", "t_final"):
             require_real(name, getattr(self, name), "positive")
         require_real("energy_tol", self.energy_tol, "nonnegative")
         if self.c is not None:
@@ -296,10 +297,10 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                 dt *= 0.5
             u = irfft(grid, cand_hat)
             sup = float(np.abs(u).max())
-            if sup > config.tripwire_factor * sup0:
+            if sup > _TRIPWIRE_FACTOR * sup0:
                 raise BlowupError(
                     f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
-                    f"{config.tripwire_factor:g} * sup|u0| = {config.tripwire_factor * sup0:.3g} at t = {t + dt:g}"
+                    f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {_TRIPWIRE_FACTOR * sup0:.3g} at t = {t + dt:g}"
                 )
             p, flux_new, diss_new = _pass(spec, config, u, cand_hat)
             flux_acc += 0.5 * dt * (flux_now + flux_new)

@@ -32,13 +32,15 @@ import numpy as np
 from .gridfield import (
     Field,
     GridSpec,
+    _spectrum,
     assert_boundary_decay,
     coordinates,
     gradient,
     inner,
+    irfft,
     laplacian_power,
+    rfft,
     spectral_tail_fraction,
-    wavevectors,
 )
 from .kernel import profile_fourier
 
@@ -196,20 +198,16 @@ def eigenvalue(beta: MultiIndex, m: int) -> Fraction:
 def eigenfunction(beta: MultiIndex, m: int, grid: GridSpec) -> Field:
     """psi_beta = (-1)^|beta|/sqrt(beta!) D^beta F on the grid.
 
-    Derivatives are Fourier multipliers on the synthesized profile; an error
-    is raised when the requested derivative pushes the spectral tail above
-    the 1e-6 noise-energy floor.
+    Derivatives are Fourier multipliers on the profile; an error is raised
+    when the requested derivative pushes the spectral tail above the 1e-6
+    noise-energy floor.
     """
     if beta.order > 8:
         raise ValueError("derivative order above 8 amplifies truncation noise; refuse")
-    base = profile_fourier(m, grid)
-    fh = np.fft.fftn(base.values).astype(complex)
-    for d, e in enumerate(beta.entries):
-        if e == 0:
-            continue
-        k = wavevectors(grid, odd=(e % 2 == 1))[d]
-        fh = fh * (1j * k) ** e
-    vals = np.fft.ifftn(fh).real * ((-1.0) ** beta.order / math.sqrt(beta.factorial))
+    fh = rfft(grid, profile_fourier(m, grid).values)
+    for d, e in zip(_spectrum(grid, 1).div, beta.entries, strict=True):
+        fh = fh * d**e
+    vals = irfft(grid, fh) * ((-1.0) ** beta.order / math.sqrt(beta.factorial))
     out = Field(grid, vals)
     if spectral_tail_fraction(out) > 1e-6:
         raise ValueError(f"under-resolved derivative D^{beta.entries} (spectral tail above noise floor)")

@@ -42,8 +42,8 @@ SWEEP_CONFIG = {
 
 MINIMAL_KERNEL = {"kernel": {"m": 2, "dim": 1, "r_max": 28.0, "dr": 0.05}}
 
-# one solver step from random bumps; the config's own seed 0 places every bump
-# within the initial-data preconditions, seed 6 does not
+# one solver step from twelve random bumps on a 2-D grid, where a box of
+# centres with half-side L/2 - width would reach past |x| = L/2 at its corners
 SEEDED_SOLVE = {
     "grid": {"dim": 2, "half_width": 12.0, "points_per_dim": 512},
     "degeneracy": {"kind": "rational", "n": 0.1},
@@ -399,14 +399,30 @@ class TestValidation:
         assert "Traceback" not in captured.err
         assert not (out / "manifest.json").exists()
 
-    def test_seed_flag_applies_before_the_build(self, tmp_path, capsys):
-        parse_config(json.dumps(SEEDED_SOLVE), command="solve")
+    def test_seed_flag_applies_before_the_build(self, tmp_path):
+        # the run writes the u0 it was built with: --seed 6 gives the u0 of a
+        # config that says "seed": 6, not that of its own seed 0
         path = _dump(tmp_path, "solve.json", SEEDED_SOLVE)
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(path), "--out", str(out), "--seed", "6"]) == 2
+        assert main(["solve", "--config", str(path), "--out", str(out), "--seed", "6"]) == 0
+        flagged = read_phf1(out / "u_t0.000000.phf1").values
+        seeded = parse_config(json.dumps({**SEEDED_SOLVE, "seed": 6}), command="solve").built["u0"]
+        own = parse_config(json.dumps(SEEDED_SOLVE), command="solve").built["u0"]
+        assert np.array_equal(flagged, seeded.values)
+        assert not np.array_equal(flagged, own.values)
+
+    def test_random_bumps_build_for_every_seed(self):
+        # the centres keep every bump within |x| <= L/2 by construction
+        for seed in range(20):
+            parse_config(json.dumps(SEEDED_SOLVE), command="solve", seed=seed)
+
+    def test_random_bumps_without_room_exits_2(self, tmp_path, capsys):
+        cfg = {**SEEDED_SOLVE, "u0": {**SEEDED_SOLVE["u0"], "width": 6.0}}
+        path = _dump(tmp_path, "solve.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: u0: u0 must be supported within |x| <= L/2")
-        assert "Traceback" not in captured.err
+        assert captured.err == "error: u0: random_bumps width 6 leaves no room: it must be below L/2 = 6\n"
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])

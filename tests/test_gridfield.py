@@ -15,7 +15,6 @@ from polyheat.gridfield import (
     boundary_shell_max,
     bump,
     coordinates,
-    dealias_mask,
     divergence_hat,
     gradient,
     inner,
@@ -79,12 +78,54 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             make_grid(3, 10.0, 64)
 
-    def test_wavevector_set(self, grid1):
-        from polyheat.gridfield import wavevectors
 
-        k = np.sort(np.asarray(wavevectors(grid1)[0]).ravel())
-        expected = np.sort(np.pi * np.arange(-128, 128) / 20.0)
-        assert np.allclose(k, expected, atol=1e-14)
+def _full_spectrum(grid):
+    """Per-axis wavenumbers pi*k/L and indices k on the full grid-shaped
+    spectrum, in FFT order, straight from np.fft.fftfreq."""
+    n = grid.points_per_dim
+    xi = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)] * grid.dim, indexing="ij")
+    k = np.meshgrid(*[np.rint(np.fft.fftfreq(n) * n)] * grid.dim, indexing="ij")
+    return xi, k
+
+
+_SPECTRUM_GRIDS = [(1, 20.0, 256), (1, 20.0, 96), (2, 10.0, 128), (2, 6.0, 24)]
+
+
+class TestSpectrumTable:
+    """The half-spectrum table against the full spectrum cut to the last
+    axis's columns 0 .. M/2, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("dim,half_width,points", _SPECTRUM_GRIDS)
+    def test_wavenumbers_match_fftfreq(self, dim, half_width, points, m):
+        grid = make_grid(dim, half_width, points)
+        spec = gridfield_module._spectrum(grid, m)
+        h = points // 2 + 1
+        half = grid.shape[:-1] + (h,)
+        xi, k = _full_spectrum(grid)
+        k2 = sum(x**2 for x in xi)
+        assert rfft(grid, np.zeros(grid.shape)).shape == half
+        assert spec.k2m.shape == spec.w_hi.shape == spec.w_lo.shape == half
+        assert np.array_equal(spec.k2m, (k2**m)[..., :h])
+        for d, (x, kd) in enumerate(zip(xi, k)):
+            assert np.broadcast_shapes(spec.div[d].shape, spec.chain[d].shape) == half
+            nyquist = kd[..., :h] == -(points // 2)
+            assert nyquist.any()
+            div = np.broadcast_to(spec.div[d], half)
+            assert np.all(div[nyquist] == 0.0)
+            assert np.array_equal(div.imag[~nyquist], x[..., :h][~nyquist])
+            assert np.all(div.real == 0.0)
+
+    @pytest.mark.parametrize("dim,half_width,points", _SPECTRUM_GRIDS)
+    def test_band_keeps_a_third_per_axis(self, dim, half_width, points):
+        grid = make_grid(dim, half_width, points)
+        band = gridfield_module._spectrum(grid, 2).band
+        h = points // 2 + 1
+        _, k = _full_spectrum(grid)
+        keep = np.logical_and.reduce([np.abs(kd) <= points / 3 for kd in k])
+        assert band.shape == grid.shape[:-1] + (h,)
+        assert np.array_equal(band, keep[..., :h])
+        assert band[(0,) * dim] and not band.all()
 
 
 class TestFieldTypes:
@@ -287,8 +328,3 @@ class TestPhf1:
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="payload"):
             read_phf1(path)
-
-    def test_dealias_mask_shape(self, grid2):
-        mask = dealias_mask(grid2)
-        assert mask.shape == grid2.shape
-        assert mask[0, 0]

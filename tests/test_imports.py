@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every name
-it exports is read by the package, a demo or the benchmark, and every
-function the benchmark's layer tracer wraps exists."""
+it exports is read by the package, a demo or the benchmark, every function
+the benchmark's layer tracer wraps exists, and every transform the package
+makes is a real one made in ``gridfield.rfft``/``irfft``."""
 
 import ast
 import importlib.util
@@ -131,3 +132,76 @@ def test_traced_layer_functions_exist():
         module = importlib.import_module(module_name)
         for name in functions:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+COMPLEX_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}
+REAL_TRANSFORMS = {"rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"}
+# the one place each real transform may appear: (module, enclosing function)
+TRANSFORM_HOMES = {("gridfield", "rfft"), ("gridfield", "irfft")}
+FFT_MODULES = {"fft", "fftpack"}
+
+
+def _is_fft_module(node) -> bool:
+    """``np.fft``, ``numpy.fft``, ``scipy.fft`` or a bare ``fft`` module name."""
+    return (isinstance(node, ast.Attribute) and node.attr in FFT_MODULES) or (
+        isinstance(node, ast.Name) and node.id in FFT_MODULES
+    )
+
+
+def transform_uses(source: str) -> list:
+    """``(function, transform, line)`` for each numpy/scipy FFT transform the
+    source names, as ``<fft module>.<transform>`` or imported from an fft
+    module; ``function`` is the enclosing top-level definition, or None at
+    module level."""
+    found = []
+
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and _is_fft_module(node.value):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in FFT_MODULES:
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        transforms = COMPLEX_TRANSFORMS | REAL_TRANSFORMS
+        found.extend((owner, name, node.lineno) for name in names if name in transforms)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def misplaced_transforms(module: str, source: str) -> list:
+    """Each complex transform anywhere, and each real transform outside the
+    homes in ``TRANSFORM_HOMES``."""
+    return [
+        f"{module}.{owner or '<module>'}: {name} (line {line})"
+        for owner, name, line in transform_uses(source)
+        if name in COMPLEX_TRANSFORMS or (module, owner) not in TRANSFORM_HOMES
+    ]
+
+
+def test_detects_misplaced_transforms():
+    home = "import numpy as np\ndef rfft(g, v): return np.fft.rfftn(v)\ndef irfft(g, v): return np.fft.irfft(v)\n"
+    assert misplaced_transforms("gridfield", home) == []
+    assert misplaced_transforms("kernel", home) == [
+        "kernel.rfft: rfftn (line 2)", "kernel.irfft: irfft (line 3)"
+    ]
+    stray = (
+        "import numpy as np\nimport scipy.fft\nfrom numpy.fft import ifftn\n"
+        "def f(v): return np.fft.fftn(v), scipy.fft.fft(v), np.fft.fftfreq(4)\n"
+        "def rfft(g, v): return np.fft.fft2(v)\n"
+    )
+    assert misplaced_transforms("gridfield", stray) == [
+        "gridfield.<module>: ifftn (line 3)",
+        "gridfield.f: fftn (line 4)",
+        "gridfield.f: fft (line 4)",
+        "gridfield.rfft: fft2 (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_transforms_only_in_gridfield_rfft_irfft(path):
+    assert misplaced_transforms(path.stem, path.read_text()) == []

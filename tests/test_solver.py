@@ -16,16 +16,13 @@ from polyheat.gridfield import (
     _spectrum,
     bump,
     coordinates,
-    dealias_mask,
     divergence_hat,
     grad_chain,
     integrate,
     irfft,
-    k_squared,
     l2_norm,
     make_grid,
     rfft,
-    wavevectors,
 )
 from polyheat.kernel import phe_solve
 from polyheat.solver import (
@@ -54,6 +51,18 @@ def u0(grid):
 @pytest.fixture(scope="module")
 def rational():
     return degeneracy_function("rational")
+
+
+def _full_wavenumbers(grid):
+    """|xi|^2, the per-axis xi with each Nyquist entry zeroed, and the 2/3-rule
+    mask on the full grid-shaped spectrum in FFT order: the complex-FFT
+    reference's own layout, independent of the package's half-spectrum table."""
+    n = grid.points_per_dim
+    xi = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)] * grid.dim, indexing="ij")
+    k = np.meshgrid(*[np.rint(np.fft.fftfreq(n) * n)] * grid.dim, indexing="ij")
+    xi_odd = [np.where(kd == -(n // 2), 0.0, x) for x, kd in zip(xi, k)]
+    band = np.logical_and.reduce([np.abs(kd) <= n // 3 for kd in k])
+    return sum(x**2 for x in xi), xi_odd, band
 
 
 def _band_limited(f):
@@ -110,7 +119,8 @@ class TestRhs:
         u = _band_limited(bump(grid, 1.0, 4.0, steepness=6.0))
         config = _linear_config(rational)
         out = rhs(u, config)
-        pure = np.fft.ifftn(-(k_squared(grid) ** 2) * np.fft.fftn(u.values)).real
+        k2, _, _ = _full_wavenumbers(grid)
+        pure = np.fft.ifftn(-(k2**2) * np.fft.fftn(u.values)).real
         assert np.max(np.abs(out.values - pure)) <= 1e-10
 
     def test_constant_field_is_stationary(self, grid, rational):
@@ -298,6 +308,13 @@ class TestSolve:
         with pytest.raises(BlowupError, match=r"non-finite .* at t = 0, dt = 1\.000e-04"):
             solve(u0, config)
 
+    def test_tripwire_names_factor_and_t(self, u0, rational, monkeypatch):
+        # the first accepted state keeps about sup|u0|, so a factor of 1/2 trips
+        monkeypatch.setattr(solver_module, "_TRIPWIRE_FACTOR", 0.5)
+        message = r"^boundedness tripwire: sup\|u\| = 1 exceeds 0\.5 \* sup\|u0\| = 0\.5 at t = 0\.0001$"
+        with pytest.raises(BlowupError, match=message):
+            solve(u0, _linear_config(rational, report_stride=10**6))
+
     @pytest.mark.parametrize("dim,half_width,points", [(1, 24.0, 256), (2, 12.0, 128)])
     def test_real_transforms_per_step(self, rational, monkeypatch, dim, half_width, points):
         # no complex transform at all; per accepted step one inverse of the
@@ -400,7 +417,7 @@ class TestKernelProperties:
         got = rhs(Field(u.grid, np.roll(u.values, shift, axis=axes)), config).values
         # the chain lifts the transforms' round-off in the top modes by up to
         # |xi|^(2m), so the scale is the operator bound c |xi|_max^(2m) sup|u|
-        bound = config.c * np.max(k_squared(u.grid)) ** m * np.max(np.abs(u.values))
+        bound = config.c * np.max(_full_wavenumbers(u.grid)[0]) ** m * np.max(np.abs(u.values))
         assert np.max(np.abs(got - expected)) <= 1e-12 * bound
 
 
@@ -424,8 +441,7 @@ class TestHalfSpectrumKernel:
         u = _nyquist_field(data, dim)
         grid = u.grid
         spec = _spectrum(grid, m)
-        k2 = k_squared(grid)
-        k_odd = wavevectors(grid, odd=True)
+        k2, k_odd, band = _full_wavenumbers(grid)
         h = grid.points_per_dim // 2 + 1
         bound = np.max(k2) ** m * np.max(np.abs(u.values))
 
@@ -438,7 +454,7 @@ class TestHalfSpectrumKernel:
         ref_div = np.zeros(grid.shape, dtype=complex)
         for ki, c in zip(k_odd, comps):
             ch = np.fft.fftn(c)
-            ref_div += 1j * ki * (np.where(dealias_mask(grid), ch, 0.0) if dealias else ch)
+            ref_div += 1j * ki * (np.where(band, ch, 0.0) if dealias else ch)
         got_div = divergence_hat(spec, comps, dealias)
         assert got_div.shape == grid.shape[:-1] + (h,)
         assert np.max(np.abs(got_div - ref_div[..., :h])) <= 1e-12 * bound * grid.points_per_dim**dim
@@ -501,7 +517,7 @@ class TestInterfaceReport:
         rep = interface_report(u, region_half_width=1.0)
         assert rep.positivity_on_region
         assert rep.sign_change_count == 0
-        assert 0.0 < rep.support_measure < grid.box_volume
+        assert 0.0 < rep.support_measure < 2.0 * grid.half_width
 
     def test_oscillatory_evolution_changes_sign(self, grid, u0):
         u = phe_solve(u0, 2, 0.01)
