@@ -11,15 +11,12 @@ full-vs-simple path comparison reports how strongly the finite-eps solutions
 feel the choice of regularization.
 """
 
-import numpy as np
-
 from polyheat.degeneracy import RegPath, degeneracy_function
 from polyheat.gridfield import Field, bump, l2_norm, make_grid
 from polyheat.homotopy import (
     Schedule,
     branching_residual,
     correction_phi,
-    linear_trajectory,
     path_dependence_report,
     resolve_phi_sign,
     schedule_eval,
@@ -34,10 +31,7 @@ schedule = Schedule("eps_of_n", 1.0, f)
 t_eval = 0.1
 
 u_lin = phe_solve(u0, 2, t_eval)
-phi = correction_phi(
-    linear_trajectory(u0, 2, np.linspace(0.0, t_eval, 641)),
-    2, f, t_eval, time_nodes=641, clamp_floor=1e-14,
-)
+phi = correction_phi(u0, 2, f, t_eval, time_nodes=641, clamp_floor=1e-14)
 print(f"||phi|| = {l2_norm(Field(grid, phi.values)):.4f}, "
       f"clamped fraction = {phi.clamped_fraction:.3f} (log floor {phi.clamp_floor:g})")
 

@@ -39,7 +39,7 @@ u0 = bump(grid, amplitude=1.0, width=4.0, steepness=6.0)
 
 print("\nrunning the sweep (one solver run per row) ...")
 table = sweep(
-    u0, 2, f, schedule, t_eval=0.1,
+    u0, 2, schedule, t_eval=0.1,
     n_values=[0.0, 1e-1, 3e-2, 1e-2, 3e-3],
     dt_init=2e-5, clamp_floor=1e-14,
 )

@@ -48,7 +48,7 @@ print(f"accumulated flux |h|^2: {last.flux_l2_accum:.6f}")
 
 # oscillation: the solution inherits sign changes from the linear kernel
 for snap in trajectory.snapshots[1:]:
-    rep = interface_report(snap, region_half_width=1.0)
+    rep = interface_report(snap)
     print(
         f"t = {snap.time_tag:<5g} min u = {np.min(snap.values):+.3e}  "
         f"sign changes = {rep.sign_change_count}  support measure = {rep.support_measure:.1f}"

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,10 +106,8 @@ _BLOCK_KEYS = {
     "grid": {"dim", "half_width", "points_per_dim"},
     "degeneracy": {"kind", "params", "n", "t_max"},
     "u0": {"type", "amplitude", "width", "center", "steepness", "count"},
-    "solver": {
-        "m", "eps", "variant", "dt_init", "t_final", "c", "dealias",
-        "energy_tol", "snapshot_times", "report_stride",
-    },
+    # SolverConfig's own settable fields, with the path's variant in place of the path
+    "solver": {f.name for f in fields(SolverConfig) if f.init} - {"path"} | {"variant"},
     "schedule": {"kind", "c"},
     "sweep": {"m", "t_eval", "n_values", "dt_init", "dealias", "time_nodes", "clamp_floor"},
     "kernel": {"m", "dim", "r_max", "dr", "s_max", "nodes"},
@@ -120,11 +118,10 @@ _BLOCK_KEYS["branch"] = _BLOCK_KEYS["sweep"]  # both go to _sweep_from_block
 
 def _check_keys(block_name: str, block: dict) -> None:
     if not isinstance(block, dict):
-        raise ConfigError(f"{block_name} must be an object")
-    allowed = _BLOCK_KEYS[block_name]
+        raise ConfigError("the block must be an object")
     for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {block_name}")
+        if key not in _BLOCK_KEYS[block_name]:
+            raise ConfigError(f"unknown key {key!r}")
 
 
 def parse_config(text: str, command: str | None = None,
@@ -182,8 +179,8 @@ def _build(config: RunConfig) -> dict:
     def build(name, builder, *args):
         if name not in config.blocks:
             raise ConfigError(f"command {config.command!r} requires a {name!r} block")
-        _check_keys(name, config.blocks[name])
         try:
+            _check_keys(name, config.blocks[name])
             built[name] = builder(config.blocks[name], *args)
         except KeyError as err:
             raise ConfigError(f"{name}: missing key {err}") from err
@@ -311,6 +308,8 @@ def _cmd_kernel(built: dict, out: Path):
 def _cmd_spectrum(built: dict, out: Path):
     grid = built["grid"]
     m, max_order = built["spectrum"]
+    # the Gram matrix carries the boundary guard, so it comes before any artifact
+    _, gram = biorthogonality_matrix(max_order, m, grid)
     betas = multi_indices_up_to(grid.dim, max_order)
     rows = ["beta,lambda,rel_residual"]
     worst = 0.0
@@ -323,7 +322,6 @@ def _cmd_spectrum(built: dict, out: Path):
     with open(out / "eigen_residuals.csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
-    _, gram = biorthogonality_matrix(min(max_order, 4), m, grid)
     np.savetxt(out / "gram.csv", gram, delimiter=",")
     off_diag = float(np.max(np.abs(gram - np.diag(np.diag(gram))))) if gram.size > 1 else 0.0
 
@@ -357,7 +355,7 @@ def _cmd_solve(built: dict, out: Path):
 
     first, last = trajectory.reports[0], trajectory.reports[-1]
     iface = interface_report(trajectory.snapshots[-1])
-    t_positive, positive_after = eventual_positivity(trajectory.snapshots, region_half_width=1.0)
+    t_positive, positive_after = eventual_positivity(trajectory.snapshots)
     highlights = {
         "run_id": trajectory.run_id,
         "mass_drift": abs(last.mass - first.mass) / max(abs(first.mass), 1e-300),
@@ -374,7 +372,7 @@ def _cmd_solve(built: dict, out: Path):
 
 
 def _sweep_common(built: dict, out: Path, block_name: str):
-    table = sweep(built["u0"], f=built["degeneracy"].f, schedule=built["schedule"], **built[block_name])
+    table = sweep(built["u0"], schedule=built["schedule"], **built[block_name])
     write_table_csv(out / "table.csv", table)
     write_summary_json(out / "summary.json", table)
     write_plot_data(out / "plotdata.csv", table)

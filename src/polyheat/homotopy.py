@@ -5,16 +5,18 @@ Two coupled-parameter schedules drive the limits:
     n_of_eps   n(eps) = c / sqrt(|ln f(eps)|)   so n |ln f(eps)| -> infinity,
     eps_of_n   eps(n) = f^{-1}(e^{-c/sqrt(n)})  so n |ln f(eps)| = c sqrt(n) -> 0.
 
-``sweep`` runs the regularized solver along a schedule and measures how fast
-the solutions approach the linear solution u_lin with the same data.  The
-first-order correction in n is the Duhamel field
+``sweep`` runs the regularized solver along a schedule (whose ``f`` is the
+nonlinearity of every row) and measures how fast the solutions approach the
+linear solution u_lin with the same data.  The first-order correction in n
+is the Duhamel field
 
     phi(x, t) = sgn * int_0^t grad H(t - s) * [ln f(|u_lin(s)|)
                                                grad Delta^(m-1) u_lin(s)] ds,
 
-computed as a Fourier-multiplier time quadrature; the overall sign is not
-fixed a priori here but resolved against the measured (u_n - u_lin)/n and
-reported.  The log factor is clamped at a floor eta, and the fraction of the
+so (u0, m, f, t) fix it: ``correction_phi`` samples the linear flow from u0
+itself and evaluates phi as a Fourier-multiplier time quadrature.  The
+overall sign is not fixed a priori here but resolved against the measured
+(u_n - u_lin)/n and reported.  The log factor is clamped at a floor eta, and the fraction of the
 box where the clamp was active at the evaluation time is reported: a large
 fraction means the log-singularity dominates and the expansion is unreliable.
 """
@@ -157,42 +159,34 @@ def linear_trajectory(u0: Field, m: int, times) -> tuple:
 
 
 def correction_phi(
-    trajectory,
+    u0: Field,
     m: int,
     f: DegeneracyFunction,
     t: float,
     time_nodes: int = 41,
     clamp_floor: float | None = None,
 ) -> CorrectionField:
-    """Duhamel correction at time t from a linear-flow trajectory.
+    """Duhamel correction at time t for the linear flow from u0.
 
-    The trajectory must contain snapshots at the ``time_nodes`` uniform
-    quadrature times on [0, t]; each node contributes the multiplier
-    increment  sum_i (i xi_i) e^(-|xi|^(2m) (t-s)) w_hat_i  with
+    The linear flow is sampled at ``time_nodes`` uniform quadrature times on
+    [0, t]; each node s contributes the multiplier increment
+    sum_i (i xi_i) e^(-|xi|^(2m) (t-s)) w_hat_i  with
     w = ln f(max(|u|, eta)) grad Delta^(m-1) u  (dealiased), composited by
     the trapezoid rule.  Raises when the clamp was active on more than 20%
     of the box at time t.
     """
-    snaps = trajectory.snapshots if isinstance(trajectory, Trajectory) else tuple(trajectory)
     if time_nodes < 2:
         raise ValueError("need at least two time nodes")
+    grid = u0.grid
     if t == 0.0:
-        grid = snaps[0].grid
         return CorrectionField(
             grid=grid, t=0.0, values=np.zeros(grid.shape),
             clamp_floor=clamp_floor if clamp_floor is not None else 0.0,
             clamped_fraction=0.0,
         )
-    by_time = {round(float(s.time_tag), 12): s for s in snaps}
     nodes = np.linspace(0.0, t, time_nodes)
-    fields = []
-    for s in nodes:
-        key = round(float(s), 12)
-        if key not in by_time:
-            raise ValueError(f"trajectory lacks a snapshot at quadrature node t = {s:g}")
-        fields.append(by_time[key])
+    fields = linear_trajectory(u0, m, nodes)
 
-    grid = fields[0].grid
     sup0 = max(float(np.max(np.abs(fields[0].values))), 1e-300)
     eta = clamp_floor if clamp_floor is not None else 1e-8 * sup0
     if not eta > 0:
@@ -292,19 +286,18 @@ def _fit_slope(ns, gaps):
 def sweep(
     u0: Field,
     m: int,
-    f: DegeneracyFunction,
     schedule: Schedule,
     t_eval: float,
     n_values,
     dt_init: float = 2e-5,
     dealias: bool = False,
-    energy_tol: float = 1e-8,
     time_nodes: int = 41,
     clamp_floor: float | None = None,
 ) -> ConvergenceTable:
     """One solver run per schedule point, measured against the cached linear
     solution; the correction field is computed once, its sign is resolved
     on the smallest successful n, and it is returned as ``table.phi``.
+    The nonlinearity is the schedule's own ``f``.
 
     ``n_values`` hold the schedule's own parameter (n for ``eps_of_n``, eps
     for ``n_of_eps``); the coupled pair is derived per row, with 0 meaning
@@ -312,13 +305,10 @@ def sweep(
     assertion, schedule range) mark the row failed and the sweep continues.
     Rows are sorted by n descending.
     """
+    f = schedule.f
     params = sorted(set(float(v) for v in n_values), reverse=True)
     u_lin = phe_solve(u0, m, t_eval)
-    quad_times = np.linspace(0.0, t_eval, time_nodes)
-    phi_raw = correction_phi(
-        linear_trajectory(u0, m, quad_times), m, f, t_eval,
-        time_nodes=time_nodes, clamp_floor=clamp_floor,
-    )
+    phi_raw = correction_phi(u0, m, f, t_eval, time_nodes=time_nodes, clamp_floor=clamp_floor)
 
     results = {}
     for v in params:
@@ -326,7 +316,7 @@ def sweep(
             n_eff, eps = (0.0, 1.0) if v == 0.0 else schedule_eval(schedule, v)
             config = SolverConfig(
                 m=m, path=RegPath(f, n_eff, "simple"), eps=eps, dt_init=dt_init, t_final=t_eval,
-                dealias=dealias, energy_tol=energy_tol, report_stride=10**9,
+                dealias=dealias, report_stride=10**9,
             )
             results[v] = ("ok", (n_eff, eps, solve(u0, config).snapshots[-1]))
         except (StiffnessError, BlowupError, DecayAssertionError, ScheduleRangeError, ValueError) as err:

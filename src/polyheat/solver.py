@@ -9,10 +9,12 @@ one step reads  u_hat(t+dt) = e^(-c |xi|^(2m) dt) (u_hat + dt R_hat(u)).
 With c at least the coefficient's supremum the frozen-coefficient remainder
 (coef - c) has the non-amplifying sign, so every Fourier mode contracts.
 
-Step control is the energy monitor itself: a step is accepted only when the
-parity-appropriate energy  int |xi|^(2(m-1)) |u_hat|^2  (equal to
-int |Delta^((m-1)/2) u|^2 for odd m and int |grad Delta^((m-2)/2) u|^2 for
-even m) does not increase beyond the configured tolerance; otherwise dt is
+The stabilization c is not an input: it is 1.1 times the path's coefficient
+bound at eps.  Step control is the energy monitor itself: a step is accepted
+only when the parity-appropriate energy  bf = int |xi|^(2(m-1)) |u_hat|^2
+(equal to int |Delta^((m-1)/2) u|^2 for odd m and
+int |grad Delta^((m-2)/2) u|^2 for even m) stays within 1e-8 bf(0) of
+min(bf, bf(0)), a tolerance that scales with the data; otherwise dt is
 halved, up to 30 times.  Each accepted state goes through one pass that
 evaluates the coefficient, the gradient chain g = grad Delta^(m-1) u and the
 products p = coef g once.  The remainder R_hat(u) + c |xi|^(2m) u_hat of the
@@ -34,7 +36,7 @@ can be monitored as a runtime residual.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +74,15 @@ __all__ = [
 # mechanism, so sup|u| past this multiple of sup|u0| aborts the run loudly.
 _TRIPWIRE_FACTOR = 10.0
 
+# A step may raise the high-order energy by at most this fraction of bf(0)
+# above min(bf, bf(0)): round-off room that scales with the data.
+_ENERGY_RTOL = 1e-8
+
+# The interface diagnostics look at the box K = [-1, 1]^N and ignore entries
+# below this fraction of the field's peak.
+_REGION_HALF_WIDTH = 1.0
+_SUPPORT_RTOL = 1e-8
+
 
 class StiffnessError(RuntimeError):
     """dt underflowed after the maximum number of halvings."""
@@ -85,8 +96,9 @@ class BlowupError(RuntimeError):
 class SolverConfig:
     """Run parameters for one regularized evolution.
 
-    ``c`` defaults to 1.1 times the coefficient bound f^n(eps) + C_f^n, which
-    keeps the explicit remainder non-amplifying.
+    The stabilization ``c`` is derived, not set: 1.1 times the coefficient
+    bound (f^n(eps) + C_f^n on the full path), which keeps the explicit
+    remainder non-amplifying.
     """
 
     m: int
@@ -94,9 +106,8 @@ class SolverConfig:
     eps: float
     dt_init: float
     t_final: float
-    c: float | None = None
+    c: float = field(init=False)
     dealias: bool = True
-    energy_tol: float = 1e-8
     snapshot_times: tuple = ()
     report_stride: int = 1
 
@@ -106,9 +117,6 @@ class SolverConfig:
         require_real("eps", self.eps)
         for name in ("dt_init", "t_final"):
             require_real(name, getattr(self, name), "positive")
-        require_real("energy_tol", self.energy_tol, "nonnegative")
-        if self.c is not None:
-            require_real("c", self.c)
         if not isinstance(self.dealias, bool):
             raise TypeError(f"dealias must be true or false, got {self.dealias!r}")
         require_reals("snapshot_times", self.snapshot_times)
@@ -116,8 +124,7 @@ class SolverConfig:
             raise ValueError(f"snapshot_times must lie in [0, t_final = {self.t_final:g}]")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps:g}")
-        if self.c is None:
-            object.__setattr__(self, "c", 1.1 * coefficient_bound(self.path, self.eps))
+        object.__setattr__(self, "c", 1.1 * coefficient_bound(self.path, self.eps))
         u_samples = np.linspace(-self.path.f.t_max, self.path.f.t_max, 201)
         peak = float(np.max(reg_coefficient(self.path, self.eps, u_samples)))
         if self.c < peak:
@@ -281,12 +288,7 @@ def solve(u0: Field, config: SolverConfig) -> Trajectory:
                 cand_hat = prop * (u_hat + dt * rem_hat)
                 cand_bf, cand_bf_lo = _bf_from_hat(spec, cand_hat)
                 finite = np.isfinite(cand_hat).all()
-                ok = (
-                    finite
-                    and cand_bf <= bf + config.energy_tol
-                    and cand_bf <= bf0 + config.energy_tol
-                )
-                if ok:
+                if finite and cand_bf <= min(bf, bf0) + _ENERGY_RTOL * bf0:
                     break
                 halvings += 1
                 if halvings > 30:
@@ -336,17 +338,14 @@ def _axis_lines(values: np.ndarray):
     return [values[mid, :], values[:, mid]]
 
 
-def interface_report(u: Field, threshold: float | None = None, region_half_width: float = 1.0) -> InterfaceReport:
-    """Support measure, oscillation count, and positivity on a compact box.
+def interface_report(u: Field) -> InterfaceReport:
+    """Support measure, oscillation count, and positivity on K = [-1, 1]^N.
 
     Sign changes are counted along each axis line through the domain center,
-    ignoring entries below the threshold (default 1e-8 of the field's peak;
-    the zero field has no entry above it, so no support and no sign change).
+    ignoring entries below 1e-8 of the field's peak (the zero field has no
+    entry above it, so no support and no sign change).
     """
-    if threshold is None:
-        threshold = 1e-8 * float(np.max(np.abs(u.values))) or np.inf
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    threshold = _SUPPORT_RTOL * float(np.max(np.abs(u.values))) or np.inf
     support = float(u.grid.cell_volume * np.count_nonzero(np.abs(u.values) > threshold))
     flips = 0
     for line in _axis_lines(u.values):
@@ -355,7 +354,7 @@ def interface_report(u: Field, threshold: float | None = None, region_half_width
             flips += int(np.sum(np.sign(live[:-1]) * np.sign(live[1:]) < 0))
     mask = np.ones(u.grid.shape, dtype=bool)
     for x in coordinates(u.grid):
-        mask &= np.broadcast_to(np.abs(x) <= region_half_width, u.grid.shape)
+        mask &= np.broadcast_to(np.abs(x) <= _REGION_HALF_WIDTH, u.grid.shape)
     min_region = float(np.min(u.values[mask]))
     return InterfaceReport(
         support_measure=support,
@@ -365,14 +364,11 @@ def interface_report(u: Field, threshold: float | None = None, region_half_width
     )
 
 
-def eventual_positivity(snapshots, region_half_width: float = 1.0) -> tuple:
-    """``(T, all_positive_after)`` on the box |x_i| <= h: the latest snapshot
-    time with a nonpositive minimum there (0.0 if none), and whether later
+def eventual_positivity(snapshots) -> tuple:
+    """``(T, all_positive_after)`` on K = [-1, 1]^N: the latest snapshot time
+    with a nonpositive minimum there (0.0 if none), and whether later
     snapshots exist and are all strictly positive there."""
-    mins = [
-        (s.time_tag, interface_report(s, region_half_width=region_half_width).min_on_region)
-        for s in snapshots
-    ]
+    mins = [(s.time_tag, interface_report(s).min_on_region) for s in snapshots]
     T = max((t for t, mn in mins if mn <= 0.0), default=0.0)
     later = [mn for t, mn in mins if t > T]
     return T, bool(later) and all(mn > 0.0 for mn in later)

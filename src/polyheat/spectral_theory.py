@@ -22,7 +22,6 @@ polynomially growing factors integrable there.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,21 +152,6 @@ class PolynomialNVar:
                     term = term * np.broadcast_to(xs[d], grid.shape) ** e
             vals += float(v) * term
         return vals
-
-    def to_json(self) -> str:
-        terms = [
-            {"exponents": list(k), "coeff": float(v)}
-            for k, v in sorted(self.coeffs.items())
-        ]
-        return json.dumps(terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolynomialNVar":
-        terms = json.loads(text)
-        if not terms:
-            raise ValueError("empty polynomial serialization")
-        nvars = len(terms[0]["exponents"])
-        return cls(nvars, {tuple(t["exponents"]): t["coeff"] for t in terms})
 
     def __repr__(self) -> str:
         return f"PolynomialNVar({self.nvars}, {self.coeffs!r})"

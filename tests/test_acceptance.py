@@ -25,7 +25,6 @@ from polyheat.gridfield import (
 from polyheat.homotopy import (
     Schedule,
     correction_phi,
-    linear_trajectory,
     path_dependence_report,
     sweep,
 )
@@ -77,7 +76,7 @@ def acceptance_sweep():
     schedule = Schedule("eps_of_n", 1.0, RATIONAL)
     start = time.perf_counter()
     table = sweep(
-        U0, 2, RATIONAL, schedule, 0.1, [1e-1, 3e-2, 1e-2, 3e-3],
+        U0, 2, schedule, 0.1, [1e-1, 3e-2, 1e-2, 3e-3],
         dt_init=2e-5, dealias=False, time_nodes=641, clamp_floor=1e-14,
     )
     return table, time.perf_counter() - start
@@ -192,7 +191,7 @@ def test_criterion_07_conservation_and_dissipation():
     bf = [r.bf_energy for r in trajectory.reports]
     assert drift <= 1e-10
     assert residual <= 1e-4
-    assert all(b2 <= b1 + config.energy_tol for b1, b2 in zip(bf, bf[1:]))
+    assert all(b2 <= b1 + 1e-8 for b1, b2 in zip(bf, bf[1:]))
     _announce(7, "conservation and dissipation", f"mass drift {drift:.1e}, residual {residual:.2e}")
 
 
@@ -215,10 +214,7 @@ def test_criterion_09_branching_rate(acceptance_sweep):
     rows = [r for r in table.rows if r.status == "ok"]
     ratios = [r.correction_gap / r.n for r in rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
-    phi = correction_phi(
-        linear_trajectory(U0, 2, np.linspace(0.0, 0.1, 641)), 2, RATIONAL, 0.1,
-        time_nodes=641, clamp_floor=1e-14,
-    )
+    phi = correction_phi(U0, 2, RATIONAL, 0.1, time_nodes=641, clamp_floor=1e-14)
     phi_norm = l2_norm(Field(GRID, phi.values))
     for row in rows:
         assert row.l2_gap / row.n >= 0.5 * phi_norm, row

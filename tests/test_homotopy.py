@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polyheat import homotopy
 from polyheat.degeneracy import RegPath, degeneracy_function
 from polyheat.gridfield import Field, bump, l2_norm, make_grid
 from polyheat.homotopy import (
@@ -47,7 +48,7 @@ def u0(grid):
 def small_sweep(u0, rational):
     sch = Schedule("eps_of_n", 1.0, rational)
     return sweep(
-        u0, 2, rational, sch, 0.1, [0.0, 1e-1, 3e-2, 1e-2],
+        u0, 2, sch, 0.1, [0.0, 1e-1, 3e-2, 1e-2],
         dt_init=5e-5, clamp_floor=1e-14,
     )
 
@@ -104,36 +105,36 @@ class TestSchedule:
 
 
 class TestCorrectionPhi:
-    def test_constant_state_gives_zero(self, grid, rational):
-        snaps = [Field(grid, np.full(grid.shape, 0.8), t) for t in np.linspace(0.0, 0.1, 11)]
-        phi = correction_phi(snaps, 2, rational, 0.1, time_nodes=11)
-        assert np.max(np.abs(phi.values)) <= 1e-14
-        assert phi.clamped_fraction == 0.0
-
     def test_time_zero_is_empty_integral(self, u0, rational):
-        snaps = [u0]
-        phi = correction_phi(snaps, 2, rational, 0.0, time_nodes=2)
+        phi = correction_phi(u0, 2, rational, 0.0, time_nodes=2)
         assert np.max(np.abs(phi.values)) == 0.0
+
+    def test_samples_the_linear_flow_at_the_nodes(self, u0, rational, monkeypatch):
+        # the snapshots of the linear flow carry exactly the quadrature nodes
+        seen = []
+
+        def recording(u, m, times):
+            seen.append(linear_trajectory(u, m, times))
+            return seen[-1]
+
+        monkeypatch.setattr(homotopy, "linear_trajectory", recording)
+        correction_phi(u0, 2, rational, 0.1, time_nodes=641, clamp_floor=1e-14)
+        (snaps,) = seen
+        assert [s.time_tag for s in snaps] == list(np.linspace(0.0, 0.1, 641))
 
     def test_quadrature_node_convergence(self, u0, rational):
         # the Duhamel endpoint limits uniform trapezoid to ~O(h^(4/3)), so
         # the 1e-4 doubling criterion is reached around 641 nodes
-        vals = {}
-        for nodes in (641, 1281):
-            traj = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, nodes))
-            vals[nodes] = correction_phi(traj, 2, rational, 0.1, time_nodes=nodes, clamp_floor=1e-14)
+        vals = {
+            nodes: correction_phi(u0, 2, rational, 0.1, time_nodes=nodes, clamp_floor=1e-14)
+            for nodes in (641, 1281)
+        }
         gap = l2_norm(Field(u0.grid, vals[1281].values - vals[641].values))
         assert gap <= 1e-4 * l2_norm(Field(u0.grid, vals[1281].values))
 
-    def test_missing_node_rejected(self, u0, rational):
-        traj = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 5))
-        with pytest.raises(ValueError, match="lacks a snapshot"):
-            correction_phi(traj, 2, rational, 0.1, time_nodes=11)
-
     def test_clamp_guard_fires(self, u0, rational):
-        traj = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 11))
         with pytest.raises(RuntimeError, match="log-singularity dominates"):
-            correction_phi(traj, 2, rational, 0.1, time_nodes=11, clamp_floor=1e-2)
+            correction_phi(u0, 2, rational, 0.1, time_nodes=11, clamp_floor=1e-2)
 
 
 class TestBranchingResidual:
@@ -149,8 +150,7 @@ class TestBranchingResidual:
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_ablated_control_bounded_below(self, small_sweep, u0, rational):
-        traj = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 41))
-        phi = correction_phi(traj, 2, rational, 0.1, clamp_floor=1e-14)
+        phi = correction_phi(u0, 2, rational, 0.1, clamp_floor=1e-14)
         phi_norm = l2_norm(Field(u0.grid, phi.values))
         for row in small_sweep.rows:
             if row.n > 0:
@@ -177,7 +177,7 @@ class TestSweep:
     def test_failed_row_continues(self, u0, rational):
         sch = Schedule("eps_of_n", 1.0, rational)
         table = sweep(
-            u0, 2, rational, sch, 0.1, [1e-1, 1e-14],
+            u0, 2, sch, 0.1, [1e-1, 1e-14],
             dt_init=1e-4, clamp_floor=1e-14,
         )
         by_status = {r.status.split(":")[0] for r in table.rows}

@@ -130,7 +130,7 @@ class TestPheSolve:
         early = phe_solve(u0, 2, 0.002)
         assert np.min(early.values) < 0.0
         snapshots = [phe_solve(u0, 2, t) for t in times]
-        T, positive_after = eventual_positivity(snapshots, region_half_width=1.0)
+        T, positive_after = eventual_positivity(snapshots)
         assert positive_after
         assert 0.0 < T < 0.2
 

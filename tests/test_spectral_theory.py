@@ -241,13 +241,6 @@ class TestPolynomialNVar:
         p = PolynomialNVar(1, {(1,): 0.0, (2,): 1.0})
         assert (1,) not in p.coeffs
 
-    def test_json_roundtrip(self):
-        p = adjoint_eigenpolynomial(MultiIndex((4,)), 1)
-        back = PolynomialNVar.from_json(p.to_json())
-        assert back.nvars == 1
-        for key, val in p.coeffs.items():
-            assert back.coeffs[key] == pytest.approx(float(val))
-
     def test_neg_laplacian_monomial(self):
         p = PolynomialNVar(2, {(2, 1): Fraction(1)})
         assert p.neg_laplacian().coeffs == {(0, 1): Fraction(-2)}
