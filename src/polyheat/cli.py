@@ -193,7 +193,7 @@ def _build(config: RunConfig) -> dict:
         return built
     grid = build("grid", lambda b: GridSpec(b["dim"], b["half_width"], b["points_per_dim"]))
     if config.command == "spectrum":
-        build("spectrum", _spectrum_from_block)
+        build("spectrum", _spectrum_from_block, grid)
         return built
     path = build("degeneracy", _path_from_block, config.command == "solve")
     if config.command == "solve":
@@ -213,10 +213,13 @@ def _kernel_from_block(block: dict) -> tuple:
     return block["m"], block["dim"], block["r_max"], block["dr"], quad
 
 
-def _spectrum_from_block(block: dict) -> tuple:
+def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
+    """(m, max_order, Gram matrix).  The Gram matrix carries the product
+    boundary guard, so a max_order the box cannot resolve is a config error."""
     require_int("m", block["m"], lo=1)
     require_int("max_order", block["max_order"], choices=(0, 1, 2, 3, 4))
-    return block["m"], block["max_order"]
+    _, gram = biorthogonality_matrix(block["max_order"], block["m"], grid)
+    return block["m"], block["max_order"], gram
 
 
 def _path_from_block(block: dict, needs_n: bool) -> RegPath:
@@ -307,9 +310,7 @@ def _cmd_kernel(built: dict, out: Path):
 
 def _cmd_spectrum(built: dict, out: Path):
     grid = built["grid"]
-    m, max_order = built["spectrum"]
-    # the Gram matrix carries the boundary guard, so it comes before any artifact
-    _, gram = biorthogonality_matrix(max_order, m, grid)
+    m, max_order, gram = built["spectrum"]
     betas = multi_indices_up_to(grid.dim, max_order)
     rows = ["beta,lambda,rel_residual"]
     worst = 0.0

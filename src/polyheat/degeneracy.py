@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,9 +223,66 @@ def psi_eps(path: RegPath, eps: float, u):
     return out if np.ndim(out) else float(out)
 
 
-def reg_coefficient(path: RegPath, eps: float, u):
-    """The parabolic coefficient of the path's variant, vectorized over u."""
-    return phi_eps(path, eps, u) if path.variant == "full" else psi_eps(path, eps, u)
+def reg_coefficient(path, eps, u):
+    """The parabolic coefficient of the path's variant, vectorized over u.
+
+    A batch of rows passes a tuple of paths that share f and variant, a
+    tuple with one eps per path, and u with one leading row per path: each
+    row's n and eps then broadcast as columns, so every row is bitwise the
+    coefficient of its own path, and rows at n = 0 get it without f being
+    evaluated.
+    """
+    if isinstance(path, RegPath):
+        return phi_eps(path, eps, u) if path.variant == "full" else psi_eps(path, eps, u)
+    u = np.asarray(u, dtype=float)
+    cols = _row_columns(path, eps, u.ndim)
+    if cols.live is None:
+        out = _pow_underflow(np.asarray(path[0].f(np.sqrt(cols.eps2 + u**2))), cols.n)
+    else:
+        out = np.ones_like(u)
+        if cols.live.size:
+            out[cols.live] = _pow_underflow(np.asarray(path[0].f(np.sqrt(cols.eps2 + u[cols.live] ** 2))), cols.n)
+    if path[0].variant == "full":
+        out = cols.floor + cols.scale * out
+    return out
+
+
+class _Columns(NamedTuple):
+    """Per-row constants of a batched coefficient, each a column over u's
+    rows, or a plain float where every row shares it (numpy's scalar path is
+    the cheaper one, and a batch of one then makes its row's scalar call)."""
+
+    live: np.ndarray | None  # the rows with n > 0; None when all are
+    n: object  # n of the live rows
+    eps2: object  # eps^2 of the live rows
+    floor: object  # f^n(eps), the full path's constant term
+    scale: object  # 1 - eps, the full path's weight
+
+
+@lru_cache(maxsize=64)
+def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
+    """The columns of a batch, checked once: one eps per path, in the
+    variant's range, and one f and variant for every row.  Each entry is
+    the scalar path's own expression, so a row matches its solo call."""
+    if len(paths) != len(eps) or any(p.f != paths[0].f or p.variant != paths[0].variant for p in paths):
+        raise ValueError("a batch needs one eps per path and one f and variant for every path")
+    full = paths[0].variant == "full"
+    if not all(0.0 <= e <= 1.0 and (e > 0.0 or not full) for e in eps):
+        raise ValueError(f"eps must lie in {'(0, 1]' if full else '[0, 1]'}, got {eps}")
+    live = [i for i, p in enumerate(paths) if p.n != 0]
+
+    def column(values):
+        if values.count(values[0]) == len(values):
+            return values[0]
+        return np.array(values, dtype=float).reshape((len(values),) + (1,) * (ndim - 1))
+
+    return _Columns(
+        live=None if len(live) == len(paths) else np.array(live, dtype=int),
+        n=column([paths[i].n for i in live]) if live else None,
+        eps2=column([eps[i] ** 2 for i in live]) if live else None,
+        floor=column([_floor(p, float(e)) if full else 0.0 for p, e in zip(paths, eps)]),
+        scale=column([1.0 - e for e in eps]),
+    )
 
 
 def coefficient_bound(path: RegPath, eps: float) -> float:

@@ -18,9 +18,11 @@ min(bf, bf(0)), a tolerance that scales with the data; otherwise dt is
 halved, up to 30 times.  Each accepted state goes through one pass that
 evaluates the coefficient, the gradient chain g = grad Delta^(m-1) u and the
 products p = coef g once.  The remainder R_hat(u) + c |xi|^(2m) u_hat of the
-next step, its non-finite-product blow-up guard and the flux monitors
-int |p|^2 and int p . g (dot products) all read that pass, and each halving
-only re-applies e^(-c |xi|^(2m) dt) to the remainder.  At n = 0 the
+next step and the flux monitors int |p|^2 and int p . g (dot products) read
+that pass, and each halving only re-applies e^(-c |xi|^(2m) dt) to the
+remainder.  A non-finite product spreads through the transforms to a
+non-finite candidate energy, so the blow-up guard looks at the products only
+when the energy guard rejects a step.  At n = 0 the
 coefficient is exactly 1 and f is not evaluated.  Every transform is a real
 FFT on the half spectrum, the multipliers are tabled once per (grid, m), and
 the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The
@@ -31,11 +33,25 @@ so the energy identity
     bf(0) = bf(t) + 2 * dissipation(t)
 
 can be monitored as a runtime residual.
+
+Rows and batches.  ``solve`` advances a batch of rows: runs that share the
+data u0, the grid, m, dealias, t_final, snapshot_times and report_stride,
+and may differ in path, eps (hence c) and dt_init.  One config is a batch of
+one, on the same code path.  The state, the spectra and the products carry
+a leading row axis, so each transform, the spectral multiply and one
+coefficient call per group of rows that share (f, variant) serve the whole
+batch once per step.  Each row keeps its own t, dt cap, halvings, energy
+guard, tripwire, monitors and snapshots, and its reductions are dot products
+over its own row, so a row is bitwise the same alone and in any batch.
+While the rows share dt the step is whole-array work with one propagator
+table; only a halving or a row leaving indexes rows, and a failed row leaves
+while the others go on.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +59,10 @@ import numpy as np
 from ._validate import require_int, require_real, require_reals
 from .degeneracy import RegPath, coefficient_bound, reg_coefficient
 from .gridfield import (
+    DecayAssertionError,
     Field,
+    GridSpec,
+    _rows_spectrum,
     _spectrum,
     _Spectrum,
     assert_boundary_decay,
@@ -161,36 +180,73 @@ class InterfaceReport:
 
 
 # ---------------------------------------------------------------------------
-# spectral building blocks (shared by rhs and the solve loop)
+# spectral building blocks (shared by rhs and the solve loop); every array
+# carries a leading row axis
 
 
-def _pass(spec: _Spectrum, config: SolverConfig, u: np.ndarray, u_hat: np.ndarray):
+def _groups(configs) -> list:
+    """``(rows, paths, eps)`` per run of consecutive configs that share
+    (f, variant), ``rows`` being that run's slice: the batch's coefficient
+    is one ``reg_coefficient`` call per group."""
+    out, start = [], 0
+    for stop in range(1, len(configs) + 1):
+        a = configs[start].path
+        if stop == len(configs) or (configs[stop].path.f, configs[stop].path.variant) != (a.f, a.variant):
+            run = configs[start:stop]
+            out.append((slice(start, stop), tuple(c.path for c in run), tuple(c.eps for c in run)))
+            start = stop
+    return out
+
+
+def _coefficient(groups: list, u: np.ndarray) -> np.ndarray:
+    """coef(u) row by row, one ``reg_coefficient`` call per group."""
+    if len(groups) == 1:
+        _, paths, eps = groups[0]
+        return reg_coefficient(paths, eps, u)
+    coef = np.empty_like(u)
+    for rows, paths, eps in groups:
+        coef[rows] = reg_coefficient(paths, eps, u[rows])
+    return coef
+
+
+def _pass(spec: _Spectrum, groups: list, u: np.ndarray, u_hat: np.ndarray):
     """The per-state pass: the products p = coef(u) g with g = grad Delta^(m-1) u,
-    the flux int |p|^2 and the dissipation integrand int coef |g|^2 = int p . g.
+    and per row the flux int |p|^2 and the dissipation integrand
+    int coef |g|^2 = int p . g.
 
-    The remainder and its blow-up guard read p; the monitors read the integrals.
+    The remainder and its blow-up guard read p; the monitors read the
+    integrals, each a dot product over its own row, so that a row's value
+    does not depend on the batch around it.
     """
-    coef = reg_coefficient(config.path, config.eps, u)
+    coef = _coefficient(groups, u)
     g = grad_chain(spec, u_hat)
     p = [coef * gi for gi in g]
-    flux = sum(np.vdot(pi, pi) for pi in p)
-    diss = sum(np.vdot(pi, gi) for pi, gi in zip(p, g))
-    return p, float(spec.grid.cell_volume * flux), float(spec.grid.cell_volume * diss)
+    vol = spec.grid.cell_volume
+    flux, diss = [], []
+    for r in range(len(u)):
+        f = d = 0
+        for pi, gi in zip(p, g):
+            pr = pi[r]
+            f = f + np.vdot(pr, pr)
+            d = d + np.vdot(pr, gi[r])
+        flux.append(float(vol * f))
+        diss.append(float(vol * d))
+    return p, flux, diss
 
 
-def _rhs_hat(spec: _Spectrum, config: SolverConfig, p: list) -> np.ndarray:
+def _rhs_hat(spec: _Spectrum, m: int, dealias: bool, p: list) -> np.ndarray:
     """(-1)^(m-1) div p on the half spectrum, from the products of ``_pass``."""
-    if not all(np.isfinite(pi).all() for pi in p):
-        raise BlowupError("non-finite coefficient-gradient product (blow-up signal)")
-    sign = 1.0 if config.m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return sign * divergence_hat(spec, p, config.dealias)
+    sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
+    return sign * divergence_hat(spec, p, dealias)
 
 
 def rhs(u: Field, config: SolverConfig) -> Field:
     """(-1)^(m-1) div( coef(u) grad Delta^(m-1) u ), dealiased product."""
-    spec = _spectrum(u.grid, config.m)
-    p, _, _ = _pass(spec, config, u.values, rfft(u.grid, u.values))
-    return Field(u.grid, irfft(u.grid, _rhs_hat(spec, config, p)), u.time_tag)
+    spec = _rows_spectrum(u.grid, config.m, 1)
+    p, _, _ = _pass(spec, _groups((config,)), u.values[None], rfft(u.grid, u.values)[None])
+    if not all(np.isfinite(pi).all() for pi in p):
+        raise BlowupError(_NONFINITE)
+    return Field(u.grid, irfft(u.grid, _rhs_hat(spec, config.m, config.dealias, p)[0]), u.time_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +254,9 @@ def rhs(u: Field, config: SolverConfig) -> Field:
 
 
 def _bf_from_hat(spec: _Spectrum, u_hat: np.ndarray):
-    """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u): the sums
-    of |xi|^(2(m-1)) |u_hat|^2 and of its |xi|^(2(m-2)) analogue (the
-    lower-order bound, meaningful for even m)."""
+    """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u) of one
+    row: the sums of |xi|^(2(m-1)) |u_hat|^2 and of its |xi|^(2(m-2))
+    analogue (the lower-order bound, meaningful for even m)."""
     power = u_hat.real**2 + u_hat.imag**2
     return float(np.vdot(spec.w_hi, power)), float(np.vdot(spec.w_lo, power))
 
@@ -231,100 +287,250 @@ def _run_id(u0: Field, config: SolverConfig) -> str:
     return h.hexdigest()[:12]
 
 
-def solve(u0: Field, config: SolverConfig) -> Trajectory:
+def _shared(config: SolverConfig) -> tuple:
+    """The settings every row of a batch must share."""
+    return config.m, config.dealias, config.t_final, config.snapshot_times, config.report_stride
+
+
+class _Row:
+    """One row's own record: its clock, dt cap, step count, energies, flux
+    and dissipation integrals, next target, snapshots and reports, and its
+    position in the caller's sequence."""
+
+    __slots__ = ("index", "config", "dt_init", "t", "dt_cap", "steps", "bf", "bf_lo", "flux", "diss",
+                 "flux_acc", "diss_acc", "target", "snapshots", "reports")
+
+    def __init__(self, index: int, config: SolverConfig):
+        self.index, self.config, self.dt_init = index, config, config.dt_init
+        self.t, self.dt_cap, self.steps, self.target = 0.0, config.dt_init, 0, 0
+        self.flux_acc = self.diss_acc = 0.0
+
+
+class _Batch:
+    """The live rows, ordered so that each coefficient group is one run,
+    with their stacked state: the spectra, the grid values and the products
+    of the last pass; and, rebuilt whenever a row leaves, the multipliers
+    tiled over the rows, the linear symbol c |xi|^(2m) of each row and the
+    coefficient groups."""
+
+    def __init__(self, grid: GridSpec, m: int, rows: list, u_hat: np.ndarray, u: np.ndarray):
+        self.grid, self.m = grid, m
+        self.rows, self.u_hat, self.u = rows, u_hat, u
+        self.p = None
+        self._tables()
+
+    def _tables(self) -> None:
+        n = len(self.rows)
+        self.spec = _rows_spectrum(self.grid, self.m, n)
+        c = np.array([row.config.c for row in self.rows]).reshape((n,) + (1,) * self.grid.dim)
+        self.lin = c * self.spec.k2m
+        self.groups = _groups([row.config for row in self.rows])
+        self.prop_key = self.prop = None  # the per-row dts of the cached e^(-lin dt)
+
+    def drop(self, gone: list) -> None:
+        """Take the rows at the positions ``gone`` out of the batch."""
+        keep = [i for i in range(len(self.rows)) if i not in gone]
+        self.rows = [self.rows[i] for i in keep]
+        self.u_hat, self.u = self.u_hat[keep], self.u[keep]
+        self.p = [pi[keep] for pi in self.p]
+        if self.rows:
+            self._tables()
+
+
+_NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
+
+
+def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajectory | list:
     """Integrate to t_final with energy-controlled steps and full monitoring.
 
     Snapshots are taken exactly at the requested times (dt is clipped to land
     on them) and each must pass the boundary-shell decay assertion.  Raises
     StiffnessError when 30 dt-halvings cannot make a step acceptable and
     BlowupError if the uniform-boundedness tripwire fires.
+
+    ``config`` may also be a sequence of row configs that share m, dealias,
+    t_final, snapshot_times and report_stride (path, eps and dt_init may
+    differ).  The rows then advance together as one batch, each under its
+    own step control, and the result is a list with, per row and in order,
+    its Trajectory or the exception its own solve would raise: a row is
+    bitwise the same alone and in any batch, and a failed row leaves the
+    batch while the others go on.
     """
-    _validate_initial(u0)
+    single = isinstance(config, SolverConfig)
+    # non-finite values are the step's own signals, which its guards turn
+    # into a BlowupError or StiffnessError, so numpy need not warn of them
+    with np.errstate(invalid="ignore", over="ignore"):
+        results = _solve_rows(u0, (config,) if single else tuple(config))
+    if not single:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def _solve_rows(u0: Field, configs: tuple) -> list:
+    """Per config, in order, its Trajectory or the exception its run raised."""
+    if not configs:
+        return []
+    first = configs[0]
+    if any(_shared(c) != _shared(first) for c in configs):
+        raise ValueError("batched rows must share m, dealias, t_final, snapshot_times and report_stride")
+    try:
+        _validate_initial(u0)
+    except (ValueError, DecayAssertionError) as err:
+        return [err] * len(configs)
     grid = u0.grid
-    sup0 = float(np.max(np.abs(u0.values)))
-    targets = sorted(set(t for t in config.snapshot_times if t > 0.0) | {config.t_final})
+    targets = sorted(set(t for t in first.snapshot_times if t > 0.0) | {first.t_final})
+    trip = _TRIPWIRE_FACTOR * float(np.max(np.abs(u0.values)))
+    zero = (0,) * grid.dim
+    ones = (1,) * grid.dim  # the trailing shape of a per-row column against the rows' spectra
 
-    spec = _spectrum(grid, config.m)
-    lin = config.c * spec.k2m
-    u_hat = rfft(grid, u0.values)
-    u = irfft(grid, u_hat)
-    p, flux_now, diss_now = _pass(spec, config, u, u_hat)
-    t = 0.0
-    bf, bf_lo = _bf_from_hat(spec, u_hat)
-    bf0 = bf
-    flux_acc = 0.0
-    diss_acc = 0.0
+    # every row starts from the same transform of u0
+    u_hat0 = rfft(grid, u0.values)
+    bf0, bf_lo0 = _bf_from_hat(_spectrum(grid, first.m), u_hat0)
+    start = Field(grid, u0.values, 0.0)
 
-    def report(t_cur, bf_cur, bf_lo_cur):
-        # the zero mode is untouched by the scheme, so this stays constant
-        mass = float(grid.cell_volume * u_hat[(0,) * grid.dim].real)
+    def report(row, u_hat_row):
+        # the zero mode is untouched by the scheme, so the mass stays constant
+        mass = float(grid.cell_volume * u_hat_row[zero].real)
         return EnergyReport(
-            t=t_cur,
+            t=row.t,
             mass=mass,
-            bf_energy=bf_cur,
-            bf_lower=bf_lo_cur,
-            flux_l2_accum=flux_acc,
-            dissipation_accum=diss_acc,
-            dissipation_residual=bf_cur + 2.0 * diss_acc - bf0,
+            bf_energy=row.bf,
+            bf_lower=row.bf_lo,
+            flux_l2_accum=row.flux_acc,
+            dissipation_accum=row.diss_acc,
+            dissipation_residual=row.bf + 2.0 * row.diss_acc - bf0,
         )
 
-    snapshots = [Field(grid, u0.values, 0.0)]
-    reports = [report(0.0, bf, bf_lo)]
-    dt_cap = config.dt_init
-    steps = 0
-    prop_dt = prop = None  # e^(-lin dt) of the last candidate's dt
+    keys = list(dict.fromkeys((c.path.f, c.path.variant) for c in configs))
+    order = sorted(range(len(configs)), key=lambda i: keys.index((configs[i].path.f, configs[i].path.variant)))
+    rows = [_Row(i, configs[i]) for i in order]
+    for row in rows:
+        row.bf, row.bf_lo = bf0, bf_lo0
+        row.snapshots = [start]
+        row.reports = [report(row, u_hat0)]
+    batch = _Batch(
+        grid, first.m, rows,
+        np.repeat(u_hat0[None], len(rows), axis=0),
+        np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0),
+    )
+    results = [None] * len(configs)
 
-    for target in targets:
-        while t < target - 1e-15 * max(1.0, target):
-            dt = min(dt_cap, target - t)
-            try:
-                rem_hat = _rhs_hat(spec, config, p) + lin * u_hat
-            except BlowupError as err:
-                raise BlowupError(f"{err} at t = {t:g}, dt = {dt:.3e}") from None
-            halvings = 0
-            while True:
-                if dt != prop_dt:
-                    prop_dt, prop = dt, np.exp(-lin * dt)
-                cand_hat = prop * (u_hat + dt * rem_hat)
-                cand_bf, cand_bf_lo = _bf_from_hat(spec, cand_hat)
-                finite = np.isfinite(cand_hat).all()
-                if finite and cand_bf <= min(bf, bf0) + _ENERGY_RTOL * bf0:
-                    break
-                halvings += 1
-                if halvings > 30:
-                    raise StiffnessError(
-                        f"stiffness failure at t = {t:g}: dt underflowed after 30 halvings "
-                        f"(last dt = {dt:.3e}, bf jump {cand_bf - bf:.3e}, finite = {finite})"
-                    )
-                dt *= 0.5
-            u = irfft(grid, cand_hat)
-            sup = float(np.abs(u).max())
-            if sup > _TRIPWIRE_FACTOR * sup0:
-                raise BlowupError(
-                    f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
-                    f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {_TRIPWIRE_FACTOR * sup0:.3g} at t = {t + dt:g}"
-                )
-            p, flux_new, diss_new = _pass(spec, config, u, cand_hat)
-            flux_acc += 0.5 * dt * (flux_now + flux_new)
-            diss_acc += 0.5 * dt * (diss_now + diss_new)
-            flux_now, diss_now = flux_new, diss_new
-            u_hat = cand_hat
-            t += dt
-            bf, bf_lo = cand_bf, cand_bf_lo
-            steps += 1
-            if halvings == 0:
-                dt_cap = min(config.dt_init, dt_cap * 2.0)
-            else:
-                dt_cap = dt
-            if steps % config.report_stride == 0:
-                reports.append(report(t, bf, bf_lo))
-        snap = Field(grid, u, t)
-        assert_boundary_decay(snap)
-        snapshots.append(snap)
-        if reports[-1].t != t:
-            reports.append(report(t, bf, bf_lo))
+    # a row has reached a target once its clock is within round-off of it
+    reached = [t - 1e-15 * max(1.0, t) for t in targets]
 
-    return Trajectory(snapshots=tuple(snapshots), reports=tuple(reports), run_id=_run_id(u0, config))
+    def settle(i) -> bool:
+        """Take the snapshots row i has reached; True once it is done."""
+        row = batch.rows[i]
+        try:
+            while row.target < len(targets):
+                if row.t < reached[row.target]:
+                    return False
+                snap = Field(grid, batch.u[i].copy(), row.t)
+                assert_boundary_decay(snap)
+                row.snapshots.append(snap)
+                if row.reports[-1].t != row.t:
+                    row.reports.append(report(row, batch.u_hat[i]))
+                row.target += 1
+        except DecayAssertionError as err:
+            results[row.index] = err
+            return True
+        results[row.index] = Trajectory(
+            snapshots=tuple(row.snapshots), reports=tuple(row.reports), run_id=_run_id(u0, row.config)
+        )
+        return True
+
+    def fail(i, err) -> None:
+        results[batch.rows[i].index] = err
+
+    batch.p, flux, diss = _pass(batch.spec, batch.groups, batch.u, batch.u_hat)
+    for row, fl, di in zip(rows, flux, diss):
+        row.flux, row.diss = fl, di
+    gone = [i for i in range(len(rows)) if settle(i)]
+
+    limit = _ENERGY_RTOL * bf0  # a step may raise bf this far above min(bf, bf(0))
+    stride = first.report_stride
+    while True:
+        if gone:
+            batch.drop(gone)
+            if not batch.rows:
+                break
+            gone = []
+        rows, u_hat, spec = batch.rows, batch.u_hat, batch.spec
+        dts = [min(row.dt_cap, targets[row.target] - row.t) for row in rows]
+        rem_hat = _rhs_hat(spec, first.m, first.dealias, batch.p) + batch.lin * u_hat
+        # one dt for the whole batch unless the rows' clocks or caps differ
+        dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts).reshape((len(dts),) + ones)
+        if dts != batch.prop_key:
+            batch.prop_key, batch.prop = dts[:], np.exp(-batch.lin * dt)
+        cand_hat = batch.prop * (u_hat + dt * rem_hat)
+        # a non-finite candidate has a non-finite bf, which the guard rejects too
+        energies = [_bf_from_hat(spec, cand_hat[i]) for i in range(len(rows))]
+        rejected = [i for i, row in enumerate(rows) if not energies[i][0] <= min(row.bf, bf0) + limit]
+        halvings = [0] * len(rows)
+        if rejected:
+            # a non-finite product spreads through the transforms to every
+            # candidate of the step, so the blow-up guard need look only here
+            for i in rejected:
+                if not all(np.isfinite(pi[i]).all() for pi in batch.p):
+                    fail(i, BlowupError(f"{_NONFINITE} at t = {rows[i].t:g}, dt = {dts[i]:.3e}"))
+                    gone.append(i)
+                    cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
+            rejected = [i for i in rejected if i not in gone]
+        while rejected:  # the rare path: halve each rejected row's dt on its own
+            retry = []
+            for i in rejected:
+                halvings[i] += 1
+                if halvings[i] <= 30:
+                    dts[i] *= 0.5
+                    retry.append(i)
+                    continue
+                row = rows[i]
+                fail(i, StiffnessError(
+                    f"stiffness failure at t = {row.t:g}: dt underflowed after 30 halvings "
+                    f"(last dt = {dts[i]:.3e}, bf jump {energies[i][0] - row.bf:.3e}, "
+                    f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
+                ))
+                gone.append(i)
+                cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
+            if not retry:
+                break
+            d = np.array([dts[i] for i in retry]).reshape((len(retry),) + ones)
+            cand_hat[retry] = np.exp(-batch.lin[retry] * d) * (u_hat[retry] + d * rem_hat[retry])
+            rejected = []
+            for i in retry:
+                energies[i] = _bf_from_hat(spec, cand_hat[i])
+                if not energies[i][0] <= min(rows[i].bf, bf0) + limit:
+                    rejected.append(i)
+        batch.u = irfft(grid, cand_hat)
+        batch.u_hat = cand_hat
+        if np.abs(batch.u).max() > trip:  # the whole batch first: one reduction while no row trips
+            for i, sup in enumerate(np.abs(batch.u).reshape(len(rows), -1).max(axis=1).tolist()):
+                if sup > trip and i not in gone:
+                    fail(i, BlowupError(
+                        f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
+                        f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {trip:.3g} at t = {rows[i].t + dts[i]:g}"
+                    ))
+                    gone.append(i)
+        batch.p, flux, diss = _pass(spec, batch.groups, batch.u, cand_hat)
+        for i, row in enumerate(rows):
+            if gone and i in gone:
+                continue
+            dt_i = dts[i]
+            row.flux_acc += 0.5 * dt_i * (row.flux + flux[i])
+            row.diss_acc += 0.5 * dt_i * (row.diss + diss[i])
+            row.flux, row.diss = flux[i], diss[i]
+            row.t += dt_i
+            row.bf, row.bf_lo = energies[i]
+            row.steps += 1
+            row.dt_cap = min(row.dt_init, row.dt_cap * 2.0) if halvings[i] == 0 else dt_i
+            if row.steps % stride == 0:
+                row.reports.append(report(row, cand_hat[i]))
+            if row.t >= reached[row.target] and settle(i):
+                gone.append(i)
+
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .gridfield import (
     GridSpec,
     _spectrum,
     assert_boundary_decay,
+    boundary_shell_max,
     coordinates,
     gradient,
     inner,
@@ -234,7 +235,9 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     """Gram matrix <psi_beta, psi*_gamma> for all |beta|, |gamma| <= max_order.
 
     Plain L^2 pairing over the box (the profile decay makes the polynomial
-    growth integrable).  Returns (indices, matrix).
+    growth integrable).  Every product psi_beta psi*_gamma must stay below
+    1e-8 in the boundary shell |x| > 0.9 L, or the box cannot represent the
+    pairing and a ValueError names the max_order.  Returns (indices, matrix).
     """
     if max_order > 4:
         raise ValueError("biorthogonality matrix limited to max_order <= 4")
@@ -245,6 +248,12 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     for i, psi in enumerate(psis):
         for j, pv in enumerate(poly_vals):
             integrand = Field(grid, psi.values * pv)
-            assert_boundary_decay(integrand)
+            worst = boundary_shell_max(integrand)
+            if worst >= 1e-8:
+                raise ValueError(
+                    f"max_order {max_order} needs products psi_beta psi*_gamma that decay in the box: "
+                    f"psi_{betas[i].entries} psi*_{betas[j].entries} carries {worst:.3e} >= 1e-8 "
+                    f"in the boundary shell |x| > 0.9 L (half_width {grid.half_width:g})"
+                )
             out[i, j] = inner(psi, Field(grid, pv))
     return betas, out

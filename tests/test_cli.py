@@ -153,10 +153,10 @@ class TestRunCommands:
         assert manifest.highlights["worst_eigen_residual"] <= 1e-4
 
     @pytest.mark.parametrize("max_order,code,files", [
-        (2, 1, ["manifest.json"]),  # the Gram boundary guard fails before any artifact is written
+        (2, 2, []),  # the Gram boundary guard fails at config build: no manifest, no artifact
         (0, 0, ["adjoint_check.json", "eigen_residuals.csv", "gram.csv", "manifest.json"]),
     ])
-    def test_spectrum_guard_runs_before_artifacts(self, tmp_path, max_order, code, files):
+    def test_spectrum_guard_runs_before_artifacts(self, tmp_path, capsys, max_order, code, files):
         # the criterion-5 grid
         path = _dump(tmp_path, "spectrum.json", {
             "grid": {"dim": 1, "half_width": 32.0, "points_per_dim": 256},
@@ -164,7 +164,9 @@ class TestRunCommands:
         })
         out = tmp_path / "sp"
         assert main(["spectrum", "--config", str(path), "--out", str(out)]) == code
-        assert sorted(p.name for p in out.iterdir()) == files
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else []) == files
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: spectrum: max_order 2 needs ")
 
     def test_branch_clamp_failure_exit_code(self, tmp_path):
         cfg = json.loads(json.dumps(SWEEP_CONFIG))

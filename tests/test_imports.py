@@ -1,10 +1,12 @@
 """Every name a package module imports is used in that module, every name
 it exports is read by the package, a demo or the benchmark, every function
-the benchmark's layer tracer wraps exists, and every transform the package
-makes is a real one made in ``gridfield.rfft``/``irfft``."""
+the benchmark's layer tracer wraps exists and a sweep reaches it, and every
+transform the package makes is a real one made in ``gridfield.rfft``/``irfft``."""
 
 import ast
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -205,3 +207,39 @@ def test_detects_misplaced_transforms():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_transforms_only_in_gridfield_rfft_irfft(path):
     assert misplaced_transforms(path.stem, path.read_text()) == []
+
+
+def _count_calls(monkeypatch, function, calls: Counter, key: str) -> None:
+    """Count the calls to ``function`` through every polyheat module
+    attribute bound to it, the bindings the benchmark's tracer wraps."""
+
+    def counting(*args, **kwargs):
+        calls[key] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "polyheat" or name.startswith("polyheat."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counting)
+
+
+def test_sweep_is_one_traced_solve_with_one_coefficient_call_per_step(monkeypatch):
+    # branch_sweep's trace reads the solver.solve layer at homotopy.solve and
+    # degeneracy.coef at reg_coefficient: the sweep's rows must reach both
+    # through those bindings, as one batch and one coefficient call per step
+    from polyheat import homotopy, solver
+    from polyheat.degeneracy import degeneracy_function
+    from polyheat.gridfield import bump, make_grid
+
+    calls = Counter()
+    _count_calls(monkeypatch, solver.solve, calls, "solve")
+    _count_calls(monkeypatch, solver.reg_coefficient, calls, "coef")
+    u0 = bump(make_grid(1, 24.0, 256), 1.0, 4.0, steepness=6.0)
+    schedule = homotopy.Schedule("eps_of_n", 1.0, degeneracy_function("rational"))
+    n_values, t_eval, dt = [1e-1, 3e-2, 1e-2], 0.1, 1e-3
+    table = homotopy.sweep(u0, 2, schedule, t_eval, n_values, dt_init=dt, clamp_floor=1e-14)
+    assert [r.status for r in table.rows] == ["ok"] * len(n_values)
+    assert calls["solve"] == 1
+    # each row's config samples its coefficient once; then one call per state
+    assert calls["coef"] == len(n_values) + 1 + round(t_eval / dt)

@@ -81,9 +81,12 @@ def _one_step(u, dt, config):
 
 
 def _pass(u, config):
-    """The solver's per-state pass on u: (products, flux, dissipation)."""
+    """The solver's per-state pass on u, as a batch of one row: (products,
+    flux, dissipation)."""
     spec = _spectrum(u.grid, config.m)
-    return solver_module._pass(spec, config, u.values, rfft(u.grid, u.values))
+    groups = solver_module._groups((config,))
+    p, flux, diss = solver_module._pass(spec, groups, u.values[None], rfft(u.grid, u.values)[None])
+    return p, flux[0], diss[0]
 
 
 def _linear_config(rational, **kw):
@@ -577,3 +580,167 @@ def test_energy_csv_columns(tmp_path, u0, rational):
     assert len(rows) == len(reports) > 2
     for row, r in zip(rows, reports):
         assert [float(cell) for cell in row.split(",")] == list(dataclasses.astuple(r))
+
+
+# ---------------------------------------------------------------------------
+# batches of rows
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Same snapshots to the bit (signed zeros included), reports and run_id."""
+    return (
+        a.run_id == b.run_id
+        and a.reports == b.reports
+        and len(a.snapshots) == len(b.snapshots)
+        and all(
+            x.time_tag == y.time_tag and x.values.tobytes() == y.values.tobytes()
+            for x, y in zip(a.snapshots, b.snapshots)
+        )
+    )
+
+
+def _sweep_rows(rational):
+    """The rows ``homotopy.sweep`` batches for criteria 8 and 9, plus its
+    n = 0 control row, on a shorter horizon."""
+    from polyheat.homotopy import Schedule, schedule_eval
+
+    schedule = Schedule("eps_of_n", 1.0, rational)
+    pairs = [schedule_eval(schedule, n) for n in (1e-1, 3e-2, 1e-2, 3e-3)] + [(0.0, 1.0)]
+    return [
+        SolverConfig(
+            m=2, path=RegPath(rational, n, "simple"), eps=eps, dt_init=1e-4, t_final=0.01,
+            dealias=False, report_stride=10**9,
+        )
+        for n, eps in pairs
+    ]
+
+
+def _mixed_rows(rational):
+    """Two coefficient groups (full and simple), an n = 0 row inside the
+    simple group, and three dt_init values."""
+    base = dict(m=2, t_final=0.002, dealias=False, snapshot_times=(0.00075,), report_stride=3)
+    return [
+        SolverConfig(path=RegPath(rational, 0.2, "simple"), eps=1e-3, dt_init=1e-4, **base),
+        SolverConfig(path=RegPath(rational, 0.3, "full"), eps=1e-2, dt_init=5e-5, **base),
+        SolverConfig(path=RegPath(rational, 0.0, "simple"), eps=1.0, dt_init=1e-4, **base),
+        SolverConfig(path=RegPath(rational, 0.05, "full"), eps=1e-3, dt_init=2e-4, **base),
+        SolverConfig(path=RegPath(rational, 0.1, "simple"), eps=1e-2, dt_init=1e-4, **base),
+    ]
+
+
+def _patched_rows(target, mode):
+    """``reg_coefficient`` with the rows on path ``target`` changed.  Every
+    live row takes one step per batch step, so the k-th call that holds the
+    target sees its k-th state alone and in any batch: ``"halve"`` sets -1
+    on the initial state (the first step raises the energy and is halved),
+    ``"stiff"`` sets -1e12 there (no halving helps), and ``"blowup"`` sets
+    inf from the fifth state on."""
+    real = solver_module.reg_coefficient
+    calls = []
+
+    def coef(path, eps, u):
+        out = real(path, eps, u)
+        if isinstance(path, RegPath):  # SolverConfig's own sampled-peak check
+            return out
+        if target in path:
+            calls.append(1)
+        for i, p in enumerate(path):
+            if p != target:
+                continue
+            if mode in ("halve", "stiff") and len(calls) == 1:
+                out[i] = -1.0 if mode == "halve" else -1e12
+            elif mode == "blowup" and len(calls) >= 5:
+                out[i] = np.inf
+        return out
+
+    return coef
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(u0, rational):
+    return solve(u0, _mixed_rows(rational))
+
+
+class TestBatch:
+    def test_single_config_is_a_batch_of_one(self, u0, rational):
+        config = _linear_config(rational, t_final=0.002, report_stride=3)
+        (row,) = solve(u0, [config])
+        assert _bitwise_equal(row, solve(u0, config))
+
+    def test_sweep_rows_bitwise_equal_to_solo(self, u0, rational):
+        configs = _sweep_rows(rational)
+        batch = solve(u0, configs)
+        assert len(batch) == len(configs) == 5
+        for config, row in zip(configs, batch):
+            assert _bitwise_equal(row, solve(u0, config))
+
+    def test_two_dimensional_rows_bitwise_equal_to_solo(self, rational):
+        grid = make_grid(2, 24.0, 256)
+        u = bump(grid, 1.0, 4.0, center=(0.3, -0.2), steepness=6.0)
+        base = dict(m=2, t_final=3e-4, dealias=False, snapshot_times=(1e-4,), report_stride=2)
+        configs = [
+            SolverConfig(path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=5e-5, **base),
+            SolverConfig(path=RegPath(rational, 0.1, "simple"), eps=1e-2, dt_init=1e-4, **base),
+        ]
+        for config, row in zip(configs, solve(u, configs)):
+            assert _bitwise_equal(row, solve(u, config))
+
+    def test_rows_keep_their_own_dt(self, u0, rational):
+        configs = _mixed_rows(rational)
+        batch = solve(u0, [dataclasses.replace(c, report_stride=1) for c in configs])
+        for config, row in zip(configs, batch):
+            solo = solve(u0, dataclasses.replace(config, report_stride=1))
+            assert _bitwise_equal(row, solo)
+            # every step but the ones clipped onto a target is the row's dt_init
+            steps = np.diff([r.t for r in row.reports])
+            assert np.count_nonzero(np.abs(steps - config.dt_init) > 1e-12) <= 2
+        assert len({len(row.reports) for row in batch}) == 3  # three dt_init, three step counts
+
+    @settings(max_examples=12, deadline=None)
+    @given(order=st.permutations(range(5)))
+    def test_permuting_rows_changes_no_row(self, u0, rational, mixed_batch, order):
+        configs = _mixed_rows(rational)
+        permuted = solve(u0, [configs[i] for i in order])
+        for i, row in zip(order, permuted):
+            assert _bitwise_equal(row, mixed_batch[i])
+
+    def test_a_halving_row_keeps_its_own_step_control(self, u0, rational):
+        configs = _mixed_rows(rational)
+        target = configs[0].path
+        with mock.patch.object(solver_module, "reg_coefficient", _patched_rows(target, "halve")):
+            batch = solve(u0, configs)
+        for i, config in enumerate(configs):
+            with mock.patch.object(solver_module, "reg_coefficient", _patched_rows(target, "halve")):
+                solo = solve(u0, config)
+            assert _bitwise_equal(batch[i], solo)
+        halved = [r.t for r in batch[0].reports]
+        assert len(halved) > len(solve(u0, configs[0]).reports)  # the halved row took more steps
+
+    @pytest.mark.parametrize("mode,error,message", [
+        ("blowup", BlowupError, r"^non-finite coefficient-gradient product \(blow-up signal\) at t = 0\.0002, dt = 5\.000e-05$"),
+        ("stiff", StiffnessError, r"^stiffness failure at t = 0: dt underflowed after 30 halvings"),
+    ])
+    def test_a_failed_row_leaves_and_the_rest_go_on(self, u0, rational, mode, error, message):
+        configs = _mixed_rows(rational)
+        target = configs[1].path
+        with mock.patch.object(solver_module, "reg_coefficient", _patched_rows(target, mode)):
+            batch = solve(u0, configs)
+        with mock.patch.object(solver_module, "reg_coefficient", _patched_rows(target, mode)):
+            with pytest.raises(error, match=message) as solo_error:
+                solve(u0, configs[1])
+        assert isinstance(batch[1], error)
+        assert str(batch[1]) == str(solo_error.value)
+        for i in (0, 2, 3, 4):
+            assert _bitwise_equal(batch[i], solve(u0, configs[i]))
+
+    def test_rows_share_the_horizon(self, u0, rational):
+        configs = _mixed_rows(rational)
+        with pytest.raises(ValueError, match="must share"):
+            solve(u0, [configs[0], dataclasses.replace(configs[1], t_final=0.003)])
+
+    def test_bad_initial_data_fails_every_row(self, grid, rational):
+        rough = bump(grid, 1.0, 2.0, steepness=1.0)
+        out = solve(rough, _mixed_rows(rational)[:2])
+        assert [type(e) for e in out] == [ValueError, ValueError]
+        assert all("spectral tail" in str(e) for e in out)
+
