@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from ._validate import require_int, require_real, require_reals
 from .degeneracy import DegeneracyFunction, RegPath
-from .gridfield import Field, GridSpec, bump, l2_norm, write_phf1
+from .gridfield import DecayAssertionError, Field, GridSpec, bump, l2_norm, write_phf1
 from .homotopy import (
     Schedule,
     sweep,
@@ -218,7 +218,12 @@ def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
     boundary guard, so a max_order the box cannot resolve is a config error."""
     require_int("m", block["m"], lo=1)
     require_int("max_order", block["max_order"], choices=(0, 1, 2, 3, 4))
-    _, gram = biorthogonality_matrix(block["max_order"], block["m"], grid)
+    try:
+        _, gram = biorthogonality_matrix(block["max_order"], block["m"], grid)
+    except DecayAssertionError as err:
+        raise ValueError(
+            f"max_order {block['max_order']} needs products psi_beta psi*_gamma that decay in the box: {err}"
+        ) from err
     return block["m"], block["max_order"], gram
 
 

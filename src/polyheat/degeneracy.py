@@ -190,22 +190,13 @@ def _floor(path: RegPath, eps: float) -> float:
     return f_pow_n(path.f, path.n, eps)
 
 
-def _pow_shifted(path: RegPath, eps: float, u):
-    """f^n(sqrt(eps^2 + u^2)) as an array shaped like u; at n = 0 exactly 1,
-    without forming the root."""
-    u = np.asarray(u, dtype=float)
-    if path.n == 0:
-        return np.ones_like(u)
-    return f_pow_n(path.f, path.n, np.sqrt(eps**2 + u**2))
-
-
 def phi_eps(path: RegPath, eps: float, u):
     """Full path f^n(eps) + (1 - eps) f^n(sqrt(eps^2 + u^2)); eps in (0, 1]."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps:g}")
     if path.variant != "full":
         raise ValueError("phi_eps is the full-path coefficient; path variant is 'simple'")
-    out = _floor(path, float(eps)) + (1.0 - eps) * _pow_shifted(path, eps, u)
+    out = reg_coefficient((path,), (float(eps),), u)
     return out if np.ndim(out) else float(out)
 
 
@@ -219,30 +210,31 @@ def psi_eps(path: RegPath, eps: float, u):
         raise ValueError(f"eps must lie in [0, 1], got {eps:g}")
     if path.variant != "simple":
         raise ValueError("psi_eps is the simple-path coefficient; path variant is 'full'")
-    out = _pow_shifted(path, eps, u)
+    out = reg_coefficient((path,), (float(eps),), u)
     return out if np.ndim(out) else float(out)
 
 
-def reg_coefficient(path, eps, u):
-    """The parabolic coefficient of the path's variant, vectorized over u.
+def reg_coefficient(paths: tuple, eps: tuple, u):
+    """The parabolic coefficient of the paths' variant, vectorized over u:
+    phi_eps on the full path, psi_eps on the simple one.
 
-    A batch of rows passes a tuple of paths that share f and variant, a
-    tuple with one eps per path, and u with one leading row per path: each
-    row's n and eps then broadcast as columns, so every row is bitwise the
-    coefficient of its own path, and rows at n = 0 get it without f being
-    evaluated.
+    ``paths`` share f and variant and ``eps`` holds one eps per path; with
+    more than one path, u carries one leading row per path.  Each row's n
+    and eps broadcast as columns, so every row is bitwise the coefficient of
+    its own path, and rows at n = 0 get exactly 1 without f being evaluated.
+    This is the only expression of the coefficient: phi_eps, psi_eps and
+    the solver's step all evaluate it here.
     """
-    if isinstance(path, RegPath):
-        return phi_eps(path, eps, u) if path.variant == "full" else psi_eps(path, eps, u)
     u = np.asarray(u, dtype=float)
-    cols = _row_columns(path, eps, u.ndim)
+    cols = _row_columns(paths, eps, u.ndim)
     if cols.live is None:
-        out = _pow_underflow(np.asarray(path[0].f(np.sqrt(cols.eps2 + u**2))), cols.n)
+        out = _pow_underflow(np.asarray(paths[0].f(np.sqrt(cols.eps2 + u**2)), dtype=float), cols.n)
     else:
         out = np.ones_like(u)
         if cols.live.size:
-            out[cols.live] = _pow_underflow(np.asarray(path[0].f(np.sqrt(cols.eps2 + u[cols.live] ** 2))), cols.n)
-    if path[0].variant == "full":
+            shifted = np.sqrt(cols.eps2 + u[cols.live] ** 2)
+            out[cols.live] = _pow_underflow(np.asarray(paths[0].f(shifted), dtype=float), cols.n)
+    if paths[0].variant == "full":
         out = cols.floor + cols.scale * out
     return out
 

@@ -145,7 +145,7 @@ class SolverConfig:
             raise ValueError(f"eps must lie in (0, 1], got {self.eps:g}")
         object.__setattr__(self, "c", 1.1 * coefficient_bound(self.path, self.eps))
         u_samples = np.linspace(-self.path.f.t_max, self.path.f.t_max, 201)
-        peak = float(np.max(reg_coefficient(self.path, self.eps, u_samples)))
+        peak = float(np.max(reg_coefficient((self.path,), (self.eps,), u_samples)))
         if self.c < peak:
             raise ValueError(f"stabilization c = {self.c:g} below sampled coefficient peak {peak:g}")
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
@@ -184,18 +184,21 @@ class InterfaceReport:
 # carries a leading row axis
 
 
-def _groups(configs) -> list:
-    """``(rows, paths, eps)`` per run of consecutive configs that share
-    (f, variant), ``rows`` being that run's slice: the batch's coefficient
-    is one ``reg_coefficient`` call per group."""
-    out, start = [], 0
-    for stop in range(1, len(configs) + 1):
-        a = configs[start].path
-        if stop == len(configs) or (configs[stop].path.f, configs[stop].path.variant) != (a.f, a.variant):
-            run = configs[start:stop]
-            out.append((slice(start, stop), tuple(c.path for c in run), tuple(c.eps for c in run)))
-            start = stop
-    return out
+def _groups(configs) -> tuple:
+    """``(order, groups)``: ``order`` the positions of ``configs`` sorted so
+    that the rows sharing (f, variant) form one run, runs in the order of
+    their first row; and per run ``(rows, paths, eps)``, ``rows`` being its
+    slice of the sorted batch.  The batch's coefficient is one
+    ``reg_coefficient`` call per group."""
+    runs = {}
+    for i, c in enumerate(configs):
+        runs.setdefault((c.path.f, c.path.variant), []).append(i)
+    order, groups = [], []
+    for run in runs.values():
+        rows = slice(len(order), len(order) + len(run))
+        groups.append((rows, tuple(configs[i].path for i in run), tuple(configs[i].eps for i in run)))
+        order += run
+    return order, groups
 
 
 def _coefficient(groups: list, u: np.ndarray) -> np.ndarray:
@@ -243,7 +246,7 @@ def _rhs_hat(spec: _Spectrum, m: int, dealias: bool, p: list) -> np.ndarray:
 def rhs(u: Field, config: SolverConfig) -> Field:
     """(-1)^(m-1) div( coef(u) grad Delta^(m-1) u ), dealiased product."""
     spec = _rows_spectrum(u.grid, config.m, 1)
-    p, _, _ = _pass(spec, _groups((config,)), u.values[None], rfft(u.grid, u.values)[None])
+    p, _, _ = _pass(spec, _groups((config,))[1], u.values[None], rfft(u.grid, u.values)[None])
     if not all(np.isfinite(pi).all() for pi in p):
         raise BlowupError(_NONFINITE)
     return Field(u.grid, irfft(u.grid, _rhs_hat(spec, config.m, config.dealias, p)[0]), u.time_tag)
@@ -324,7 +327,7 @@ class _Batch:
         self.spec = _rows_spectrum(self.grid, self.m, n)
         c = np.array([row.config.c for row in self.rows]).reshape((n,) + (1,) * self.grid.dim)
         self.lin = c * self.spec.k2m
-        self.groups = _groups([row.config for row in self.rows])
+        _, self.groups = _groups([row.config for row in self.rows])  # the rows are in order
         self.prop_key = self.prop = None  # the per-row dts of the cached e^(-lin dt)
 
     def drop(self, gone: list) -> None:
@@ -403,8 +406,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
             dissipation_residual=row.bf + 2.0 * row.diss_acc - bf0,
         )
 
-    keys = list(dict.fromkeys((c.path.f, c.path.variant) for c in configs))
-    order = sorted(range(len(configs)), key=lambda i: keys.index((configs[i].path.f, configs[i].path.variant)))
+    order, _ = _groups(configs)
     rows = [_Row(i, configs[i]) for i in order]
     for row in rows:
         row.bf, row.bf_lo = bf0, bf_lo0

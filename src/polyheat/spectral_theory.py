@@ -33,7 +33,6 @@ from .gridfield import (
     GridSpec,
     _spectrum,
     assert_boundary_decay,
-    boundary_shell_max,
     coordinates,
     gradient,
     inner,
@@ -235,9 +234,7 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     """Gram matrix <psi_beta, psi*_gamma> for all |beta|, |gamma| <= max_order.
 
     Plain L^2 pairing over the box (the profile decay makes the polynomial
-    growth integrable).  Every product psi_beta psi*_gamma must stay below
-    1e-8 in the boundary shell |x| > 0.9 L, or the box cannot represent the
-    pairing and a ValueError names the max_order.  Returns (indices, matrix).
+    growth integrable).  Returns (indices, matrix).
     """
     if max_order > 4:
         raise ValueError("biorthogonality matrix limited to max_order <= 4")
@@ -248,12 +245,6 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     for i, psi in enumerate(psis):
         for j, pv in enumerate(poly_vals):
             integrand = Field(grid, psi.values * pv)
-            worst = boundary_shell_max(integrand)
-            if worst >= 1e-8:
-                raise ValueError(
-                    f"max_order {max_order} needs products psi_beta psi*_gamma that decay in the box: "
-                    f"psi_{betas[i].entries} psi*_{betas[j].entries} carries {worst:.3e} >= 1e-8 "
-                    f"in the boundary shell |x| > 0.9 L (half_width {grid.half_width:g})"
-                )
+            assert_boundary_decay(integrand)
             out[i, j] = inner(psi, Field(grid, pv))
     return betas, out

@@ -14,6 +14,7 @@ from polyheat.degeneracy import (
     f_pow_n,
     phi_eps,
     psi_eps,
+    reg_coefficient,
 )
 
 KINDS = {
@@ -177,6 +178,31 @@ class TestFullPathFloor:
         b = degeneracy_function("spline", **knots)
         assert a == b and hash(a) == hash(b)
         assert hash(RegPath(a, 0.1, "full")) == hash(RegPath(b, 0.1, "full"))
+
+
+class TestBatchedCoefficient:
+    @pytest.mark.parametrize("variant", ["full", "simple"])
+    def test_rows_bitwise_equal_to_their_own_path(self, rational, variant):
+        # one group mixing n = 0 and n > 0 rows, each with its own eps: every
+        # row is its path's coefficient, checked against the direct formula
+        # as well as against the single-path call
+        ns, eps = (0.2, 0.0, 2.0, 0.0, 0.2), (1e-3, 0.5, 1e-8, 1e-3, 0.25)
+        paths = tuple(RegPath(rational, n, variant) for n in ns)
+        u = np.linspace(-3.0, 3.0, len(ns) * 64).reshape(len(ns), 64)[::-1].copy()
+        batch = reg_coefficient(paths, eps, u)
+        single = phi_eps if variant == "full" else psi_eps
+        for i, (p, e) in enumerate(zip(paths, eps)):
+            direct = f_pow_n(rational, p.n, np.sqrt(e**2 + u[i] ** 2))
+            if variant == "full":
+                direct = f_pow_n(rational, p.n, e) + (1.0 - e) * direct
+            assert batch[i].tobytes() == single(p, e, u[i]).tobytes() == direct.tobytes()
+
+    def test_rejects_mixed_groups(self, rational):
+        u = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="one f and variant"):
+            reg_coefficient((RegPath(rational, 0.2, "full"), RegPath(rational, 0.2, "simple")), (0.5, 0.5), u)
+        with pytest.raises(ValueError, match="one eps per path"):
+            reg_coefficient((RegPath(rational, 0.2, "full"),) * 2, (0.5,), u)
 
 
 class TestFullPath:

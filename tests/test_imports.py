@@ -22,6 +22,8 @@ KEEP_EXPORTED = {
     "rhs": "the one public single-state evaluator of the operator; its shift, stationarity and mean are tested",
     "very_weak_residual": "reference code: tests check solve's trajectories against the very-weak identity",
     "besselj_integral": "reference code: tests check besselj against the integral representation",
+    "phi_eps": "the paper's full-path coefficient on one path, a batch of one of reg_coefficient; tests check it",
+    "psi_eps": "the paper's simple-path coefficient on one path, a batch of one of reg_coefficient; tests check it",
 }
 
 

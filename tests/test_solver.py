@@ -84,7 +84,7 @@ def _pass(u, config):
     """The solver's per-state pass on u, as a batch of one row: (products,
     flux, dissipation)."""
     spec = _spectrum(u.grid, config.m)
-    groups = solver_module._groups((config,))
+    _, groups = solver_module._groups((config,))
     p, flux, diss = solver_module._pass(spec, groups, u.values[None], rfft(u.grid, u.values)[None])
     return p, flux[0], diss[0]
 
