@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .gridfield import (
     Field,
     GridSpec,
-    VectorField,
     bump,
     gradient,
     integrate,

@@ -17,9 +17,10 @@ Theta = 1 - psi_eps and the first-order expansion (1 - f^n)/n -> -ln f.
 
 Powers f^n are evaluated in log space so that tiny arguments underflow to an
 exact zero (below e^-700) instead of producing spurious denormals, and n = 0
-yields exactly 1 everywhere, including at the degeneracy point, without
-evaluating f (the paths do not form sqrt(eps^2 + u^2) there either).  The
-constant f^n(eps) of the full path is computed once per (path, eps).
+yields exactly 1 everywhere, including at the degeneracy point.  At n = 0
+f_pow_n does not evaluate f, nor does a coefficient whose rows are all at
+n = 0 (it does not form sqrt(eps^2 + u^2) either).  The constant f^n(eps) of
+the full path is computed once per (path, eps).
 """
 
 from __future__ import annotations
@@ -178,8 +179,11 @@ def f_pow_n(f: DegeneracyFunction, n: float, t):
 
 
 def _pow_underflow(vals: np.ndarray, n: float) -> np.ndarray:
-    """vals^n = exp(n ln vals) for vals >= 0 and n > 0, exact 0 below e^-700."""
-    with np.errstate(divide="ignore"):
+    """vals^n = exp(n ln vals) for vals >= 0 and n > 0, exact 0 below e^-700.
+
+    A column n may hold zeros, whose rows the caller resets to 1: there
+    0 * ln 0 is NaN, and numpy need not warn of it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         expo = n * np.log(vals)  # -inf at vals == 0
     return np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
 
@@ -215,26 +219,27 @@ def psi_eps(path: RegPath, eps: float, u):
 
 
 def reg_coefficient(paths: tuple, eps: tuple, u):
-    """The parabolic coefficient of the paths' variant, vectorized over u:
-    phi_eps on the full path, psi_eps on the simple one.
+    """The parabolic coefficient of each path's variant, vectorized over u:
+    phi_eps on a full path, psi_eps on a simple one.
 
-    ``paths`` share f and variant and ``eps`` holds one eps per path; with
-    more than one path, u carries one leading row per path.  Each row's n
-    and eps broadcast as columns, so every row is bitwise the coefficient of
-    its own path, and rows at n = 0 get exactly 1 without f being evaluated.
-    This is the only expression of the coefficient: phi_eps, psi_eps and
-    the solver's step all evaluate it here.
+    ``paths`` share f and ``eps`` holds one eps per path; with more than
+    one path, u carries one leading row per path.  The simple path is the
+    full formula with floor 0 and weight 1, so each row's n, eps, floor and
+    weight broadcast as columns and every row is bitwise the coefficient of
+    its own path.  Rows at n = 0 get exactly 1 for f^n, and a batch with
+    every row at n = 0 does not evaluate f.  This is the only expression of
+    the coefficient: phi_eps, psi_eps and the solver's step all evaluate it
+    here.
     """
     u = np.asarray(u, dtype=float)
     cols = _row_columns(paths, eps, u.ndim)
-    if cols.live is None:
-        out = _pow_underflow(np.asarray(paths[0].f(np.sqrt(cols.eps2 + u**2)), dtype=float), cols.n)
-    else:
+    if cols.n is None:
         out = np.ones_like(u)
-        if cols.live.size:
-            shifted = np.sqrt(cols.eps2 + u[cols.live] ** 2)
-            out[cols.live] = _pow_underflow(np.asarray(paths[0].f(shifted), dtype=float), cols.n)
-    if paths[0].variant == "full":
+    else:
+        out = _pow_underflow(np.asarray(paths[0].f(np.sqrt(cols.eps2 + u**2)), dtype=float), cols.n)
+        if cols.idle is not None:
+            out[cols.idle] = 1.0
+    if cols.floor is not None:
         out = cols.floor + cols.scale * out
     return out
 
@@ -244,24 +249,26 @@ class _Columns(NamedTuple):
     rows, or a plain float where every row shares it (numpy's scalar path is
     the cheaper one, and a batch of one then makes its row's scalar call)."""
 
-    live: np.ndarray | None  # the rows with n > 0; None when all are
-    n: object  # n of the live rows
-    eps2: object  # eps^2 of the live rows
-    floor: object  # f^n(eps), the full path's constant term
-    scale: object  # 1 - eps, the full path's weight
+    n: object  # n; None when every row is at n = 0
+    eps2: object  # eps^2
+    idle: np.ndarray | None  # the rows at n = 0 when some row has n > 0, else None
+    floor: object  # f^n(eps) on full rows, 0 on simple ones; None when no row is full
+    scale: object  # 1 - eps on full rows, 1 on simple ones
 
 
 @lru_cache(maxsize=64)
 def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
-    """The columns of a batch, checked once: one eps per path, in the
-    variant's range, and one f and variant for every row.  Each entry is
-    the scalar path's own expression, so a row matches its solo call."""
-    if len(paths) != len(eps) or any(p.f != paths[0].f or p.variant != paths[0].variant for p in paths):
-        raise ValueError("a batch needs one eps per path and one f and variant for every path")
-    full = paths[0].variant == "full"
-    if not all(0.0 <= e <= 1.0 and (e > 0.0 or not full) for e in eps):
-        raise ValueError(f"eps must lie in {'(0, 1]' if full else '[0, 1]'}, got {eps}")
-    live = [i for i, p in enumerate(paths) if p.n != 0]
+    """The columns of a batch, checked once: one eps per path, in its
+    variant's range, and one f for every row.  Each entry is the scalar
+    path's own expression, so a row matches its solo call."""
+    if len(paths) != len(eps) or any(p.f != paths[0].f for p in paths):
+        raise ValueError("a batch needs one eps per path and one f for every path")
+    full = [p.variant == "full" for p in paths]
+    for e, is_full in zip(eps, full):
+        if not (0.0 <= e <= 1.0 and (e > 0.0 or not is_full)):
+            raise ValueError(f"eps must lie in {'(0, 1]' if is_full else '[0, 1]'}, got {eps}")
+    idle = [i for i, p in enumerate(paths) if p.n == 0]
+    floor = [_floor(p, float(e)) if is_full else 0.0 for p, e, is_full in zip(paths, eps, full)]
 
     def column(values):
         if values.count(values[0]) == len(values):
@@ -269,11 +276,11 @@ def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
         return np.array(values, dtype=float).reshape((len(values),) + (1,) * (ndim - 1))
 
     return _Columns(
-        live=None if len(live) == len(paths) else np.array(live, dtype=int),
-        n=column([paths[i].n for i in live]) if live else None,
-        eps2=column([eps[i] ** 2 for i in live]) if live else None,
-        floor=column([_floor(p, float(e)) if full else 0.0 for p, e in zip(paths, eps)]),
-        scale=column([1.0 - e for e in eps]),
+        n=None if len(idle) == len(paths) else column([p.n for p in paths]),
+        eps2=column([e**2 for e in eps]),
+        idle=np.array(idle, dtype=int) if 0 < len(idle) < len(paths) else None,
+        floor=column(floor) if any(full) else None,
+        scale=column([1.0 - e if is_full else 1.0 for e, is_full in zip(eps, full)]),
     )
 
 

@@ -1,4 +1,4 @@
-"""Periodic computational box, scalar/vector fields, and exact spectral operators.
+"""Periodic computational box, scalar fields, and exact spectral operators.
 
 The box [-L, L)^N (N in {1, 2}) with M uniform points per dimension stands in
 for the whole space; everything downstream assumes the data it touches decays
@@ -36,7 +36,6 @@ from ._validate import require_int, require_real
 __all__ = [
     "GridSpec",
     "Field",
-    "VectorField",
     "GridMismatchError",
     "DecayAssertionError",
     "make_grid",
@@ -132,26 +131,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise FloatingPointError("field contains non-finite values")
         object.__setattr__(self, "values", _freeze(self.values))
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """N-component real vector field on a grid (one array per component)."""
-
-    grid: GridSpec
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.grid.dim:
-            raise ValueError("component count must equal grid.dim")
-        comps = []
-        for c in self.components:
-            if c.shape != self.grid.shape:
-                raise ValueError("component shape does not match grid")
-            if not np.all(np.isfinite(c)):
-                raise FloatingPointError("vector field contains non-finite values")
-            comps.append(_freeze(c))
-        object.__setattr__(self, "components", tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +289,9 @@ def divergence_hat(spec: _Spectrum, components, dealias: bool) -> np.ndarray:
     return acc
 
 
-def gradient(f: Field) -> VectorField:
-    """Spectral gradient of a scalar field."""
-    return VectorField(f.grid, tuple(grad_chain(_spectrum(f.grid, 1), rfft(f.grid, f.values))))
+def gradient(f: Field) -> tuple:
+    """Spectral gradient of a scalar field: one array per axis."""
+    return tuple(grad_chain(_spectrum(f.grid, 1), rfft(f.grid, f.values)))
 
 
 def integrate(f: Field) -> float:
@@ -386,6 +365,8 @@ def bump(
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError("center must have one entry per dimension")
+    if not width**2 > 0.0:
+        raise ValueError(f"bump width {width!r} must have a positive square, got width**2 = {width**2!r}")
     r2 = sum((x - c) ** 2 for x, c in zip(coordinates(grid), center))
     r2 = np.broadcast_to(r2, grid.shape) / width**2
     vals = np.zeros(grid.shape)
@@ -399,36 +380,31 @@ def bump(
 # PHF1 snapshot format
 #
 # magic 'PHF1', little-endian u32 dim, u32 M, f64 L, f64 t, u8 payload kind
-# (0 scalar, 1 vector), then the payload as little-endian f64 row-major
-# (vector components concatenated).
+# (0, a scalar field), then the payload as little-endian f64 row-major.
 
 _PHF1_MAGIC = b"PHF1"
 _PHF1_HEADER = struct.Struct("<4sIIddB")
 
 
 def write_phf1(path, obj) -> None:
-    """Serialize a Field or VectorField snapshot to the PHF1 binary format."""
-    grid = obj.grid
-    if isinstance(obj, Field):
-        kind, payload = 0, obj.values
-        t = obj.time_tag if obj.time_tag is not None else 0.0
-    elif isinstance(obj, VectorField):
-        kind, payload = 1, np.concatenate([c.ravel() for c in obj.components])
-        t = 0.0
-    else:
+    """Serialize a Field snapshot to the PHF1 binary format."""
+    if not isinstance(obj, Field):
         raise TypeError(f"cannot serialize {type(obj).__name__} as PHF1")
+    grid = obj.grid
+    t = obj.time_tag if obj.time_tag is not None else 0.0
     header = _PHF1_HEADER.pack(
-        _PHF1_MAGIC, grid.dim, grid.points_per_dim, grid.half_width, float(t), kind
+        _PHF1_MAGIC, grid.dim, grid.points_per_dim, grid.half_width, float(t), 0
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(obj.values, dtype="<f8").tobytes())
 
 
 def read_phf1(path):
-    """Read a PHF1 snapshot back into a Field or VectorField.
+    """Read a PHF1 snapshot back into a Field.
 
-    Validates the magic bytes and that the payload size matches the header.
+    Validates the magic bytes, the payload kind and that the payload size
+    matches the header.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -437,18 +413,10 @@ def read_phf1(path):
     magic, dim, m, length, t, kind = _PHF1_HEADER.unpack_from(raw)
     if magic != _PHF1_MAGIC:
         raise ValueError(f"bad magic {magic!r}, not a PHF1 file")
+    if kind != 0:
+        raise ValueError(f"unknown payload kind {kind}")
     grid = make_grid(dim, length, m)
-    n_scalar = m**dim
     payload = np.frombuffer(raw, dtype="<f8", offset=_PHF1_HEADER.size)
-    if kind == 0:
-        if payload.size != n_scalar:
-            raise ValueError(f"payload holds {payload.size} values, expected {n_scalar}")
-        return Field(grid, payload.reshape(grid.shape).copy(), t)
-    if kind == 1:
-        if payload.size != dim * n_scalar:
-            raise ValueError(f"payload holds {payload.size} values, expected {dim * n_scalar}")
-        comps = tuple(
-            payload[i * n_scalar : (i + 1) * n_scalar].reshape(grid.shape).copy() for i in range(dim)
-        )
-        return VectorField(grid, comps)
-    raise ValueError(f"unknown payload kind {kind}")
+    if payload.size != m**dim:
+        raise ValueError(f"payload holds {payload.size} values, expected {m**dim}")
+    return Field(grid, payload.reshape(grid.shape).copy(), t)

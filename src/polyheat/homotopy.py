@@ -394,7 +394,7 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
     for k in range(1, mode_count + 1):
         kappa = k * np.pi / grid.half_width
         for spatial in (np.cos(kappa * x1), np.sin(kappa * x1)):
-            tests.append((spatial, gradient(Field(grid, spatial)).components))
+            tests.append((spatial, gradient(Field(grid, spatial))))
     spec = _spectrum(grid, m)
     term1 = np.empty((len(tests), len(snaps)))
     term2 = np.empty((len(tests), len(snaps)))
@@ -439,7 +439,7 @@ def path_dependence_report(
         )
         for n_row, eps_row, variant in ((n, eps, "full"), (n, eps, "simple"), (0.0, 1.0, "simple"))
     ]
-    # one batch: the full row, and the simple and n = 0 rows as one coefficient group
+    # one batch: the full, simple and n = 0 rows share one coefficient call per step
     outs = solve(u0, configs)
     for out in outs:
         if isinstance(out, Exception):

@@ -203,15 +203,14 @@ def profile_fourier(m: int, grid: GridSpec) -> Field:
     return phe_solve(Field(grid, delta), m, 1.0)
 
 
-def phe_solve(u0: Field, m: int, t: float, check_decay: bool = True) -> Field:
+def phe_solve(u0: Field, m: int, t: float) -> Field:
     """Exact multiplier solution of u_t = -(-Delta)^m u at time t.
 
     The zero mode is untouched, so the mass is preserved exactly.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if check_decay:
-        assert_boundary_decay(u0)
+    assert_boundary_decay(u0)
     if t == 0.0:
         return Field(u0.grid, u0.values, 0.0)
     grid = u0.grid

@@ -22,10 +22,10 @@ next step and the flux monitors int |p|^2 and int p . g (dot products) read
 that pass, and each halving only re-applies e^(-c |xi|^(2m) dt) to the
 remainder.  A non-finite product spreads through the transforms to a
 non-finite candidate energy, so the blow-up guard looks at the products only
-when the energy guard rejects a step.  At n = 0 the
-coefficient is exactly 1 and f is not evaluated.  Every transform is a real
-FFT on the half spectrum, the multipliers are tabled once per (grid, m), and
-the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The
+when the energy guard rejects a step.  At n = 0 the coefficient is exactly
+1, and f is not evaluated when every row is at n = 0.  Every transform is a
+real FFT on the half spectrum, the multipliers are tabled once per (grid, m),
+and the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The
 divergence form keeps the zero mode untouched, so the mass is conserved
 exactly, and the accumulated dissipation 2 int_0^t int coef |g|^2 is tracked
 so the energy identity
@@ -35,14 +35,15 @@ so the energy identity
 can be monitored as a runtime residual.
 
 Rows and batches.  ``solve`` advances a batch of rows: runs that share the
-data u0, the grid, m, dealias, t_final, snapshot_times and report_stride,
-and may differ in path, eps (hence c) and dt_init.  One config is a batch of
-one, on the same code path.  The state, the spectra and the products carry
-a leading row axis, so each transform, the spectral multiply and one
-coefficient call per group of rows that share (f, variant) serve the whole
-batch once per step.  Each row keeps its own t, dt cap, halvings, energy
-guard, tripwire, monitors and snapshots, and its reductions are dot products
-over its own row, so a row is bitwise the same alone and in any batch.
+data u0, the grid, f, m, dealias, t_final, snapshot_times and report_stride,
+and may differ in n, variant, eps (hence c) and dt_init.  One config is a
+batch of one, on the same code path.  The state, the spectra and the
+products carry a leading row axis, so each transform, the spectral multiply
+and one coefficient call, with each row's n, eps and variant as columns,
+serve the whole batch once per step.  Each row keeps its own t, dt cap,
+halvings, energy guard, tripwire, monitors and snapshots, and its reductions
+are dot products over its own row, so a row is bitwise the same alone and in
+any batch.
 While the rows share dt the step is whole-array work with one propagator
 table; only a halving or a row leaving indexes rows, and a failed row leaves
 while the others go on.
@@ -184,44 +185,16 @@ class InterfaceReport:
 # carries a leading row axis
 
 
-def _groups(configs) -> tuple:
-    """``(order, groups)``: ``order`` the positions of ``configs`` sorted so
-    that the rows sharing (f, variant) form one run, runs in the order of
-    their first row; and per run ``(rows, paths, eps)``, ``rows`` being its
-    slice of the sorted batch.  The batch's coefficient is one
-    ``reg_coefficient`` call per group."""
-    runs = {}
-    for i, c in enumerate(configs):
-        runs.setdefault((c.path.f, c.path.variant), []).append(i)
-    order, groups = [], []
-    for run in runs.values():
-        rows = slice(len(order), len(order) + len(run))
-        groups.append((rows, tuple(configs[i].path for i in run), tuple(configs[i].eps for i in run)))
-        order += run
-    return order, groups
-
-
-def _coefficient(groups: list, u: np.ndarray) -> np.ndarray:
-    """coef(u) row by row, one ``reg_coefficient`` call per group."""
-    if len(groups) == 1:
-        _, paths, eps = groups[0]
-        return reg_coefficient(paths, eps, u)
-    coef = np.empty_like(u)
-    for rows, paths, eps in groups:
-        coef[rows] = reg_coefficient(paths, eps, u[rows])
-    return coef
-
-
-def _pass(spec: _Spectrum, groups: list, u: np.ndarray, u_hat: np.ndarray):
+def _pass(spec: _Spectrum, paths: tuple, eps: tuple, u: np.ndarray, u_hat: np.ndarray):
     """The per-state pass: the products p = coef(u) g with g = grad Delta^(m-1) u,
-    and per row the flux int |p|^2 and the dissipation integrand
-    int coef |g|^2 = int p . g.
+    one row per path and eps, and per row the flux int |p|^2 and the
+    dissipation integrand int coef |g|^2 = int p . g.
 
     The remainder and its blow-up guard read p; the monitors read the
     integrals, each a dot product over its own row, so that a row's value
     does not depend on the batch around it.
     """
-    coef = _coefficient(groups, u)
+    coef = reg_coefficient(paths, eps, u)
     g = grad_chain(spec, u_hat)
     p = [coef * gi for gi in g]
     vol = spec.grid.cell_volume
@@ -246,7 +219,7 @@ def _rhs_hat(spec: _Spectrum, m: int, dealias: bool, p: list) -> np.ndarray:
 def rhs(u: Field, config: SolverConfig) -> Field:
     """(-1)^(m-1) div( coef(u) grad Delta^(m-1) u ), dealiased product."""
     spec = _rows_spectrum(u.grid, config.m, 1)
-    p, _, _ = _pass(spec, _groups((config,))[1], u.values[None], rfft(u.grid, u.values)[None])
+    p, _, _ = _pass(spec, (config.path,), (config.eps,), u.values[None], rfft(u.grid, u.values)[None])
     if not all(np.isfinite(pi).all() for pi in p):
         raise BlowupError(_NONFINITE)
     return Field(u.grid, irfft(u.grid, _rhs_hat(spec, config.m, config.dealias, p)[0]), u.time_tag)
@@ -292,7 +265,8 @@ def _run_id(u0: Field, config: SolverConfig) -> str:
 
 def _shared(config: SolverConfig) -> tuple:
     """The settings every row of a batch must share."""
-    return config.m, config.dealias, config.t_final, config.snapshot_times, config.report_stride
+    return (config.path.f, config.m, config.dealias, config.t_final, config.snapshot_times,
+            config.report_stride)
 
 
 class _Row:
@@ -310,11 +284,10 @@ class _Row:
 
 
 class _Batch:
-    """The live rows, ordered so that each coefficient group is one run,
-    with their stacked state: the spectra, the grid values and the products
-    of the last pass; and, rebuilt whenever a row leaves, the multipliers
-    tiled over the rows, the linear symbol c |xi|^(2m) of each row and the
-    coefficient groups."""
+    """The live rows, in the caller's order, with their stacked state: the
+    spectra, the grid values and the products of the last pass; and, rebuilt
+    whenever a row leaves, the multipliers tiled over the rows, the linear
+    symbol c |xi|^(2m) of each row and the rows' paths and eps."""
 
     def __init__(self, grid: GridSpec, m: int, rows: list, u_hat: np.ndarray, u: np.ndarray):
         self.grid, self.m = grid, m
@@ -327,7 +300,8 @@ class _Batch:
         self.spec = _rows_spectrum(self.grid, self.m, n)
         c = np.array([row.config.c for row in self.rows]).reshape((n,) + (1,) * self.grid.dim)
         self.lin = c * self.spec.k2m
-        _, self.groups = _groups([row.config for row in self.rows])  # the rows are in order
+        self.paths = tuple(row.config.path for row in self.rows)
+        self.eps = tuple(row.config.eps for row in self.rows)
         self.prop_key = self.prop = None  # the per-row dts of the cached e^(-lin dt)
 
     def drop(self, gone: list) -> None:
@@ -351,13 +325,13 @@ def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajector
     StiffnessError when 30 dt-halvings cannot make a step acceptable and
     BlowupError if the uniform-boundedness tripwire fires.
 
-    ``config`` may also be a sequence of row configs that share m, dealias,
-    t_final, snapshot_times and report_stride (path, eps and dt_init may
-    differ).  The rows then advance together as one batch, each under its
-    own step control, and the result is a list with, per row and in order,
-    its Trajectory or the exception its own solve would raise: a row is
-    bitwise the same alone and in any batch, and a failed row leaves the
-    batch while the others go on.
+    ``config`` may also be a sequence of row configs that share f, m,
+    dealias, t_final, snapshot_times and report_stride (n, variant, eps and
+    dt_init may differ).  The rows then advance together as one batch, each
+    under its own step control, and the result is a list with, per row and
+    in order, its Trajectory or the exception its own solve would raise: a
+    row is bitwise the same alone and in any batch, and a failed row leaves
+    the batch while the others go on.
     """
     single = isinstance(config, SolverConfig)
     # non-finite values are the step's own signals, which its guards turn
@@ -377,7 +351,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         return []
     first = configs[0]
     if any(_shared(c) != _shared(first) for c in configs):
-        raise ValueError("batched rows must share m, dealias, t_final, snapshot_times and report_stride")
+        raise ValueError("batched rows must share f, m, dealias, t_final, snapshot_times and report_stride")
     try:
         _validate_initial(u0)
     except (ValueError, DecayAssertionError) as err:
@@ -406,8 +380,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
             dissipation_residual=row.bf + 2.0 * row.diss_acc - bf0,
         )
 
-    order, _ = _groups(configs)
-    rows = [_Row(i, configs[i]) for i in order]
+    rows = [_Row(i, config) for i, config in enumerate(configs)]
     for row in rows:
         row.bf, row.bf_lo = bf0, bf_lo0
         row.snapshots = [start]
@@ -446,7 +419,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
     def fail(i, err) -> None:
         results[batch.rows[i].index] = err
 
-    batch.p, flux, diss = _pass(batch.spec, batch.groups, batch.u, batch.u_hat)
+    batch.p, flux, diss = _pass(batch.spec, batch.paths, batch.eps, batch.u, batch.u_hat)
     for row, fl, di in zip(rows, flux, diss):
         row.flux, row.diss = fl, di
     gone = [i for i in range(len(rows)) if settle(i)]
@@ -467,44 +440,41 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         if dts != batch.prop_key:
             batch.prop_key, batch.prop = dts[:], np.exp(-batch.lin * dt)
         cand_hat = batch.prop * (u_hat + dt * rem_hat)
-        # a non-finite candidate has a non-finite bf, which the guard rejects too
-        energies = [_bf_from_hat(spec, cand_hat[i]) for i in range(len(rows))]
-        rejected = [i for i, row in enumerate(rows) if not energies[i][0] <= min(row.bf, bf0) + limit]
+        energies = [None] * len(rows)
         halvings = [0] * len(rows)
-        if rejected:
-            # a non-finite product spreads through the transforms to every
-            # candidate of the step, so the blow-up guard need look only here
-            for i in rejected:
-                if not all(np.isfinite(pi[i]).all() for pi in batch.p):
-                    fail(i, BlowupError(f"{_NONFINITE} at t = {rows[i].t:g}, dt = {dts[i]:.3e}"))
-                    gone.append(i)
-                    cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
-            rejected = [i for i in rejected if i not in gone]
-        while rejected:  # the rare path: halve each rejected row's dt on its own
+        # each trial row is accepted, fails or halves its own dt; past the
+        # first try, which is whole-array work, this is the rare path
+        trial = range(len(rows))
+        while trial:
             retry = []
-            for i in rejected:
-                halvings[i] += 1
-                if halvings[i] <= 30:
+            for i in trial:
+                row = rows[i]
+                # a non-finite candidate has a non-finite bf, which the guard rejects too
+                energies[i] = _bf_from_hat(spec, cand_hat[i])
+                if energies[i][0] <= min(row.bf, bf0) + limit:
+                    continue
+                # a non-finite product spreads through the transforms to every
+                # candidate of the step, so the blow-up guard need look only here
+                if halvings[i] == 0 and not all(np.isfinite(pi[i]).all() for pi in batch.p):
+                    err = BlowupError(f"{_NONFINITE} at t = {row.t:g}, dt = {dts[i]:.3e}")
+                elif halvings[i] == 30:
+                    err = StiffnessError(
+                        f"stiffness failure at t = {row.t:g}: dt underflowed after 30 halvings "
+                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i][0] - row.bf:.3e}, "
+                        f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
+                    )
+                else:
+                    halvings[i] += 1
                     dts[i] *= 0.5
                     retry.append(i)
                     continue
-                row = rows[i]
-                fail(i, StiffnessError(
-                    f"stiffness failure at t = {row.t:g}: dt underflowed after 30 halvings "
-                    f"(last dt = {dts[i]:.3e}, bf jump {energies[i][0] - row.bf:.3e}, "
-                    f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
-                ))
+                fail(i, err)
                 gone.append(i)
                 cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
-            if not retry:
-                break
-            d = np.array([dts[i] for i in retry]).reshape((len(retry),) + ones)
-            cand_hat[retry] = np.exp(-batch.lin[retry] * d) * (u_hat[retry] + d * rem_hat[retry])
-            rejected = []
-            for i in retry:
-                energies[i] = _bf_from_hat(spec, cand_hat[i])
-                if not energies[i][0] <= min(rows[i].bf, bf0) + limit:
-                    rejected.append(i)
+            if retry:
+                d = np.array([dts[i] for i in retry]).reshape((len(retry),) + ones)
+                cand_hat[retry] = np.exp(-batch.lin[retry] * d) * (u_hat[retry] + d * rem_hat[retry])
+            trial = retry
         batch.u = irfft(grid, cand_hat)
         batch.u_hat = cand_hat
         if np.abs(batch.u).max() > trip:  # the whole batch first: one reduction while no row trips
@@ -515,7 +485,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
                         f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {trip:.3g} at t = {rows[i].t + dts[i]:g}"
                     ))
                     gone.append(i)
-        batch.p, flux, diss = _pass(spec, batch.groups, batch.u, cand_hat)
+        batch.p, flux, diss = _pass(spec, batch.paths, batch.eps, batch.u, cand_hat)
         for i, row in enumerate(rows):
             if gone and i in gone:
                 continue

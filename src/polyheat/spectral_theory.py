@@ -167,8 +167,7 @@ def apply_L(f: Field, m: int) -> Field:
     grid = f.grid
     sign = -1.0 if m % 2 == 0 else 1.0  # -(-Delta)^m = (-1)^(m+1) Delta^m
     vals = sign * laplacian_power(f, m).values
-    grad = gradient(f)
-    for x, g in zip(coordinates(grid), grad.components):
+    for x, g in zip(coordinates(grid), gradient(f)):
         vals = vals + np.broadcast_to(x, grid.shape) * g / (2.0 * m)
     vals = vals + grid.dim / (2.0 * m) * f.values
     return Field(grid, vals, f.time_tag)

@@ -427,6 +427,16 @@ class TestValidation:
         for seed in range(20):
             parse_config(json.dumps(SEEDED_SOLVE), command="solve", seed=seed)
 
+    def test_bump_width_squaring_to_zero_exits_2(self, tmp_path, capsys):
+        # width**2 underflows to 0.0, which would build the zero field and run "ok"
+        cfg = {**MINIMAL_SOLVE, "u0": {**MINIMAL_SOLVE["u0"], "width": 1e-170}}
+        path = _dump(tmp_path, "solve.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: u0: bump width 1e-170 must have a positive square, got width**2 = 0.0\n"
+        assert not (out / "manifest.json").exists()
+
     def test_random_bumps_without_room_exits_2(self, tmp_path, capsys):
         cfg = {**SEEDED_SOLVE, "u0": {**SEEDED_SOLVE["u0"], "width": 6.0}}
         path = _dump(tmp_path, "solve.json", cfg)

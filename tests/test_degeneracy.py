@@ -183,7 +183,7 @@ class TestFullPathFloor:
 class TestBatchedCoefficient:
     @pytest.mark.parametrize("variant", ["full", "simple"])
     def test_rows_bitwise_equal_to_their_own_path(self, rational, variant):
-        # one group mixing n = 0 and n > 0 rows, each with its own eps: every
+        # one variant, mixing n = 0 and n > 0 rows, each with its own eps: every
         # row is its path's coefficient, checked against the direct formula
         # as well as against the single-path call
         ns, eps = (0.2, 0.0, 2.0, 0.0, 0.2), (1e-3, 0.5, 1e-8, 1e-3, 0.25)
@@ -197,10 +197,26 @@ class TestBatchedCoefficient:
                 direct = f_pow_n(rational, p.n, e) + (1.0 - e) * direct
             assert batch[i].tobytes() == single(p, e, u[i]).tobytes() == direct.tobytes()
 
-    def test_rejects_mixed_groups(self, rational):
+    def test_full_and_simple_rows_in_one_call(self, rational):
+        # the variant is a row column: full and simple rows, with n = 0 and
+        # n > 0 rows among both, share one call; the n = 0 row at eps = 0
+        # meets f(0) = 0 at u = 0 and still reads exactly 1
+        rows = ((0.2, 1e-3, "full"), (0.2, 0.0, "simple"), (0.0, 0.5, "full"),
+                (2.0, 1e-8, "simple"), (0.0, 0.0, "simple"), (0.05, 0.25, "full"))
+        paths = tuple(RegPath(rational, n, variant) for n, _, variant in rows)
+        eps = tuple(e for _, e, _ in rows)
+        u = np.linspace(-3.0, 3.0, len(rows) * 64).reshape(len(rows), 64)[::-1].copy()
+        u[:, 7] = 0.0
+        batch = reg_coefficient(paths, eps, u)
+        for i, (p, e) in enumerate(zip(paths, eps)):
+            single = phi_eps if p.variant == "full" else psi_eps
+            assert batch[i].tobytes() == single(p, e, u[i]).tobytes()
+
+    def test_rejects_different_f(self, rational):
         u = np.zeros((2, 4))
-        with pytest.raises(ValueError, match="one f and variant"):
-            reg_coefficient((RegPath(rational, 0.2, "full"), RegPath(rational, 0.2, "simple")), (0.5, 0.5), u)
+        tanh = degeneracy_function("tanh")
+        with pytest.raises(ValueError, match="one f for every path"):
+            reg_coefficient((RegPath(rational, 0.2, "full"), RegPath(tanh, 0.2, "full")), (0.5, 0.5), u)
         with pytest.raises(ValueError, match="one eps per path"):
             reg_coefficient((RegPath(rational, 0.2, "full"),) * 2, (0.5,), u)
 

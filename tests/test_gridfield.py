@@ -10,7 +10,6 @@ from polyheat.gridfield import (
     DecayAssertionError,
     Field,
     GridMismatchError,
-    VectorField,
     assert_boundary_decay,
     boundary_shell_max,
     bump,
@@ -47,10 +46,11 @@ def _band_limited(f):
     return Field(f.grid, irfft(f.grid, np.where(band, rfft(f.grid, f.values), 0.0)), f.time_tag)
 
 
-def divergence(v):
-    """Spectral divergence of a vector field, through the solver's kernel."""
-    spec = gridfield_module._spectrum(v.grid, 1)
-    return Field(v.grid, irfft(v.grid, divergence_hat(spec, v.components, False)))
+def divergence(grid, components):
+    """Spectral divergence of a vector field given by its components, through
+    the solver's kernel."""
+    spec = gridfield_module._spectrum(grid, 1)
+    return Field(grid, irfft(grid, divergence_hat(spec, components, False)))
 
 
 def _gaussian(grid, scale=1.0):
@@ -144,10 +144,6 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_vector_component_count(self, grid2):
-        with pytest.raises(ValueError):
-            VectorField(grid2, (np.zeros(grid2.shape),))
-
 
 class TestLaplacianPower:
     def test_identity_at_zero(self, grid1):
@@ -193,21 +189,21 @@ class TestLaplacianPower:
 class TestGradientDivergence:
     def test_gradient_of_constant(self, grid2):
         g = gradient(Field(grid2, np.ones(grid2.shape)))
-        for c in g.components:
+        assert len(g) == grid2.dim
+        for c in g:
             assert np.max(np.abs(c)) <= 1e-14
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_div_grad_is_laplacian(self, dim):
         grid = make_grid(dim, 10.0, 128)
         u = _gaussian(grid)
-        lhs = divergence(gradient(u))
+        lhs = divergence(grid, gradient(u))
         rhs = laplacian_power(u, 1)
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
 
     def test_divergence_integrates_to_zero(self, grid2):
         u = _gaussian(grid2)
-        v = gradient(u)
-        assert abs(integrate(divergence(v))) <= 1e-12
+        assert abs(integrate(divergence(grid2, gradient(u)))) <= 1e-12
 
     def test_grid_mismatch(self, grid1):
         with pytest.raises(GridMismatchError):
@@ -237,10 +233,10 @@ def test_gradient_divergence_adjoint(ku, kv, rnd):
     grid = make_grid(1, 10.0, 64)
     x = np.broadcast_to(coordinates(grid)[0], grid.shape)
     u = Field(grid, np.sin(ku * np.pi * x / 10.0) + 0.3 * np.cos(2 * np.pi * x / 10.0))
-    v = VectorField(grid, (np.cos(kv * np.pi * x / 10.0) + rnd.uniform(-1, 1),))
-    du = gradient(u)
-    lhs = grid.cell_volume * np.sum(du.components[0] * v.components[0])
-    rhs = -grid.cell_volume * np.sum(u.values * divergence(v).values)
+    v = (np.cos(kv * np.pi * x / 10.0) + rnd.uniform(-1, 1),)
+    (du,) = gradient(u)
+    lhs = grid.cell_volume * np.sum(du * v[0])
+    rhs = -grid.cell_volume * np.sum(u.values * divergence(grid, v).values)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -294,6 +290,13 @@ class TestBump:
         assert xs[0] == pytest.approx(1.0, abs=grid2.dx)
         assert xs[1] == pytest.approx(-1.0, abs=grid2.dx)
 
+    @pytest.mark.parametrize("width", [1e-170, 0.0])
+    def test_rejects_width_without_positive_square(self, grid1, width):
+        # 1e-170 squares to 0.0, which would divide the radius to inf and
+        # leave the zero field
+        with pytest.raises(ValueError, match=r"must have a positive square, got width\*\*2 = 0\.0"):
+            bump(grid1, 1.0, width)
+
 
 class TestPhf1:
     def test_scalar_roundtrip(self, tmp_path, grid1):
@@ -306,14 +309,14 @@ class TestPhf1:
         assert back.time_tag == 0.25
         assert np.array_equal(back.values, u.values)
 
-    def test_vector_roundtrip(self, tmp_path, grid2):
-        v = gradient(_gaussian(grid2))
+    def test_rejects_vector_payload_kind(self, tmp_path, grid1):
         path = tmp_path / "vec.phf1"
-        write_phf1(path, v)
-        back = read_phf1(path)
-        assert isinstance(back, VectorField)
-        for a, b in zip(back.components, v.components):
-            assert np.array_equal(a, b)
+        write_phf1(path, bump(grid1, 1.0, 2.0))
+        raw = bytearray(path.read_bytes())
+        raw[gridfield_module._PHF1_HEADER.size - 1] = 1  # the payload kind byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown payload kind 1"):
+            read_phf1(path)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.phf1"

@@ -237,3 +237,19 @@ class TestPathDependence:
         assert rep.gap_l2 >= 0.0
         assert rep.floor_l2 > 0.0
         assert isinstance(rep.within_10x_floor, bool)
+
+    def test_one_coefficient_call_per_step(self, u0, rational, monkeypatch):
+        # the full, simple and n = 0 rows share one call at every state:
+        # the initial pass and one per step of dt_init
+        from polyheat import solver as solver_module
+
+        real, rows = solver_module.reg_coefficient, []
+
+        def counted(paths, eps, u):
+            if np.ndim(u) == 2:  # a pass over the batch, not a config's sampled-peak check
+                rows.append(len(paths))
+            return real(paths, eps, u)
+
+        monkeypatch.setattr(solver_module, "reg_coefficient", counted)
+        path_dependence_report(u0, 2, rational, 1e-2, 1e-3, 0.002, dt_init=1e-4)
+        assert rows == [3] * 21

@@ -5,7 +5,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from polyheat.gridfield import Field, bump, coordinates, integrate, l2_norm, make_grid
+from polyheat.gridfield import (
+    DecayAssertionError,
+    Field,
+    _spectrum,
+    bump,
+    coordinates,
+    integrate,
+    irfft,
+    l2_norm,
+    make_grid,
+    rfft,
+)
 from polyheat.kernel import (
     KernelProfile,
     QuadratureSpec,
@@ -110,8 +121,11 @@ class TestPheSolve:
         x = np.broadcast_to(coordinates(grid24)[0], grid24.shape)
         xi = 6 * np.pi / 24.0
         u0 = Field(grid24, np.cos(xi * x))
-        out = phe_solve(u0, 2, 0.3, check_decay=False)
-        assert np.max(np.abs(out.values - np.exp(-(xi**4) * 0.3) * u0.values)) <= 1e-12
+        with pytest.raises(DecayAssertionError):  # the mode fills the box
+            phe_solve(u0, 2, 0.3)
+        # phe_solve's multiplier flow, without its boundary guard
+        out = irfft(grid24, np.exp(-_spectrum(grid24, 2).k2m * 0.3) * rfft(grid24, u0.values))
+        assert np.max(np.abs(out - np.exp(-(xi**4) * 0.3) * u0.values)) <= 1e-12
 
     def test_semigroup(self, grid24):
         u0 = bump(grid24, 1.0, 3.0)

@@ -84,8 +84,8 @@ def _pass(u, config):
     """The solver's per-state pass on u, as a batch of one row: (products,
     flux, dissipation)."""
     spec = _spectrum(u.grid, config.m)
-    _, groups = solver_module._groups((config,))
-    p, flux, diss = solver_module._pass(spec, groups, u.values[None], rfft(u.grid, u.values)[None])
+    u_rows, u_hat_rows = u.values[None], rfft(u.grid, u.values)[None]
+    p, flux, diss = solver_module._pass(spec, (config.path,), (config.eps,), u_rows, u_hat_rows)
     return p, flux[0], diss[0]
 
 
@@ -215,8 +215,11 @@ class TestFlux:
         dt = t_final / steps
         running = 0.0
         u = Field(grid, amp * np.cos(xi * x))
+        # the multiplier flow, without phe_solve's boundary guard: the mode
+        # fills the box
+        decay = np.exp(-_spectrum(grid, 2).k2m * dt)
         for k in range(steps):
-            nxt = phe_solve(u, 2, dt, check_decay=False)
+            nxt = Field(grid, irfft(grid, decay * rfft(grid, u.values)))
             running += 0.5 * dt * (_pass(u, config)[1] + _pass(nxt, config)[1])
             u = nxt
         m = 2
@@ -616,8 +619,8 @@ def _sweep_rows(rational):
 
 
 def _mixed_rows(rational):
-    """Two coefficient groups (full and simple), an n = 0 row inside the
-    simple group, and three dt_init values."""
+    """Full and simple rows, an n = 0 row among them, and three dt_init
+    values."""
     base = dict(m=2, t_final=0.002, dealias=False, snapshot_times=(0.00075,), report_stride=3)
     return [
         SolverConfig(path=RegPath(rational, 0.2, "simple"), eps=1e-3, dt_init=1e-4, **base),
@@ -737,6 +740,13 @@ class TestBatch:
         configs = _mixed_rows(rational)
         with pytest.raises(ValueError, match="must share"):
             solve(u0, [configs[0], dataclasses.replace(configs[1], t_final=0.003)])
+
+    def test_rows_share_f(self, u0, rational):
+        configs = _mixed_rows(rational)
+        tanh = degeneracy_function("tanh")
+        other = dataclasses.replace(configs[1], path=dataclasses.replace(configs[1].path, f=tanh))
+        with pytest.raises(ValueError, match="must share f, "):
+            solve(u0, [configs[0], other])
 
     def test_bad_initial_data_fails_every_row(self, grid, rational):
         rough = bump(grid, 1.0, 2.0, steepness=1.0)
