@@ -37,15 +37,12 @@ from .degeneracy import (
     RegPath,
     degeneracy_function,
     f_pow_n,
-    phi_eps,
-    psi_eps,
 )
 from .solver import (
     EnergyReport,
     SolverConfig,
     Trajectory,
     interface_report,
-    rhs,
     solve,
 )
 from .homotopy import (
@@ -57,7 +54,6 @@ from .homotopy import (
     path_dependence_report,
     schedule_eval,
     sweep,
-    very_weak_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

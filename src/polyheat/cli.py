@@ -214,17 +214,17 @@ def _kernel_from_block(block: dict) -> tuple:
 
 
 def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
-    """(m, max_order, Gram matrix).  The Gram matrix carries the product
-    boundary guard, so a max_order the box cannot resolve is a config error."""
-    require_int("m", block["m"], lo=1)
-    require_int("max_order", block["max_order"], choices=(0, 1, 2, 3, 4))
+    """(m, max_order, Gram matrix).  The Gram matrix checks m and max_order
+    and carries the product boundary guard, so a max_order the box cannot
+    resolve is a config error."""
+    m, max_order = block["m"], block["max_order"]
     try:
-        _, gram = biorthogonality_matrix(block["max_order"], block["m"], grid)
+        _, gram = biorthogonality_matrix(max_order, m, grid)
     except DecayAssertionError as err:
         raise ValueError(
-            f"max_order {block['max_order']} needs products psi_beta psi*_gamma that decay in the box: {err}"
+            f"max_order {max_order} needs products psi_beta psi*_gamma that decay in the box: {err}"
         ) from err
-    return block["m"], block["max_order"], gram
+    return m, max_order, gram
 
 
 def _path_from_block(block: dict, needs_n: bool) -> RegPath:

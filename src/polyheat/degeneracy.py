@@ -14,6 +14,7 @@ interpolates between the degenerate coefficient (eps -> 0) and a constant,
 staying uniformly parabolic for eps > 0.  The simple path
 psi_eps(u) = f^n(sqrt(eps^2 + u^2)) drives the small-n branching analysis via
 Theta = 1 - psi_eps and the first-order expansion (1 - f^n)/n -> -ln f.
+Both are evaluated by ``reg_coefficient``, for one path or a batch of rows.
 
 Powers f^n are evaluated in log space so that tiny arguments underflow to an
 exact zero (below e^-700) instead of producing spurious denormals, and n = 0
@@ -38,8 +39,6 @@ __all__ = [
     "RegPath",
     "degeneracy_function",
     "f_pow_n",
-    "phi_eps",
-    "psi_eps",
     "reg_coefficient",
     "coefficient_bound",
 ]
@@ -194,42 +193,21 @@ def _floor(path: RegPath, eps: float) -> float:
     return f_pow_n(path.f, path.n, eps)
 
 
-def phi_eps(path: RegPath, eps: float, u):
-    """Full path f^n(eps) + (1 - eps) f^n(sqrt(eps^2 + u^2)); eps in (0, 1]."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps:g}")
-    if path.variant != "full":
-        raise ValueError("phi_eps is the full-path coefficient; path variant is 'simple'")
-    out = reg_coefficient((path,), (float(eps),), u)
-    return out if np.ndim(out) else float(out)
-
-
-def psi_eps(path: RegPath, eps: float, u):
-    """Simple path f^n(sqrt(eps^2 + u^2)).
-
-    eps = 0 is admitted here (the branching expansion evaluates the path at
-    its degenerate endpoint), unlike the full path.
-    """
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError(f"eps must lie in [0, 1], got {eps:g}")
-    if path.variant != "simple":
-        raise ValueError("psi_eps is the simple-path coefficient; path variant is 'full'")
-    out = reg_coefficient((path,), (float(eps),), u)
-    return out if np.ndim(out) else float(out)
-
-
 def reg_coefficient(paths: tuple, eps: tuple, u):
     """The parabolic coefficient of each path's variant, vectorized over u:
-    phi_eps on a full path, psi_eps on a simple one.
+    phi_eps(u) = f^n(eps) + (1 - eps) f^n(sqrt(eps^2 + u^2)) on a full path,
+    eps in (0, 1], and psi_eps(u) = f^n(sqrt(eps^2 + u^2)) on a simple one,
+    eps in [0, 1] (the branching expansion evaluates it at eps = 0).
 
     ``paths`` share f and ``eps`` holds one eps per path; with more than
-    one path, u carries one leading row per path.  The simple path is the
-    full formula with floor 0 and weight 1, so each row's n, eps, floor and
-    weight broadcast as columns and every row is bitwise the coefficient of
-    its own path.  Rows at n = 0 get exactly 1 for f^n, and a batch with
-    every row at n = 0 does not evaluate f.  This is the only expression of
-    the coefficient: phi_eps, psi_eps and the solver's step all evaluate it
-    here.
+    one path, u carries one leading row per path, and one path
+    ``reg_coefficient((path,), (eps,), u)`` gives phi_eps or psi_eps on u
+    itself.  The simple path is the full formula with floor 0 and weight 1,
+    so each row's n, eps, floor and weight broadcast as columns and every
+    row is bitwise the coefficient of its own path.  Rows at n = 0 get
+    exactly 1 for f^n, and a batch with every row at n = 0 does not evaluate
+    f.  This is the only expression of the coefficient: the solver's step
+    and its configs' sampled peak evaluate it here.
     """
     u = np.asarray(u, dtype=float)
     cols = _row_columns(paths, eps, u.ndim)

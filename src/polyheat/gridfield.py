@@ -312,13 +312,15 @@ def l2_norm(f: Field) -> float:
 
 
 def spectral_tail_fraction(f: Field) -> float:
-    """Fraction of spectral energy in the dealiased (top-third) modes."""
+    """Fraction of spectral energy in the dealiased (top-third) modes; NaN,
+    without a warning, when the energy overflows."""
     spec = _spectrum(f.grid, 1)  # w_hi is the plain Parseval weight at m = 1
-    energy = spec.w_hi * np.abs(rfft(f.grid, f.values)) ** 2
-    total = np.sum(energy)
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(energy[~spec.band]) / total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = spec.w_hi * np.abs(rfft(f.grid, f.values)) ** 2
+        total = np.sum(energy)
+        if total == 0.0:
+            return 0.0
+        return float(np.sum(energy[~spec.band]) / total)
 
 
 def boundary_shell_max(f: Field, shell: float = 0.9) -> float:

@@ -29,21 +29,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validate import require_real, require_reals
+from ._validate import require_real
 from .degeneracy import DegeneracyFunction, RegPath
 from .gridfield import (
     Field,
     _spectrum,
-    coordinates,
     divergence_hat,
     grad_chain,
-    gradient,
     irfft,
     l2_norm,
     rfft,
 )
 from .kernel import phe_solve
-from .solver import SolverConfig, Trajectory, solve
+from .solver import SolverConfig, solve
 
 __all__ = [
     "Schedule",
@@ -59,7 +57,6 @@ __all__ = [
     "resolve_phi_sign",
     "branching_residual",
     "sweep",
-    "very_weak_residual",
     "path_dependence_report",
     "write_table_csv",
     "write_summary_json",
@@ -75,35 +72,19 @@ class ScheduleRangeError(ValueError):
 class Schedule:
     """Coupling between the degeneracy exponent n and the regularization eps.
 
-    ``sample_points`` (values of the schedule's own parameter) are checked at
-    construction: the product n |ln f(eps)| must trend upward along
-    decreasing eps for ``n_of_eps`` and downward along decreasing n for
-    ``eps_of_n``.
+    Along either law the product n |ln f(eps)| trends by construction: it
+    is c sqrt(|ln f(eps)|) for ``n_of_eps``, rising as eps decreases, and
+    c sqrt(n) for ``eps_of_n``, falling as n decreases.
     """
 
     kind: str
     c: float
     f: DegeneracyFunction
-    sample_points: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("n_of_eps", "eps_of_n"):
             raise ValueError("schedule kind must be 'n_of_eps' or 'eps_of_n'")
         require_real("c", self.c, "positive")
-        require_reals("sample_points", self.sample_points)
-        pts = tuple(sorted(float(p) for p in self.sample_points))
-        object.__setattr__(self, "sample_points", pts)
-        if len(pts) >= 2:
-            products = [self._product(p) for p in pts]
-            diffs = np.diff(products)
-            if self.kind == "n_of_eps" and np.any(diffs >= 0):
-                raise ValueError("n_of_eps product n|ln f(eps)| must increase as eps decreases")
-            if self.kind == "eps_of_n" and np.any(diffs <= 0):
-                raise ValueError("eps_of_n product n|ln f(eps)| must decrease as n decreases")
-
-    def _product(self, parameter: float) -> float:
-        n, eps = schedule_eval(self, parameter)
-        return n * abs(math.log(self.f(eps)))
 
 
 def schedule_eval(schedule: Schedule, parameter: float) -> tuple:
@@ -242,6 +223,7 @@ def branching_residual(u_n: Field, u_lin: Field, phi, n: float) -> BranchingResi
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    param: float  # the schedule's own parameter (n or eps; 0 for the control row)
     n: float
     eps: float
     t_eval: float
@@ -294,17 +276,22 @@ def sweep(
 
     ``n_values`` hold the schedule's own parameter (n for ``eps_of_n``, eps
     for ``n_of_eps``); the coupled pair is derived per row, with 0 meaning
-    the degeneracy-off control row.  Row failures (stiffness, blow-up, decay
-    assertion, schedule range) mark the row failed and the sweep continues.
-    Rows are sorted by n descending.
+    the degeneracy-off control row.  Each row keeps its parameter as
+    ``param``.  Row failures (stiffness, blow-up, decay assertion, schedule
+    range) mark the row failed, with its (n, eps) where the schedule gave
+    them and NaN where it did not, and the sweep continues.  Rows are
+    sorted by n descending.
     """
     f = schedule.f
     params = sorted(set(float(v) for v in n_values), reverse=True)
     u_lin = phe_solve(u0, m, t_eval)
     phi_raw = correction_phi(u0, m, f, t_eval, time_nodes=time_nodes, clamp_floor=clamp_floor)
 
+    # per parameter: (n, eps, status, final state), n and eps NaN where the
+    # schedule has no pair for it, the state None where the row failed
     results, configs = {}, {}
     for v in params:
+        n_eff = eps = float("nan")
         try:
             n_eff, eps = (0.0, 1.0) if v == 0.0 else schedule_eval(schedule, v)
             configs[v] = SolverConfig(
@@ -312,31 +299,32 @@ def sweep(
                 dealias=dealias, report_stride=10**9,
             )
         except (ScheduleRangeError, ValueError) as err:
-            results[v] = ("failed: " + str(err), None)
+            results[v] = (n_eff, eps, "failed: " + str(err), None)
     # every row in one batch
     for (v, config), out in zip(configs.items(), solve(u0, list(configs.values()))):
         if isinstance(out, Exception):
-            results[v] = ("failed: " + str(out), None)
+            results[v] = (config.path.n, config.eps, "failed: " + str(out), None)
         else:
-            results[v] = ("ok", (config.path.n, config.eps, out.snapshots[-1]))
+            results[v] = (config.path.n, config.eps, "ok", out.snapshots[-1])
 
-    ok_payloads = [results[v][1] for v in params if results[v][0] == "ok" and results[v][1][0] > 0]
-    if ok_payloads:
-        smallest = min(ok_payloads, key=lambda p: p[0])
-        phi = resolve_phi_sign(smallest[2], u_lin, phi_raw)
+    ok_results = [results[v] for v in params if results[v][3] is not None and results[v][0] > 0]
+    if ok_results:
+        smallest = min(ok_results, key=lambda r: r[0])
+        phi = resolve_phi_sign(smallest[3], u_lin, phi_raw)
     else:
         phi = phi_raw
 
     rows = []
     for v in params:
-        status, payload = results[v]
-        if payload is None:
-            rows.append(ConvergenceRow(v, float("nan"), t_eval, float("nan"), float("nan"), float("nan"), status))
+        n_eff, eps, status, u_n = results[v]
+        if u_n is None:
+            nan = float("nan")
+            rows.append(ConvergenceRow(v, n_eff, eps, t_eval, nan, nan, nan, status))
             continue
-        n_eff, eps, u_n = payload
         diff = u_n.values - u_lin.values
         rows.append(
             ConvergenceRow(
+                param=v,
                 n=n_eff,
                 eps=eps,
                 t_eval=t_eval,
@@ -364,47 +352,6 @@ def sweep(
         schedule_c=schedule.c,
         phi=phi,
     )
-
-
-# ---------------------------------------------------------------------------
-# the linear very-weak identity
-
-
-def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
-    """Residual of the linear very-weak identity against low-mode windows.
-
-    Test functions are cos/sin(k pi x_1 / L) times a temporal window
-    vanishing at both endpoints; the residual
-    | int int phi_t u + (-1)^m int int grad phi . grad Delta^(m-1) u |
-    is evaluated by trapezoid over the trajectory snapshots and maximized
-    over the test set.  It vanishes for the linear flow and shrinks along a
-    homotopy sweep.
-    """
-    snaps = trajectory.snapshots if isinstance(trajectory, Trajectory) else tuple(trajectory)
-    if len(snaps) < 3:
-        raise ValueError("need at least three snapshots for the time quadrature")
-    grid = snaps[0].grid
-    times = np.array([s.time_tag for s in snaps])
-    T = times[-1]
-    x1 = np.broadcast_to(coordinates(grid)[0], grid.shape)
-    sign = (-1.0) ** m
-    time_part = np.sin(np.pi * times / T) ** 2
-    dtime_part = 2.0 * np.sin(np.pi * times / T) * np.cos(np.pi * times / T) * np.pi / T
-    tests = []
-    for k in range(1, mode_count + 1):
-        kappa = k * np.pi / grid.half_width
-        for spatial in (np.cos(kappa * x1), np.sin(kappa * x1)):
-            tests.append((spatial, gradient(Field(grid, spatial))))
-    spec = _spectrum(grid, m)
-    term1 = np.empty((len(tests), len(snaps)))
-    term2 = np.empty((len(tests), len(snaps)))
-    for j, s in enumerate(snaps):
-        gv = grad_chain(spec, rfft(grid, s.values))
-        for i, (spatial, dphi) in enumerate(tests):
-            term1[i, j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
-            dot = sum(a * b for a, b in zip(dphi, gv))
-            term2[i, j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
-    return max(abs(np.trapezoid(a + sign * b, times)) for a, b in zip(term1, term2))
 
 
 @dataclass(frozen=True)

@@ -206,17 +206,18 @@ def profile_fourier(m: int, grid: GridSpec) -> Field:
 def phe_solve(u0: Field, m: int, t: float) -> Field:
     """Exact multiplier solution of u_t = -(-Delta)^m u at time t.
 
-    The zero mode is untouched, so the mass is preserved exactly.
+    The zero mode is untouched, so the mass is preserved exactly.  The
+    result is tagged u0's time tag (None counts as 0) plus t, for every t.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     assert_boundary_decay(u0)
+    tag = (u0.time_tag or 0.0) + t
     if t == 0.0:
-        return Field(u0.grid, u0.values, 0.0)
+        return Field(u0.grid, u0.values, tag)
     grid = u0.grid
     mult = np.exp(-_spectrum(grid, m).k2m * t)
-    vals = irfft(grid, mult * rfft(grid, u0.values))
-    return Field(grid, vals, (u0.time_tag or 0.0) + t)
+    return Field(grid, irfft(grid, mult * rfft(grid, u0.values)), tag)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._validate import require_int
 from .gridfield import (
     Field,
     GridSpec,
@@ -233,10 +234,11 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     """Gram matrix <psi_beta, psi*_gamma> for all |beta|, |gamma| <= max_order.
 
     Plain L^2 pairing over the box (the profile decay makes the polynomial
-    growth integrable).  Returns (indices, matrix).
+    growth integrable).  Returns (indices, matrix).  m must be an integer of
+    at least 1 and max_order an integer in 0..4.
     """
-    if max_order > 4:
-        raise ValueError("biorthogonality matrix limited to max_order <= 4")
+    require_int("m", m, lo=1)
+    require_int("max_order", max_order, choices=(0, 1, 2, 3, 4))
     betas = multi_indices_up_to(grid.dim, max_order)
     psis = [eigenfunction(b, m, grid) for b in betas]
     poly_vals = [adjoint_eigenpolynomial(b, m).evaluate(grid) for b in betas]

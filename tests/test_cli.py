@@ -330,6 +330,7 @@ SOLVE_DEFECTS = [
     ("u0", "amplitude", '"1"'),
     ("u0", "center", "15.0"),  # support past |x| <= L/2
     ("u0", "steepness", "0.01"),  # spectral tail above 1e-10
+    ("u0", "amplitude", "1e308"),  # the transform overflows: a NaN spectral tail
 ]
 
 _RATIONAL = DegeneracyFunction("rational")
@@ -382,6 +383,7 @@ def _leaf_paths(node, prefix=()):
 
 
 class TestValidation:
+    @pytest.mark.filterwarnings("error")  # a defect is reported once, as the error line
     @pytest.mark.parametrize("block,key,token", SOLVE_DEFECTS, ids=[f"{b}.{k}={t}" for b, k, t in SOLVE_DEFECTS])
     def test_solve_defect_exits_2_naming_block(self, tmp_path, capsys, block, key, token):
         cfg = json.loads(json.dumps(MINIMAL_SOLVE))

@@ -12,8 +12,6 @@ from polyheat.degeneracy import (
     coefficient_bound,
     degeneracy_function,
     f_pow_n,
-    phi_eps,
-    psi_eps,
     reg_coefficient,
 )
 
@@ -156,11 +154,10 @@ class TestPathsAtNZero:
 
         u = np.linspace(-3.0, 3.0, 101)
         simple, full = RegPath(rational, 0.0, "simple"), RegPath(rational, 0.0, "full")
-        phi_eps(full, 0.5, 0.0)  # memoises the constant f^0(eps)
+        reg_coefficient((full,), (0.5,), 0.0)  # memoises the constant f^0(eps)
         monkeypatch.setattr(degeneracy_module, "f_pow_n", boom)
-        assert psi_eps(simple, 1e-3, u).tobytes() == np.ones_like(u).tobytes()
-        assert phi_eps(full, 0.5, u).tobytes() == np.full_like(u, 1.0 + (1.0 - 0.5)).tobytes()
-        assert type(psi_eps(simple, 1e-3, 0.7)) is float
+        assert reg_coefficient((simple,), (1e-3,), u).tobytes() == np.ones_like(u).tobytes()
+        assert reg_coefficient((full,), (0.5,), u).tobytes() == np.full_like(u, 1.0 + (1.0 - 0.5)).tobytes()
 
 
 class TestFullPathFloor:
@@ -169,8 +166,8 @@ class TestFullPathFloor:
         for n, eps in ((0.2, 1e-3), (0.0, 0.5), (2.0, 1e-8)):
             p = RegPath(rational, n, "full")
             direct = f_pow_n(rational, n, eps) + (1.0 - eps) * f_pow_n(rational, n, np.sqrt(eps**2 + u**2))
-            assert phi_eps(p, eps, u).tobytes() == direct.tobytes()
-            assert phi_eps(p, eps, u).tobytes() == direct.tobytes()  # from the memo
+            assert reg_coefficient((p,), (eps,), u).tobytes() == direct.tobytes()
+            assert reg_coefficient((p,), (eps,), u).tobytes() == direct.tobytes()  # from the memo
 
     def test_equal_functions_share_a_hash(self):
         knots = {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9]}
@@ -190,12 +187,11 @@ class TestBatchedCoefficient:
         paths = tuple(RegPath(rational, n, variant) for n in ns)
         u = np.linspace(-3.0, 3.0, len(ns) * 64).reshape(len(ns), 64)[::-1].copy()
         batch = reg_coefficient(paths, eps, u)
-        single = phi_eps if variant == "full" else psi_eps
         for i, (p, e) in enumerate(zip(paths, eps)):
             direct = f_pow_n(rational, p.n, np.sqrt(e**2 + u[i] ** 2))
             if variant == "full":
                 direct = f_pow_n(rational, p.n, e) + (1.0 - e) * direct
-            assert batch[i].tobytes() == single(p, e, u[i]).tobytes() == direct.tobytes()
+            assert batch[i].tobytes() == reg_coefficient((p,), (e,), u[i]).tobytes() == direct.tobytes()
 
     def test_full_and_simple_rows_in_one_call(self, rational):
         # the variant is a row column: full and simple rows, with n = 0 and
@@ -209,8 +205,7 @@ class TestBatchedCoefficient:
         u[:, 7] = 0.0
         batch = reg_coefficient(paths, eps, u)
         for i, (p, e) in enumerate(zip(paths, eps)):
-            single = phi_eps if p.variant == "full" else psi_eps
-            assert batch[i].tobytes() == single(p, e, u[i]).tobytes()
+            assert batch[i].tobytes() == reg_coefficient((p,), (e,), u[i]).tobytes()
 
     def test_rejects_different_f(self, rational):
         u = np.zeros((2, 4))
@@ -225,69 +220,63 @@ class TestFullPath:
     def test_value_at_zero(self, rational):
         p = RegPath(rational, 0.3, "full")
         expected = f_pow_n(rational, 0.3, 0.25) * (2.0 - 0.25)
-        assert phi_eps(p, 0.25, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert reg_coefficient((p,), (0.25,), 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_constant_at_eps_one(self, rational):
         p = RegPath(rational, 0.4, "full")
-        vals = [phi_eps(p, 1.0, u) for u in (-3.0, 0.0, 0.7, 10.0)]
+        vals = [reg_coefficient((p,), (1.0,), u) for u in (-3.0, 0.0, 0.7, 10.0)]
         assert all(v == pytest.approx(f_pow_n(rational, 0.4, 1.0), rel=1e-15) for v in vals)
 
     def test_small_eps_converges_to_degenerate_coefficient(self, rational):
         p = RegPath(rational, 2.0, "full")
-        gap = abs(phi_eps(p, 1e-8, 0.1) - f_pow_n(rational, 2.0, 0.1))
+        gap = abs(reg_coefficient((p,), (1e-8,), 0.1) - f_pow_n(rational, 2.0, 0.1))
         assert gap <= 1e-10
 
     def test_rejects_eps_out_of_range(self, rational):
         p = RegPath(rational, 0.3, "full")
         for eps in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                phi_eps(p, eps, 0.0)
+                reg_coefficient((p,), (eps,), 0.0)
 
     def test_uniform_parabolicity(self, rational):
         p = RegPath(rational, 2.0, "full")
         u = np.linspace(-10.0, 10.0, 2001)
         for eps in (1.0, 0.1, 1e-3, 1e-6):
             floor = f_pow_n(rational, 2.0, eps)
-            assert float(np.min(phi_eps(p, eps, u))) >= floor > 0.0
+            assert float(np.min(reg_coefficient((p,), (eps,), u))) >= floor > 0.0
 
     def test_uniform_on_compacts_convergence(self, rational):
         p = RegPath(rational, 1.0, "full")
         u = np.linspace(-5.0, 5.0, 1001)
         target = f_pow_n(rational, 1.0, np.abs(u))
-        sups = [float(np.max(np.abs(phi_eps(p, eps, u) - target))) for eps in (1e-2, 1e-4, 1e-6)]
+        sups = [float(np.max(np.abs(reg_coefficient((p,), (eps,), u) - target))) for eps in (1e-2, 1e-4, 1e-6)]
         assert sups[0] > sups[1] > sups[2]
 
 
 class TestSimplePath:
     def test_value_at_zero(self, rational):
         p = RegPath(rational, 0.2, "simple")
-        assert psi_eps(p, 1e-3, 0.0) == pytest.approx(f_pow_n(rational, 0.2, 1e-3), rel=1e-14)
+        assert reg_coefficient((p,), (1e-3,), 0.0) == pytest.approx(f_pow_n(rational, 0.2, 1e-3), rel=1e-14)
 
     def test_monotone_in_magnitude(self, rational):
         p = RegPath(rational, 0.2, "simple")
         u = np.linspace(0.0, 10.0, 101)
-        vals = psi_eps(p, 1e-3, u)
+        vals = reg_coefficient((p,), (1e-3,), u)
         assert np.all(np.diff(vals) > 0)
 
     def test_bounded_by_cf_power(self, rational):
         p = RegPath(rational, 0.2, "simple")
         u = np.linspace(-100.0, 100.0, 999)
-        assert np.max(psi_eps(p, 0.5, u)) <= coefficient_bound(p, 0.5)
+        assert np.max(reg_coefficient((p,), (0.5,), u)) <= coefficient_bound(p, 0.5)
 
     def test_allows_eps_zero(self, rational):
         p = RegPath(rational, 0.2, "simple")
-        assert psi_eps(p, 0.0, 2.0) == pytest.approx(f_pow_n(rational, 0.2, 2.0), rel=1e-14)
-
-    def test_variant_mismatch_rejected(self, rational):
-        with pytest.raises(ValueError):
-            psi_eps(RegPath(rational, 0.2, "full"), 0.5, 1.0)
-        with pytest.raises(ValueError):
-            phi_eps(RegPath(rational, 0.2, "simple"), 0.5, 1.0)
+        assert reg_coefficient((p,), (0.0,), 2.0) == pytest.approx(f_pow_n(rational, 0.2, 2.0), rel=1e-14)
 
 
 def theta(path, eps, u):
     """The perturbation size Theta = 1 - psi_eps(u) of the branching analysis."""
-    return 1.0 - psi_eps(path, eps, u)
+    return 1.0 - reg_coefficient((path,), (eps,), u)
 
 
 class TestTheta:

@@ -1,4 +1,5 @@
-"""Schedules, sweeps, the Duhamel correction, and the branching residual."""
+"""Schedules, sweeps, the Duhamel correction, and the branching residual,
+with the linear very-weak identity as a reference for the trajectories."""
 
 import json
 import math
@@ -8,7 +9,17 @@ import pytest
 
 from polyheat import homotopy
 from polyheat.degeneracy import RegPath, degeneracy_function
-from polyheat.gridfield import Field, bump, l2_norm, make_grid
+from polyheat.gridfield import (
+    Field,
+    _spectrum,
+    bump,
+    coordinates,
+    grad_chain,
+    gradient,
+    l2_norm,
+    make_grid,
+    rfft,
+)
 from polyheat.homotopy import (
     ConvergenceRow,
     Schedule,
@@ -20,13 +31,49 @@ from polyheat.homotopy import (
     resolve_phi_sign,
     schedule_eval,
     sweep,
-    very_weak_residual,
     write_plot_data,
     write_summary_json,
     write_table_csv,
 )
 from polyheat.kernel import phe_solve
-from polyheat.solver import SolverConfig, solve
+from polyheat.solver import SolverConfig, StiffnessError, Trajectory, solve
+
+
+def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
+    """Residual of the linear very-weak identity against low-mode windows.
+
+    Test functions are cos/sin(k pi x_1 / L) times a temporal window
+    vanishing at both endpoints; the residual
+    | int int phi_t u + (-1)^m int int grad phi . grad Delta^(m-1) u |
+    is evaluated by trapezoid over the trajectory snapshots and maximized
+    over the test set.  It vanishes for the linear flow and shrinks along a
+    homotopy sweep.
+    """
+    snaps = trajectory.snapshots if isinstance(trajectory, Trajectory) else tuple(trajectory)
+    if len(snaps) < 3:
+        raise ValueError("need at least three snapshots for the time quadrature")
+    grid = snaps[0].grid
+    times = np.array([s.time_tag for s in snaps])
+    T = times[-1]
+    x1 = np.broadcast_to(coordinates(grid)[0], grid.shape)
+    sign = (-1.0) ** m
+    time_part = np.sin(np.pi * times / T) ** 2
+    dtime_part = 2.0 * np.sin(np.pi * times / T) * np.cos(np.pi * times / T) * np.pi / T
+    tests = []
+    for k in range(1, mode_count + 1):
+        kappa = k * np.pi / grid.half_width
+        for spatial in (np.cos(kappa * x1), np.sin(kappa * x1)):
+            tests.append((spatial, gradient(Field(grid, spatial))))
+    spec = _spectrum(grid, m)
+    term1 = np.empty((len(tests), len(snaps)))
+    term2 = np.empty((len(tests), len(snaps)))
+    for j, s in enumerate(snaps):
+        gv = grad_chain(spec, rfft(grid, s.values))
+        for i, (spatial, dphi) in enumerate(tests):
+            term1[i, j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
+            dot = sum(a * b for a, b in zip(dphi, gv))
+            term2[i, j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
+    return max(abs(np.trapezoid(a + sign * b, times)) for a, b in zip(term1, term2))
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +138,7 @@ class TestSchedule:
         with pytest.raises(ScheduleRangeError):
             schedule_eval(sch, -0.1)
 
-    def test_sample_point_trend_validation(self, rational):
-        Schedule("eps_of_n", 1.0, rational, sample_points=(1e-3, 1e-2, 1e-1))
-        Schedule("n_of_eps", 1.0, rational, sample_points=(1e-6, 1e-4, 1e-2))
+    def test_rejects_unknown_kind(self, rational):
         with pytest.raises(ValueError):
             Schedule("bad_kind", 1.0, rational)
 
@@ -182,6 +227,24 @@ class TestSweep:
         )
         by_status = {r.status.split(":")[0] for r in table.rows}
         assert by_status == {"ok", "failed"}
+
+    def test_failed_row_keeps_its_parameter(self, u0, rational, monkeypatch):
+        # eps = 2 has no (n, eps) pair: NaN n and eps, the 2 in param; the
+        # eps = 0.2 row's solve fails after the schedule gave its pair
+        real = homotopy.solve
+
+        def last_row_fails(u, configs):
+            return real(u, configs)[:-1] + [StiffnessError("forced")]
+
+        monkeypatch.setattr(homotopy, "solve", last_row_fails)
+        sch = Schedule("n_of_eps", 0.05, rational)
+        table = sweep(u0, 2, sch, 0.1, [0.5, 0.2, 2.0], dt_init=1e-3, clamp_floor=1e-14)
+        rows = {r.param: r for r in table.rows}
+        assert set(rows) == {2.0, 0.5, 0.2}
+        assert math.isnan(rows[2.0].n) and math.isnan(rows[2.0].eps)
+        assert rows[2.0].status == "failed: eps = 2 outside (0, 1]"
+        assert (rows[0.5].n, rows[0.5].eps, rows[0.5].status) == (*schedule_eval(sch, 0.5), "ok")
+        assert (rows[0.2].n, rows[0.2].eps, rows[0.2].status) == (*schedule_eval(sch, 0.2), "failed: forced")
 
     def test_serialization(self, tmp_path, small_sweep):
         write_table_csv(tmp_path / "t.csv", small_sweep)

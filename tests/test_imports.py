@@ -1,11 +1,13 @@
 """Every name a package module imports is used in that module, every name
-it exports is read by the package, a demo or the benchmark, every function
-the benchmark's layer tracer wraps exists and a sweep reaches it, and every
-transform the package makes is a real one made in ``gridfield.rfft``/``irfft``."""
+it exports is read by the package, a demo or the benchmark, every polyheat
+name a demo or the benchmark reads exists, every function the benchmark's
+layer tracer wraps exists and a sweep reaches it, and every transform the
+package makes is a real one made in ``gridfield.rfft``/``irfft``."""
 
 import ast
 import importlib.util
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -16,15 +18,6 @@ import polyheat
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in Path(polyheat.__file__).parent.glob("*.py") if p.name != "__init__.py")
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-
-# exported names that no run, demo or benchmark reads, kept on purpose
-KEEP_EXPORTED = {
-    "rhs": "the one public single-state evaluator of the operator; its shift, stationarity and mean are tested",
-    "very_weak_residual": "reference code: tests check solve's trajectories against the very-weak identity",
-    "besselj_integral": "reference code: tests check besselj against the integral representation",
-    "phi_eps": "the paper's full-path coefficient on one path, a batch of one of reg_coefficient; tests check it",
-    "psi_eps": "the paper's simple-path coefficient on one path, a batch of one of reg_coefficient; tests check it",
-}
 
 
 def unused_imports(source: str) -> list:
@@ -77,13 +70,13 @@ def _reads(node) -> set:
     return found
 
 
-def unread_exports(modules: dict, callers, keep=()) -> list:
+def unread_exports(modules: dict, callers) -> list:
     """``module.name`` for each exported name (module -> source) that nothing
     live reads.  Live are the caller sources, the modules' top-level
-    statements other than definitions and ``__all__``, the names in ``keep``,
-    and, repeatedly, what a live definition reads; so a name read only by
-    dead code, or only by its own definition, is unread."""
-    defs, live = {}, set(keep)
+    statements other than definitions and ``__all__``, and, repeatedly, what
+    a live definition reads; so a name read only by dead code, or only by its
+    own definition, is unread."""
+    defs, live = {}, set()
     for source in modules.values():
         for stmt in ast.parse(source).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -103,26 +96,110 @@ def unread_exports(modules: dict, callers, keep=()) -> list:
 
 def test_detects_unread_export():
     lib = (
-        '__all__ = ["used", "by_name", "helper", "kept", "self_only", "dead", "dead_helper"]\n'
+        '__all__ = ["used", "by_name", "helper", "self_only", "dead", "dead_helper"]\n'
         "def used(): return helper()\n"
         "def helper(): pass\n"
         "def by_name(): pass\n"
-        "def kept(): pass\n"
         "def self_only(n): return self_only(n - 1) if n else 0\n"
         "def dead(): return dead_helper()\n"
         "def dead_helper(): pass\n"
     )
     caller = 'from lib import used\nused()\nLAYERS = ("by_name",)\n'
-    unread = unread_exports({"lib": lib}, [caller], keep={"kept"})
+    unread = unread_exports({"lib": lib}, [caller])
     assert unread == ["lib.dead", "lib.dead_helper", "lib.self_only"]
 
 
 def test_every_export_has_a_reader():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
-    assert unread_exports(modules, callers, keep=KEEP_EXPORTED) == []
-    # each kept name is still exported and still has no reader but the tests
-    assert {entry.partition(".")[2] for entry in unread_exports(modules, callers)} == set(KEEP_EXPORTED)
+    assert unread_exports(modules, callers) == []
+
+
+_MISSING = object()
+
+
+def _resolve(path: str):
+    """The object a dotted path names, importing each submodule on the way,
+    or ``_MISSING``."""
+    parts = path.split(".")
+    try:
+        obj = importlib.import_module(parts[0])
+        for part in parts[1:]:
+            if isinstance(obj, types.ModuleType) and not hasattr(obj, part):
+                importlib.import_module(f"{obj.__name__}.{part}")
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError):
+        return _MISSING
+    return obj
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _in_polyheat(module) -> bool:
+    return module == "polyheat" or (module or "").startswith("polyheat.")
+
+
+def unresolved_references(source: str) -> list:
+    """``path (line n)`` for each polyheat module or name the source imports,
+    and each attribute it reads off a polyheat module, that does not exist."""
+    tree = ast.parse(source)
+    imported, bound = [], {}  # bound: local name -> the dotted polyheat path it names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if _in_polyheat(alias.name):
+                    imported.append((alias.name, node.lineno))
+                    # ``import polyheat.x`` binds polyheat; ``import polyheat.x as y`` binds y
+                    bound[alias.asname or "polyheat"] = alias.name if alias.asname else "polyheat"
+        elif isinstance(node, ast.ImportFrom) and not node.level and _in_polyheat(node.module):
+            for alias in node.names:
+                imported.append((f"{node.module}.{alias.name}", node.lineno))
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    read = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root, _, rest = (_dotted(node) or "").partition(".")
+            if root in bound:
+                read.append((f"{bound[root]}.{rest}", node.lineno))
+    missing = [(path, line) for path, line in imported if _resolve(path) is _MISSING]
+    # an attribute read counts where it is read off a module
+    missing += [
+        (path, line) for path, line in read
+        if isinstance(_resolve(path.rpartition(".")[0]), types.ModuleType) and _resolve(path) is _MISSING
+    ]
+    return sorted(f"{path} (line {line})" for path, line in set(missing))
+
+
+def test_detects_unresolved_reference():
+    caller = (
+        "import polyheat\nimport polyheat.nowhere\nfrom polyheat import cli, no_module\n"
+        "from polyheat.solver import solve, no_function\nfrom polyheat import kernel as k\n"
+        "def run(): return cli.run, cli.no_attr, k.phe_solve.__name__, k.gone, polyheat.solver.nothing\n"
+        "solve.whatever, no_function.deeper\n"
+    )
+    assert unresolved_references(caller) == [
+        "polyheat.cli.no_attr (line 6)",
+        "polyheat.kernel.gone (line 6)",
+        "polyheat.no_module (line 3)",
+        "polyheat.nowhere (line 2)",
+        "polyheat.solver.no_function (line 4)",
+        "polyheat.solver.nothing (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=[f"{p.parent.name}/{p.name}" for p in CALLERS])
+def test_caller_references_resolve(path):
+    # nothing runs the demos in the tests: a demo that imports or reads a
+    # deleted polyheat name fails here instead
+    assert unresolved_references(path.read_text()) == []
 
 
 def test_traced_layer_functions_exist():

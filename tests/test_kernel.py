@@ -117,6 +117,13 @@ class TestPheSolve:
         out = phe_solve(u0, 2, 0.0)
         assert np.array_equal(out.values, u0.values)
 
+    def test_time_tag_is_start_plus_t(self, grid24):
+        # one rule for every t, t = 0 included; an untagged u0 starts at 0
+        tagged = Field(grid24, bump(grid24, 1.0, 3.0).values, 5.0)
+        assert [phe_solve(tagged, 2, t).time_tag for t in (0.0, 0.1)] == [5.0, 5.0 + 0.1]
+        untagged = Field(grid24, tagged.values)
+        assert [phe_solve(untagged, 2, t).time_tag for t in (0.0, 0.1)] == [0.0, 0.1]
+
     def test_single_mode_decay_factor(self, grid24):
         x = np.broadcast_to(coordinates(grid24)[0], grid24.shape)
         xi = 6 * np.pi / 24.0

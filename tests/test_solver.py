@@ -14,6 +14,7 @@ from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n
 from polyheat.gridfield import (
     Field,
     GridSpec,
+    _rows_spectrum,
     _spectrum,
     bump,
     coordinates,
@@ -33,7 +34,6 @@ from polyheat.solver import (
     SolverConfig,
     StiffnessError,
     interface_report,
-    rhs,
     solve,
     write_energy_csv,
 )
@@ -87,6 +87,13 @@ def _pass(u, config):
     u_rows, u_hat_rows = u.values[None], rfft(u.grid, u.values)[None]
     p, flux, diss = solver_module._pass(spec, (config.path,), (config.eps,), u_rows, u_hat_rows)
     return p, flux[0], diss[0]
+
+
+def rhs(u, config):
+    """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the divergence of the pass's products."""
+    p, _, _ = _pass(u, config)
+    div_hat = solver_module._rhs_hat(_rows_spectrum(u.grid, config.m, 1), config.m, config.dealias, p)
+    return Field(u.grid, irfft(u.grid, div_hat[0]))
 
 
 def _linear_config(rational, **kw):

@@ -235,6 +235,16 @@ class TestBiorthogonality:
         with pytest.raises(ValueError):
             biorthogonality_matrix(5, 1, grid_m1)
 
+    def test_rejects_bad_arguments_before_any_work(self, grid_m1):
+        # a negative order would give an empty Gram matrix, and m = 0 would
+        # fail deep in the kernel with a grid-resolution message
+        with pytest.raises(ValueError, match=r"max_order must be one of \(0, 1, 2, 3, 4\), got -1"):
+            biorthogonality_matrix(-1, 1, grid_m1)
+        with pytest.raises(ValueError, match="m must be at least 1, got 0"):
+            biorthogonality_matrix(2, 0, grid_m1)
+        with pytest.raises(TypeError, match="max_order must be an integer"):
+            biorthogonality_matrix(2.0, 1, grid_m1)
+
 
 class TestPolynomialNVar:
     def test_no_zero_coefficients_stored(self):
