@@ -104,13 +104,13 @@ class RunManifest:
 
 _BLOCK_KEYS = {
     "grid": {"dim", "half_width", "points_per_dim"},
-    "degeneracy": {"kind", "params", "n", "t_max"},
+    "degeneracy": {"kind", "params", "n"},
     "u0": {"type", "amplitude", "width", "center", "steepness", "count"},
     # SolverConfig's own settable fields, with the path's variant in place of the path
     "solver": {f.name for f in fields(SolverConfig) if f.init} - {"path"} | {"variant"},
     "schedule": {"kind", "c"},
     "sweep": {"m", "t_eval", "n_values", "dt_init", "dealias", "time_nodes", "clamp_floor"},
-    "kernel": {"m", "dim", "r_max", "dr", "s_max", "nodes"},
+    "kernel": {"m", "dim", "r_max", "dr"},
     "spectrum": {"m", "max_order"},
 }
 _BLOCK_KEYS["branch"] = _BLOCK_KEYS["sweep"]  # both go to _sweep_from_block
@@ -206,11 +206,12 @@ def _build(config: RunConfig) -> dict:
 
 
 def _kernel_from_block(block: dict) -> tuple:
-    """(m, dim, r_max, dr, quadrature); the run lays out the radii."""
+    """(m, dim, r_max, dr), with m and dim checked by the quadrature that
+    tabulates them; the run lays out the radii."""
     require_real("r_max", block["r_max"], "positive")
     require_real("dr", block["dr"], "positive")
-    quad = profile_quadrature(block["m"], block["dim"], block.get("s_max"), block.get("nodes"))
-    return block["m"], block["dim"], block["r_max"], block["dr"], quad
+    profile_quadrature(block["m"], block["dim"])
+    return block["m"], block["dim"], block["r_max"], block["dr"]
 
 
 def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
@@ -229,7 +230,7 @@ def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
 
 def _path_from_block(block: dict, needs_n: bool) -> RegPath:
     """The nonlinearity with its exponent n (required only where a run uses it)."""
-    f = DegeneracyFunction(block["kind"], block.get("params", {}), block.get("t_max", 10.0))
+    f = DegeneracyFunction(block["kind"], block.get("params", {}))
     return RegPath(f, block["n"] if needs_n else block.get("n", 0.0))
 
 
@@ -298,8 +299,8 @@ def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
 
 
 def _cmd_kernel(built: dict, out: Path):
-    m, dim, r_max, dr, quad = built["kernel"]
-    profile = profile_bessel(m, dim, np.arange(0.0, r_max + 0.5 * dr, dr), quad)
+    m, dim, r_max, dr = built["kernel"]
+    profile = profile_bessel(m, dim, np.arange(0.0, r_max + 0.5 * dr, dr))
     highlights = {"m": m, "dim": dim}
     try:
         profile = with_decay_fit(profile)
@@ -390,8 +391,8 @@ def _cmd_sweep(built: dict, out: Path):
     highlights = {
         "slope": table.slope,
         "slope_ci": list(table.slope_ci),
-        "sign_of_phi": table.sign_of_phi,
-        "clamped_fraction": table.clamped_fraction,
+        "sign_of_phi": table.phi.sign,
+        "clamped_fraction": table.phi.clamped_fraction,
         "rows_ok": sum(1 for r in table.rows if r.status == "ok"),
     }
     return artifacts, highlights
@@ -415,8 +416,8 @@ def _cmd_branch(built: dict, out: Path):
 
     ratios = [r.correction_gap / r.n for r in table.rows if r.status == "ok" and r.n > 0]
     highlights = {
-        "sign_of_phi": table.sign_of_phi,
-        "clamped_fraction": table.clamped_fraction,
+        "sign_of_phi": table.phi.sign,
+        "clamped_fraction": table.phi.clamped_fraction,
         "phi_l2": phi_norm,
         "remainder_ratios": ratios,
         "remainder_decreasing": all(a > b for a, b in zip(ratios, ratios[1:])),

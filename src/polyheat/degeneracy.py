@@ -6,8 +6,10 @@ bounded with f(0) = 0; the built-in kinds are
     tanh            f(t) = tanh(t)
     rational        f(t) = t / (1 + t)
     exp_saturating  f(t) = 1 - exp(-t)
-    power           f(t) = t^kappa     (unbounded; bound taken on [0, t_max])
-    spline          monotone PCHIP through user knots
+    spline          monotone PCHIP through user knots, constant past the last
+
+The closed forms are bounded by 1 and the spline by its last value, so the
+coefficient bound that sets the solver's stabilization holds for every u.
 
 The full path  phi_eps(u) = f^n(eps) + (1 - eps) f^n(sqrt(eps^2 + u^2))
 interpolates between the degenerate coefficient (eps -> 0) and a constant,
@@ -43,13 +45,22 @@ __all__ = [
     "coefficient_bound",
 ]
 
-_KINDS = ("tanh", "rational", "exp_saturating", "power", "spline")
+# kind -> (f, f^{-1}) of the closed forms, each with sup f = 1
+_CLOSED_FORMS = {
+    "tanh": (np.tanh, lambda y: float(np.arctanh(y))),
+    "rational": (lambda t: t / (1.0 + t), lambda y: y / (1.0 - y)),
+    "exp_saturating": (lambda t: -np.expm1(-t), lambda y: float(-np.log1p(-y))),
+}
+_KINDS = (*_CLOSED_FORMS, "spline")
+_PARAMS_KEYS = {"spline": ("knots", "values")}  # the closed forms take none
 _ADMISSIBILITY_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
 class DegeneracyFunction:
-    """One admissible nonlinearity; checked on 1e4 sample points at build time.
+    """One admissible nonlinearity; checked on 1e4 sample points of
+    [0, t_max] at build time.  t_max is 10 for the closed forms and the
+    last knot for a spline.
 
     Hashable despite the ``params`` dict: the hash covers kind and t_max only,
     and equal functions agree on both.
@@ -57,16 +68,16 @@ class DegeneracyFunction:
 
     kind: str
     params: dict = field(default_factory=dict)
-    t_max: float = 10.0
+    t_max: float = field(init=False, default=10.0)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown degeneracy kind {self.kind!r}; choose from {_KINDS}")
         if not isinstance(self.params, dict):
             raise TypeError(f"params must be an object, got {self.params!r}")
-        require_real("t_max", self.t_max, "positive")
-        if self.kind == "power":
-            require_real("kappa", self.params.get("kappa"), "positive")
+        for key in self.params:
+            if key not in _PARAMS_KEYS.get(self.kind, ()):
+                raise ValueError(f"unknown params key {key!r} for kind {self.kind!r}")
         if self.kind == "spline":
             require_reals("spline knots", self.params.get("knots"), min_len=2)
             require_reals("spline values", self.params.get("values"), min_len=2)
@@ -86,28 +97,16 @@ class DegeneracyFunction:
         return hash((self.kind, self.t_max))
 
     @property
-    def unbounded(self) -> bool:
-        return self.kind == "power"
-
-    @property
     def bound(self) -> float:
-        """sup f: 1 for the saturating kinds, f(t_max) for the power kind."""
-        if self.kind in ("tanh", "rational", "exp_saturating"):
+        """sup f: 1 for the closed forms, the last value for a spline."""
+        if self.kind in _CLOSED_FORMS:
             return 1.0
-        if self.kind == "power":
-            return float(self.t_max ** self.params["kappa"])
         return float(np.asarray(self.params["values"], dtype=float)[-1])
 
     def __call__(self, t):
         t = _domain(t)
-        if self.kind == "tanh":
-            out = np.tanh(t)
-        elif self.kind == "rational":
-            out = t / (1.0 + t)
-        elif self.kind == "exp_saturating":
-            out = -np.expm1(-t)
-        elif self.kind == "power":
-            out = t ** self.params["kappa"]
+        if self.kind in _CLOSED_FORMS:
+            out = _CLOSED_FORMS[self.kind][0](t)
         else:
             out = np.where(t <= self.t_max, self._spline(np.minimum(t, self.t_max)), self.bound)
         return out if out.ndim else float(out)
@@ -116,14 +115,8 @@ class DegeneracyFunction:
         """f^{-1}(y) for y in the range of f (monotonicity makes it unique)."""
         if y < 0 or y >= self.bound:
             raise ValueError(f"inverse target {y:g} outside the range [0, {self.bound:g})")
-        if self.kind == "tanh":
-            return float(np.arctanh(y))
-        if self.kind == "rational":
-            return y / (1.0 - y)
-        if self.kind == "exp_saturating":
-            return float(-np.log1p(-y))
-        if self.kind == "power":
-            return float(y ** (1.0 / self.params["kappa"]))
+        if self.kind in _CLOSED_FORMS:
+            return _CLOSED_FORMS[self.kind][1](y)
         from scipy.optimize import brentq
 
         return float(brentq(lambda t: self(t) - y, 0.0, self.t_max))
@@ -149,8 +142,8 @@ def _domain(t) -> np.ndarray:
     return t
 
 
-def degeneracy_function(kind: str, t_max: float = 10.0, **params) -> DegeneracyFunction:
-    return DegeneracyFunction(kind=kind, params=params, t_max=t_max)
+def degeneracy_function(kind: str, **params) -> DegeneracyFunction:
+    return DegeneracyFunction(kind=kind, params=params)
 
 
 @dataclass(frozen=True)
@@ -242,9 +235,9 @@ def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
     if len(paths) != len(eps) or any(p.f != paths[0].f for p in paths):
         raise ValueError("a batch needs one eps per path and one f for every path")
     full = [p.variant == "full" for p in paths]
-    for e, is_full in zip(eps, full):
+    for row, (e, is_full) in enumerate(zip(eps, full)):
         if not (0.0 <= e <= 1.0 and (e > 0.0 or not is_full)):
-            raise ValueError(f"eps must lie in {'(0, 1]' if is_full else '[0, 1]'}, got {eps}")
+            raise ValueError(f"eps must lie in {'(0, 1]' if is_full else '[0, 1]'}, got {e!r} in row {row}")
     idle = [i for i, p in enumerate(paths) if p.n == 0]
     floor = [_floor(p, float(e)) if is_full else 0.0 for p, e, is_full in zip(paths, eps, full)]
 
@@ -264,7 +257,7 @@ def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
 
 def coefficient_bound(path: RegPath, eps: float) -> float:
     """Upper bound for the coefficient over all u (full: f^n(eps) + C_f^n)."""
-    cf_n = f_pow_n(path.f, path.n, path.f.t_max) if path.f.unbounded else path.f.bound**path.n
+    cf_n = path.f.bound**path.n
     if path.variant == "full":
         return float(f_pow_n(path.f, path.n, eps) + cf_n)
     return float(cf_n)

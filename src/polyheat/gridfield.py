@@ -331,16 +331,21 @@ def boundary_shell_max(f: Field, shell: float = 0.9) -> float:
     return float(np.max(np.abs(f.values[mask])))
 
 
-def assert_boundary_decay(f: Field, tol: float = 1e-8, shell: float = 0.9) -> None:
-    """Abort if the field has not decayed below `tol` in the boundary shell.
+_DECAY_SHELL = 0.9
+_DECAY_TOL = 1e-8
+
+
+def assert_boundary_decay(f: Field) -> None:
+    """Abort if the field has not decayed below 1e-8 in the boundary shell
+    |x| > 0.9 L.
 
     The periodic box only represents whole-space dynamics while the data
     stays negligible near the boundary; every output-time field must pass.
     """
-    worst = boundary_shell_max(f, shell)
-    if worst >= tol:
+    worst = boundary_shell_max(f, _DECAY_SHELL)
+    if worst >= _DECAY_TOL:
         raise DecayAssertionError(
-            f"boundary shell |x| > {shell:g}*L carries magnitude {worst:.3e} >= {tol:.1e}"
+            f"boundary shell |x| > {_DECAY_SHELL:g}*L carries magnitude {worst:.3e} >= {_DECAY_TOL:.1e}"
             f" (t = {f.time_tag})"
         )
 

@@ -238,10 +238,7 @@ class ConvergenceTable:
     rows: tuple
     slope: float
     slope_ci: tuple
-    sign_of_phi: int
-    clamped_fraction: float
-    schedule_kind: str
-    schedule_c: float
+    schedule: Schedule
     phi: CorrectionField = field(repr=False, compare=False)
 
 
@@ -346,10 +343,7 @@ def sweep(
         rows=tuple(rows),
         slope=slope,
         slope_ci=ci,
-        sign_of_phi=phi.sign,
-        clamped_fraction=phi.clamped_fraction,
-        schedule_kind=schedule.kind,
-        schedule_c=schedule.c,
+        schedule=schedule,
         phi=phi,
     )
 
@@ -371,18 +365,18 @@ def path_dependence_report(
     eps: float,
     t_eval: float,
     dt_init: float = 2e-5,
-    dealias: bool = False,
 ) -> PathDependenceReport:
     """Gap between the full-path and simple-path solutions at (n, eps).
 
     The discretization floor is the solver-vs-multiplier gap of the n = 0
     run; whether the limits depend on the regularization path is an open
-    matter, so the measured gap is reported either way.
+    matter, so the measured gap is reported either way.  As in the sweep
+    scenarios, the rows run without dealiasing.
     """
     configs = [
         SolverConfig(
             m=m, path=RegPath(f, n_row, variant), eps=eps_row, dt_init=dt_init,
-            t_final=t_eval, dealias=dealias, report_stride=10**9,
+            t_final=t_eval, dealias=False, report_stride=10**9,
         )
         for n_row, eps_row, variant in ((n, eps, "full"), (n, eps, "simple"), (0.0, 1.0, "simple"))
     ]
@@ -404,9 +398,10 @@ def path_dependence_report(
 
 
 def write_table_csv(path, table: ConvergenceTable) -> None:
-    lines = ["n,eps,t_eval,l2_gap,sup_gap,correction_gap,status"]
+    lines = ["param,n,eps,t_eval,l2_gap,sup_gap,correction_gap,status"]
     for r in table.rows:
-        lines.append(f"{r.n!r},{r.eps!r},{r.t_eval!r},{r.l2_gap!r},{r.sup_gap!r},{r.correction_gap!r},{r.status}")
+        cells = (r.param, r.n, r.eps, r.t_eval, r.l2_gap, r.sup_gap, r.correction_gap)
+        lines.append(",".join(map(repr, cells)) + f",{r.status}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -415,9 +410,9 @@ def write_summary_json(path, table: ConvergenceTable) -> None:
     payload = {
         "slope": table.slope,
         "slope_ci": list(table.slope_ci),
-        "sign_of_phi": table.sign_of_phi,
-        "clamped_fraction": table.clamped_fraction,
-        "schedule": {"kind": table.schedule_kind, "c": table.schedule_c},
+        "sign_of_phi": table.phi.sign,
+        "clamped_fraction": table.phi.clamped_fraction,
+        "schedule": {"kind": table.schedule.kind, "c": table.schedule.c},
         "rows_ok": sum(1 for r in table.rows if r.status == "ok"),
         "rows_total": len(table.rows),
     }

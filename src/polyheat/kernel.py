@@ -45,7 +45,6 @@ __all__ = [
     "KernelProfile",
     "DecayFit",
     "QuadratureError",
-    "default_quadrature",
     "profile_quadrature",
     "profile_bessel",
     "profile_fourier",
@@ -110,23 +109,13 @@ class KernelProfile:
         object.__setattr__(self, "values", v)
 
 
-def default_quadrature(m: int) -> QuadratureSpec:
-    # e^(-s_max^(2m)) < 1e-16 needs s_max^(2m) > 36.8; the factor 2 is margin.
-    return QuadratureSpec(s_max=2.0 * 40.0 ** (1.0 / (2 * m)), nodes=64)
-
-
-def profile_quadrature(m: int, dim: int, s_max: float | None = None, nodes: int | None = None) -> QuadratureSpec:
-    """The checked quadrature for tabulating F_{m,N}: unset fields take
-    ``default_quadrature(m)``, and an s_max that cuts e^(-s^(2m)) off above
-    1e-16 is rejected."""
+def profile_quadrature(m: int, dim: int) -> QuadratureSpec:
+    """The starting quadrature for tabulating F_{m,N}, once m and dim are
+    checked: 64 nodes up to s_max = 2 * 40^(1/2m).  e^(-s_max^(2m)) < 1e-16
+    needs s_max^(2m) > 36.8, and here s_max^(2m) = 40 * 4^m >= 160."""
     require_int("m", m, lo=1)
     require_int("dim", dim, choices=(1, 2))
-    default = default_quadrature(m)
-    quad = QuadratureSpec(default.s_max if s_max is None else s_max, default.nodes if nodes is None else nodes)
-    with np.errstate(over="ignore"):
-        if np.exp(-np.float64(quad.s_max) ** (2 * m)) >= 1e-16:
-            raise ValueError(f"s_max = {quad.s_max:g} truncates the integral too early for m = {m}")
-    return quad
+    return QuadratureSpec(s_max=2.0 * 40.0 ** (1.0 / (2 * m)), nodes=64)
 
 
 _PANEL_NODES = 32
@@ -151,15 +140,16 @@ def _radial_values(m: int, dim: int, radii: np.ndarray, s_max: float, nodes: int
     return besselj(0, np.outer(radii, s)) @ (s * damp) / (2.0 * np.pi)
 
 
-def profile_bessel(m: int, dim: int, radii, quadrature: QuadratureSpec | None = None) -> KernelProfile:
+def profile_bessel(m: int, dim: int, radii) -> KernelProfile:
     """Tabulate F_{m,N} at the given radii by the oscillatory radial integral.
 
-    The r = 0 entry is evaluated at r = 1e-8 (the integrand is analytic in r,
-    so no separate limit formula is needed).  Node counts double until the
-    tabulation stabilizes; failure to stabilize below 1e-8 is an error.
+    The rule starts from ``profile_quadrature(m, dim)``.  The r = 0 entry is
+    evaluated at r = 1e-8 (the integrand is analytic in r, so no separate
+    limit formula is needed).  Node counts double until the tabulation
+    stabilizes; failure to stabilize below 1e-8 is an error.  The profile
+    records the truncation point and the final node count.
     """
-    s_max, nodes = (quadrature.s_max, quadrature.nodes) if quadrature else (None, None)
-    quadrature = profile_quadrature(m, dim, s_max, nodes)
+    quadrature = profile_quadrature(m, dim)
     radii = np.asarray(radii, dtype=float)
     r_eval = np.where(radii == 0.0, 1e-8, radii)
 
@@ -223,6 +213,8 @@ def phe_solve(u0: Field, m: int, t: float) -> Field:
 # ---------------------------------------------------------------------------
 # diagnostics on tabulated profiles
 
+_ZERO_FLOOR = 1e-13  # |F| at or below it counts as zero in the sign count and the envelope
+
 
 def radial_integral(profile: KernelProfile) -> float:
     """∫_{R^N} F via the radial tabulation (2 ∫F dr in 1-D, 2π ∫F r dr in 2-D)."""
@@ -234,16 +226,16 @@ def radial_integral(profile: KernelProfile) -> float:
     return float(2.0 * np.pi * simpson(v * r, x=r))
 
 
-def sign_change_count(profile: KernelProfile, floor: float = 1e-13) -> int:
+def sign_change_count(profile: KernelProfile) -> int:
     """Number of sign changes along the tabulated radius (oscillation count)."""
-    v = profile.values[np.abs(profile.values) > floor]
+    v = profile.values[np.abs(profile.values) > _ZERO_FLOOR]
     return int(np.sum(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
 
 
-def _envelope_points(profile: KernelProfile, floor: float):
+def _envelope_points(profile: KernelProfile):
     r, v = profile.radii, np.abs(profile.values)
-    usable = v > floor
-    if sign_change_count(profile, floor) == 0:
+    usable = v > _ZERO_FLOOR
+    if sign_change_count(profile) == 0:
         # Monotone tail (the m = 1 Gaussian): every tabulated point past the
         # peak is its own envelope; subsample to a spread comparable with the
         # oscillatory case.
@@ -258,14 +250,14 @@ def _envelope_points(profile: KernelProfile, floor: float):
     return r[idx], v[idx]
 
 
-def decay_fit(profile: KernelProfile, floor: float = 1e-13) -> DecayFit:
+def decay_fit(profile: KernelProfile) -> DecayFit:
     """Fit ln|envelope| = ln C - a r^alpha over the outer envelope maxima.
 
     Requires at least five envelope points spanning a decade of decay; the
     innermost quarter of the maxima is dropped since the algebraic prefactor
     of the tail distorts the exponent there.
     """
-    r, v = _envelope_points(profile, floor)
+    r, v = _envelope_points(profile)
     if r.size >= 8:
         cut = r.size // 4
         r, v = r[cut:], v[cut:]
@@ -333,6 +325,6 @@ def read_profile_csv(path) -> KernelProfile:
     )
 
 
-def with_decay_fit(profile: KernelProfile, floor: float = 1e-13) -> KernelProfile:
+def with_decay_fit(profile: KernelProfile) -> KernelProfile:
     """Convenience: return the profile with its decay fit attached."""
-    return dataclasses.replace(profile, decay_fit=decay_fit(profile, floor))
+    return dataclasses.replace(profile, decay_fit=decay_fit(profile))

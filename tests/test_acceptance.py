@@ -210,7 +210,7 @@ def test_criterion_09_branching_rate(acceptance_sweep):
     """Remainder ratios decrease, the ablated control stays above 0.5 ||phi||,
     and the fitted slope lies in [0.7, 1.3]."""
     table, _ = acceptance_sweep
-    assert table.clamped_fraction <= 0.2
+    assert table.phi.clamped_fraction <= 0.2
     rows = [r for r in table.rows if r.status == "ok"]
     ratios = [r.correction_gap / r.n for r in rows]
     assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
@@ -222,7 +222,7 @@ def test_criterion_09_branching_rate(acceptance_sweep):
     _announce(
         9,
         "branching rate",
-        f"sign {table.sign_of_phi:+d}, clamped {table.clamped_fraction:.3f}, "
+        f"sign {table.phi.sign:+d}, clamped {table.phi.clamped_fraction:.3f}, "
         f"slope {table.slope:.2f}, ratios {['%.2e' % r for r in ratios]}",
     )
 

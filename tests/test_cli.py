@@ -318,6 +318,7 @@ SOLVE_DEFECTS = [
     ("grid", "points_per_dim", '"256"'),
     ("solver", "eps", "null"),
     ("degeneracy", "params", "[1]"),
+    ("degeneracy", "params", '{"kappa": 3.0}'),  # the closed forms take no params
     ("solver", "t_final", "1e400"),
     ("solver", "dt_init", "Infinity"),
     ("grid", "half_width", "true"),
@@ -359,6 +360,9 @@ CONSTRUCTOR_DEFECTS = {
     "DegeneracyFunction power without kappa": lambda: DegeneracyFunction("power"),
     "DegeneracyFunction kappa nan": lambda: DegeneracyFunction("power", {"kappa": math.nan}),
     "DegeneracyFunction knots str": lambda: DegeneracyFunction("spline", {"knots": "01", "values": [0, 1]}),
+    "DegeneracyFunction spline unknown key": lambda: DegeneracyFunction(
+        "spline", {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9], "kapa": 1}
+    ),
     "DegeneracyFunction t_max inf": lambda: DegeneracyFunction("tanh", t_max=math.inf),
     "QuadratureSpec nodes float": lambda: QuadratureSpec(8.0, 64.0),
 }

@@ -14,12 +14,12 @@ from polyheat.degeneracy import (
     f_pow_n,
     reg_coefficient,
 )
+from polyheat.solver import SolverConfig
 
 KINDS = {
     "tanh": {},
     "rational": {},
     "exp_saturating": {},
-    "power": {"kappa": 0.7},
     "spline": {"knots": [0.0, 1.0, 3.0, 10.0], "values": [0.0, 0.4, 0.7, 0.95]},
 }
 
@@ -64,6 +64,13 @@ def test_rejects_unknown_kind_and_bad_power():
         degeneracy_function("cubic")
     with pytest.raises(ValueError):
         degeneracy_function("power", kappa=-1.0)
+
+
+def test_rejects_unknown_params_key():
+    with pytest.raises(ValueError, match="unknown params key 'kappa' for kind 'rational'"):
+        degeneracy_function("rational", kappa=3.0)
+    with pytest.raises(ValueError, match="unknown params key 'kapa' for kind 'spline'"):
+        degeneracy_function("spline", knots=[0.0, 1.0, 3.0], values=[0.0, 0.5, 0.9], kapa=1)
 
 
 class TestPowers:
@@ -215,6 +222,11 @@ class TestBatchedCoefficient:
         with pytest.raises(ValueError, match="one eps per path"):
             reg_coefficient((RegPath(rational, 0.2, "full"),) * 2, (0.5,), u)
 
+    def test_eps_error_names_the_row(self, rational):
+        paths = (RegPath(rational, 0.1, "full"), RegPath(rational, 0.2, "full"))
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\], got 2.0 in row 1$"):
+            reg_coefficient(paths, (0.5, 2.0), np.zeros((2, 4)))
+
 
 class TestFullPath:
     def test_value_at_zero(self, rational):
@@ -336,10 +348,20 @@ def test_coefficient_bound_variants(rational):
     assert coefficient_bound(simple, 1e-3) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_power_kind_bound_uses_t_max():
-    f = degeneracy_function("power", kappa=2.0, t_max=3.0)
-    assert f.unbounded
-    assert f.bound == pytest.approx(9.0)
+@pytest.mark.parametrize("kind,params", KINDS.items())
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.floats(0.0, 3.0),
+    eps=st.floats(0.0, 1.0, exclude_min=True),
+    variant=st.sampled_from(("full", "simple")),
+    u=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16),
+)
+def test_coefficient_never_exceeds_the_stabilization(kind, params, n, eps, variant, u):
+    # the solver's stability rests on c bounding the coefficient for every u,
+    # not only on the [-t_max, t_max] its config samples
+    path = RegPath(degeneracy_function(kind, **params), n, variant)
+    config = SolverConfig(m=2, path=path, eps=eps, dt_init=1e-4, t_final=1e-3)
+    assert np.max(reg_coefficient((path,), (eps,), np.array(u))) <= config.c
 
 
 def test_regpath_validation(rational):

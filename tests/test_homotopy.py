@@ -142,12 +142,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule("bad_kind", 1.0, rational)
 
-    def test_power_kind_inverse_route(self):
-        f = degeneracy_function("power", kappa=2.0)
-        sch = Schedule("eps_of_n", 1.0, f)
-        n, eps = schedule_eval(sch, 0.04)
-        assert f(eps) == pytest.approx(math.exp(-5.0), rel=1e-12)
-
 
 class TestCorrectionPhi:
     def test_time_zero_is_empty_integral(self, u0, rational):
@@ -191,7 +185,7 @@ class TestBranchingResidual:
 
     def test_sign_resolution_and_ratio_decrease(self, small_sweep):
         ratios = [r.correction_gap / r.n for r in small_sweep.rows if r.n > 0]
-        assert small_sweep.sign_of_phi == -1
+        assert small_sweep.phi.sign == -1
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_ablated_control_bounded_below(self, small_sweep, u0, rational):
@@ -228,9 +222,10 @@ class TestSweep:
         by_status = {r.status.split(":")[0] for r in table.rows}
         assert by_status == {"ok", "failed"}
 
-    def test_failed_row_keeps_its_parameter(self, u0, rational, monkeypatch):
-        # eps = 2 has no (n, eps) pair: NaN n and eps, the 2 in param; the
-        # eps = 0.2 row's solve fails after the schedule gave its pair
+    def test_failed_row_keeps_its_parameter(self, tmp_path, u0, rational, monkeypatch):
+        # eps = 2 has no (n, eps) pair: NaN n and eps, the 2 in param, which
+        # table.csv writes too; the eps = 0.2 row's solve fails after the
+        # schedule gave its pair
         real = homotopy.solve
 
         def last_row_fails(u, configs):
@@ -245,13 +240,18 @@ class TestSweep:
         assert rows[2.0].status == "failed: eps = 2 outside (0, 1]"
         assert (rows[0.5].n, rows[0.5].eps, rows[0.5].status) == (*schedule_eval(sch, 0.5), "ok")
         assert (rows[0.2].n, rows[0.2].eps, rows[0.2].status) == (*schedule_eval(sch, 0.2), "failed: forced")
+        write_table_csv(tmp_path / "t.csv", table)
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert [line for line in lines if line.startswith("2.0,")] == [
+            "2.0,nan,nan,0.1,nan,nan,nan,failed: eps = 2 outside (0, 1]"
+        ]
 
     def test_serialization(self, tmp_path, small_sweep):
         write_table_csv(tmp_path / "t.csv", small_sweep)
         write_summary_json(tmp_path / "s.json", small_sweep)
         write_plot_data(tmp_path / "p.csv", small_sweep)
         lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[0] == "n,eps,t_eval,l2_gap,sup_gap,correction_gap,status"
+        assert lines[0] == "param,n,eps,t_eval,l2_gap,sup_gap,correction_gap,status"
         assert len(lines) == 1 + len(small_sweep.rows)
         summary = json.loads((tmp_path / "s.json").read_text())
         assert set(summary) >= {"slope", "slope_ci", "sign_of_phi", "clamped_fraction", "schedule"}

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every name
 it exports is read by the package, a demo or the benchmark, every polyheat
 name a demo or the benchmark reads exists, every function the benchmark's
-layer tracer wraps exists and a sweep reaches it, and every transform the
-package makes is a real one made in ``gridfield.rfft``/``irfft``."""
+layer tracer wraps exists and a sweep reaches it, every transform the
+package makes is a real one made in ``gridfield.rfft``/``irfft``, and every
+default of a public function or dataclass is one that some call sets."""
 
 import ast
 import importlib.util
@@ -113,6 +114,101 @@ def test_every_export_has_a_reader():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
     assert unread_exports(modules, callers) == []
+
+
+def _is_dataclass(node) -> bool:
+    return any(
+        _dotted(d.func if isinstance(d, ast.Call) else d) in ("dataclass", "dataclasses.dataclass")
+        for d in node.decorator_list
+    )
+
+
+def defaulted_parameters(source: str) -> list:
+    """``(owner, parameter, position)`` for each parameter with a default of
+    a public top-level function or dataclass; ``position`` is its index
+    among the positional parameters, None for a keyword-only one.  A
+    dataclass field with ``init=False`` is no parameter."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            found += [(node.name, arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
+            position = 0
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                value = stmt.value
+                is_field = isinstance(value, ast.Call) and _dotted(value.func) in ("field", "dataclasses.field")
+                options = {k.arg: k.value for k in value.keywords} if is_field else {}
+                if getattr(options.get("init"), "value", True) is False:
+                    continue
+                if (value is not None and not is_field) or {"default", "default_factory"} & set(options):
+                    found.append((node.name, stmt.target.id, position))
+                position += 1
+    return found
+
+
+def unset_defaults(modules: dict, callers) -> list:
+    """``module.owner.parameter`` for each defaulted parameter (see
+    ``defaulted_parameters``) of the modules (name -> source) that no call
+    in the caller sources passes: by keyword, by position (a ``*`` splat
+    passes every position) or by a ``**`` splat."""
+    calls = {}  # callee name -> [(positional count, *-splat, keywords, **-splat)]
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((
+                len(node.args), any(isinstance(a, ast.Starred) for a in node.args),
+                keywords - {None}, None in keywords,
+            ))
+
+    def passed(owner, parameter, position):
+        return any(
+            splat or parameter in keywords or (position is not None and (starred or count > position))
+            for count, starred, keywords, splat in calls.get(owner, ())
+        )
+
+    return sorted(
+        f"{mod}.{owner}.{parameter}"
+        for mod, source in modules.items()
+        for owner, parameter, position in defaulted_parameters(source)
+        if not passed(owner, parameter, position)
+    )
+
+
+def test_detects_unset_default():
+    lib = (
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=1): pass\n"
+        "def h(a=1): pass\n"
+        "def _private(a=1): pass\n"
+        "class Plain:\n    def __init__(self, a=1): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = field(init=False, default=0)\n"
+        "    w: dict = field(default_factory=dict)\n"
+        "    v: int = field(default=5)\n"
+    )
+    caller = "f(0, 1, e=5)\nlib.g(*args)\nh(**kwargs)\nD(1, 2, v=3)\n"
+    assert unset_defaults({"lib": lib}, [caller]) == ["lib.D.w", "lib.f.c", "lib.f.d"]
+
+
+def test_every_default_is_set():
+    # a parameter that no run, demo or benchmark sets is a constant of its module
+    package = {p.stem: p.read_text() for p in Path(polyheat.__file__).parent.glob("*.py")}
+    public = {name: source for name, source in package.items() if not name.startswith("_")}
+    assert unset_defaults(public, list(package.values()) + [p.read_text() for p in CALLERS]) == []
 
 
 _MISSING = object()

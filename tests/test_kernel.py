@@ -21,10 +21,10 @@ from polyheat.kernel import (
     KernelProfile,
     QuadratureSpec,
     decay_fit,
-    default_quadrature,
     phe_solve,
     profile_bessel,
     profile_fourier,
+    profile_quadrature,
     radial_integral,
     read_profile_csv,
     sign_change_count,
@@ -72,13 +72,9 @@ class TestProfileBessel:
         assert np.min(np.abs(profile_m2.values[-5:])) < 1e-12
         assert radial_integral(profile_m2) == pytest.approx(1.0, abs=1e-6)
 
-    def test_rejects_small_smax(self):
-        with pytest.raises(ValueError, match="truncates"):
-            profile_bessel(2, 1, np.array([0.0, 1.0]), QuadratureSpec(s_max=1.0, nodes=64))
-
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
-            KernelProfile(2, 1, np.array([1.0, 0.5]), np.zeros(2), default_quadrature(2))
+            KernelProfile(2, 1, np.array([1.0, 0.5]), np.zeros(2), profile_quadrature(2, 1))
 
 
 class TestProfileFourier:
