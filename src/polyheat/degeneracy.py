@@ -200,7 +200,7 @@ def reg_coefficient(paths: tuple, eps: tuple, u):
     row is bitwise the coefficient of its own path.  Rows at n = 0 get
     exactly 1 for f^n, and a batch with every row at n = 0 does not evaluate
     f.  This is the only expression of the coefficient: the solver's step
-    and its configs' sampled peak evaluate it here.
+    evaluates it here.
     """
     u = np.asarray(u, dtype=float)
     cols = _row_columns(paths, eps, u.ndim)

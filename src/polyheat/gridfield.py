@@ -367,13 +367,16 @@ def bump(
     Larger `steepness` s pushes the Fourier tail down faster, which the
     solver's smoothness precondition cares about on coarse grids.
     """
+    require_real("amplitude", amplitude)
+    require_real("steepness", steepness, "positive")
+    if not width**2 > 0.0:
+        raise ValueError(f"bump width {width!r} must have a positive square, got width**2 = {width**2!r}")
+    require_real("width", width, "positive")
     if center is None:
         center = (0.0,) * grid.dim
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError("center must have one entry per dimension")
-    if not width**2 > 0.0:
-        raise ValueError(f"bump width {width!r} must have a positive square, got width**2 = {width**2!r}")
     r2 = sum((x - c) ** 2 for x, c in zip(coordinates(grid), center))
     r2 = np.broadcast_to(r2, grid.shape) / width**2
     vals = np.zeros(grid.shape)

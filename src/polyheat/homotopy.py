@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -159,9 +159,9 @@ def correction_phi(
             clamped_fraction=0.0,
         )
     nodes = np.linspace(0.0, t, time_nodes)
-    fields = linear_trajectory(u0, m, nodes)
+    states = linear_trajectory(u0, m, nodes)
 
-    sup0 = max(float(np.max(np.abs(fields[0].values))), 1e-300)
+    sup0 = max(float(np.max(np.abs(states[0].values))), 1e-300)
     eta = clamp_floor if clamp_floor is not None else 1e-8 * sup0
     if not eta > 0:
         raise ValueError("clamp floor must be positive")
@@ -172,14 +172,14 @@ def correction_phi(
     weights[-1] *= 0.5
 
     phi_hat = np.zeros(spec.k2m.shape, dtype=complex)
-    for s, wt, snap in zip(nodes, weights, fields):
+    for s, wt, snap in zip(nodes, weights, states):
         logf = np.log(f(np.maximum(np.abs(snap.values), eta)))
         g = grad_chain(spec, rfft(grid, snap.values))
         w_hat = divergence_hat(spec, [logf * gi for gi in g], True)
         phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w_hat)
     values = irfft(grid, phi_hat)
 
-    final = fields[-1]
+    final = states[-1]
     clamped = float(np.mean(np.abs(final.values) < eta))
     if clamped > 0.2:
         raise RuntimeError(
@@ -295,7 +295,7 @@ def sweep(
                 m=m, path=RegPath(f, n_eff, "simple"), eps=eps, dt_init=dt_init, t_final=t_eval,
                 dealias=dealias, report_stride=10**9,
             )
-        except (ScheduleRangeError, ValueError) as err:
+        except ValueError as err:
             results[v] = (n_eff, eps, "failed: " + str(err), None)
     # every row in one batch
     for (v, config), out in zip(configs.items(), solve(u0, list(configs.values()))):
@@ -398,10 +398,12 @@ def path_dependence_report(
 
 
 def write_table_csv(path, table: ConvergenceTable) -> None:
-    lines = ["param,n,eps,t_eval,l2_gap,sup_gap,correction_gap,status"]
+    names = [f.name for f in fields(ConvergenceRow)]
+    lines = [",".join(names)]
     for r in table.rows:
-        cells = (r.param, r.n, r.eps, r.t_eval, r.l2_gap, r.sup_gap, r.correction_gap)
-        lines.append(",".join(map(repr, cells)) + f",{r.status}")
+        cells = (getattr(r, name) for name in names)
+        # the status is free text, written unquoted
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

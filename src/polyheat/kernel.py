@@ -99,10 +99,14 @@ class KernelProfile:
     decay_fit: DecayFit | None = None
 
     def __post_init__(self):
+        require_int("m", self.m, lo=1)
+        require_int("dim", self.dim, choices=(1, 2))
         r = np.asarray(self.radii, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape:
             raise ValueError("radii and values must be matching 1-D arrays")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise ValueError("radii and values must be finite")
         if np.any(r < 0) or np.any(np.diff(r) <= 0):
             raise ValueError("radii must be nonnegative and strictly increasing")
         object.__setattr__(self, "radii", r)

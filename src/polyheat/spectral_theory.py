@@ -80,9 +80,6 @@ class MultiIndex:
             out *= math.factorial(b)
         return out
 
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def multi_indices_up_to(dim: int, max_order: int) -> list:
     """All beta with |beta| <= max_order, graded lexicographic."""

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from polyheat import cli
 from polyheat.cli import ConfigError, main, parse_config, report, run
 from polyheat.degeneracy import DegeneracyFunction, RegPath
-from polyheat.gridfield import GridSpec, read_phf1
+from polyheat.gridfield import GridSpec, bump, read_phf1
 from polyheat.homotopy import Schedule
-from polyheat.kernel import QuadratureSpec
+from polyheat.kernel import KernelProfile, QuadratureSpec
 from polyheat.solver import SolverConfig
 
 MINIMAL_SOLVE = {
@@ -337,6 +337,8 @@ SOLVE_DEFECTS = [
 _RATIONAL = DegeneracyFunction("rational")
 _LINEAR = RegPath(_RATIONAL, 0.0, "simple")
 _SOLVER = dict(m=2, path=_LINEAR, eps=1e-3, dt_init=1e-4, t_final=0.01)
+_PROFILE = dict(m=2, dim=1, radii=[0.0, 0.5], values=[0.2, 0.1], quadrature=QuadratureSpec(4.0, 64))
+_GRID = GridSpec(1, 24.0, 256)
 
 CONSTRUCTOR_DEFECTS = {
     "GridSpec dim float": lambda: GridSpec(1.0, 24.0, 256),
@@ -365,6 +367,14 @@ CONSTRUCTOR_DEFECTS = {
     ),
     "DegeneracyFunction t_max inf": lambda: DegeneracyFunction("tanh", t_max=math.inf),
     "QuadratureSpec nodes float": lambda: QuadratureSpec(8.0, 64.0),
+    "KernelProfile radii nan": lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.nan])),
+    "KernelProfile radii inf": lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.inf])),
+    "KernelProfile values nan": lambda: KernelProfile(**dict(_PROFILE, values=[0.2, math.nan])),
+    "KernelProfile m zero": lambda: KernelProfile(**dict(_PROFILE, m=0)),
+    "KernelProfile dim 3": lambda: KernelProfile(**dict(_PROFILE, dim=3)),
+    "bump width inf": lambda: bump(_GRID, 1.0, math.inf),
+    "bump steepness negative": lambda: bump(_GRID, 1.0, 4.0, steepness=-1.0),
+    "bump amplitude nan": lambda: bump(_GRID, math.nan, 4.0),
 }
 
 # arbitrary JSON; integers stay small because a drawn grid size allocates

@@ -1,12 +1,16 @@
 """Every name a package module imports is used in that module, every name
-it exports is read by the package, a demo or the benchmark, every polyheat
-name a demo or the benchmark reads exists, every function the benchmark's
-layer tracer wraps exists and a sweep reaches it, every transform the
-package makes is a real one made in ``gridfield.rfft``/``irfft``, and every
-default of a public function or dataclass is one that some call sets."""
+it exports is read by the package, a demo or the benchmark, the package
+root binds only ``__version__`` and modules, every polyheat name a demo or
+the benchmark reads exists, every function the benchmark's layer tracer
+wraps exists and a sweep reaches it, every transform the package makes is a
+real one made in ``gridfield.rfft``/``irfft``, and every default of a public
+function or dataclass is one that some call sets."""
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -114,6 +118,34 @@ def test_every_export_has_a_reader():
     modules = {p.stem: p.read_text() for p in MODULES}
     callers = [p.read_text() for p in CALLERS]
     assert unread_exports(modules, callers) == []
+
+
+# what Python itself binds on an imported package
+_PACKAGE_DUNDERS = {
+    "__name__", "__doc__", "__package__", "__loader__", "__spec__",
+    "__path__", "__file__", "__cached__", "__builtins__",
+}
+
+_ROOT_PROBE = """
+import json, sys, types
+import polyheat
+print(json.dumps({
+    "non_modules": [name for name, value in vars(polyheat).items() if not isinstance(value, types.ModuleType)],
+    "solver_loaded": "polyheat.solver" in sys.modules,
+}))
+"""
+
+
+def test_package_root_binds_only_modules():
+    # each object has one import path, its own module's; and a bare
+    # ``import polyheat`` loads polyheat.solver, which the benchmark's own
+    # test of a missing layer function looks up
+    src = str(Path(polyheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _ROOT_PROBE], env=env, capture_output=True, text=True, check=True)
+    probe = json.loads(out.stdout)
+    assert sorted(set(probe["non_modules"]) - _PACKAGE_DUNDERS - {"__version__"}) == []
+    assert probe["solver_loaded"]
 
 
 def _is_dataclass(node) -> bool:
@@ -416,5 +448,5 @@ def test_sweep_is_one_traced_solve_with_one_coefficient_call_per_step(monkeypatc
     table = homotopy.sweep(u0, 2, schedule, t_eval, n_values, dt_init=dt, clamp_floor=1e-14)
     assert [r.status for r in table.rows] == ["ok"] * len(n_values)
     assert calls["solve"] == 1
-    # each row's config samples its coefficient once; then one call per state
-    assert calls["coef"] == len(n_values) + 1 + round(t_eval / dt)
+    # one call per state: the initial pass and one per step
+    assert calls["coef"] == 1 + round(t_eval / dt)

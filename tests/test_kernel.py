@@ -72,9 +72,17 @@ class TestProfileBessel:
         assert np.min(np.abs(profile_m2.values[-5:])) < 1e-12
         assert radial_integral(profile_m2) == pytest.approx(1.0, abs=1e-6)
 
-    def test_rejects_bad_radii(self):
+    def test_rejects_bad_radii(self, tmp_path):
         with pytest.raises(ValueError):
             KernelProfile(2, 1, np.array([1.0, 0.5]), np.zeros(2), profile_quadrature(2, 1))
+        # a NaN radius gives a NaN quadrature residual, which no tolerance catches
+        with pytest.raises(ValueError, match="finite"):
+            profile_bessel(2, 1, [0.0, 0.5, float("nan")])
+        for row in ("nan,0.1", "0.5,nan", "inf,0.1"):
+            path = tmp_path / "profile.csv"
+            path.write_text(f"# m=2 N=1 s_max=4.0 nodes=64\nr,F\n0.0,0.2\n{row}\n")
+            with pytest.raises(ValueError, match="finite"):
+                read_profile_csv(path)
 
 
 class TestProfileFourier:

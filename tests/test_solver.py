@@ -112,13 +112,6 @@ class TestConfig:
             with pytest.raises(ValueError):
                 _linear_config(rational, eps=eps)
 
-    def test_rejects_undersized_stabilization(self, rational, monkeypatch):
-        # c is 1.1 times the bound, so a bound of 0.5 / 1.1 under-covers the
-        # sampled coefficient peak of 1
-        monkeypatch.setattr(solver_module, "coefficient_bound", lambda path, eps: 0.5 / 1.1)
-        with pytest.raises(ValueError, match="stabilization"):
-            _linear_config(rational)
-
     def test_default_stabilization_covers_bound(self, rational):
         config = SolverConfig(
             m=2, path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=1e-4, t_final=0.1
