@@ -16,6 +16,7 @@ from polyheat.degeneracy import degeneracy_function
 from polyheat.gridfield import bump, make_grid
 from polyheat.homotopy import (
     Schedule,
+    SweepSpec,
     schedule_eval,
     sweep,
     write_plot_data,
@@ -38,11 +39,12 @@ grid = make_grid(1, 24.0, 256)
 u0 = bump(grid, amplitude=1.0, width=4.0, steepness=6.0)
 
 print("\nrunning the sweep (one solver run per row) ...")
-table = sweep(
-    u0, 2, schedule, t_eval=0.1,
+spec = SweepSpec(
+    schedule, m=2, t_eval=0.1,
     n_values=[0.0, 1e-1, 3e-2, 1e-2, 3e-3],
     dt_init=2e-5, clamp_floor=1e-14,
 )
+table = sweep(u0, spec)
 
 print(f"{'n':>8} {'eps':>12} {'l2 gap':>12} {'sup gap':>12} {'corrected':>12}")
 for row in table.rows:

@@ -32,11 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._validate import require_int, require_real, require_reals
+from ._validate import require_int, require_real
 from .degeneracy import DegeneracyFunction, RegPath
-from .gridfield import DecayAssertionError, Field, GridSpec, bump, l2_norm, write_phf1
+from .gridfield import DecayAssertionError, Field, GridSpec, bump, l2_norm, random_bumps, write_phf1
 from .homotopy import (
     Schedule,
+    SweepSpec,
     sweep,
     write_plot_data,
     write_summary_json,
@@ -109,11 +110,12 @@ _BLOCK_KEYS = {
     # SolverConfig's own settable fields, with the path's variant in place of the path
     "solver": {f.name for f in fields(SolverConfig) if f.init} - {"path"} | {"variant"},
     "schedule": {"kind", "c"},
-    "sweep": {"m", "t_eval", "n_values", "dt_init", "dealias", "time_nodes", "clamp_floor"},
+    # SweepSpec's own settable fields but the schedule, which has its own block
+    "sweep": {f.name for f in fields(SweepSpec) if f.init} - {"schedule"},
     "kernel": {"m", "dim", "r_max", "dr"},
     "spectrum": {"m", "max_order"},
 }
-_BLOCK_KEYS["branch"] = _BLOCK_KEYS["sweep"]  # both go to _sweep_from_block
+_BLOCK_KEYS["branch"] = _BLOCK_KEYS["sweep"]  # both build a SweepSpec
 
 
 def _check_keys(block_name: str, block: dict) -> None:
@@ -199,8 +201,8 @@ def _build(config: RunConfig) -> dict:
     if config.command == "solve":
         build("solver", _solver_from_block, path)
     else:
-        build("schedule", lambda b: Schedule(b["kind"], b["c"], path.f))
-        build(config.command, _sweep_from_block, path.f)
+        schedule = build("schedule", lambda b: Schedule(b["kind"], b["c"], path.f))
+        build(config.command, lambda b: SweepSpec(schedule, **{"m": 2, **b}))
     build("u0", _u0_from_block, grid, config.seed)
     return built
 
@@ -239,56 +241,18 @@ def _solver_from_block(block: dict, path: RegPath) -> SolverConfig:
     return SolverConfig(path=replace(path, variant=fields.pop("variant", "full")), **fields)
 
 
-def _sweep_from_block(block: dict, f: DegeneracyFunction) -> dict:
-    """Keyword arguments for ``sweep``; m, dt_init and dealias are checked by
-    building the SolverConfig of the sweep's n = 0 control row."""
-    kwargs = {"m": 2, **block}
-    require_real("t_eval", kwargs["t_eval"], "positive")
-    require_reals("n_values", kwargs["n_values"], min_len=1, sign="nonnegative")
-    require_int("time_nodes", kwargs.get("time_nodes", 41), lo=2)
-    if kwargs.get("clamp_floor") is not None:
-        require_real("clamp_floor", kwargs["clamp_floor"], "positive")
-    SolverConfig(
-        m=kwargs["m"], path=RegPath(f, 0.0, "simple"), eps=1.0, dt_init=kwargs.get("dt_init", 2e-5),
-        t_final=kwargs["t_eval"], dealias=kwargs.get("dealias", False),
-    )
-    return kwargs
-
-
 def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
-    """The initial field, held to the solver's initial-data preconditions
-    here so that a violation is a config error, not a failed run."""
-    kind = block.get("type", "bump")
-    if kind not in ("bump", "random_bumps"):
-        raise ValueError(f"type must be 'bump' or 'random_bumps', got {kind!r}")
-    amplitude, steepness = block.get("amplitude", 1.0), block.get("steepness", 6.0)
-    width = block.get("width", 4.0 if kind == "bump" else 2.0)
-    require_real("amplitude", amplitude)
-    require_real("width", width, "positive")
-    require_real("steepness", steepness, "positive")
+    """The initial field from ``bump`` or ``random_bumps``, which take every
+    key but ``type`` and check them, held to the solver's initial-data
+    preconditions here so that a violation is a config error, not a failed run."""
+    kwargs = dict(block)
+    kind = kwargs.pop("type", "bump")
     if kind == "bump":
-        center = block.get("center")
-        if center is not None:
-            require_reals("center", center if isinstance(center, list) else [center])
-        u0 = bump(grid, amplitude, width, center=center, steepness=steepness)
+        u0 = bump(grid, **{"width": 4.0, "steepness": 6.0, **kwargs})
+    elif kind == "random_bumps":
+        u0 = random_bumps(grid, seed, **kwargs)
     else:
-        count = block.get("count", 3)
-        require_int("count", count, lo=1)
-        room = 0.5 * grid.half_width - width
-        if room <= 0.0:
-            raise ValueError(
-                f"random_bumps width {width:g} leaves no room: it must be below L/2 = {0.5 * grid.half_width:g}"
-            )
-        # centres in the box inscribed in the ball |c| <= L/2 - width, so
-        # every bump lies within |x| <= L/2 whatever the seed
-        span = room / np.sqrt(grid.dim)
-        rng = np.random.default_rng(seed)
-        vals = np.zeros(grid.shape)
-        for _ in range(count):
-            center = rng.uniform(-span, span, size=grid.dim)
-            amp = rng.uniform(0.3, 1.0) * amplitude
-            vals += bump(grid, amp, width, center=center, steepness=steepness).values
-        u0 = Field(grid, vals, 0.0)
+        raise ValueError(f"type must be 'bump' or 'random_bumps', got {kind!r}")
     _validate_initial(u0)
     return u0
 
@@ -379,7 +343,7 @@ def _cmd_solve(built: dict, out: Path):
 
 
 def _sweep_common(built: dict, out: Path, block_name: str):
-    table = sweep(built["u0"], schedule=built["schedule"], **built[block_name])
+    table = sweep(built["u0"], built[block_name])
     write_table_csv(out / "table.csv", table)
     write_summary_json(out / "summary.json", table)
     write_plot_data(out / "plotdata.csv", table)

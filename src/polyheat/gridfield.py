@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validate import require_int, require_real
+from ._validate import require_int, require_real, require_reals
 
 __all__ = [
     "GridSpec",
@@ -54,6 +54,7 @@ __all__ = [
     "boundary_shell_max",
     "assert_boundary_decay",
     "bump",
+    "random_bumps",
     "write_phf1",
     "read_phf1",
 ]
@@ -369,11 +370,13 @@ def bump(
     """
     require_real("amplitude", amplitude)
     require_real("steepness", steepness, "positive")
+    require_real("width", width)
     if not width**2 > 0.0:
         raise ValueError(f"bump width {width!r} must have a positive square, got width**2 = {width**2!r}")
     require_real("width", width, "positive")
     if center is None:
         center = (0.0,) * grid.dim
+    require_reals("center", center if np.ndim(center) else [center])
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError("center must have one entry per dimension")
@@ -383,6 +386,30 @@ def bump(
     inside = r2 < 1.0
     with np.errstate(divide="ignore"):
         vals[inside] = amplitude * np.exp(steepness - steepness / (1.0 - r2[inside]))
+    return Field(grid, vals, 0.0)
+
+
+def random_bumps(grid: GridSpec, seed: int, count: int = 3, amplitude: float = 1.0,
+                 width: float = 2.0, steepness: float = 6.0) -> Field:
+    """The sum of ``count`` bumps of one width, each with an amplitude (0.3
+    to 1 times ``amplitude``) and a centre drawn from the generator seeded
+    with ``seed``.  The centres lie in the box inscribed in the ball
+    |c| <= L/2 - width, so every bump lies within |x| <= L/2 whatever the seed."""
+    require_int("count", count, lo=1)
+    require_real("amplitude", amplitude)
+    require_real("width", width, "positive")
+    room = 0.5 * grid.half_width - width
+    if room <= 0.0:
+        raise ValueError(
+            f"random_bumps width {width:g} leaves no room: it must be below L/2 = {0.5 * grid.half_width:g}"
+        )
+    span = room / np.sqrt(grid.dim)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(grid.shape)
+    for _ in range(count):
+        center = rng.uniform(-span, span, size=grid.dim)
+        amp = rng.uniform(0.3, 1.0) * amplitude
+        vals += bump(grid, amp, width, center=center, steepness=steepness).values
     return Field(grid, vals, 0.0)
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._validate import require_real
+from ._validate import require_int, require_real, require_reals
 from .degeneracy import DegeneracyFunction, RegPath
 from .gridfield import (
     Field,
@@ -50,6 +50,7 @@ __all__ = [
     "ConvergenceTable",
     "CorrectionField",
     "BranchingResidual",
+    "SweepSpec",
     "PathDependenceReport",
     "schedule_eval",
     "linear_trajectory",
@@ -132,6 +133,13 @@ def linear_trajectory(u0: Field, m: int, times) -> tuple:
     return tuple(phe_solve(u0, m, float(t)) for t in sorted(times))
 
 
+def _check_quadrature(time_nodes, clamp_floor) -> None:
+    """At least two time nodes, and a positive clamp floor or None for the default."""
+    require_int("time_nodes", time_nodes, lo=2)
+    if clamp_floor is not None:
+        require_real("clamp_floor", clamp_floor, "positive")
+
+
 def correction_phi(
     u0: Field,
     m: int,
@@ -146,25 +154,16 @@ def correction_phi(
     [0, t]; each node s contributes the multiplier increment
     sum_i (i xi_i) e^(-|xi|^(2m) (t-s)) w_hat_i  with
     w = ln f(max(|u|, eta)) grad Delta^(m-1) u  (dealiased), composited by
-    the trapezoid rule.  Raises when the clamp was active on more than 20%
-    of the box at time t.
+    the trapezoid rule.  The clamp floor eta defaults to 1e-8 max|u0|.
+    Raises when the clamp was active on more than 20% of the box at time t.
     """
-    if time_nodes < 2:
-        raise ValueError("need at least two time nodes")
+    _check_quadrature(time_nodes, clamp_floor)
     grid = u0.grid
+    eta = clamp_floor if clamp_floor is not None else 1e-8 * max(float(np.max(np.abs(u0.values))), 1e-300)
     if t == 0.0:
-        return CorrectionField(
-            grid=grid, t=0.0, values=np.zeros(grid.shape),
-            clamp_floor=clamp_floor if clamp_floor is not None else 0.0,
-            clamped_fraction=0.0,
-        )
+        return CorrectionField(grid, 0.0, np.zeros(grid.shape), clamp_floor=eta, clamped_fraction=0.0)
     nodes = np.linspace(0.0, t, time_nodes)
     states = linear_trajectory(u0, m, nodes)
-
-    sup0 = max(float(np.max(np.abs(states[0].values))), 1e-300)
-    eta = clamp_floor if clamp_floor is not None else 1e-8 * sup0
-    if not eta > 0:
-        raise ValueError("clamp floor must be positive")
 
     spec = _spectrum(grid, m)
     weights = np.full(time_nodes, t / (time_nodes - 1))
@@ -255,48 +254,64 @@ def _fit_slope(ns, gaps):
     return slope, (slope - 2.0 * stderr, slope + 2.0 * stderr)
 
 
-def sweep(
-    u0: Field,
-    m: int,
-    schedule: Schedule,
-    t_eval: float,
-    n_values,
-    dt_init: float = 2e-5,
-    dealias: bool = False,
-    time_nodes: int = 41,
-    clamp_floor: float | None = None,
-) -> ConvergenceTable:
+@dataclass(frozen=True)
+class SweepSpec:
+    """The settings of one ``sweep``, checked on construction.
+
+    ``n_values`` hold the schedule's own parameter (n for ``eps_of_n``, eps
+    for ``n_of_eps``); 0 is the degeneracy-off control row, whose
+    SolverConfig ``control`` every row's config is made from, so that
+    SolverConfig alone checks m, dt_init and dealias.
+    """
+
+    schedule: Schedule
+    m: int
+    t_eval: float
+    n_values: tuple
+    dt_init: float = 2e-5
+    dealias: bool = False
+    time_nodes: int = 41
+    clamp_floor: float | None = None
+    control: SolverConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        require_real("t_eval", self.t_eval, "positive")
+        require_reals("n_values", self.n_values, min_len=1, sign="nonnegative")
+        _check_quadrature(self.time_nodes, self.clamp_floor)
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        object.__setattr__(self, "control", SolverConfig(
+            m=self.m, path=RegPath(self.schedule.f, 0.0, "simple"), eps=1.0, dt_init=self.dt_init,
+            t_final=self.t_eval, dealias=self.dealias, report_stride=10**9,
+        ))
+
+
+def sweep(u0: Field, spec: SweepSpec) -> ConvergenceTable:
     """One solver run per schedule point, measured against the cached linear
     solution; the correction field is computed once, its sign is resolved
     on the smallest successful n, and it is returned as ``table.phi``.
     The nonlinearity is the schedule's own ``f``.
 
-    ``n_values`` hold the schedule's own parameter (n for ``eps_of_n``, eps
-    for ``n_of_eps``); the coupled pair is derived per row, with 0 meaning
-    the degeneracy-off control row.  Each row keeps its parameter as
-    ``param``.  Row failures (stiffness, blow-up, decay assertion, schedule
-    range) mark the row failed, with its (n, eps) where the schedule gave
-    them and NaN where it did not, and the sweep continues.  Rows are
-    sorted by n descending.
+    The coupled (n, eps) pair is derived per row from the row's parameter,
+    which the row keeps as ``param``.  Row failures (stiffness, blow-up,
+    decay assertion, schedule range) mark the row failed, with its (n, eps)
+    where the schedule gave them and NaN where it did not, and the sweep
+    continues.  Rows are sorted by n descending.
     """
-    f = schedule.f
-    params = sorted(set(float(v) for v in n_values), reverse=True)
+    schedule, m, t_eval = spec.schedule, spec.m, spec.t_eval
+    params = sorted(set(float(v) for v in spec.n_values), reverse=True)
     u_lin = phe_solve(u0, m, t_eval)
-    phi_raw = correction_phi(u0, m, f, t_eval, time_nodes=time_nodes, clamp_floor=clamp_floor)
+    phi_raw = correction_phi(u0, m, schedule.f, t_eval, spec.time_nodes, spec.clamp_floor)
 
     # per parameter: (n, eps, status, final state), n and eps NaN where the
     # schedule has no pair for it, the state None where the row failed
     results, configs = {}, {}
     for v in params:
-        n_eff = eps = float("nan")
         try:
             n_eff, eps = (0.0, 1.0) if v == 0.0 else schedule_eval(schedule, v)
-            configs[v] = SolverConfig(
-                m=m, path=RegPath(f, n_eff, "simple"), eps=eps, dt_init=dt_init, t_final=t_eval,
-                dealias=dealias, report_stride=10**9,
-            )
-        except ValueError as err:
-            results[v] = (n_eff, eps, "failed: " + str(err), None)
+        except ScheduleRangeError as err:
+            results[v] = (float("nan"), float("nan"), "failed: " + str(err), None)
+        else:
+            configs[v] = replace(spec.control, path=RegPath(schedule.f, n_eff, "simple"), eps=eps)
     # every row in one batch
     for (v, config), out in zip(configs.items(), solve(u0, list(configs.values()))):
         if isinstance(out, Exception):

@@ -101,16 +101,20 @@ class KernelProfile:
     def __post_init__(self):
         require_int("m", self.m, lo=1)
         require_int("dim", self.dim, choices=(1, 2))
-        r = np.asarray(self.radii, dtype=float)
+        r = _radii_array(self.radii)
         v = np.asarray(self.values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape:
-            raise ValueError("radii and values must be matching 1-D arrays")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-            raise ValueError("radii and values must be finite")
-        if np.any(r < 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("radii must be nonnegative and strictly increasing")
+        if v.shape != r.shape or not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite, one per radius")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
+
+
+def _radii_array(radii) -> np.ndarray:
+    """``radii`` as a float array, or a ValueError saying what they must be."""
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or not np.all(np.isfinite(r)) or np.any(r < 0) or np.any(np.diff(r) <= 0):
+        raise ValueError("radii must be a 1-D array of finite, nonnegative, strictly increasing numbers")
+    return r
 
 
 def profile_quadrature(m: int, dim: int) -> QuadratureSpec:
@@ -154,7 +158,7 @@ def profile_bessel(m: int, dim: int, radii) -> KernelProfile:
     records the truncation point and the final node count.
     """
     quadrature = profile_quadrature(m, dim)
-    radii = np.asarray(radii, dtype=float)
+    radii = _radii_array(radii)
     r_eval = np.where(radii == 0.0, 1e-8, radii)
 
     nodes = max(quadrature.nodes, _PANEL_NODES)

@@ -24,6 +24,7 @@ from polyheat.gridfield import (
 )
 from polyheat.homotopy import (
     Schedule,
+    SweepSpec,
     correction_phi,
     path_dependence_report,
     sweep,
@@ -75,10 +76,10 @@ def profiles():
 def acceptance_sweep():
     schedule = Schedule("eps_of_n", 1.0, RATIONAL)
     start = time.perf_counter()
-    table = sweep(
-        U0, 2, schedule, 0.1, [1e-1, 3e-2, 1e-2, 3e-3],
+    table = sweep(U0, SweepSpec(
+        schedule, 2, 0.1, [1e-1, 3e-2, 1e-2, 3e-3],
         dt_init=2e-5, dealias=False, time_nodes=641, clamp_floor=1e-14,
-    )
+    ))
     return table, time.perf_counter() - start
 
 

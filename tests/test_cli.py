@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from polyheat import cli
 from polyheat.cli import ConfigError, main, parse_config, report, run
 from polyheat.degeneracy import DegeneracyFunction, RegPath
-from polyheat.gridfield import GridSpec, bump, read_phf1
-from polyheat.homotopy import Schedule
+from polyheat.gridfield import GridSpec, bump, random_bumps, read_phf1
+from polyheat.homotopy import Schedule, SweepSpec
 from polyheat.kernel import KernelProfile, QuadratureSpec
 from polyheat.solver import SolverConfig
 
@@ -332,6 +332,21 @@ SOLVE_DEFECTS = [
     ("u0", "center", "15.0"),  # support past |x| <= L/2
     ("u0", "steepness", "0.01"),  # spectral tail above 1e-10
     ("u0", "amplitude", "1e308"),  # the transform overflows: a NaN spectral tail
+    ("u0", "center", "[NaN]"),  # a NaN centre would build the zero field
+]
+
+# (key, raw JSON token) for the sweep or branch block of SWEEP_CONFIG; each
+# must be a config error
+SWEEP_DEFECTS = [
+    ("t_eval", "NaN"),
+    ("n_values", "[]"),
+    ("n_values", "[-1]"),
+    ("time_nodes", "1"),
+    ("time_nodes", "2.5"),
+    ("clamp_floor", "0"),
+    ("dt_init", "-1"),
+    ("m", "4"),
+    ("dealias", "1"),
 ]
 
 _RATIONAL = DegeneracyFunction("rational")
@@ -339,6 +354,7 @@ _LINEAR = RegPath(_RATIONAL, 0.0, "simple")
 _SOLVER = dict(m=2, path=_LINEAR, eps=1e-3, dt_init=1e-4, t_final=0.01)
 _PROFILE = dict(m=2, dim=1, radii=[0.0, 0.5], values=[0.2, 0.1], quadrature=QuadratureSpec(4.0, 64))
 _GRID = GridSpec(1, 24.0, 256)
+_SWEEP = dict(schedule=Schedule("eps_of_n", 1.0, _RATIONAL), m=2, t_eval=0.1, n_values=[0.1, 0.0])
 
 CONSTRUCTOR_DEFECTS = {
     "GridSpec dim float": lambda: GridSpec(1.0, 24.0, 256),
@@ -359,13 +375,13 @@ CONSTRUCTOR_DEFECTS = {
     "Schedule c inf": lambda: Schedule("eps_of_n", math.inf, _RATIONAL),
     "Schedule c bool": lambda: Schedule("eps_of_n", True, _RATIONAL),
     "DegeneracyFunction params list": lambda: DegeneracyFunction("rational", [1]),
-    "DegeneracyFunction power without kappa": lambda: DegeneracyFunction("power"),
-    "DegeneracyFunction kappa nan": lambda: DegeneracyFunction("power", {"kappa": math.nan}),
+    "DegeneracyFunction kind power unknown": lambda: DegeneracyFunction("power"),
+    "DegeneracyFunction kind power unknown with params": lambda: DegeneracyFunction("power", {"kappa": math.nan}),
     "DegeneracyFunction knots str": lambda: DegeneracyFunction("spline", {"knots": "01", "values": [0, 1]}),
     "DegeneracyFunction spline unknown key": lambda: DegeneracyFunction(
         "spline", {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9], "kapa": 1}
     ),
-    "DegeneracyFunction t_max inf": lambda: DegeneracyFunction("tanh", t_max=math.inf),
+    "DegeneracyFunction t_max not settable": lambda: DegeneracyFunction("tanh", t_max=math.inf),
     "QuadratureSpec nodes float": lambda: QuadratureSpec(8.0, 64.0),
     "KernelProfile radii nan": lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.nan])),
     "KernelProfile radii inf": lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.inf])),
@@ -375,6 +391,30 @@ CONSTRUCTOR_DEFECTS = {
     "bump width inf": lambda: bump(_GRID, 1.0, math.inf),
     "bump steepness negative": lambda: bump(_GRID, 1.0, 4.0, steepness=-1.0),
     "bump amplitude nan": lambda: bump(_GRID, math.nan, 4.0),
+    "bump center nan": lambda: bump(_GRID, 1.0, 4.0, center=[math.nan]),
+    "bump center inf": lambda: bump(_GRID, 1.0, 4.0, center=math.inf),
+    "bump center bool": lambda: bump(_GRID, 1.0, 4.0, center=[True]),
+    "bump center nested": lambda: bump(_GRID, 1.0, 4.0, center=[[0.0]]),
+    "bump center per dimension": lambda: bump(_GRID, 1.0, 4.0, center=[0.0, 0.0]),
+    "random_bumps count zero": lambda: random_bumps(_GRID, 0, count=0),
+    "random_bumps count float": lambda: random_bumps(_GRID, 0, count=3.0),
+    "random_bumps amplitude bool": lambda: random_bumps(_GRID, 0, amplitude=True),
+    "random_bumps width str": lambda: random_bumps(_GRID, 0, width="2"),
+    "random_bumps width without room": lambda: random_bumps(_GRID, 0, width=12.0),
+    "random_bumps steepness nan": lambda: random_bumps(_GRID, 0, steepness=math.nan),
+    "SweepSpec t_eval nan": lambda: SweepSpec(**dict(_SWEEP, t_eval=math.nan)),
+    "SweepSpec t_eval zero": lambda: SweepSpec(**dict(_SWEEP, t_eval=0.0)),
+    "SweepSpec n_values empty": lambda: SweepSpec(**dict(_SWEEP, n_values=[])),
+    "SweepSpec n_values negative": lambda: SweepSpec(**dict(_SWEEP, n_values=[0.1, -1.0])),
+    "SweepSpec n_values str": lambda: SweepSpec(**dict(_SWEEP, n_values="0.1")),
+    "SweepSpec time_nodes one": lambda: SweepSpec(**dict(_SWEEP, time_nodes=1)),
+    "SweepSpec time_nodes float": lambda: SweepSpec(**dict(_SWEEP, time_nodes=2.5)),
+    "SweepSpec clamp_floor zero": lambda: SweepSpec(**dict(_SWEEP, clamp_floor=0.0)),
+    "SweepSpec clamp_floor inf": lambda: SweepSpec(**dict(_SWEEP, clamp_floor=math.inf)),
+    "SweepSpec dt_init negative": lambda: SweepSpec(**dict(_SWEEP, dt_init=-1.0)),
+    "SweepSpec m 4": lambda: SweepSpec(**dict(_SWEEP, m=4)),
+    "SweepSpec dealias int": lambda: SweepSpec(**dict(_SWEEP, dealias=1)),
+    "SweepSpec control not settable": lambda: SweepSpec(**dict(_SWEEP, control=None)),
 }
 
 # arbitrary JSON; integers stay small because a drawn grid size allocates
@@ -397,19 +437,45 @@ def _leaf_paths(node, prefix=()):
 
 
 class TestValidation:
-    @pytest.mark.filterwarnings("error")  # a defect is reported once, as the error line
-    @pytest.mark.parametrize("block,key,token", SOLVE_DEFECTS, ids=[f"{b}.{k}={t}" for b, k, t in SOLVE_DEFECTS])
-    def test_solve_defect_exits_2_naming_block(self, tmp_path, capsys, block, key, token):
-        cfg = json.loads(json.dumps(MINIMAL_SOLVE))
+    @staticmethod
+    def _defect_exits_2(tmp_path, capsys, command, cfg, block, key, token):
         cfg[block][key] = "@DEFECT@"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg).replace('"@DEFECT@"', token))
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {block}: ")
         assert "Traceback" not in captured.err
         assert "ok" not in captured.out
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("error")  # a defect is reported once, as the error line
+    @pytest.mark.parametrize("block,key,token", SOLVE_DEFECTS, ids=[f"{b}.{k}={t}" for b, k, t in SOLVE_DEFECTS])
+    def test_solve_defect_exits_2_naming_block(self, tmp_path, capsys, block, key, token):
+        cfg = json.loads(json.dumps(MINIMAL_SOLVE))
+        self._defect_exits_2(tmp_path, capsys, "solve", cfg, block, key, token)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key,token", SWEEP_DEFECTS, ids=[f"{k}={t}" for k, t in SWEEP_DEFECTS])
+    @pytest.mark.parametrize("command", ["sweep", "branch"])
+    def test_sweep_defect_exits_2_naming_block(self, tmp_path, capsys, command, key, token):
+        cfg = json.loads(json.dumps(SWEEP_CONFIG))
+        cfg[command] = cfg.pop("sweep")
+        self._defect_exits_2(tmp_path, capsys, command, cfg, command, key, token)
+
+    @pytest.mark.parametrize("base,key,value", [
+        (MINIMAL_SOLVE, "count", 3), (SEEDED_SOLVE, "center", [0.0, 0.0]),
+    ], ids=["bump count", "random_bumps center"])
+    def test_u0_key_the_type_does_not_take_exits_2(self, tmp_path, capsys, base, key, value):
+        cfg = json.loads(json.dumps(base))
+        cfg["u0"][key] = value
+        path = _dump(tmp_path, "solve.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: u0: ") and repr(key) in captured.err
+        assert "Traceback" not in captured.err
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "branch"])

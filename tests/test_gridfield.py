@@ -297,6 +297,10 @@ class TestBump:
         with pytest.raises(ValueError, match=r"must have a positive square, got width\*\*2 = 0\.0"):
             bump(grid1, 1.0, width)
 
+    def test_rejects_non_numeric_width_by_name(self, grid1):
+        with pytest.raises(TypeError, match="width must be a real number"):
+            bump(grid1, 1.0, "4")
+
 
 class TestPhf1:
     def test_scalar_roundtrip(self, tmp_path, grid1):

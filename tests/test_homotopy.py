@@ -24,6 +24,7 @@ from polyheat.homotopy import (
     ConvergenceRow,
     Schedule,
     ScheduleRangeError,
+    SweepSpec,
     branching_residual,
     correction_phi,
     linear_trajectory,
@@ -94,10 +95,7 @@ def u0(grid):
 @pytest.fixture(scope="module")
 def small_sweep(u0, rational):
     sch = Schedule("eps_of_n", 1.0, rational)
-    return sweep(
-        u0, 2, sch, 0.1, [0.0, 1e-1, 3e-2, 1e-2],
-        dt_init=5e-5, clamp_floor=1e-14,
-    )
+    return sweep(u0, SweepSpec(sch, 2, 0.1, [0.0, 1e-1, 3e-2, 1e-2], dt_init=5e-5, clamp_floor=1e-14))
 
 
 class TestSchedule:
@@ -147,6 +145,18 @@ class TestCorrectionPhi:
     def test_time_zero_is_empty_integral(self, u0, rational):
         phi = correction_phi(u0, 2, rational, 0.0, time_nodes=2)
         assert np.max(np.abs(phi.values)) == 0.0
+        assert phi.clamp_floor == 1e-8 * np.max(np.abs(u0.values))
+
+    @pytest.mark.parametrize("t", [0.1, 0.0])
+    @pytest.mark.parametrize("time_nodes,clamp_floor", [
+        (1, None), (2.5, None), (True, None), (41, -1.0), (41, 0.0), (41, math.nan),
+    ], ids=["nodes 1", "nodes 2.5", "nodes bool", "floor -1", "floor 0", "floor nan"])
+    def test_bad_quadrature_rejected_before_any_work(self, u0, rational, monkeypatch, t, time_nodes, clamp_floor):
+        calls = []
+        monkeypatch.setattr(homotopy, "phe_solve", lambda *a: calls.append(1) or phe_solve(*a))
+        with pytest.raises((TypeError, ValueError)):
+            correction_phi(u0, 2, rational, t, time_nodes=time_nodes, clamp_floor=clamp_floor)
+        assert calls == []
 
     def test_samples_the_linear_flow_at_the_nodes(self, u0, rational, monkeypatch):
         # the snapshots of the linear flow carry exactly the quadrature nodes
@@ -215,10 +225,7 @@ class TestSweep:
 
     def test_failed_row_continues(self, u0, rational):
         sch = Schedule("eps_of_n", 1.0, rational)
-        table = sweep(
-            u0, 2, sch, 0.1, [1e-1, 1e-14],
-            dt_init=1e-4, clamp_floor=1e-14,
-        )
+        table = sweep(u0, SweepSpec(sch, 2, 0.1, [1e-1, 1e-14], dt_init=1e-4, clamp_floor=1e-14))
         by_status = {r.status.split(":")[0] for r in table.rows}
         assert by_status == {"ok", "failed"}
 
@@ -233,7 +240,7 @@ class TestSweep:
 
         monkeypatch.setattr(homotopy, "solve", last_row_fails)
         sch = Schedule("n_of_eps", 0.05, rational)
-        table = sweep(u0, 2, sch, 0.1, [0.5, 0.2, 2.0], dt_init=1e-3, clamp_floor=1e-14)
+        table = sweep(u0, SweepSpec(sch, 2, 0.1, [0.5, 0.2, 2.0], dt_init=1e-3, clamp_floor=1e-14))
         rows = {r.param: r for r in table.rows}
         assert set(rows) == {2.0, 0.5, 0.2}
         assert math.isnan(rows[2.0].n) and math.isnan(rows[2.0].eps)

@@ -445,7 +445,7 @@ def test_sweep_is_one_traced_solve_with_one_coefficient_call_per_step(monkeypatc
     u0 = bump(make_grid(1, 24.0, 256), 1.0, 4.0, steepness=6.0)
     schedule = homotopy.Schedule("eps_of_n", 1.0, degeneracy_function("rational"))
     n_values, t_eval, dt = [1e-1, 3e-2, 1e-2], 0.1, 1e-3
-    table = homotopy.sweep(u0, 2, schedule, t_eval, n_values, dt_init=dt, clamp_floor=1e-14)
+    table = homotopy.sweep(u0, homotopy.SweepSpec(schedule, 2, t_eval, n_values, dt_init=dt, clamp_floor=1e-14))
     assert [r.status for r in table.rows] == ["ok"] * len(n_values)
     assert calls["solve"] == 1
     # one call per state: the initial pass and one per step

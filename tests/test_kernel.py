@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from polyheat import kernel as kernel_module
 from polyheat.gridfield import (
     DecayAssertionError,
     Field,
@@ -83,6 +84,15 @@ class TestProfileBessel:
             path.write_text(f"# m=2 N=1 s_max=4.0 nodes=64\nr,F\n0.0,0.2\n{row}\n")
             with pytest.raises(ValueError, match="finite"):
                 read_profile_csv(path)
+
+    @pytest.mark.parametrize("radii", [[0.0, 0.5, np.nan], [0.5, 0.0], [[0.0, 0.5]]], ids=["nan", "decreasing", "2-D"])
+    def test_bad_radii_rejected_before_any_quadrature(self, monkeypatch, radii):
+        calls = []
+        real = kernel_module._radial_values
+        monkeypatch.setattr(kernel_module, "_radial_values", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(ValueError, match="radii must be"):
+            profile_bessel(2, 1, radii)
+        assert calls == []
 
 
 class TestProfileFourier:
