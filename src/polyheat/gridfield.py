@@ -390,7 +390,7 @@ def bump(
 
 
 def random_bumps(grid: GridSpec, seed: int, count: int = 3, amplitude: float = 1.0,
-                 width: float = 2.0, steepness: float = 6.0) -> Field:
+                 width: float = 4.0, steepness: float = 6.0) -> Field:
     """The sum of ``count`` bumps of one width, each with an amplitude (0.3
     to 1 times ``amplitude``) and a centre drawn from the generator seeded
     with ``seed``.  The centres lie in the box inscribed in the ball

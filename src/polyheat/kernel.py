@@ -27,7 +27,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._validate import require_int, require_real
 from .bessel import besselj
@@ -273,6 +272,8 @@ def decay_fit(profile: KernelProfile) -> DecayFit:
         raise ValueError(f"insufficient decay range: only {r.size} envelope maxima")
     if v.max() / v.min() < 10.0:
         raise ValueError("insufficient decay range: envelope spans less than a decade")
+    from scipy.optimize import least_squares
+
     logv = np.log(v)
     alpha0 = 2 * profile.m / (2 * profile.m - 1)
     a0 = max((logv[0] - logv[-1]) / (r[-1] ** alpha0 - r[0] ** alpha0), 1e-3)

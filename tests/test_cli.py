@@ -356,65 +356,137 @@ _PROFILE = dict(m=2, dim=1, radii=[0.0, 0.5], values=[0.2, 0.1], quadrature=Quad
 _GRID = GridSpec(1, 24.0, 256)
 _SWEEP = dict(schedule=Schedule("eps_of_n", 1.0, _RATIONAL), m=2, t_eval=0.1, n_values=[0.1, 0.0])
 
+# name -> (exception, a fragment of its message naming what was wrong, the call)
 CONSTRUCTOR_DEFECTS = {
-    "GridSpec dim float": lambda: GridSpec(1.0, 24.0, 256),
-    "GridSpec half_width bool": lambda: GridSpec(1, True, 256),
-    "GridSpec points_per_dim str": lambda: GridSpec(1, 24.0, "256"),
-    "GridSpec half_width inf": lambda: GridSpec(1, math.inf, 256),
-    "SolverConfig t_final inf": lambda: SolverConfig(**dict(_SOLVER, t_final=math.inf)),
-    "SolverConfig dt_init nan": lambda: SolverConfig(**dict(_SOLVER, dt_init=math.nan)),
-    "SolverConfig eps None": lambda: SolverConfig(**dict(_SOLVER, eps=None)),
-    "SolverConfig m float": lambda: SolverConfig(**dict(_SOLVER, m=2.0)),
-    "SolverConfig report_stride zero": lambda: SolverConfig(**dict(_SOLVER, report_stride=0)),
-    "SolverConfig dealias int": lambda: SolverConfig(**dict(_SOLVER, dealias=1)),
-    "SolverConfig snapshot_times str": lambda: SolverConfig(**dict(_SOLVER, snapshot_times="0.1")),
-    "SolverConfig snapshot_times past t_final": lambda: SolverConfig(**dict(_SOLVER, snapshot_times=(0.005, 0.02))),
-    "SolverConfig snapshot_times negative": lambda: SolverConfig(**dict(_SOLVER, snapshot_times=(-1e-3,))),
-    "RegPath n nan": lambda: RegPath(_RATIONAL, math.nan),
-    "RegPath n str": lambda: RegPath(_RATIONAL, "0.1"),
-    "Schedule c inf": lambda: Schedule("eps_of_n", math.inf, _RATIONAL),
-    "Schedule c bool": lambda: Schedule("eps_of_n", True, _RATIONAL),
-    "DegeneracyFunction params list": lambda: DegeneracyFunction("rational", [1]),
-    "DegeneracyFunction kind power unknown": lambda: DegeneracyFunction("power"),
-    "DegeneracyFunction kind power unknown with params": lambda: DegeneracyFunction("power", {"kappa": math.nan}),
-    "DegeneracyFunction knots str": lambda: DegeneracyFunction("spline", {"knots": "01", "values": [0, 1]}),
-    "DegeneracyFunction spline unknown key": lambda: DegeneracyFunction(
-        "spline", {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9], "kapa": 1}
+    "GridSpec dim float": (TypeError, "dim must be an integer", lambda: GridSpec(1.0, 24.0, 256)),
+    "GridSpec half_width bool": (TypeError, "half_width must be a real number", lambda: GridSpec(1, True, 256)),
+    "GridSpec points_per_dim str": (
+        TypeError, "points_per_dim must be an integer", lambda: GridSpec(1, 24.0, "256")
     ),
-    "DegeneracyFunction t_max not settable": lambda: DegeneracyFunction("tanh", t_max=math.inf),
-    "QuadratureSpec nodes float": lambda: QuadratureSpec(8.0, 64.0),
-    "KernelProfile radii nan": lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.nan])),
-    "KernelProfile radii inf": lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.inf])),
-    "KernelProfile values nan": lambda: KernelProfile(**dict(_PROFILE, values=[0.2, math.nan])),
-    "KernelProfile m zero": lambda: KernelProfile(**dict(_PROFILE, m=0)),
-    "KernelProfile dim 3": lambda: KernelProfile(**dict(_PROFILE, dim=3)),
-    "bump width inf": lambda: bump(_GRID, 1.0, math.inf),
-    "bump steepness negative": lambda: bump(_GRID, 1.0, 4.0, steepness=-1.0),
-    "bump amplitude nan": lambda: bump(_GRID, math.nan, 4.0),
-    "bump center nan": lambda: bump(_GRID, 1.0, 4.0, center=[math.nan]),
-    "bump center inf": lambda: bump(_GRID, 1.0, 4.0, center=math.inf),
-    "bump center bool": lambda: bump(_GRID, 1.0, 4.0, center=[True]),
-    "bump center nested": lambda: bump(_GRID, 1.0, 4.0, center=[[0.0]]),
-    "bump center per dimension": lambda: bump(_GRID, 1.0, 4.0, center=[0.0, 0.0]),
-    "random_bumps count zero": lambda: random_bumps(_GRID, 0, count=0),
-    "random_bumps count float": lambda: random_bumps(_GRID, 0, count=3.0),
-    "random_bumps amplitude bool": lambda: random_bumps(_GRID, 0, amplitude=True),
-    "random_bumps width str": lambda: random_bumps(_GRID, 0, width="2"),
-    "random_bumps width without room": lambda: random_bumps(_GRID, 0, width=12.0),
-    "random_bumps steepness nan": lambda: random_bumps(_GRID, 0, steepness=math.nan),
-    "SweepSpec t_eval nan": lambda: SweepSpec(**dict(_SWEEP, t_eval=math.nan)),
-    "SweepSpec t_eval zero": lambda: SweepSpec(**dict(_SWEEP, t_eval=0.0)),
-    "SweepSpec n_values empty": lambda: SweepSpec(**dict(_SWEEP, n_values=[])),
-    "SweepSpec n_values negative": lambda: SweepSpec(**dict(_SWEEP, n_values=[0.1, -1.0])),
-    "SweepSpec n_values str": lambda: SweepSpec(**dict(_SWEEP, n_values="0.1")),
-    "SweepSpec time_nodes one": lambda: SweepSpec(**dict(_SWEEP, time_nodes=1)),
-    "SweepSpec time_nodes float": lambda: SweepSpec(**dict(_SWEEP, time_nodes=2.5)),
-    "SweepSpec clamp_floor zero": lambda: SweepSpec(**dict(_SWEEP, clamp_floor=0.0)),
-    "SweepSpec clamp_floor inf": lambda: SweepSpec(**dict(_SWEEP, clamp_floor=math.inf)),
-    "SweepSpec dt_init negative": lambda: SweepSpec(**dict(_SWEEP, dt_init=-1.0)),
-    "SweepSpec m 4": lambda: SweepSpec(**dict(_SWEEP, m=4)),
-    "SweepSpec dealias int": lambda: SweepSpec(**dict(_SWEEP, dealias=1)),
-    "SweepSpec control not settable": lambda: SweepSpec(**dict(_SWEEP, control=None)),
+    "GridSpec half_width inf": (ValueError, "half_width must be finite", lambda: GridSpec(1, math.inf, 256)),
+    "SolverConfig t_final inf": (
+        ValueError, "t_final must be finite", lambda: SolverConfig(**dict(_SOLVER, t_final=math.inf))
+    ),
+    "SolverConfig dt_init nan": (
+        ValueError, "dt_init must be finite", lambda: SolverConfig(**dict(_SOLVER, dt_init=math.nan))
+    ),
+    "SolverConfig eps None": (
+        TypeError, "eps must be a real number", lambda: SolverConfig(**dict(_SOLVER, eps=None))
+    ),
+    "SolverConfig m float": (TypeError, "m must be an integer", lambda: SolverConfig(**dict(_SOLVER, m=2.0))),
+    "SolverConfig report_stride zero": (
+        ValueError, "report_stride must be at least 1", lambda: SolverConfig(**dict(_SOLVER, report_stride=0))
+    ),
+    "SolverConfig dealias int": (
+        TypeError, "dealias must be true or false", lambda: SolverConfig(**dict(_SOLVER, dealias=1))
+    ),
+    "SolverConfig snapshot_times str": (
+        TypeError, "snapshot_times must be a list", lambda: SolverConfig(**dict(_SOLVER, snapshot_times="0.1"))
+    ),
+    "SolverConfig snapshot_times past t_final": (
+        ValueError, "snapshot_times must lie in",
+        lambda: SolverConfig(**dict(_SOLVER, snapshot_times=(0.005, 0.02))),
+    ),
+    "SolverConfig snapshot_times negative": (
+        ValueError, "snapshot_times must lie in", lambda: SolverConfig(**dict(_SOLVER, snapshot_times=(-1e-3,)))
+    ),
+    "RegPath n nan": (ValueError, "n must be finite", lambda: RegPath(_RATIONAL, math.nan)),
+    "RegPath n str": (TypeError, "n must be a real number", lambda: RegPath(_RATIONAL, "0.1")),
+    "Schedule c inf": (ValueError, "c must be finite", lambda: Schedule("eps_of_n", math.inf, _RATIONAL)),
+    "Schedule c bool": (TypeError, "c must be a real number", lambda: Schedule("eps_of_n", True, _RATIONAL)),
+    "DegeneracyFunction params list": (
+        TypeError, "params must be an object", lambda: DegeneracyFunction("rational", [1])
+    ),
+    "DegeneracyFunction kind power unknown": (
+        ValueError, "unknown degeneracy kind 'power'", lambda: DegeneracyFunction("power")
+    ),
+    "DegeneracyFunction kind power unknown with params": (
+        ValueError, "unknown degeneracy kind 'power'", lambda: DegeneracyFunction("power", {"kappa": math.nan})
+    ),
+    "DegeneracyFunction knots str": (
+        TypeError, "spline knots must be a list",
+        lambda: DegeneracyFunction("spline", {"knots": "01", "values": [0, 1]}),
+    ),
+    "DegeneracyFunction spline unknown key": (
+        ValueError, "unknown params key 'kapa' for kind 'spline'",
+        lambda: DegeneracyFunction("spline", {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9], "kapa": 1}),
+    ),
+    "DegeneracyFunction t_max not settable": (
+        TypeError, "unexpected keyword argument 't_max'", lambda: DegeneracyFunction("tanh", t_max=math.inf)
+    ),
+    "QuadratureSpec nodes float": (TypeError, "nodes must be an integer", lambda: QuadratureSpec(8.0, 64.0)),
+    "KernelProfile radii nan": (
+        ValueError, "radii must be a 1-D array of finite",
+        lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.nan])),
+    ),
+    "KernelProfile radii inf": (
+        ValueError, "radii must be a 1-D array of finite",
+        lambda: KernelProfile(**dict(_PROFILE, radii=[0.0, math.inf])),
+    ),
+    "KernelProfile values nan": (
+        ValueError, "values must be finite", lambda: KernelProfile(**dict(_PROFILE, values=[0.2, math.nan]))
+    ),
+    "KernelProfile m zero": (ValueError, "m must be at least 1", lambda: KernelProfile(**dict(_PROFILE, m=0))),
+    "KernelProfile dim 3": (ValueError, "dim must be one of", lambda: KernelProfile(**dict(_PROFILE, dim=3))),
+    "bump width inf": (ValueError, "width must be finite", lambda: bump(_GRID, 1.0, math.inf)),
+    "bump steepness negative": (
+        ValueError, "steepness must be positive", lambda: bump(_GRID, 1.0, 4.0, steepness=-1.0)
+    ),
+    "bump amplitude nan": (ValueError, "amplitude must be finite", lambda: bump(_GRID, math.nan, 4.0)),
+    "bump center nan": (ValueError, "center entry must be finite", lambda: bump(_GRID, 1.0, 4.0, center=[math.nan])),
+    "bump center inf": (ValueError, "center entry must be finite", lambda: bump(_GRID, 1.0, 4.0, center=math.inf)),
+    "bump center bool": (
+        TypeError, "center entry must be a real number", lambda: bump(_GRID, 1.0, 4.0, center=[True])
+    ),
+    "bump center nested": (TypeError, "center must be a list", lambda: bump(_GRID, 1.0, 4.0, center=[[0.0]])),
+    "bump center per dimension": (
+        ValueError, "center must have one entry per dimension", lambda: bump(_GRID, 1.0, 4.0, center=[0.0, 0.0])
+    ),
+    "random_bumps count zero": (ValueError, "count must be at least 1", lambda: random_bumps(_GRID, 0, count=0)),
+    "random_bumps count float": (TypeError, "count must be an integer", lambda: random_bumps(_GRID, 0, count=3.0)),
+    "random_bumps amplitude bool": (
+        TypeError, "amplitude must be a real number", lambda: random_bumps(_GRID, 0, amplitude=True)
+    ),
+    "random_bumps width str": (TypeError, "width must be a real number", lambda: random_bumps(_GRID, 0, width="2")),
+    "random_bumps width without room": (
+        ValueError, "random_bumps width 12 leaves no room", lambda: random_bumps(_GRID, 0, width=12.0)
+    ),
+    "random_bumps steepness nan": (
+        ValueError, "steepness must be finite", lambda: random_bumps(_GRID, 0, steepness=math.nan)
+    ),
+    "SweepSpec t_eval nan": (ValueError, "t_eval must be finite", lambda: SweepSpec(**dict(_SWEEP, t_eval=math.nan))),
+    "SweepSpec t_eval zero": (ValueError, "t_eval must be positive", lambda: SweepSpec(**dict(_SWEEP, t_eval=0.0))),
+    "SweepSpec n_values empty": (
+        TypeError, "n_values must be a list of at least 1", lambda: SweepSpec(**dict(_SWEEP, n_values=[]))
+    ),
+    "SweepSpec n_values negative": (
+        ValueError, "n_values entry must be nonnegative", lambda: SweepSpec(**dict(_SWEEP, n_values=[0.1, -1.0]))
+    ),
+    "SweepSpec n_values str": (
+        TypeError, "n_values must be a list", lambda: SweepSpec(**dict(_SWEEP, n_values="0.1"))
+    ),
+    "SweepSpec time_nodes one": (
+        ValueError, "time_nodes must be at least 2", lambda: SweepSpec(**dict(_SWEEP, time_nodes=1))
+    ),
+    "SweepSpec time_nodes float": (
+        TypeError, "time_nodes must be an integer", lambda: SweepSpec(**dict(_SWEEP, time_nodes=2.5))
+    ),
+    "SweepSpec clamp_floor zero": (
+        ValueError, "clamp_floor must be positive", lambda: SweepSpec(**dict(_SWEEP, clamp_floor=0.0))
+    ),
+    "SweepSpec clamp_floor inf": (
+        ValueError, "clamp_floor must be finite", lambda: SweepSpec(**dict(_SWEEP, clamp_floor=math.inf))
+    ),
+    "SweepSpec dt_init negative": (
+        ValueError, "dt_init must be positive", lambda: SweepSpec(**dict(_SWEEP, dt_init=-1.0))
+    ),
+    "SweepSpec m 4": (ValueError, "m must be one of", lambda: SweepSpec(**dict(_SWEEP, m=4))),
+    "SweepSpec dealias int": (
+        TypeError, "dealias must be true or false", lambda: SweepSpec(**dict(_SWEEP, dealias=1))
+    ),
+    "SweepSpec control not settable": (
+        TypeError, "unexpected keyword argument 'control'", lambda: SweepSpec(**dict(_SWEEP, control=None))
+    ),
 }
 
 # arbitrary JSON; integers stay small because a drawn grid size allocates
@@ -509,6 +581,15 @@ class TestValidation:
         for seed in range(20):
             parse_config(json.dumps(SEEDED_SOLVE), command="solve", seed=seed)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_bumps_defaults_build_for_every_seed(self, dim):
+        # the default width meets u0's spectral-tail check on the stock
+        # grids, L = 24 with 256 points per axis (width 2 failed every seed)
+        grid = {"dim": dim, "half_width": 24.0, "points_per_dim": 256}
+        cfg = {**MINIMAL_SOLVE, "grid": grid, "u0": {"type": "random_bumps"}}
+        for seed in range(20):
+            parse_config(json.dumps(cfg), command="solve", seed=seed)
+
     def test_bump_width_squaring_to_zero_exits_2(self, tmp_path, capsys):
         # width**2 underflows to 0.0, which would build the zero field and run "ok"
         cfg = {**MINIMAL_SOLVE, "u0": {**MINIMAL_SOLVE["u0"], "width": 1e-170}}
@@ -541,9 +622,11 @@ class TestValidation:
         assert blocker.read_text() == ""
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("make", CONSTRUCTOR_DEFECTS.values(), ids=CONSTRUCTOR_DEFECTS.keys())
-    def test_constructor_rejects(self, make):
-        with pytest.raises((TypeError, ValueError)):
+    @pytest.mark.parametrize("error,reason,make", CONSTRUCTOR_DEFECTS.values(), ids=CONSTRUCTOR_DEFECTS.keys())
+    def test_constructor_rejects(self, error, reason, make):
+        # the message must name the field at fault, so a case cannot pass on
+        # some other field's check
+        with pytest.raises(error, match=re.escape(reason)):
             make()
 
     @settings(max_examples=300, deadline=None)

@@ -1,10 +1,11 @@
 """Every name a package module imports is used in that module, every name
 it exports is read by the package, a demo or the benchmark, the package
-root binds only ``__version__`` and modules, every polyheat name a demo or
-the benchmark reads exists, every function the benchmark's layer tracer
-wraps exists and a sweep reaches it, every transform the package makes is a
-real one made in ``gridfield.rfft``/``irfft``, and every default of a public
-function or dataclass is one that some call sets."""
+root binds only ``__version__`` and modules, a process that only solves and
+sweeps loads no scipy, every polyheat name a demo or the benchmark reads
+exists, every function the benchmark's layer tracer wraps exists and a
+sweep reaches it, every transform the package makes is a real one made in
+``gridfield.rfft``/``irfft``, and every default of a public function or
+dataclass is one that some call sets."""
 
 import ast
 import importlib.util
@@ -126,6 +127,16 @@ _PACKAGE_DUNDERS = {
     "__path__", "__file__", "__cached__", "__builtins__",
 }
 
+
+def _run_fresh(code: str):
+    """What ``code`` prints as JSON, run in a fresh interpreter that imports
+    this polyheat."""
+    src = str(Path(polyheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 _ROOT_PROBE = """
 import json, sys, types
 import polyheat
@@ -140,12 +151,42 @@ def test_package_root_binds_only_modules():
     # each object has one import path, its own module's; and a bare
     # ``import polyheat`` loads polyheat.solver, which the benchmark's own
     # test of a missing layer function looks up
-    src = str(Path(polyheat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _ROOT_PROBE], env=env, capture_output=True, text=True, check=True)
-    probe = json.loads(out.stdout)
+    probe = _run_fresh(_ROOT_PROBE)
     assert sorted(set(probe["non_modules"]) - _PACKAGE_DUNDERS - {"__version__"}) == []
     assert probe["solver_loaded"]
+
+
+_SCIPY_PROBE = """
+import json, sys
+import polyheat.cli
+from polyheat import homotopy, kernel, solver
+from polyheat.degeneracy import RegPath, degeneracy_function
+from polyheat.gridfield import bump, make_grid
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+f = degeneracy_function("rational")
+u0 = bump(make_grid(1, 24.0, 256), 1.0, 4.0, steepness=6.0)
+solver.solve(u0, solver.SolverConfig(m=2, path=RegPath(f, 0.1), eps=1e-3, dt_init=1e-4, t_final=1e-3))
+schedule = homotopy.Schedule("eps_of_n", 1.0, f)
+table = homotopy.sweep(u0, homotopy.SweepSpec(schedule, 2, 0.1, [0.1, 0.03], dt_init=1e-3, clamp_floor=1e-14))
+solve_path = scipy_modules()
+kernel.decay_fit(kernel.profile_bessel(2, 2, [0.05 * i for i in range(401)]))
+print(json.dumps({
+    "solve_path": solve_path, "rows": [row.status for row in table.rows], "kernel_path": scipy_modules(),
+}))
+"""
+
+
+def test_solve_and_sweep_load_no_scipy():
+    # scipy costs a fresh process most of its start-up; only the kernel
+    # layer (J_0, the decay fit, the radial integral) and a spline f need
+    # it, and they import it on first use
+    probe = _run_fresh(_SCIPY_PROBE)
+    assert probe["solve_path"] == []
+    assert probe["rows"] == ["ok", "ok"]
+    assert {"scipy.special", "scipy.optimize"} <= set(probe["kernel_path"])
 
 
 def _is_dataclass(node) -> bool:

@@ -522,6 +522,26 @@ class TestScaling:
         assert [r.bf_energy for r in scaled.reports] == [lam**2 * r.bf_energy for r in base.reports]
 
 
+class TestTranslation:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shift=st.integers(-13, 13).filter(bool),
+        m=st.sampled_from((2, 3)), variant=st.sampled_from(("full", "simple")),
+    )
+    def test_flow_commutes_with_cell_shifts(self, grid, u0, rational, shift, m, variant):
+        # every operator is a Fourier multiplier or pointwise, so a whole-cell
+        # shift of u0 shifts the run; only rounding may differ.  dealias is
+        # off because with the 2/3 rule the boundary-shell guard fires before
+        # t = 0.01 at m = 2 (1.7e-8)
+        dt = {2: 1e-4, 3: 1e-5}[m]
+        config = SolverConfig(
+            m=m, path=RegPath(rational, 0.3, variant), eps=1e-2, dt_init=dt, t_final=100 * dt, dealias=False,
+        )
+        base = solve(u0, config).snapshots[-1].values
+        shifted = solve(Field(grid, np.roll(u0.values, shift)), config).snapshots[-1].values
+        assert np.max(np.abs(shifted - np.roll(base, shift))) <= 1e-13 * np.max(np.abs(base))
+
+
 class TestRunInvariants:
     """The invariants every run report must keep, over a few dozen steps."""
 
