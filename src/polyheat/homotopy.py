@@ -14,11 +14,15 @@ is the Duhamel field
                                                grad Delta^(m-1) u_lin(s)] ds,
 
 so (u0, m, f, t) fix it: ``correction_phi`` samples the linear flow from u0
-itself and evaluates phi as a Fourier-multiplier time quadrature.  The
-overall sign is not fixed a priori here but resolved against the measured
-(u_n - u_lin)/n and reported.  The log factor is clamped at a floor eta, and the fraction of the
-box where the clamp was active at the evaluation time is reported: a large
-fraction means the log-singularity dominates and the expansion is unreliable.
+itself and evaluates phi as a Fourier-multiplier time quadrature.  It takes
+the quadrature nodes in blocks of about ``_BLOCK_POINTS`` grid values: one
+transform of u0 and one stacked inverse give a block's snapshots, and one
+stacked gradient chain their integrands, so the memory it holds is bounded
+by a block, not by the node count.  The overall sign is not fixed a priori
+here but resolved against the measured (u_n - u_lin)/n and reported.  The
+log factor is clamped at a floor eta, and the fraction of the box where the
+clamp was active at the evaluation time is reported: a large fraction means
+the log-singularity dominates and the expansion is unreliable.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from ._validate import require_int, require_real, require_reals
 from .degeneracy import DegeneracyFunction, RegPath
 from .gridfield import (
     Field,
+    _rows_spectrum,
     _spectrum,
+    assert_boundary_decay,
     divergence_hat,
     grad_chain,
     irfft,
@@ -128,9 +134,27 @@ class CorrectionField:
     sign: int = +1
 
 
+# grid values per block of quadrature nodes in ``correction_phi``: 64 nodes
+# on a 256-point line, 4 on 64^2, 1 on 256^2
+_BLOCK_POINTS = 1 << 14
+
+
 def linear_trajectory(u0: Field, m: int, times) -> tuple:
-    """Exact multiplier snapshots of the linear flow at the given times."""
-    return tuple(phe_solve(u0, m, float(t)) for t in sorted(times))
+    """Exact multiplier snapshots of the linear flow at the given times, in
+    ascending order, each bitwise equal to ``phe_solve(u0, m, s)``.
+
+    One boundary guard and one transform of u0 serve every time: the
+    multipliers e^(-|xi|^(2m) s) stack as rows and one inverse transform
+    returns every snapshot, so the call holds len(times) grid arrays at
+    once.  A time of 0 returns u0's own values.
+    """
+    require_reals("times", times, sign="nonnegative")
+    times = sorted(map(float, times))
+    assert_boundary_decay(u0)
+    grid, tag = u0.grid, u0.time_tag or 0.0
+    s = np.reshape(times, (-1,) + (1,) * grid.dim)
+    values = irfft(grid, np.exp(-_spectrum(grid, m).k2m * s) * rfft(grid, u0.values))
+    return tuple(Field(grid, u0.values if t == 0.0 else v, tag + t) for t, v in zip(times, values))
 
 
 def _check_quadrature(time_nodes, clamp_floor) -> None:
@@ -156,26 +180,37 @@ def correction_phi(
     w = ln f(max(|u|, eta)) grad Delta^(m-1) u  (dealiased), composited by
     the trapezoid rule.  The clamp floor eta defaults to 1e-8 max|u0|.
     Raises when the clamp was active on more than 20% of the box at time t.
+
+    The nodes go in blocks of max(1, _BLOCK_POINTS // grid points): one
+    ``linear_trajectory`` call and one stacked gradient chain per block,
+    whose increments are then added one node at a time, in node order, so
+    phi is bitwise that of a node-by-node loop.  The memory it holds is
+    bounded by a block of snapshots, not by ``time_nodes``.
     """
+    require_real("t", t, "nonnegative")
     _check_quadrature(time_nodes, clamp_floor)
     grid = u0.grid
     eta = clamp_floor if clamp_floor is not None else 1e-8 * max(float(np.max(np.abs(u0.values))), 1e-300)
     if t == 0.0:
         return CorrectionField(grid, 0.0, np.zeros(grid.shape), clamp_floor=eta, clamped_fraction=0.0)
     nodes = np.linspace(0.0, t, time_nodes)
-    states = linear_trajectory(u0, m, nodes)
-
-    spec = _spectrum(grid, m)
     weights = np.full(time_nodes, t / (time_nodes - 1))
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
+    spec = _spectrum(grid, m)
+    block = max(1, _BLOCK_POINTS // u0.values.size)
     phi_hat = np.zeros(spec.k2m.shape, dtype=complex)
-    for s, wt, snap in zip(nodes, weights, states):
-        logf = np.log(f(np.maximum(np.abs(snap.values), eta)))
-        g = grad_chain(spec, rfft(grid, snap.values))
-        w_hat = divergence_hat(spec, [logf * gi for gi in g], True)
-        phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w_hat)
+    for lo in range(0, time_nodes, block):
+        times = nodes[lo:lo + block]
+        states = linear_trajectory(u0, m, times)
+        snaps = np.stack([snap.values for snap in states])
+        logf = np.log(f(np.maximum(np.abs(snaps), eta)))
+        rows = _rows_spectrum(grid, m, len(states))
+        g = grad_chain(rows, rfft(grid, snaps))
+        w_hat = divergence_hat(rows, [logf * gi for gi in g], True)
+        for s, wt, w in zip(times, weights[lo:lo + block], w_hat):
+            phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w)
     values = irfft(grid, phi_hat)
 
     final = states[-1]

@@ -14,8 +14,10 @@ from polyheat.gridfield import (
     _spectrum,
     bump,
     coordinates,
+    divergence_hat,
     grad_chain,
     gradient,
+    irfft,
     l2_norm,
     make_grid,
     rfft,
@@ -75,6 +77,43 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
             dot = sum(a * b for a, b in zip(dphi, gv))
             term2[i, j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
     return max(abs(np.trapezoid(a + sign * b, times)) for a, b in zip(term1, term2))
+
+
+def correction_phi_by_node(u0, m, f, t, time_nodes=41, clamp_floor=None):
+    """The Duhamel quadrature one node at a time, each snapshot its own
+    ``phe_solve``: the reference that the blocked ``correction_phi`` must
+    reproduce bitwise.  Returns (phi values, clamped fraction)."""
+    grid = u0.grid
+    eta = clamp_floor if clamp_floor is not None else 1e-8 * max(float(np.max(np.abs(u0.values))), 1e-300)
+    nodes = np.linspace(0.0, t, time_nodes)
+    states = tuple(phe_solve(u0, m, float(s)) for s in sorted(nodes))
+
+    spec = _spectrum(grid, m)
+    weights = np.full(time_nodes, t / (time_nodes - 1))
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+
+    phi_hat = np.zeros(spec.k2m.shape, dtype=complex)
+    for s, wt, snap in zip(nodes, weights, states):
+        logf = np.log(f(np.maximum(np.abs(snap.values), eta)))
+        g = grad_chain(spec, rfft(grid, snap.values))
+        w_hat = divergence_hat(spec, [logf * gi for gi in g], True)
+        phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w_hat)
+    values = irfft(grid, phi_hat)
+
+    final = states[-1]
+    clamped = float(np.mean(np.abs(final.values) < eta))
+    return values, clamped
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The names of the numpy transforms called, in order."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -151,15 +190,27 @@ class TestCorrectionPhi:
     @pytest.mark.parametrize("time_nodes,clamp_floor", [
         (1, None), (2.5, None), (True, None), (41, -1.0), (41, 0.0), (41, math.nan),
     ], ids=["nodes 1", "nodes 2.5", "nodes bool", "floor -1", "floor 0", "floor nan"])
-    def test_bad_quadrature_rejected_before_any_work(self, u0, rational, monkeypatch, t, time_nodes, clamp_floor):
-        calls = []
-        monkeypatch.setattr(homotopy, "phe_solve", lambda *a: calls.append(1) or phe_solve(*a))
+    def test_bad_quadrature_rejected_before_any_work(self, u0, rational, transforms, t, time_nodes, clamp_floor):
         with pytest.raises((TypeError, ValueError)):
             correction_phi(u0, 2, rational, t, time_nodes=time_nodes, clamp_floor=clamp_floor)
-        assert calls == []
+        assert transforms == []
+
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (-1.0, "must be nonnegative"),
+    ], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("call,name", [
+        (lambda u, t: phe_solve(u, 2, t), "t"),
+        (lambda u, t: correction_phi(u, 2, degeneracy_function("rational"), t, clamp_floor=1e-14), "t"),
+        (lambda u, t: linear_trajectory(u, 2, [0.0, t, 0.1]), "times entry"),
+    ], ids=["phe_solve", "correction_phi", "linear_trajectory"])
+    def test_bad_time_rejected_before_any_transform(self, u0, transforms, call, name, bad, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            call(u0, bad)
+        assert transforms == []
 
     def test_samples_the_linear_flow_at_the_nodes(self, u0, rational, monkeypatch):
-        # the snapshots of the linear flow carry exactly the quadrature nodes
+        # the snapshots of the linear flow carry exactly the quadrature
+        # nodes, at most one block of them per call
         seen = []
 
         def recording(u, m, times):
@@ -168,8 +219,51 @@ class TestCorrectionPhi:
 
         monkeypatch.setattr(homotopy, "linear_trajectory", recording)
         correction_phi(u0, 2, rational, 0.1, time_nodes=641, clamp_floor=1e-14)
-        (snaps,) = seen
-        assert [s.time_tag for s in snaps] == list(np.linspace(0.0, 0.1, 641))
+        block = homotopy._BLOCK_POINTS // u0.values.size
+        assert len(seen) > 1 and all(len(snaps) <= block for snaps in seen)
+        assert [s.time_tag for snaps in seen for s in snaps] == list(np.linspace(0.0, 0.1, 641))
+
+    def test_one_guard_and_five_transforms_per_block(self, u0, rational, monkeypatch, transforms):
+        # 641 nodes in blocks of 64: per block one guard, the transform of
+        # u0, one stacked inverse for the snapshots, and one stacked chain
+        # (a forward, an inverse and the divergence's forward); then phi's
+        # own inverse
+        counts = {"phe_solve": 0, "linear_trajectory": 0, "assert_boundary_decay": 0}
+        for name in counts:
+            real = getattr(homotopy, name)
+
+            def counted(*a, _f=real, _n=name):
+                counts[_n] += 1
+                return _f(*a)
+
+            monkeypatch.setattr(homotopy, name, counted)
+        correction_phi(u0, 2, rational, 0.1, time_nodes=641, clamp_floor=1e-14)
+        assert counts == {"phe_solve": 0, "linear_trajectory": 11, "assert_boundary_decay": 11}
+        block = ["rfft", "irfft", "rfft", "irfft", "rfft"]
+        assert transforms == block * 11 + ["irfft"]
+
+    @pytest.mark.parametrize("dim,points,m,nodes", [
+        (1, 256, 3, 97), (1, 256, 2, 2), (2, 64, 2, 41), (2, 64, 3, 7), (2, 256, 2, 5),
+    ])
+    def test_blocks_bitwise_equal_to_the_node_loop(self, rational, dim, points, m, nodes):
+        # 97 and 41 nodes are not multiples of their blocks (64 and 4)
+        grid = make_grid(dim, 24.0 if dim == 1 else 12.0, points)
+        u0 = bump(grid, 1.0, 4.0, steepness=6.0)
+        phi = correction_phi(u0, m, rational, 0.1, time_nodes=nodes, clamp_floor=1e-14)
+        values, clamped = correction_phi_by_node(u0, m, rational, 0.1, time_nodes=nodes, clamp_floor=1e-14)
+        assert np.array_equal(phi.values, values)
+        assert phi.clamped_fraction == clamped
+
+    @pytest.mark.parametrize("dim,points", [(1, 256), (2, 64)])
+    def test_linear_trajectory_bitwise_equal_to_phe_solve(self, dim, points):
+        # unsorted times come back sorted; time 0 is u0's own values
+        grid = make_grid(dim, 24.0 if dim == 1 else 12.0, points)
+        u0 = Field(grid, bump(grid, 1.0, 4.0, steepness=6.0).values, 0.5)
+        times = [0.07, 0.0, 0.1, 0.003, 0.05]
+        snaps = linear_trajectory(u0, 2, np.array(times))
+        assert [s.time_tag for s in snaps] == [0.5 + t for t in sorted(times)]
+        for s, t in zip(snaps, sorted(times)):
+            assert np.array_equal(s.values, phe_solve(u0, 2, t).values)
 
     def test_quadrature_node_convergence(self, u0, rational):
         # the Duhamel endpoint limits uniform trapezoid to ~O(h^(4/3)), so
