@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validate import require_real, require_reals
+from .gridfield import _column
 
 __all__ = [
     "DegeneracyFunction",
@@ -240,18 +241,12 @@ def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
             raise ValueError(f"eps must lie in {'(0, 1]' if is_full else '[0, 1]'}, got {e!r} in row {row}")
     idle = [i for i, p in enumerate(paths) if p.n == 0]
     floor = [_floor(p, float(e)) if is_full else 0.0 for p, e, is_full in zip(paths, eps, full)]
-
-    def column(values):
-        if values.count(values[0]) == len(values):
-            return values[0]
-        return np.array(values, dtype=float).reshape((len(values),) + (1,) * (ndim - 1))
-
     return _Columns(
-        n=None if len(idle) == len(paths) else column([p.n for p in paths]),
-        eps2=column([e**2 for e in eps]),
+        n=None if len(idle) == len(paths) else _column([p.n for p in paths], ndim - 1),
+        eps2=_column([e**2 for e in eps], ndim - 1),
         idle=np.array(idle, dtype=int) if 0 < len(idle) < len(paths) else None,
-        floor=column(floor) if any(full) else None,
-        scale=column([1.0 - e if is_full else 1.0 for e, is_full in zip(eps, full)]),
+        floor=_column(floor, ndim - 1) if any(full) else None,
+        scale=_column([1.0 - e if is_full else 1.0 for e, is_full in zip(eps, full)], ndim - 1),
     )
 
 

@@ -242,6 +242,16 @@ def _rows_spectrum(grid: GridSpec, m: int, rows: int) -> _Spectrum:
     )
 
 
+def _column(values: list, dim: int):
+    """One value per row as a column against arrays with ``dim`` trailing
+    axes, or the shared float itself when every row has the same value: a
+    product with either has the same bits, and numpy's scalar path is the
+    cheaper one."""
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values, dtype=float).reshape((len(values),) + (1,) * dim)
+
+
 # ---------------------------------------------------------------------------
 # spectral operators
 

@@ -27,6 +27,7 @@ the log-singularity dominates and the expansion is unreliable.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -131,7 +132,7 @@ class CorrectionField:
     values: np.ndarray
     clamp_floor: float
     clamped_fraction: float
-    sign: int = +1
+    sign: int  # +1 as computed; resolve_phi_sign may flip it
 
 
 # grid values per block of quadrature nodes in ``correction_phi``: 64 nodes
@@ -192,7 +193,7 @@ def correction_phi(
     grid = u0.grid
     eta = clamp_floor if clamp_floor is not None else 1e-8 * max(float(np.max(np.abs(u0.values))), 1e-300)
     if t == 0.0:
-        return CorrectionField(grid, 0.0, np.zeros(grid.shape), clamp_floor=eta, clamped_fraction=0.0)
+        return CorrectionField(grid, 0.0, np.zeros(grid.shape), clamp_floor=eta, clamped_fraction=0.0, sign=1)
     nodes = np.linspace(0.0, t, time_nodes)
     weights = np.full(time_nodes, t / (time_nodes - 1))
     weights[0] *= 0.5
@@ -220,7 +221,7 @@ def correction_phi(
             f"log-singularity dominates: correction unreliable "
             f"(clamped fraction {clamped:.3f} > 0.2 at t = {t:g})"
         )
-    return CorrectionField(grid=grid, t=t, values=values, clamp_floor=eta, clamped_fraction=clamped)
+    return CorrectionField(grid=grid, t=t, values=values, clamp_floor=eta, clamped_fraction=clamped, sign=1)
 
 
 def resolve_phi_sign(u_n: Field, u_lin: Field, phi: CorrectionField) -> CorrectionField:
@@ -228,14 +229,7 @@ def resolve_phi_sign(u_n: Field, u_lin: Field, phi: CorrectionField) -> Correcti
     d = u_n.values - u_lin.values
     score = float(np.sum(d * phi.values))
     sign = 1 if score >= 0 else -1
-    return CorrectionField(
-        grid=phi.grid,
-        t=phi.t,
-        values=sign * phi.values,
-        clamp_floor=phi.clamp_floor,
-        clamped_fraction=phi.clamped_fraction,
-        sign=sign * phi.sign,
-    )
+    return replace(phi, values=sign * phi.values, sign=sign * phi.sign)
 
 
 @dataclass(frozen=True)
@@ -449,13 +443,13 @@ def path_dependence_report(
 
 def write_table_csv(path, table: ConvergenceTable) -> None:
     names = [f.name for f in fields(ConvergenceRow)]
-    lines = [",".join(names)]
-    for r in table.rows:
-        cells = (getattr(r, name) for name in names)
-        # the status is free text, written unquoted
-        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        # the status is free text, quoted where it holds a comma
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for r in table.rows:
+            cells = (getattr(r, name) for name in names)
+            writer.writerow(v if isinstance(v, str) else repr(v) for v in cells)
 
 
 def write_summary_json(path, table: ConvergenceTable) -> None:

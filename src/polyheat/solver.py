@@ -40,13 +40,19 @@ and may differ in n, variant, eps (hence c) and dt_init.  One config is a
 batch of one, on the same code path.  The state, the spectra and the
 products carry a leading row axis, so each transform, the spectral multiply
 and one coefficient call, with each row's n, eps and variant as columns,
-serve the whole batch once per step.  Each row keeps its own t, dt cap,
-halvings, energy guard, tripwire, monitors and snapshots, and its reductions
-are dot products over its own row, so a row is bitwise the same alone and in
-any batch.
-While the rows share dt the step is whole-array work with one propagator
-table; only a halving or a row leaving indexes rows, and a failed row leaves
-while the others go on.
+serve the whole batch once per step.  A row's reductions are dot products
+over its own row, so a row is bitwise the same alone and in any batch.
+
+Step and driver.  ``_Step`` is the scheme: it holds the stacked state, the
+tables and the propagator cache, and ``_Step.advance`` takes one step of
+every row at the dts it is given, with the halvings, the blow-up, stiffness
+and tripwire exits, and the pass of the new state.  While the rows share dt
+the step is whole-array work with one propagator table; only a halving or a
+row leaving indexes rows.  The driver ``_solve_rows`` keeps each row's
+record: its clock and dt cap, its energy bound, the flux and dissipation
+trapezoid, targets, snapshots and reports, and it drops the rows that are
+done or failed while the others go on.  Another scheme, such as a
+second-order exponential step, replaces ``advance`` alone.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .gridfield import (
     DecayAssertionError,
     Field,
     GridSpec,
+    _column,
     _rows_spectrum,
     _spectrum,
     _Spectrum,
@@ -260,38 +267,43 @@ class _Row:
     and dissipation integrals, next target, snapshots and reports, and its
     position in the caller's sequence."""
 
-    __slots__ = ("index", "config", "dt_init", "t", "dt_cap", "steps", "bf", "bf_lo", "flux", "diss",
+    __slots__ = ("index", "config", "t", "dt_cap", "steps", "bf", "bf_lo", "flux", "diss",
                  "flux_acc", "diss_acc", "target", "snapshots", "reports")
 
     def __init__(self, index: int, config: SolverConfig):
-        self.index, self.config, self.dt_init = index, config, config.dt_init
+        self.index, self.config = index, config
         self.t, self.dt_cap, self.steps, self.target = 0.0, config.dt_init, 0, 0
         self.flux_acc = self.diss_acc = 0.0
 
 
-class _Batch:
-    """The live rows, in the caller's order, with their stacked state: the
-    spectra, the grid values and the products of the last pass; and, rebuilt
-    whenever a row leaves, the multipliers tiled over the rows, the linear
-    symbol c |xi|^(2m) of each row and the rows' paths and eps."""
+_NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 
-    def __init__(self, grid: GridSpec, m: int, rows: list, u_hat: np.ndarray, u: np.ndarray):
-        self.grid, self.m = grid, m
-        self.rows, self.u_hat, self.u = rows, u_hat, u
-        self.p = None
+
+class _Step:
+    """The scheme over the live rows, in the caller's order: their stacked
+    spectra, grid values, and the products and monitor integrals of the last
+    pass; and, rebuilt whenever a row leaves, the multipliers tiled over the
+    rows, each row's linear symbol lin = c |xi|^(2m), paths and eps, and the
+    propagator e^(-lin dt) of the last dts."""
+
+    def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
+        first = rows[0].config
+        self.grid, self.m, self.dealias, self.trip = grid, first.m, first.dealias, trip
+        self.rows = rows
+        self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
+        self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
         self._tables()
+        self.p, self.flux, self.diss = _pass(self.spec, self.paths, self.eps, self.u, self.u_hat)
 
     def _tables(self) -> None:
-        n = len(self.rows)
-        self.spec = _rows_spectrum(self.grid, self.m, n)
-        c = np.array([row.config.c for row in self.rows]).reshape((n,) + (1,) * self.grid.dim)
-        self.lin = c * self.spec.k2m
+        self.spec = _rows_spectrum(self.grid, self.m, len(self.rows))
+        self.lin = _column([row.config.c for row in self.rows], self.grid.dim) * self.spec.k2m
         self.paths = tuple(row.config.path for row in self.rows)
         self.eps = tuple(row.config.eps for row in self.rows)
-        self.prop_key = self.prop = None  # the per-row dts of the cached e^(-lin dt)
+        self.prop_dts = self.prop = None
 
     def drop(self, gone: list) -> None:
-        """Take the rows at the positions ``gone`` out of the batch."""
+        """Take the rows at the positions ``gone`` out."""
         keep = [i for i in range(len(self.rows)) if i not in gone]
         self.rows = [self.rows[i] for i in keep]
         self.u_hat, self.u = self.u_hat[keep], self.u[keep]
@@ -299,8 +311,62 @@ class _Batch:
         if self.rows:
             self._tables()
 
+    def advance(self, dts: list, bounds: list):
+        """Step row i by dts[i], halving it in place until the candidate's
+        bf is at most bounds[i], then pass the new state.
 
-_NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
+        Returns per row the candidate's (bf, bf_lo) and its halvings, and the
+        failures as {position: error}.  A failed row keeps its state until
+        it is dropped.
+        """
+        rows, u_hat, spec, dim = self.rows, self.u_hat, self.spec, self.grid.dim
+        rem_hat = _rhs_hat(spec, self.m, self.dealias, self.p) + self.lin * u_hat
+        dt = _column(dts, dim)  # one float while the rows share dt
+        if dts != self.prop_dts:
+            self.prop_dts, self.prop = dts[:], np.exp(-self.lin * dt)
+        cand_hat = self.prop * (u_hat + dt * rem_hat)
+        energies, halvings, failures = [None] * len(rows), [0] * len(rows), {}
+        # each trial row is accepted, fails or halves its own dt; past the
+        # first try, which is whole-array work, this is the rare path
+        trial = range(len(rows))
+        while trial:
+            retry = []
+            for i in trial:
+                # a non-finite candidate has a non-finite bf, which the guard rejects too
+                energies[i] = _bf_from_hat(spec, cand_hat[i])
+                if energies[i][0] <= bounds[i]:
+                    continue
+                # a non-finite product spreads through the transforms to every
+                # candidate of the step, so the blow-up guard need look only here
+                if halvings[i] == 0 and not all(np.isfinite(pi[i]).all() for pi in self.p):
+                    failures[i] = BlowupError(f"{_NONFINITE} at t = {rows[i].t:g}, dt = {dts[i]:.3e}")
+                elif halvings[i] == 30:
+                    failures[i] = StiffnessError(
+                        f"stiffness failure at t = {rows[i].t:g}: dt underflowed after 30 halvings "
+                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i][0] - rows[i].bf:.3e}, "
+                        f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
+                    )
+                else:
+                    halvings[i] += 1
+                    dts[i] *= 0.5
+                    retry.append(i)
+                    continue
+                cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
+            if retry:
+                d = _column([dts[i] for i in retry], dim)
+                cand_hat[retry] = np.exp(-self.lin[retry] * d) * (u_hat[retry] + d * rem_hat[retry])
+            trial = retry
+        del rem_hat  # free it before the pass allocates the new products: a lower peak
+        self.u, self.u_hat = irfft(self.grid, cand_hat), cand_hat
+        if np.abs(self.u).max() > self.trip:  # the whole batch first: one reduction while no row trips
+            for i, sup in enumerate(np.abs(self.u).reshape(len(rows), -1).max(axis=1).tolist()):
+                if sup > self.trip and i not in failures:
+                    failures[i] = BlowupError(
+                        f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
+                        f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {self.trip:.3g} at t = {rows[i].t + dts[i]:g}"
+                    )
+        self.p, self.flux, self.diss = _pass(spec, self.paths, self.eps, self.u, cand_hat)
+        return energies, halvings, failures
 
 
 def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajectory | list:
@@ -344,13 +410,14 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         return [err] * len(configs)
     grid = u0.grid
     targets = sorted(set(t for t in first.snapshot_times if t > 0.0) | {first.t_final})
-    trip = _TRIPWIRE_FACTOR * float(np.max(np.abs(u0.values)))
+    # a row has reached a target once its clock is within round-off of it
+    reached = [t - 1e-15 * max(1.0, t) for t in targets]
     zero = (0,) * grid.dim
-    ones = (1,) * grid.dim  # the trailing shape of a per-row column against the rows' spectra
 
     # every row starts from the same transform of u0
     u_hat0 = rfft(grid, u0.values)
     bf0, bf_lo0 = _bf_from_hat(_spectrum(grid, first.m), u_hat0)
+    limit = _ENERGY_RTOL * bf0  # a step may raise bf this far above min(bf, bf(0))
     start = Field(grid, u0.values, 0.0)
 
     def report(row, u_hat_row):
@@ -367,32 +434,25 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         )
 
     rows = [_Row(i, config) for i, config in enumerate(configs)]
-    for row in rows:
-        row.bf, row.bf_lo = bf0, bf_lo0
+    step = _Step(grid, rows, u_hat0, _TRIPWIRE_FACTOR * float(np.max(np.abs(u0.values))))
+    for row, flux, diss in zip(rows, step.flux, step.diss):
+        row.bf, row.bf_lo, row.flux, row.diss = bf0, bf_lo0, flux, diss
         row.snapshots = [start]
         row.reports = [report(row, u_hat0)]
-    batch = _Batch(
-        grid, first.m, rows,
-        np.repeat(u_hat0[None], len(rows), axis=0),
-        np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0),
-    )
     results = [None] * len(configs)
-
-    # a row has reached a target once its clock is within round-off of it
-    reached = [t - 1e-15 * max(1.0, t) for t in targets]
 
     def settle(i) -> bool:
         """Take the snapshots row i has reached; True once it is done."""
-        row = batch.rows[i]
+        row = step.rows[i]
         try:
             while row.target < len(targets):
                 if row.t < reached[row.target]:
                     return False
-                snap = Field(grid, batch.u[i].copy(), row.t)
+                snap = Field(grid, step.u[i].copy(), row.t)
                 assert_boundary_decay(snap)
                 row.snapshots.append(snap)
                 if row.reports[-1].t != row.t:
-                    row.reports.append(report(row, batch.u_hat[i]))
+                    row.reports.append(report(row, step.u_hat[i]))
                 row.target += 1
         except DecayAssertionError as err:
             results[row.index] = err
@@ -402,92 +462,30 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         )
         return True
 
-    def fail(i, err) -> None:
-        results[batch.rows[i].index] = err
-
-    batch.p, flux, diss = _pass(batch.spec, batch.paths, batch.eps, batch.u, batch.u_hat)
-    for row, fl, di in zip(rows, flux, diss):
-        row.flux, row.diss = fl, di
-    gone = [i for i in range(len(rows)) if settle(i)]
-
-    limit = _ENERGY_RTOL * bf0  # a step may raise bf this far above min(bf, bf(0))
-    stride = first.report_stride
-    while True:
-        if gone:
-            batch.drop(gone)
-            if not batch.rows:
-                break
-            gone = []
-        rows, u_hat, spec = batch.rows, batch.u_hat, batch.spec
+    while step.rows:
+        rows = step.rows
         dts = [min(row.dt_cap, targets[row.target] - row.t) for row in rows]
-        rem_hat = _rhs_hat(spec, first.m, first.dealias, batch.p) + batch.lin * u_hat
-        # one dt for the whole batch unless the rows' clocks or caps differ
-        dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts).reshape((len(dts),) + ones)
-        if dts != batch.prop_key:
-            batch.prop_key, batch.prop = dts[:], np.exp(-batch.lin * dt)
-        cand_hat = batch.prop * (u_hat + dt * rem_hat)
-        energies = [None] * len(rows)
-        halvings = [0] * len(rows)
-        # each trial row is accepted, fails or halves its own dt; past the
-        # first try, which is whole-array work, this is the rare path
-        trial = range(len(rows))
-        while trial:
-            retry = []
-            for i in trial:
-                row = rows[i]
-                # a non-finite candidate has a non-finite bf, which the guard rejects too
-                energies[i] = _bf_from_hat(spec, cand_hat[i])
-                if energies[i][0] <= min(row.bf, bf0) + limit:
-                    continue
-                # a non-finite product spreads through the transforms to every
-                # candidate of the step, so the blow-up guard need look only here
-                if halvings[i] == 0 and not all(np.isfinite(pi[i]).all() for pi in batch.p):
-                    err = BlowupError(f"{_NONFINITE} at t = {row.t:g}, dt = {dts[i]:.3e}")
-                elif halvings[i] == 30:
-                    err = StiffnessError(
-                        f"stiffness failure at t = {row.t:g}: dt underflowed after 30 halvings "
-                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i][0] - row.bf:.3e}, "
-                        f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
-                    )
-                else:
-                    halvings[i] += 1
-                    dts[i] *= 0.5
-                    retry.append(i)
-                    continue
-                fail(i, err)
-                gone.append(i)
-                cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
-            if retry:
-                d = np.array([dts[i] for i in retry]).reshape((len(retry),) + ones)
-                cand_hat[retry] = np.exp(-batch.lin[retry] * d) * (u_hat[retry] + d * rem_hat[retry])
-            trial = retry
-        batch.u = irfft(grid, cand_hat)
-        batch.u_hat = cand_hat
-        if np.abs(batch.u).max() > trip:  # the whole batch first: one reduction while no row trips
-            for i, sup in enumerate(np.abs(batch.u).reshape(len(rows), -1).max(axis=1).tolist()):
-                if sup > trip and i not in gone:
-                    fail(i, BlowupError(
-                        f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
-                        f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {trip:.3g} at t = {rows[i].t + dts[i]:g}"
-                    ))
-                    gone.append(i)
-        batch.p, flux, diss = _pass(spec, batch.paths, batch.eps, batch.u, cand_hat)
+        energies, halvings, failures = step.advance(dts, [min(row.bf, bf0) + limit for row in rows])
+        gone = []
         for i, row in enumerate(rows):
-            if gone and i in gone:
+            if i in failures:
+                results[row.index] = failures[i]
+                gone.append(i)
                 continue
-            dt_i = dts[i]
-            row.flux_acc += 0.5 * dt_i * (row.flux + flux[i])
-            row.diss_acc += 0.5 * dt_i * (row.diss + diss[i])
-            row.flux, row.diss = flux[i], diss[i]
-            row.t += dt_i
+            dt = dts[i]
+            row.flux_acc += 0.5 * dt * (row.flux + step.flux[i])
+            row.diss_acc += 0.5 * dt * (row.diss + step.diss[i])
+            row.flux, row.diss = step.flux[i], step.diss[i]
+            row.t += dt
             row.bf, row.bf_lo = energies[i]
             row.steps += 1
-            row.dt_cap = min(row.dt_init, row.dt_cap * 2.0) if halvings[i] == 0 else dt_i
-            if row.steps % stride == 0:
-                row.reports.append(report(row, cand_hat[i]))
+            row.dt_cap = min(row.config.dt_init, row.dt_cap * 2.0) if halvings[i] == 0 else dt
+            if row.steps % first.report_stride == 0:
+                row.reports.append(report(row, step.u_hat[i]))
             if row.t >= reached[row.target] and settle(i):
                 gone.append(i)
-
+        if gone:
+            step.drop(gone)
     return results
 
 

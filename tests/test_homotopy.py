@@ -1,6 +1,7 @@
 """Schedules, sweeps, the Duhamel correction, and the branching residual,
 with the linear very-weak identity as a reference for the trajectories."""
 
+import csv
 import json
 import math
 
@@ -344,8 +345,13 @@ class TestSweep:
         write_table_csv(tmp_path / "t.csv", table)
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert [line for line in lines if line.startswith("2.0,")] == [
-            "2.0,nan,nan,0.1,nan,nan,nan,failed: eps = 2 outside (0, 1]"
+            '2.0,nan,nan,0.1,nan,nan,nan,"failed: eps = 2 outside (0, 1]"'
         ]
+        # the quoted status reads back whole, with no cell past the header
+        with open(tmp_path / "t.csv", newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert [row["status"] for row in read] == [r.status for r in table.rows]
+        assert all(None not in row for row in read)
 
     def test_serialization(self, tmp_path, small_sweep):
         write_table_csv(tmp_path / "t.csv", small_sweep)

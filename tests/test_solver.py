@@ -279,6 +279,20 @@ class TestSolve:
         traj = solve(u0, config)
         assert [s.time_tag for s in traj.snapshots] == pytest.approx([0.0, 0.004, 0.008, 0.01])
 
+    @pytest.mark.parametrize("t_final,snapshot_times,tags", [
+        (1e-16, (), [0.0, 1e-16]),
+        (1e-4, (1e-16,), [0.0, 1e-16, 1e-4]),
+    ])
+    def test_a_target_below_round_off_takes_a_step(self, u0, rational, t_final, snapshot_times, tags):
+        # a target of at most 1e-15 lies within the reached-test's round-off
+        # of t = 0, yet the run steps onto it rather than stopping at t = 0
+        config = _linear_config(
+            rational, t_final=t_final, snapshot_times=snapshot_times, dealias=False, report_stride=10**6
+        )
+        traj = solve(u0, config)
+        assert [s.time_tag for s in traj.snapshots] == tags
+        assert [r.t for r in traj.reports] == tags
+
     def test_eps_continuity(self, grid, u0, rational):
         # nearby regularizations give nearby final fields; the measured gap
         # shrinks with the eps separation
@@ -752,6 +766,28 @@ class TestBatch:
             with pytest.raises(error, match=message) as solo_error:
                 solve(u0, configs[1])
         assert isinstance(batch[1], error)
+        assert str(batch[1]) == str(solo_error.value)
+        for i in (0, 2, 3, 4):
+            assert _bitwise_equal(batch[i], solve(u0, configs[i]))
+
+    def test_a_tripped_row_leaves_and_the_rest_go_on(self, u0, rational, monkeypatch):
+        # sup|u| falls along these flows, so the row with the shortest first
+        # step (row 1, dt_init 5e-5) has the largest first-step ratio
+        # sup|u| / sup|u0|; a factor between it and the next largest trips
+        # row 1 alone
+        configs = _mixed_rows(rational)
+        peak = float(np.max(np.abs(u0.values)))
+        ratios = []
+        for config in configs:
+            first = dataclasses.replace(config, t_final=config.dt_init, snapshot_times=())
+            ratios.append(float(np.max(np.abs(solve(u0, first).snapshots[-1].values))) / peak)
+        second, top = sorted(ratios)[-2:]
+        assert ratios.index(top) == 1 and second < top < 1.0
+        monkeypatch.setattr(solver_module, "_TRIPWIRE_FACTOR", 0.5 * (top + second))
+        batch = solve(u0, configs)
+        with pytest.raises(BlowupError, match=r"^boundedness tripwire: .* at t = 5e-05$") as solo_error:
+            solve(u0, configs[1])
+        assert isinstance(batch[1], BlowupError)
         assert str(batch[1]) == str(solo_error.value)
         for i in (0, 2, 3, 4):
             assert _bitwise_equal(batch[i], solve(u0, configs[i]))
