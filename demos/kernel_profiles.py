@@ -9,16 +9,17 @@ alpha = 2m/(2m-1).
 """
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 
 from polyheat.gridfield import coordinates, integrate, make_grid
 from polyheat.kernel import (
+    decay_fit,
     profile_bessel,
     profile_fourier,
     radial_integral,
     sign_change_count,
-    with_decay_fit,
     write_profile_csv,
 )
 
@@ -31,7 +32,8 @@ out.mkdir(parents=True, exist_ok=True)
 ranges = {1: 12.0, 2: 36.0, 3: 68.0}
 profiles = {}
 for m, r_max in ranges.items():
-    p = with_decay_fit(profile_bessel(m, 1, np.arange(0.0, r_max, 0.02)))
+    p = profile_bessel(m, 1, np.arange(0.0, r_max, 0.02))
+    p = replace(p, decay_fit=decay_fit(p))
     profiles[m] = p
     write_profile_csv(out / f"profile_m{m}_N1.csv", p)
     print(

@@ -8,12 +8,14 @@ sweep (homotopy convergence study), branch (sweep plus first-order-correction
 analysis), report (digest of run manifests).
 
 Configs are strict JSON: unknown keys are rejected with their field path so
-a typo cannot silently corrupt a convergence study.  The ``RunConfig``
-constructor builds each block once, after the output directory and seed are
-resolved; the block constructors own the invariants, and the run uses what
-they built.  Every run writes its artifacts plus a manifest (config echo,
-artifact checksums, timing, outcome).  Exit codes: 0 ok; 1 the run failed
-(the manifest says why); 2 bad config or output directory (no manifest).
+a typo cannot silently corrupt a convergence study.  A block's keys are the
+keyword arguments of its builder, so the call itself rejects an unknown or
+a missing key.  The ``RunConfig`` constructor builds each block once, after
+the output directory and seed are resolved; the block constructors own the
+invariants, and the run uses what they built.  Every run writes its
+artifacts plus a manifest (config echo, artifact checksums, timing,
+outcome).  Exit codes: 0 ok; 1 the run failed (the manifest says why); 2
+bad config or output directory (no manifest).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, fields, replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +46,9 @@ from .homotopy import (
     write_table_csv,
 )
 from .kernel import (
+    decay_fit,
     profile_bessel,
     profile_quadrature,
-    with_decay_fit,
     write_profile_csv,
 )
 from .solver import (
@@ -100,30 +102,9 @@ class RunManifest:
     highlights: dict
 
 
-# ---------------------------------------------------------------------------
-# strict config validation
-
-_BLOCK_KEYS = {
-    "grid": {"dim", "half_width", "points_per_dim"},
-    "degeneracy": {"kind", "params", "n"},
-    "u0": {"type", "amplitude", "width", "center", "steepness", "count"},
-    # SolverConfig's own settable fields, with the path's variant in place of the path
-    "solver": {f.name for f in fields(SolverConfig) if f.init} - {"path"} | {"variant"},
-    "schedule": {"kind", "c"},
-    # SweepSpec's own settable fields but the schedule, which has its own block
-    "sweep": {f.name for f in fields(SweepSpec) if f.init} - {"schedule"},
-    "kernel": {"m", "dim", "r_max", "dr"},
-    "spectrum": {"m", "max_order"},
-}
-_BLOCK_KEYS["branch"] = _BLOCK_KEYS["sweep"]  # both build a SweepSpec
-
-
-def _check_keys(block_name: str, block: dict) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError("the block must be an object")
-    for key in block:
-        if key not in _BLOCK_KEYS[block_name]:
-            raise ConfigError(f"unknown key {key!r}")
+# the blocks a config may hold; each block's keys are the keyword arguments
+# of the builder that ``_build`` calls with it
+_BLOCKS = ("grid", "degeneracy", "u0", "solver", "schedule", "sweep", "branch", "kernel", "spectrum")
 
 
 def parse_config(text: str, command: str | None = None,
@@ -143,7 +124,7 @@ def parse_config(text: str, command: str | None = None,
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    top_allowed = {"command", "out_dir", "seed"} | set(_BLOCK_KEYS)
+    top_allowed = {"command", "out_dir", "seed"} | set(_BLOCKS)
     for key in raw:
         if key not in top_allowed:
             raise ConfigError(f"unknown key {key!r} at top level")
@@ -153,13 +134,13 @@ def parse_config(text: str, command: str | None = None,
         raise ConfigError("no command given (config 'command' or CLI subcommand)")
     if command is not None and "command" in raw and raw["command"] != command:
         raise ConfigError(f"config command {raw['command']!r} conflicts with CLI command {command!r}")
-    if cmd not in _DISPATCH:
+    if not isinstance(cmd, str) or cmd not in _DISPATCH:
         raise ConfigError(f"unknown command {cmd!r}; choose from {tuple(_DISPATCH)}")
 
     try:
         return RunConfig(
             command=cmd,
-            blocks={k: v for k, v in raw.items() if k in _BLOCK_KEYS},
+            blocks={k: v for k, v in raw.items() if k in _BLOCKS},
             out_dir=out_dir or raw.get("out_dir", "polyheat-out"),
             seed=raw.get("seed", 0) if seed is None else seed,
         )
@@ -173,54 +154,57 @@ def parse_config(text: str, command: str | None = None,
 
 def _build(config: RunConfig) -> dict:
     """Build the library objects of the blocks the command needs, keyed by
-    block name; a missing block, an unknown key, or a ValueError, TypeError,
-    KeyError or OverflowError (from an absurd magnitude) raised while
-    building becomes a ConfigError naming the block."""
+    block name.  Each builder takes its block's keys as keyword arguments,
+    so its signature is the block's schema; a missing block, a block that
+    is not an object, or a ValueError, TypeError (an unknown or missing key
+    among them), OverflowError or MemoryError (from an absurd magnitude)
+    raised while building becomes a ConfigError naming the block."""
     built = {}
 
     def build(name, builder, *args):
         if name not in config.blocks:
             raise ConfigError(f"command {config.command!r} requires a {name!r} block")
+        block = config.blocks[name]
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name}: the block must be an object")
         try:
-            _check_keys(name, config.blocks[name])
-            built[name] = builder(config.blocks[name], *args)
-        except KeyError as err:
-            raise ConfigError(f"{name}: missing key {err}") from err
-        except (ValueError, TypeError, OverflowError) as err:
+            built[name] = builder(*args, **block)
+        except (ValueError, TypeError, OverflowError, MemoryError) as err:
             raise ConfigError(f"{name}: {err}") from err
         return built[name]
 
     if config.command == "kernel":
         build("kernel", _kernel_from_block)
         return built
-    grid = build("grid", lambda b: GridSpec(b["dim"], b["half_width"], b["points_per_dim"]))
+    grid = build("grid", GridSpec)
     if config.command == "spectrum":
         build("spectrum", _spectrum_from_block, grid)
         return built
-    path = build("degeneracy", _path_from_block, config.command == "solve")
-    if config.command == "solve":
+    needs_n = config.command == "solve"  # only a solve runs at the block's own n
+    path = build("degeneracy", _path_from_block if needs_n else partial(_path_from_block, n=0.0))
+    if needs_n:
         build("solver", _solver_from_block, path)
     else:
-        schedule = build("schedule", lambda b: Schedule(b["kind"], b["c"], path.f))
-        build(config.command, lambda b: SweepSpec(schedule, **{"m": 2, **b}))
+        schedule = build("schedule", lambda **b: Schedule(**b, f=path.f))
+        build(config.command, lambda **b: SweepSpec(schedule, **{"m": 2, **b}))
     build("u0", _u0_from_block, grid, config.seed)
     return built
 
 
-def _kernel_from_block(block: dict) -> tuple:
-    """(m, dim, r_max, dr), with m and dim checked by the quadrature that
-    tabulates them; the run lays out the radii."""
-    require_real("r_max", block["r_max"], "positive")
-    require_real("dr", block["dr"], "positive")
-    profile_quadrature(block["m"], block["dim"])
-    return block["m"], block["dim"], block["r_max"], block["dr"]
+def _kernel_from_block(m, dim, r_max, dr) -> tuple:
+    """(m, dim, radii), with m and dim checked by the quadrature that
+    tabulates them and the radii laid out here, so that a dr too fine to
+    tabulate is a config error, not a failed run."""
+    require_real("r_max", r_max, "positive")
+    require_real("dr", dr, "positive")
+    profile_quadrature(m, dim)
+    return m, dim, np.arange(0.0, r_max + 0.5 * dr, dr)
 
 
-def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
+def _spectrum_from_block(grid: GridSpec, m, max_order) -> tuple:
     """(m, max_order, Gram matrix).  The Gram matrix checks m and max_order
     and carries the product boundary guard, so a max_order the box cannot
     resolve is a config error."""
-    m, max_order = block["m"], block["max_order"]
     try:
         _, gram = biorthogonality_matrix(max_order, m, grid)
     except DecayAssertionError as err:
@@ -230,22 +214,21 @@ def _spectrum_from_block(block: dict, grid: GridSpec) -> tuple:
     return m, max_order, gram
 
 
-def _path_from_block(block: dict, needs_n: bool) -> RegPath:
-    """The nonlinearity with its exponent n (required only where a run uses it)."""
-    f = DegeneracyFunction(block["kind"], block.get("params", {}))
-    return RegPath(f, block["n"] if needs_n else block.get("n", 0.0))
+def _path_from_block(kind, n, **rest) -> RegPath:
+    """The nonlinearity with its exponent n; the other keys (``params``) are
+    the nonlinearity's."""
+    return RegPath(DegeneracyFunction(kind, **rest), n)
 
 
-def _solver_from_block(block: dict, path: RegPath) -> SolverConfig:
-    fields = dict(block)  # every key but variant is a SolverConfig field
-    return SolverConfig(path=replace(path, variant=fields.pop("variant", "full")), **fields)
+def _solver_from_block(path: RegPath, variant="full", **fields) -> SolverConfig:
+    """Every key but ``variant`` is a SolverConfig field."""
+    return SolverConfig(path=replace(path, variant=variant), **fields)
 
 
-def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
+def _u0_from_block(grid: GridSpec, seed: int, **kwargs) -> Field:
     """The initial field from ``bump`` or ``random_bumps``, which take every
     key but ``type`` and check them, held to the solver's initial-data
     preconditions here so that a violation is a config error, not a failed run."""
-    kwargs = dict(block)
     kind = kwargs.pop("type", "bump")
     if kind == "bump":
         u0 = bump(grid, **{"width": 4.0, "steepness": 6.0, **kwargs})
@@ -263,11 +246,11 @@ def _u0_from_block(block: dict, grid: GridSpec, seed: int) -> Field:
 
 
 def _cmd_kernel(built: dict, out: Path):
-    m, dim, r_max, dr = built["kernel"]
-    profile = profile_bessel(m, dim, np.arange(0.0, r_max + 0.5 * dr, dr))
+    m, dim, radii = built["kernel"]
+    profile = profile_bessel(m, dim, radii)
     highlights = {"m": m, "dim": dim}
     try:
-        profile = with_decay_fit(profile)
+        profile = replace(profile, decay_fit=decay_fit(profile))
         fit = profile.decay_fit
         highlights["decay_fit"] = {"C": fit.C, "a": fit.a, "alpha": fit.alpha}
         highlights["alpha_target"] = 2 * m / (2 * m - 1)
@@ -299,8 +282,7 @@ def _cmd_spectrum(built: dict, out: Path):
     symbolic = {}
     for beta in multi_indices_up_to(grid.dim, 8):
         raw = adjoint_eigenpolynomial(beta, m, normalized=False)
-        lam = Fraction(-beta.order, 2 * m)
-        symbolic["|".join(map(str, beta.entries))] = apply_L_star(raw, m) == raw.scaled(lam)
+        symbolic["|".join(map(str, beta.entries))] = apply_L_star(raw, m) == raw.scaled(eigenvalue(beta, m))
     with open(out / "adjoint_check.json", "w") as fh:
         json.dump(symbolic, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,7 +23,6 @@ which ``decay_fit`` recovers from the envelope of the tabulation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,7 +331,3 @@ def read_profile_csv(path) -> KernelProfile:
         decay_fit=fit,
     )
 
-
-def with_decay_fit(profile: KernelProfile) -> KernelProfile:
-    """Convenience: return the profile with its decay fit attached."""
-    return dataclasses.replace(profile, decay_fit=decay_fit(profile))

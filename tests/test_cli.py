@@ -42,6 +42,11 @@ SWEEP_CONFIG = {
 
 MINIMAL_KERNEL = {"kernel": {"m": 2, "dim": 1, "r_max": 28.0, "dr": 0.05}}
 
+MINIMAL_SPECTRUM = {
+    "grid": {"dim": 1, "half_width": 44.0, "points_per_dim": 512},
+    "spectrum": {"m": 2, "max_order": 2},
+}
+
 # one solver step from twelve random bumps on a 2-D grid, where a box of
 # centres with half-side L/2 - width would reach past |x| = L/2 at its corners
 SEEDED_SOLVE = {
@@ -91,6 +96,11 @@ class TestParseConfig:
         bad = {k: v for k, v in MINIMAL_SOLVE.items() if k != "degeneracy"}
         with pytest.raises(ConfigError, match="requires a 'degeneracy' block"):
             parse_config(json.dumps(bad), command="solve")
+
+    @pytest.mark.parametrize("command", [[], {}], ids=["list", "object"])
+    def test_non_string_command_is_a_config_error(self, command):
+        with pytest.raises(ConfigError, match="unknown command"):
+            parse_config(json.dumps(dict(MINIMAL_SOLVE, command=command)))
 
     def test_command_conflict(self):
         cfg = dict(MINIMAL_SOLVE, command="sweep")
@@ -210,9 +220,9 @@ class TestRunCommands:
     def test_main_builds_each_block_once(self, tmp_path, monkeypatch, command, cfg):
         calls = {"_u0_from_block": 0, "_path_from_block": 0}
         for name in calls:
-            def counting(*args, _name=name, _builder=getattr(cli, name)):
+            def counting(*args, _name=name, _builder=getattr(cli, name), **kwargs):
                 calls[_name] += 1
-                return _builder(*args)
+                return _builder(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counting)
         path = _dump(tmp_path, f"{command}.json", cfg)
@@ -347,6 +357,27 @@ SWEEP_DEFECTS = [
     ("dt_init", "-1"),
     ("m", "4"),
     ("dealias", "1"),
+]
+
+_GRID_KEYS = ("dim", "half_width", "points_per_dim")
+# command -> (its minimal config, {block: the keys the block cannot do without})
+REQUIRED_KEYS = {
+    "solve": (MINIMAL_SOLVE, {
+        "grid": _GRID_KEYS, "degeneracy": ("kind", "n"), "u0": (), "solver": ("m", "eps", "dt_init", "t_final"),
+    }),
+    "sweep": (SWEEP_CONFIG, {
+        "grid": _GRID_KEYS, "degeneracy": ("kind",), "schedule": ("kind", "c"), "u0": (),
+        "sweep": ("t_eval", "n_values"),
+    }),
+    "kernel": (MINIMAL_KERNEL, {"kernel": ("m", "dim", "r_max", "dr")}),
+    "spectrum": (MINIMAL_SPECTRUM, {"grid": _GRID_KEYS, "spectrum": ("m", "max_order")}),
+}
+# (command, block, key, whether the key is removed or is an added unknown one)
+KEY_CASES = [
+    case
+    for command, (base, blocks) in REQUIRED_KEYS.items()
+    for block, required in blocks.items()
+    for case in [(command, block, "bogus", "added")] + [(command, block, key, "removed") for key in required]
 ]
 
 _RATIONAL = DegeneracyFunction("rational")
@@ -535,6 +566,32 @@ class TestValidation:
         cfg = json.loads(json.dumps(SWEEP_CONFIG))
         cfg[command] = cfg.pop("sweep")
         self._defect_exits_2(tmp_path, capsys, command, cfg, command, key, token)
+
+    @pytest.mark.parametrize("command,block,key,change", KEY_CASES, ids=["-".join(c) for c in KEY_CASES])
+    def test_block_key_added_or_removed_exits_2(self, tmp_path, capsys, command, block, key, change):
+        cfg = json.loads(json.dumps(REQUIRED_KEYS[command][0]))
+        if change == "added":
+            cfg[block][key] = 1
+        else:
+            del cfg[block][key]
+        path = _dump(tmp_path, f"{command}.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {block}: ") and repr(key) in captured.err
+        assert "Traceback" not in captured.err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("dr", [1e-300, 1e-17], ids=["past_the_size_limit", "past_the_address_space"])
+    def test_kernel_dr_too_fine_to_tabulate_exits_2(self, tmp_path, capsys, dr):
+        # 1e-17 asks for 5.5 EiB of radii, past any user address space, so the allocation fails at once
+        path = _dump(tmp_path, "kernel.json", {"kernel": {"m": 2, "dim": 1, "r_max": 8.0, "dr": dr}})
+        out = tmp_path / "out"
+        assert main(["kernel", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: kernel: ")
+        assert "Traceback" not in captured.err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("base,key,value", [
         (MINIMAL_SOLVE, "count", 3), (SEEDED_SOLVE, "center", [0.0, 0.0]),

@@ -1,5 +1,7 @@
 """Kernel profile, polyharmonic flow, and decay-fit tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,7 +31,6 @@ from polyheat.kernel import (
     radial_integral,
     read_profile_csv,
     sign_change_count,
-    with_decay_fit,
     write_profile_csv,
 )
 from polyheat.solver import eventual_positivity
@@ -194,7 +195,7 @@ class TestDecayFit:
 
 class TestProfileCsv:
     def test_roundtrip(self, tmp_path, profile_m2):
-        p = with_decay_fit(profile_m2)
+        p = replace(profile_m2, decay_fit=decay_fit(profile_m2))
         path = tmp_path / "profile.csv"
         write_profile_csv(path, p)
         back = read_profile_csv(path)
