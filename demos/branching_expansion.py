@@ -42,7 +42,7 @@ for n in ns:
     n_eff, eps = schedule_eval(schedule, n)
     configs.append(SolverConfig(
         m=2, path=RegPath(f, n_eff, "simple"), eps=eps, dt_init=2e-5,
-        t_final=t_eval, dealias=False, report_stride=10**9,
+        t_final=t_eval, report_stride=10**9,
     ))
 runs = {}
 for n, out in zip(ns, solve(u0, configs)):

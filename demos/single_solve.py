@@ -32,7 +32,6 @@ config = SolverConfig(
     eps=1e-3,
     dt_init=5e-5,
     t_final=0.2,
-    dealias=False,
     snapshot_times=(0.01, 0.05, 0.1, 0.2),
     report_stride=50,
 )

@@ -186,7 +186,7 @@ def _build(config: RunConfig) -> dict:
         build("solver", _solver_from_block, path)
     else:
         schedule = build("schedule", lambda **b: Schedule(**b, f=path.f))
-        build(config.command, lambda **b: SweepSpec(schedule, **{"m": 2, **b}))
+        build(config.command, lambda **b: SweepSpec(schedule, **{"m": 2, **_drop_retired(b)}))
     build("u0", _u0_from_block, grid, config.seed)
     return built
 
@@ -220,9 +220,20 @@ def _path_from_block(kind, n, **rest) -> RegPath:
     return RegPath(DegeneracyFunction(kind, **rest), n)
 
 
+def _drop_retired(fields: dict) -> dict:
+    """The block's keys less ``dealias``, a retired key of the solver, sweep
+    and branch blocks.  The solver has no 2/3-rule cut any more, so only
+    false, which names what it does, is accepted: a config never gets
+    another scheme than it asked for."""
+    dealias = fields.pop("dealias", False)
+    if dealias is not False:
+        raise ValueError(f"dealias must be false: the solver's 2/3-rule cut was removed, got {dealias!r}")
+    return fields
+
+
 def _solver_from_block(path: RegPath, variant="full", **fields) -> SolverConfig:
-    """Every key but ``variant`` is a SolverConfig field."""
-    return SolverConfig(path=replace(path, variant=variant), **fields)
+    """Every key but ``variant`` and the retired one is a SolverConfig field."""
+    return SolverConfig(path=replace(path, variant=variant), **_drop_retired(fields))
 
 
 def _u0_from_block(grid: GridSpec, seed: int, **kwargs) -> Field:

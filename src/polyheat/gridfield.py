@@ -287,16 +287,12 @@ def grad_chain(spec: _Spectrum, u_hat: np.ndarray) -> list:
     return [irfft(spec.grid, c * u_hat) for c in spec.chain]
 
 
-def divergence_hat(spec: _Spectrum, components, dealias: bool) -> np.ndarray:
-    """Half-spectrum coefficients of the divergence of real components; with
-    ``dealias`` each component's spectrum is cut to the 2/3-rule band first.
+def divergence_hat(spec: _Spectrum, components) -> np.ndarray:
+    """Half-spectrum coefficients of the divergence of real components.
     Components of a batch of rows take the table of ``_rows_spectrum``."""
     acc = np.zeros(spec.k2m.shape, dtype=complex)
     for d, c in zip(spec.div, components):
-        ch = rfft(spec.grid, c)
-        if dealias:
-            ch = np.where(spec.band, ch, 0.0)
-        acc += d * ch
+        acc += d * rfft(spec.grid, c)
     return acc
 
 
@@ -323,7 +319,7 @@ def l2_norm(f: Field) -> float:
 
 
 def spectral_tail_fraction(f: Field) -> float:
-    """Fraction of spectral energy in the dealiased (top-third) modes; NaN,
+    """Fraction of spectral energy in the modes outside the 2/3-rule band; NaN,
     without a warning, when the energy overflows."""
     spec = _spectrum(f.grid, 1)  # w_hi is the plain Parseval weight at m = 1
     with np.errstate(over="ignore", invalid="ignore"):

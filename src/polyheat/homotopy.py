@@ -177,10 +177,12 @@ def correction_phi(
 
     The linear flow is sampled at ``time_nodes`` uniform quadrature times on
     [0, t]; each node s contributes the multiplier increment
-    sum_i (i xi_i) e^(-|xi|^(2m) (t-s)) w_hat_i  with
-    w = ln f(max(|u|, eta)) grad Delta^(m-1) u  (dealiased), composited by
-    the trapezoid rule.  The clamp floor eta defaults to 1e-8 max|u0|.
-    Raises when the clamp was active on more than 20% of the box at time t.
+    e^(-|xi|^(2m) (t-s)) sum_i (i xi_i) w_hat_i  cut to the 2/3-rule band,
+    with  w = ln f(max(|u|, eta)) grad Delta^(m-1) u,  composited by the
+    trapezoid rule.  The mask and the i xi_i act elementwise, so cutting the
+    sum equals cutting each w_hat_i.  The clamp floor eta defaults to
+    1e-8 max|u0|.  Raises when the clamp was active on more than 20% of the
+    box at time t.
 
     The nodes go in blocks of max(1, _BLOCK_POINTS // grid points): one
     ``linear_trajectory`` call and one stacked gradient chain per block,
@@ -209,7 +211,7 @@ def correction_phi(
         logf = np.log(f(np.maximum(np.abs(snaps), eta)))
         rows = _rows_spectrum(grid, m, len(states))
         g = grad_chain(rows, rfft(grid, snaps))
-        w_hat = divergence_hat(rows, [logf * gi for gi in g], True)
+        w_hat = np.where(rows.band, divergence_hat(rows, [logf * gi for gi in g]), 0.0)
         for s, wt, w in zip(times, weights[lo:lo + block], w_hat):
             phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w)
     values = irfft(grid, phi_hat)
@@ -290,7 +292,7 @@ class SweepSpec:
     ``n_values`` hold the schedule's own parameter (n for ``eps_of_n``, eps
     for ``n_of_eps``); 0 is the degeneracy-off control row, whose
     SolverConfig ``control`` every row's config is made from, so that
-    SolverConfig alone checks m, dt_init and dealias.
+    SolverConfig alone checks m and dt_init.
     """
 
     schedule: Schedule
@@ -298,7 +300,6 @@ class SweepSpec:
     t_eval: float
     n_values: tuple
     dt_init: float = 2e-5
-    dealias: bool = False
     time_nodes: int = 41
     clamp_floor: float | None = None
     control: SolverConfig = field(init=False, repr=False, compare=False)
@@ -310,7 +311,7 @@ class SweepSpec:
         object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "control", SolverConfig(
             m=self.m, path=RegPath(self.schedule.f, 0.0, "simple"), eps=1.0, dt_init=self.dt_init,
-            t_final=self.t_eval, dealias=self.dealias, report_stride=10**9,
+            t_final=self.t_eval, report_stride=10**9,
         ))
 
 
@@ -414,13 +415,12 @@ def path_dependence_report(
 
     The discretization floor is the solver-vs-multiplier gap of the n = 0
     run; whether the limits depend on the regularization path is an open
-    matter, so the measured gap is reported either way.  As in the sweep
-    scenarios, the rows run without dealiasing.
+    matter, so the measured gap is reported either way.
     """
     configs = [
         SolverConfig(
             m=m, path=RegPath(f, n_row, variant), eps=eps_row, dt_init=dt_init,
-            t_final=t_eval, dealias=False, report_stride=10**9,
+            t_final=t_eval, report_stride=10**9,
         )
         for n_row, eps_row, variant in ((n, eps, "full"), (n, eps, "simple"), (0.0, 1.0, "simple"))
     ]

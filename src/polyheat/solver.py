@@ -25,7 +25,9 @@ non-finite candidate energy, so the blow-up guard looks at the products only
 when the energy guard rejects a step.  At n = 0 the coefficient is exactly
 1, and f is not evaluated when every row is at n = 0.  Every transform is a
 real FFT on the half spectrum, the multipliers are tabled once per (grid, m),
-and the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  The
+and the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  No
+2/3-rule cut is applied: it removes aliasing only from quadratic products,
+and f^n(|u|) is neither polynomial nor smooth where u changes sign.  The
 divergence form keeps the zero mode untouched, so the mass is conserved
 exactly, and the accumulated dissipation 2 int_0^t int coef |g|^2 is tracked
 so the energy identity
@@ -35,8 +37,8 @@ so the energy identity
 can be monitored as a runtime residual.
 
 Rows and batches.  ``solve`` advances a batch of rows: runs that share the
-data u0, the grid, f, m, dealias, t_final, snapshot_times and report_stride,
-and may differ in n, variant, eps (hence c) and dt_init.  One config is a
+data u0, the grid, f, m, t_final, snapshot_times and report_stride, and
+may differ in n, variant, eps (hence c) and dt_init.  One config is a
 batch of one, on the same code path.  The state, the spectra and the
 products carry a leading row axis, so each transform, the spectral multiply
 and one coefficient call, with each row's n, eps and variant as columns,
@@ -133,7 +135,6 @@ class SolverConfig:
     dt_init: float
     t_final: float
     c: float = field(init=False)
-    dealias: bool = True
     snapshot_times: tuple = ()
     report_stride: int = 1
 
@@ -143,8 +144,6 @@ class SolverConfig:
         require_real("eps", self.eps)
         for name in ("dt_init", "t_final"):
             require_real(name, getattr(self, name), "positive")
-        if not isinstance(self.dealias, bool):
-            raise TypeError(f"dealias must be true or false, got {self.dealias!r}")
         require_reals("snapshot_times", self.snapshot_times)
         if not all(0.0 <= t <= self.t_final for t in self.snapshot_times):
             raise ValueError(f"snapshot_times must lie in [0, t_final = {self.t_final:g}]")
@@ -212,10 +211,10 @@ def _pass(spec: _Spectrum, paths: tuple, eps: tuple, u: np.ndarray, u_hat: np.nd
     return p, flux, diss
 
 
-def _rhs_hat(spec: _Spectrum, m: int, dealias: bool, p: list) -> np.ndarray:
+def _rhs_hat(spec: _Spectrum, m: int, p: list) -> np.ndarray:
     """(-1)^(m-1) div p on the half spectrum, from the products of ``_pass``."""
     sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return sign * divergence_hat(spec, p, dealias)
+    return sign * divergence_hat(spec, p)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,7 @@ def _run_id(u0: Field, config: SolverConfig) -> str:
 
 def _shared(config: SolverConfig) -> tuple:
     """The settings every row of a batch must share."""
-    return (config.path.f, config.m, config.dealias, config.t_final, config.snapshot_times,
-            config.report_stride)
+    return config.path.f, config.m, config.t_final, config.snapshot_times, config.report_stride
 
 
 class _Row:
@@ -287,8 +285,7 @@ class _Step:
     propagator e^(-lin dt) of the last dts."""
 
     def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
-        first = rows[0].config
-        self.grid, self.m, self.dealias, self.trip = grid, first.m, first.dealias, trip
+        self.grid, self.m, self.trip = grid, rows[0].config.m, trip
         self.rows = rows
         self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
         self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
@@ -320,7 +317,7 @@ class _Step:
         it is dropped.
         """
         rows, u_hat, spec, dim = self.rows, self.u_hat, self.spec, self.grid.dim
-        rem_hat = _rhs_hat(spec, self.m, self.dealias, self.p) + self.lin * u_hat
+        rem_hat = _rhs_hat(spec, self.m, self.p) + self.lin * u_hat
         dt = _column(dts, dim)  # one float while the rows share dt
         if dts != self.prop_dts:
             self.prop_dts, self.prop = dts[:], np.exp(-self.lin * dt)
@@ -378,8 +375,8 @@ def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajector
     BlowupError if the uniform-boundedness tripwire fires.
 
     ``config`` may also be a sequence of row configs that share f, m,
-    dealias, t_final, snapshot_times and report_stride (n, variant, eps and
-    dt_init may differ).  The rows then advance together as one batch, each
+    t_final, snapshot_times and report_stride (n, variant, eps and dt_init
+    may differ).  The rows then advance together as one batch, each
     under its own step control, and the result is a list with, per row and
     in order, its Trajectory or the exception its own solve would raise: a
     row is bitwise the same alone and in any batch, and a failed row leaves
@@ -403,7 +400,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         return []
     first = configs[0]
     if any(_shared(c) != _shared(first) for c in configs):
-        raise ValueError("batched rows must share f, m, dealias, t_final, snapshot_times and report_stride")
+        raise ValueError("batched rows must share f, m, t_final, snapshot_times and report_stride")
     try:
         _validate_initial(u0)
     except (ValueError, DecayAssertionError) as err:

@@ -78,7 +78,7 @@ def acceptance_sweep():
     start = time.perf_counter()
     table = sweep(U0, SweepSpec(
         schedule, 2, 0.1, [1e-1, 3e-2, 1e-2, 3e-3],
-        dt_init=2e-5, dealias=False, time_nodes=641, clamp_floor=1e-14,
+        dt_init=2e-5, time_nodes=641, clamp_floor=1e-14,
     ))
     return table, time.perf_counter() - start
 
@@ -183,7 +183,7 @@ def test_criterion_07_conservation_and_dissipation():
     relative on the m = 2, rational f, n = 0.2, eps = 1e-3 scenario."""
     config = SolverConfig(
         m=2, path=RegPath(RATIONAL, 0.2, "full"), eps=1e-3, dt_init=5e-5,
-        t_final=0.2, dealias=False, report_stride=100,
+        t_final=0.2, report_stride=100,
     )
     trajectory = solve(U0, config)
     first, last = trajectory.reports[0], trajectory.reports[-1]
@@ -237,7 +237,7 @@ def test_criterion_10_oscillation_and_eventual_positivity(tmp_path):
         "u0": {"type": "bump", "amplitude": 1.0, "width": 0.8, "steepness": 6.0},
         "solver": {
             "m": 2, "eps": 4.5e-5, "variant": "simple", "dt_init": 5e-5,
-            "t_final": 0.1, "dealias": False, "report_stride": 1000,
+            "t_final": 0.1, "report_stride": 1000,
             "snapshot_times": [0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.075],
         },
     }

@@ -25,7 +25,7 @@ MINIMAL_SOLVE = {
     "u0": {"type": "bump", "amplitude": 1.0, "width": 4.0, "steepness": 6.0},
     "solver": {
         "m": 2, "eps": 1e-3, "variant": "full", "dt_init": 1e-4,
-        "t_final": 0.005, "dealias": False, "report_stride": 20,
+        "t_final": 0.005, "report_stride": 20,
     },
 }
 
@@ -343,6 +343,7 @@ SOLVE_DEFECTS = [
     ("u0", "steepness", "0.01"),  # spectral tail above 1e-10
     ("u0", "amplitude", "1e308"),  # the transform overflows: a NaN spectral tail
     ("u0", "center", "[NaN]"),  # a NaN centre would build the zero field
+    ("solver", "dealias", "true"),  # a retired key: only false, the solver's one scheme, is accepted
 ]
 
 # (key, raw JSON token) for the sweep or branch block of SWEEP_CONFIG; each
@@ -357,6 +358,7 @@ SWEEP_DEFECTS = [
     ("dt_init", "-1"),
     ("m", "4"),
     ("dealias", "1"),
+    ("dealias", "true"),  # a retired key: only false, the solver's one scheme, is accepted
 ]
 
 _GRID_KEYS = ("dim", "half_width", "points_per_dim")
@@ -409,7 +411,7 @@ CONSTRUCTOR_DEFECTS = {
         ValueError, "report_stride must be at least 1", lambda: SolverConfig(**dict(_SOLVER, report_stride=0))
     ),
     "SolverConfig dealias int": (
-        TypeError, "dealias must be true or false", lambda: SolverConfig(**dict(_SOLVER, dealias=1))
+        TypeError, "unexpected keyword argument 'dealias'", lambda: SolverConfig(**dict(_SOLVER, dealias=1))
     ),
     "SolverConfig snapshot_times str": (
         TypeError, "snapshot_times must be a list", lambda: SolverConfig(**dict(_SOLVER, snapshot_times="0.1"))
@@ -513,7 +515,7 @@ CONSTRUCTOR_DEFECTS = {
     ),
     "SweepSpec m 4": (ValueError, "m must be one of", lambda: SweepSpec(**dict(_SWEEP, m=4))),
     "SweepSpec dealias int": (
-        TypeError, "dealias must be true or false", lambda: SweepSpec(**dict(_SWEEP, dealias=1))
+        TypeError, "unexpected keyword argument 'dealias'", lambda: SweepSpec(**dict(_SWEEP, dealias=1))
     ),
     "SweepSpec control not settable": (
         TypeError, "unexpected keyword argument 'control'", lambda: SweepSpec(**dict(_SWEEP, control=None))
@@ -566,6 +568,36 @@ class TestValidation:
         cfg = json.loads(json.dumps(SWEEP_CONFIG))
         cfg[command] = cfg.pop("sweep")
         self._defect_exits_2(tmp_path, capsys, command, cfg, command, key, token)
+
+    @staticmethod
+    def _run_settings(command):
+        """The minimal config of a solve, sweep or branch run, and the name
+        of the block that holds its run settings."""
+        if command == "solve":
+            return json.loads(json.dumps(MINIMAL_SOLVE)), "solver"
+        cfg = json.loads(json.dumps(SWEEP_CONFIG))
+        cfg[command] = cfg.pop("sweep")
+        return cfg, command
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "branch"])
+    def test_retired_dealias_false_builds_what_omitting_it_builds(self, command):
+        cfg, block = self._run_settings(command)
+        without = parse_config(json.dumps(cfg), command=command).built[block]
+        cfg[block]["dealias"] = False
+        with_false = parse_config(json.dumps(cfg), command=command).built[block]
+        assert with_false == without
+        assert repr(with_false) == repr(without)
+
+    @pytest.mark.parametrize("token", ["true", "0", '"no"'])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "branch"])
+    def test_retired_dealias_other_than_false_is_a_config_error(self, command, token):
+        # false names the solver's one scheme; any other value asked for another
+        cfg, block = self._run_settings(command)
+        cfg[block]["dealias"] = "@TOKEN@"
+        text = json.dumps(cfg).replace('"@TOKEN@"', token)
+        message = rf"^{block}: dealias must be false: the solver's 2/3-rule cut was removed"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text, command=command)
 
     @pytest.mark.parametrize("command,block,key,change", KEY_CASES, ids=["-".join(c) for c in KEY_CASES])
     def test_block_key_added_or_removed_exits_2(self, tmp_path, capsys, command, block, key, change):

@@ -50,7 +50,7 @@ def divergence(grid, components):
     """Spectral divergence of a vector field given by its components, through
     the solver's kernel."""
     spec = gridfield_module._spectrum(grid, 1)
-    return Field(grid, irfft(grid, divergence_hat(spec, components, False)))
+    return Field(grid, irfft(grid, divergence_hat(spec, components)))
 
 
 def _gaussian(grid, scale=1.0):

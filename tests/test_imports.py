@@ -3,9 +3,9 @@ it exports is read by the package, a demo or the benchmark, the package
 root binds only ``__version__`` and modules, a process that only solves and
 sweeps loads no scipy, every polyheat name a demo or the benchmark reads
 exists, every function the benchmark's layer tracer wraps exists and a
-sweep reaches it, every transform the package makes is a real one made in
-``gridfield.rfft``/``irfft``, and every default of a public function or
-dataclass is one that some call sets."""
+sweep reaches it, every benchmark workload builds, every transform the
+package makes is a real one made in ``gridfield.rfft``/``irfft``, and every
+default of a public function or dataclass is one that some call sets."""
 
 import ast
 import importlib.util
@@ -371,17 +371,31 @@ def test_caller_references_resolve(path):
     assert unresolved_references(path.read_text()) == []
 
 
+def _bench_module(name: str) -> types.ModuleType:
+    """bench/<name>.py, loaded from its file: bench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_layer_functions_exist():
     # bench/layertrace.py aborts a traced run on a missing boundary function;
     # catching that here keeps a deleted layer from surfacing only there
-    path = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
-    spec = importlib.util.spec_from_file_location("_layertrace", path)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
-    for module_name, functions in layertrace.LAYER_FUNCTIONS.values():
+    for module_name, functions in _bench_module("layertrace").LAYER_FUNCTIONS.values():
         module = importlib.import_module(module_name)
         for name in functions:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_bench_workloads_build(tmp_path):
+    # building a workload parses each of its CLI configs and builds
+    # solve_1d_linear's SolverConfig, so a library or CLI change that breaks
+    # a config the benchmark sends fails here, not as a failed benchmark run
+    workloads = _bench_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        workload(workloads.CANONICAL_SEED, tmp_path / name)
 
 
 COMPLEX_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"}

@@ -55,20 +55,19 @@ def rational():
 
 
 def _full_wavenumbers(grid):
-    """|xi|^2, the per-axis xi with each Nyquist entry zeroed, and the 2/3-rule
-    mask on the full grid-shaped spectrum in FFT order: the complex-FFT
-    reference's own layout, independent of the package's half-spectrum table."""
+    """|xi|^2 and the per-axis xi with each Nyquist entry zeroed on the full
+    grid-shaped spectrum in FFT order: the complex-FFT reference's own
+    layout, independent of the package's half-spectrum table."""
     n = grid.points_per_dim
     xi = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)] * grid.dim, indexing="ij")
     k = np.meshgrid(*[np.rint(np.fft.fftfreq(n) * n)] * grid.dim, indexing="ij")
     xi_odd = [np.where(kd == -(n // 2), 0.0, x) for x, kd in zip(xi, k)]
-    band = np.logical_and.reduce([np.abs(kd) <= n // 3 for kd in k])
-    return sum(x**2 for x in xi), xi_odd, band
+    return sum(x**2 for x in xi), xi_odd
 
 
 def _band_limited(f):
-    """Project onto the 2/3-rule band (zero the top-third modes), where the
-    dealiased product rules are exact no-ops."""
+    """Project onto the 2/3-rule band (zero the top-third modes, the Nyquist
+    modes that the odd-order multipliers drop among them)."""
     spec = _spectrum(f.grid, 1)
     return Field(f.grid, irfft(f.grid, np.where(spec.band, rfft(f.grid, f.values), 0.0)), f.time_tag)
 
@@ -92,7 +91,7 @@ def _pass(u, config):
 def rhs(u, config):
     """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the divergence of the pass's products."""
     p, _, _ = _pass(u, config)
-    div_hat = solver_module._rhs_hat(_rows_spectrum(u.grid, config.m, 1), config.m, config.dealias, p)
+    div_hat = solver_module._rhs_hat(_rows_spectrum(u.grid, config.m, 1), config.m, p)
     return Field(u.grid, irfft(u.grid, div_hat[0]))
 
 
@@ -126,7 +125,7 @@ class TestRhs:
         u = _band_limited(bump(grid, 1.0, 4.0, steepness=6.0))
         config = _linear_config(rational)
         out = rhs(u, config)
-        k2, _, _ = _full_wavenumbers(grid)
+        k2, _ = _full_wavenumbers(grid)
         pure = np.fft.ifftn(-(k2**2) * np.fft.fftn(u.values)).real
         assert np.max(np.abs(out.values - pure)) <= 1e-10
 
@@ -160,12 +159,9 @@ class TestStepImex:
 
     def test_mass_preserved_per_step(self, u0, rational):
         # the zero mode is untouched in the spectral state; the physical
-        # round-trip only adds summation rounding.  Undealiased: the 2/3 cut
-        # of this product leaves 1.8e-8 in the boundary shell after the step,
-        # which the solve's snapshot guard rejects
+        # round-trip only adds summation rounding
         config = SolverConfig(
             m=2, path=RegPath(rational, 0.3, "full"), eps=1e-2, dt_init=1e-4, t_final=0.01,
-            dealias=False,
         )
         out = _one_step(u0, 1e-4, config)
         assert integrate(out) == pytest.approx(integrate(u0), rel=1e-13)
@@ -249,7 +245,7 @@ class TestSolve:
     def test_monitors_on_nonlinear_run(self, grid, u0, rational):
         config = SolverConfig(
             m=2, path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=5e-5,
-            t_final=0.02, dealias=False, report_stride=10,
+            t_final=0.02, report_stride=10,
         )
         traj = solve(u0, config)
         reports = traj.reports
@@ -266,7 +262,7 @@ class TestSolve:
         for dt in (2e-4, 1e-4, 5e-5):
             config = SolverConfig(
                 m=2, path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=dt,
-                t_final=0.05, dealias=False, report_stride=10**6,
+                t_final=0.05, report_stride=10**6,
             )
             traj = solve(u0, config)
             resids.append(abs(traj.reports[-1].dissipation_residual) / traj.reports[0].bf_energy)
@@ -287,7 +283,7 @@ class TestSolve:
         # a target of at most 1e-15 lies within the reached-test's round-off
         # of t = 0, yet the run steps onto it rather than stopping at t = 0
         config = _linear_config(
-            rational, t_final=t_final, snapshot_times=snapshot_times, dealias=False, report_stride=10**6
+            rational, t_final=t_final, snapshot_times=snapshot_times, report_stride=10**6
         )
         traj = solve(u0, config)
         assert [s.time_tag for s in traj.snapshots] == tags
@@ -300,7 +296,7 @@ class TestSolve:
         for eps in (1e-2, 1.1e-2, 2e-2):
             config = SolverConfig(
                 m=2, path=RegPath(rational, 0.3, "full"), eps=eps, dt_init=5e-5,
-                t_final=0.01, dealias=False, report_stride=10**6,
+                t_final=0.01, report_stride=10**6,
             )
             final[eps] = solve(u0, config).snapshots[-1].values
         gap_small = np.linalg.norm(final[1.1e-2] - final[1e-2])
@@ -350,7 +346,7 @@ class TestSolve:
         u = bump(grid, 1.0, 4.0, steepness=6.0)
 
         def config(steps):
-            return _linear_config(rational, t_final=steps * 1e-4, dealias=False, report_stride=1)
+            return _linear_config(rational, t_final=steps * 1e-4, report_stride=1)
 
         solve(u, config(1))  # builds the cached tables
         calls = Counter()
@@ -418,23 +414,20 @@ def _low_mode_field(draw, dim):
 
 class TestKernelProperties:
     @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), dim=st.sampled_from((1, 2)), dealias=st.booleans())
-    def test_divergence_zero_mode_is_exactly_zero(self, data, dim, dealias):
+    @given(data=st.data(), dim=st.sampled_from((1, 2)))
+    def test_divergence_zero_mode_is_exactly_zero(self, data, dim):
         comps = [data.draw(_low_mode_field(dim)).values for _ in range(dim)]
-        div_hat = divergence_hat(_spectrum(_PROPERTY_GRIDS[dim], 2), comps, dealias)
+        div_hat = divergence_hat(_spectrum(_PROPERTY_GRIDS[dim], 2), comps)
         assert div_hat[(0,) * dim] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
         data=st.data(), dim=st.sampled_from((1, 2)), m=st.sampled_from((2, 3)),
-        dealias=st.booleans(), shift=st.integers(-40, 40),
+        shift=st.integers(-40, 40),
     )
-    def test_rhs_commutes_with_shift(self, rational, data, dim, m, dealias, shift):
+    def test_rhs_commutes_with_shift(self, rational, data, dim, m, shift):
         u = data.draw(_low_mode_field(dim))
-        config = SolverConfig(
-            m=m, path=RegPath(rational, 0.3, "full"), eps=0.1, dt_init=1e-4, t_final=0.01,
-            dealias=dealias,
-        )
+        config = SolverConfig(m=m, path=RegPath(rational, 0.3, "full"), eps=0.1, dt_init=1e-4, t_final=0.01)
         axes = tuple(range(dim))
         expected = np.roll(rhs(u, config).values, shift, axis=axes)
         got = rhs(Field(u.grid, np.roll(u.values, shift, axis=axes)), config).values
@@ -459,12 +452,12 @@ class TestHalfSpectrumKernel:
     """The rfft kernel against a full complex-FFT reference written here."""
 
     @settings(max_examples=20, deadline=None)
-    @given(data=st.data(), dim=st.sampled_from((1, 2)), m=st.sampled_from((2, 3)), dealias=st.booleans())
-    def test_matches_complex_reference(self, data, dim, m, dealias):
+    @given(data=st.data(), dim=st.sampled_from((1, 2)), m=st.sampled_from((2, 3)))
+    def test_matches_complex_reference(self, data, dim, m):
         u = _nyquist_field(data, dim)
         grid = u.grid
         spec = _spectrum(grid, m)
-        k2, k_odd, band = _full_wavenumbers(grid)
+        k2, k_odd = _full_wavenumbers(grid)
         h = grid.points_per_dim // 2 + 1
         bound = np.max(k2) ** m * np.max(np.abs(u.values))
 
@@ -476,9 +469,8 @@ class TestHalfSpectrumKernel:
         comps = [u.values] + [_nyquist_field(data, dim).values for _ in range(dim - 1)]
         ref_div = np.zeros(grid.shape, dtype=complex)
         for ki, c in zip(k_odd, comps):
-            ch = np.fft.fftn(c)
-            ref_div += 1j * ki * (np.where(band, ch, 0.0) if dealias else ch)
-        got_div = divergence_hat(spec, comps, dealias)
+            ref_div += 1j * ki * np.fft.fftn(c)
+        got_div = divergence_hat(spec, comps)
         assert got_div.shape == grid.shape[:-1] + (h,)
         assert np.max(np.abs(got_div - ref_div[..., :h])) <= 1e-12 * bound * grid.points_per_dim**dim
 
@@ -544,12 +536,10 @@ class TestTranslation:
     )
     def test_flow_commutes_with_cell_shifts(self, grid, u0, rational, shift, m, variant):
         # every operator is a Fourier multiplier or pointwise, so a whole-cell
-        # shift of u0 shifts the run; only rounding may differ.  dealias is
-        # off because with the 2/3 rule the boundary-shell guard fires before
-        # t = 0.01 at m = 2 (1.7e-8)
+        # shift of u0 shifts the run; only rounding may differ
         dt = {2: 1e-4, 3: 1e-5}[m]
         config = SolverConfig(
-            m=m, path=RegPath(rational, 0.3, variant), eps=1e-2, dt_init=dt, t_final=100 * dt, dealias=False,
+            m=m, path=RegPath(rational, 0.3, variant), eps=1e-2, dt_init=dt, t_final=100 * dt,
         )
         base = solve(u0, config).snapshots[-1].values
         shifted = solve(Field(grid, np.roll(u0.values, shift)), config).snapshots[-1].values
@@ -567,8 +557,7 @@ class TestRunInvariants:
         x = coordinates(grid)[0]
         u = Field(grid, np.exp(-(x**2) / (2.0 * 1.3**2)))
         config = SolverConfig(
-            m=m, path=RegPath(rational, n, variant), eps=1e-3, dt_init=1e-4, t_final=3e-3,
-            dealias=False, report_stride=1,
+            m=m, path=RegPath(rational, n, variant), eps=1e-3, dt_init=1e-4, t_final=3e-3, report_stride=1,
         )
         reports = solve(u, config).reports
         assert len(reports) >= 31
@@ -645,8 +634,7 @@ def _sweep_rows(rational):
     pairs = [schedule_eval(schedule, n) for n in (1e-1, 3e-2, 1e-2, 3e-3)] + [(0.0, 1.0)]
     return [
         SolverConfig(
-            m=2, path=RegPath(rational, n, "simple"), eps=eps, dt_init=1e-4, t_final=0.01,
-            dealias=False, report_stride=10**9,
+            m=2, path=RegPath(rational, n, "simple"), eps=eps, dt_init=1e-4, t_final=0.01, report_stride=10**9,
         )
         for n, eps in pairs
     ]
@@ -655,7 +643,7 @@ def _sweep_rows(rational):
 def _mixed_rows(rational):
     """Full and simple rows, an n = 0 row among them, and three dt_init
     values."""
-    base = dict(m=2, t_final=0.002, dealias=False, snapshot_times=(0.00075,), report_stride=3)
+    base = dict(m=2, t_final=0.002, snapshot_times=(0.00075,), report_stride=3)
     return [
         SolverConfig(path=RegPath(rational, 0.2, "simple"), eps=1e-3, dt_init=1e-4, **base),
         SolverConfig(path=RegPath(rational, 0.3, "full"), eps=1e-2, dt_init=5e-5, **base),
@@ -714,7 +702,7 @@ class TestBatch:
     def test_two_dimensional_rows_bitwise_equal_to_solo(self, rational):
         grid = make_grid(2, 24.0, 256)
         u = bump(grid, 1.0, 4.0, center=(0.3, -0.2), steepness=6.0)
-        base = dict(m=2, t_final=3e-4, dealias=False, snapshot_times=(1e-4,), report_stride=2)
+        base = dict(m=2, t_final=3e-4, snapshot_times=(1e-4,), report_stride=2)
         configs = [
             SolverConfig(path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=5e-5, **base),
             SolverConfig(path=RegPath(rational, 0.1, "simple"), eps=1e-2, dt_init=1e-4, **base),
