@@ -220,6 +220,28 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     )
 
 
+class _UnitTable(NamedTuple):
+    """Read-only half-spectrum tables of one (grid, m) for a coefficient of
+    exactly 1, where the products are the gradient chain g itself."""
+
+    rhs0: np.ndarray  # (-1)^(m-1) sum_j div_j chain_j: (-1)^(m-1) div g = rhs0 u_hat
+    w_g: np.ndarray  # the Parseval weight times sum_j |chain_j|^2: int |g|^2 = sum w_g |u_hat|^2
+
+
+@lru_cache(maxsize=64)
+def _unit_table(grid: GridSpec, m: int) -> _UnitTable:
+    """The tables of ``_UnitTable`` from those of ``_spectrum(grid, m)``, so
+    that the Nyquist indices stay zeroed as in ``div`` and ``chain``.  Each
+    div_j chain_j is real: the product of two imaginary multipliers."""
+    spec = _spectrum(grid, m)
+    sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
+    parseval = _spectrum(grid, 1).w_hi  # |xi|^0 times the Parseval weight
+    return _UnitTable(
+        rhs0=_freeze(sign * sum(d * c for d, c in zip(spec.div, spec.chain)).real),
+        w_g=_freeze(parseval * sum(c.real**2 + c.imag**2 for c in spec.chain)),
+    )
+
+
 @lru_cache(maxsize=64)
 def _rows_spectrum(grid: GridSpec, m: int, rows: int) -> _Spectrum:
     """``_spectrum(grid, m)`` with the multipliers that act on whole spectra

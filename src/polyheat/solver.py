@@ -16,16 +16,24 @@ only when the parity-appropriate energy  bf = int |xi|^(2(m-1)) |u_hat|^2
 int |grad Delta^((m-2)/2) u|^2 for even m) stays within 1e-8 bf(0) of
 min(bf, bf(0)), a tolerance that scales with the data; otherwise dt is
 halved, up to 30 times.  Each accepted state goes through one pass that
-evaluates the coefficient, the gradient chain g = grad Delta^(m-1) u and the
-products p = coef g once.  The remainder R_hat(u) + c |xi|^(2m) u_hat of the
-next step and the flux monitors int |p|^2 and int p . g (dot products) read
-that pass, and each halving only re-applies e^(-c |xi|^(2m) dt) to the
-remainder.  A non-finite product spreads through the transforms to a
-non-finite candidate energy, so the blow-up guard looks at the products only
-when the energy guard rejects a step.  At n = 0 the coefficient is exactly
-1, and f is not evaluated when every row is at n = 0.  Every transform is a
-real FFT on the half spectrum, the multipliers are tabled once per (grid, m),
-and the propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  No
+evaluates the coefficient once.  A products row, whose coefficient is not
+exactly 1 everywhere, then forms the gradient chain g = grad Delta^(m-1) u
+and the products p = coef g; the remainder R_hat(u) + c |xi|^(2m) u_hat of
+its next step and its flux monitors int |p|^2 and int p . g (dot products)
+read them.  A unit row, whose coefficient is exactly 1 at every grid point
+(the simple path at n = 0, say), has p = g and takes all of these from its
+half spectrum: R_hat(u) = rhs0 u_hat with the real multiplier
+rhs0 = (-1)^(m-1) sum_j div_j chain_j, and int |g|^2 = sum w_g |u_hat|^2 by
+Parseval.  So its step makes one transform, the inverse of the new state
+that the tripwire and the snapshots read, where a products row makes
+1 + 2 dim.  The split reads the coefficient, not the config.  Each halving
+only re-applies e^(-c |xi|^(2m) dt) to the remainder.  A non-finite product
+spreads through the transforms to a non-finite candidate energy, so the
+blow-up guard looks at the products (a unit row's remainder) only when the
+energy guard rejects a step.  At n = 0 the coefficient is exactly 1, and f
+is not evaluated when every row is at n = 0.  Every transform is a real FFT
+on the half spectrum, the multipliers are tabled once per (grid, m), and the
+propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  No
 2/3-rule cut is applied: it removes aliasing only from quadratic products,
 and f^n(|u|) is neither polynomial nor smooth where u changes sign.  The
 divergence form keeps the zero mode untouched, so the mass is conserved
@@ -43,18 +51,21 @@ batch of one, on the same code path.  The state, the spectra and the
 products carry a leading row axis, so each transform, the spectral multiply
 and one coefficient call, with each row's n, eps and variant as columns,
 serve the whole batch once per step.  A row's reductions are dot products
-over its own row, so a row is bitwise the same alone and in any batch.
+over its own row, and in a mixed batch only the products rows are indexed
+out for their chain, products and divergence, so a row is bitwise the same
+alone and in any batch.
 
 Step and driver.  ``_Step`` is the scheme: it holds the stacked state, the
 tables and the propagator cache, and ``_Step.advance`` takes one step of
 every row at the dts it is given, with the halvings, the blow-up, stiffness
 and tripwire exits, and the pass of the new state.  While the rows share dt
-the step is whole-array work with one propagator table; only a halving or a
-row leaving indexes rows.  The driver ``_solve_rows`` keeps each row's
-record: its clock and dt cap, its energy bound, the flux and dissipation
-trapezoid, targets, snapshots and reports, and it drops the rows that are
-done or failed while the others go on.  Another scheme, such as a
-second-order exponential step, replaces ``advance`` alone.
+the step is whole-array work with one propagator table; only a halving, a
+row leaving or a batch of both unit and products rows indexes rows.  The
+driver ``_solve_rows`` keeps each row's record: its clock and dt cap, its
+energy bound, the flux and dissipation trapezoid, targets, snapshots and
+reports, and it drops the rows that are done or failed while the others go
+on.  Another scheme, such as a second-order exponential step, replaces
+``advance`` alone.
 """
 
 from __future__ import annotations
@@ -75,6 +86,7 @@ from .gridfield import (
     _rows_spectrum,
     _spectrum,
     _Spectrum,
+    _unit_table,
     assert_boundary_decay,
     boundary_shell_max,
     coordinates,
@@ -186,21 +198,21 @@ class InterfaceReport:
 # row axis
 
 
-def _pass(spec: _Spectrum, paths: tuple, eps: tuple, u: np.ndarray, u_hat: np.ndarray):
-    """The per-state pass: the products p = coef(u) g with g = grad Delta^(m-1) u,
-    one row per path and eps, and per row the flux int |p|^2 and the
-    dissipation integrand int coef |g|^2 = int p . g.
+def _products(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray):
+    """The products route of the pass: the products p = coef g with
+    g = grad Delta^(m-1) u, one row per row of coef and u_hat = rfft(u), and
+    per row the flux int |p|^2 and the dissipation integrand
+    int coef |g|^2 = int p . g.
 
     The remainder and its blow-up guard read p; the monitors read the
     integrals, each a dot product over its own row, so that a row's value
     does not depend on the batch around it.
     """
-    coef = reg_coefficient(paths, eps, u)
     g = grad_chain(spec, u_hat)
     p = [coef * gi for gi in g]
     vol = spec.grid.cell_volume
     flux, diss = [], []
-    for r in range(len(u)):
+    for r in range(len(u_hat)):
         f = d = 0
         for pi, gi in zip(p, g):
             pr = pi[r]
@@ -212,7 +224,7 @@ def _pass(spec: _Spectrum, paths: tuple, eps: tuple, u: np.ndarray, u_hat: np.nd
 
 
 def _rhs_hat(spec: _Spectrum, m: int, p: list) -> np.ndarray:
-    """(-1)^(m-1) div p on the half spectrum, from the products of ``_pass``."""
+    """(-1)^(m-1) div p on the half spectrum, from the products of ``_products``."""
     sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
     return sign * divergence_hat(spec, p)
 
@@ -279,18 +291,22 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
-    spectra, grid values, and the products and monitor integrals of the last
-    pass; and, rebuilt whenever a row leaves, the multipliers tiled over the
-    rows, each row's linear symbol lin = c |xi|^(2m), paths and eps, and the
-    propagator e^(-lin dt) of the last dts."""
+    spectra and grid values; the split the last pass made of them into unit
+    rows, whose coefficient is exactly 1 at every grid point, and products
+    rows, with the products of the latter and every row's monitor integrals;
+    and, rebuilt whenever a row leaves, the multipliers tiled over the rows,
+    each row's linear symbol lin = c |xi|^(2m), paths and eps, and the
+    propagator e^(-lin dt) of the last dts.  The unit rows' tables are
+    looked up when a row first needs them."""
 
     def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
         self.grid, self.m, self.trip = grid, rows[0].config.m, trip
         self.rows = rows
         self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
         self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
+        self.unit, self.unit_table = [], None
         self._tables()
-        self.p, self.flux, self.diss = _pass(self.spec, self.paths, self.eps, self.u, self.u_hat)
+        self._pass()
 
     def _tables(self) -> None:
         self.spec = _rows_spectrum(self.grid, self.m, len(self.rows))
@@ -298,13 +314,62 @@ class _Step:
         self.paths = tuple(row.config.path for row in self.rows)
         self.eps = tuple(row.config.eps for row in self.rows)
         self.prop_dts = self.prop = None
+        self._split(self.unit)
+
+    def _split(self, unit: list) -> None:
+        """Make the rows at the positions ``unit`` the unit rows and the
+        others the products rows, with the tables each side needs."""
+        self.unit = unit
+        self.prod = [i for i in range(len(self.rows)) if i not in unit]
+        # the products rows' multipliers: the batch's own while no row is a unit row
+        self.prod_spec = _rows_spectrum(self.grid, self.m, len(self.prod)) if unit and self.prod else self.spec
+        if unit and self.unit_table is None:
+            self.unit_table = _unit_table(self.grid, self.m)
+
+    def _pass(self) -> None:
+        """The pass of the current state: one coefficient call for the whole
+        batch, which splits it.  A unit row's flux and dissipation
+        integrand are both int |g|^2, the sum of w_g |u_hat|^2 over its own
+        row (Parseval), so its gradient chain is never formed; the products
+        rows, indexed out only when a unit row is beside them, go through
+        ``_products``."""
+        coef = reg_coefficient(self.paths, self.eps, self.u)
+        # each row's first entry first, so a products row costs no pass over its grid
+        firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
+        unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
+        if unit != self.unit:
+            self._split(unit)
+        if not unit:
+            self.p, self.flux, self.diss = _products(self.spec, coef, self.u_hat)
+            return
+        flux = [None] * len(self.rows)
+        for i in unit:
+            power = self.u_hat[i].real ** 2 + self.u_hat[i].imag ** 2
+            flux[i] = float(np.vdot(self.unit_table.w_g, power))
+        self.p, diss = [], flux[:]
+        if self.prod:
+            self.p, p_flux, p_diss = _products(self.prod_spec, coef[self.prod], self.u_hat[self.prod])
+            for i, f, d in zip(self.prod, p_flux, p_diss):
+                flux[i], diss[i] = f, d
+        self.flux, self.diss = flux, diss
+
+    def _finite(self, i: int, rem_hat: np.ndarray) -> bool:
+        """Whether the products of the row at position i are finite.  A unit
+        row keeps no products: its guard reads its remainder instead."""
+        if i in self.unit:
+            return bool(np.isfinite(rem_hat[i]).all())
+        j = self.prod.index(i)
+        return all(np.isfinite(pi[j]).all() for pi in self.p)
 
     def drop(self, gone: list) -> None:
         """Take the rows at the positions ``gone`` out."""
         keep = [i for i in range(len(self.rows)) if i not in gone]
         self.rows = [self.rows[i] for i in keep]
         self.u_hat, self.u = self.u_hat[keep], self.u[keep]
-        self.p = [pi[keep] for pi in self.p]
+        # the products are held for the products rows alone, in their order
+        kept = [j for j, i in enumerate(self.prod) if i not in gone]
+        self.p = [pi[kept] for pi in self.p]
+        self.unit = [keep.index(i) for i in self.unit if i not in gone]
         if self.rows:
             self._tables()
 
@@ -317,7 +382,13 @@ class _Step:
         it is dropped.
         """
         rows, u_hat, spec, dim = self.rows, self.u_hat, self.spec, self.grid.dim
-        rem_hat = _rhs_hat(spec, self.m, self.p) + self.lin * u_hat
+        if not self.unit:
+            rem_hat = _rhs_hat(spec, self.m, self.p) + self.lin * u_hat
+        else:  # every row by the unit rows' expression, then the products rows by theirs
+            rem_hat = self.lin * u_hat + self.unit_table.rhs0 * u_hat
+            if self.prod:
+                prod = self.prod
+                rem_hat[prod] = _rhs_hat(self.prod_spec, self.m, self.p) + self.lin[prod] * u_hat[prod]
         dt = _column(dts, dim)  # one float while the rows share dt
         if dts != self.prop_dts:
             self.prop_dts, self.prop = dts[:], np.exp(-self.lin * dt)
@@ -335,7 +406,7 @@ class _Step:
                     continue
                 # a non-finite product spreads through the transforms to every
                 # candidate of the step, so the blow-up guard need look only here
-                if halvings[i] == 0 and not all(np.isfinite(pi[i]).all() for pi in self.p):
+                if halvings[i] == 0 and not self._finite(i, rem_hat):
                     failures[i] = BlowupError(f"{_NONFINITE} at t = {rows[i].t:g}, dt = {dts[i]:.3e}")
                 elif halvings[i] == 30:
                     failures[i] = StiffnessError(
@@ -362,7 +433,7 @@ class _Step:
                         f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
                         f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {self.trip:.3g} at t = {rows[i].t + dts[i]:g}"
                     )
-        self.p, self.flux, self.diss = _pass(spec, self.paths, self.eps, self.u, cand_hat)
+        self._pass()
         return energies, halvings, failures
 
 

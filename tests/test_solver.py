@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyheat import solver as solver_module
-from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n
+from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n, reg_coefficient
 from polyheat.gridfield import (
     Field,
     GridSpec,
     _rows_spectrum,
     _spectrum,
+    _unit_table,
     bump,
     coordinates,
     divergence_hat,
@@ -80,16 +81,17 @@ def _one_step(u, dt, config):
 
 
 def _pass(u, config):
-    """The solver's per-state pass on u, as a batch of one row: (products,
-    flux, dissipation)."""
+    """The products route of the solver's pass on u, as a batch of one row:
+    (products, flux, dissipation).  It runs whatever the coefficient, an
+    exact 1 included."""
     spec = _spectrum(u.grid, config.m)
-    u_rows, u_hat_rows = u.values[None], rfft(u.grid, u.values)[None]
-    p, flux, diss = solver_module._pass(spec, (config.path,), (config.eps,), u_rows, u_hat_rows)
+    coef = reg_coefficient((config.path,), (config.eps,), u.values[None])
+    p, flux, diss = solver_module._products(spec, coef, rfft(u.grid, u.values)[None])
     return p, flux[0], diss[0]
 
 
 def rhs(u, config):
-    """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the divergence of the pass's products."""
+    """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the divergence of the products route's products."""
     p, _, _ = _pass(u, config)
     div_hat = solver_module._rhs_hat(_rows_spectrum(u.grid, config.m, 1), config.m, p)
     return Field(u.grid, irfft(u.grid, div_hat[0]))
@@ -334,19 +336,26 @@ class TestSolve:
         with pytest.raises(BlowupError, match=message):
             solve(u0, _linear_config(rational, report_stride=10**6))
 
-    @pytest.mark.parametrize("dim,half_width,points", [(1, 24.0, 256), (2, 12.0, 128)])
-    def test_real_transforms_per_step(self, rational, monkeypatch, dim, half_width, points):
-        # no complex transform at all; per accepted step one inverse of the
-        # new state, dim for its chain and dim for the next divergence, on
-        # top of 3 + dim at set-up (tail check, u0 there and back, first
-        # chain); one coefficient per accepted state, the initial one
+    @pytest.mark.parametrize("dim,half_width,points,n", [
+        pytest.param(1, 24.0, 256, 0.0, id="1-24.0-256"),
+        pytest.param(2, 12.0, 128, 0.0, id="2-12.0-128"),
+        pytest.param(1, 24.0, 256, 0.2, id="1-24.0-256-n0.2"),
+        pytest.param(2, 12.0, 128, 0.2, id="2-12.0-128-n0.2"),
+    ])
+    def test_real_transforms_per_step(self, rational, monkeypatch, dim, half_width, points, n):
+        # no complex transform at all; 3 at set-up (tail check, u0 there and
+        # back) and per accepted step one inverse of the new state; at
+        # n > 0, where the coefficient is not 1, also dim for the first
+        # chain and per step dim for the chain and dim for the next
+        # divergence; one coefficient per accepted state, the initial one
         # included; with the tables built, the grid is hashed a fixed number
         # of times per run, not per step
         grid = make_grid(dim, half_width, points)
         u = bump(grid, 1.0, 4.0, steepness=6.0)
+        path = RegPath(rational, n, "full" if n else "simple")
 
         def config(steps):
-            return _linear_config(rational, t_final=steps * 1e-4, report_stride=1)
+            return _linear_config(rational, path=path, t_final=steps * 1e-4, report_stride=1)
 
         solve(u, config(1))  # builds the cached tables
         calls = Counter()
@@ -369,7 +378,8 @@ class TestSolve:
             traj = solve(u, run_config)
             assert len(traj.reports) == steps + 1  # no halving
             assert calls["fft"] == calls["ifft"] == calls["fftn"] == calls["ifftn"] == 0
-            assert sum(calls[n] for n in real) == 3 + dim + (1 + 2 * dim) * steps
+            per_step = 1 if n == 0 else 1 + 2 * dim
+            assert sum(calls[name] for name in real) == 3 + (0 if n == 0 else dim) + per_step * steps
             assert calls["coef"] == 1 + steps
             counted.append(len(hashes))
         assert counted[0] == counted[1]
@@ -478,6 +488,37 @@ class TestHalfSpectrumKernel:
         power = np.abs(u_full) ** 2
         ref_bf = (scale * np.sum(k2 ** (m - 1) * power), scale * np.sum(k2 ** (m - 2) * power))
         assert _bf_from_hat(spec, rfft(grid, u.values)) == pytest.approx(ref_bf, rel=1e-12)
+
+
+class TestUnitRoute:
+    """A row whose coefficient is exactly 1 takes its remainder and monitors
+    from the tables of ``_unit_table``; they match the products route, which
+    forms the gradient chain g in grid space."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("dim,points", [(1, 256), (2, 128)])
+    def test_tables_match_the_products_route(self, dim, points, m):
+        # white noise carries every mode, the Nyquist-corner ones included
+        grid = make_grid(dim, 12.0, points)
+        u_hat = rfft(grid, np.random.default_rng(dim * 10 + m).standard_normal(grid.shape))
+        spec, table = _spectrum(grid, m), _unit_table(grid, m)
+        g = grad_chain(spec, u_hat)
+        sign = 1.0 if m % 2 == 1 else -1.0
+        ref = sign * divergence_hat(spec, g)
+        assert np.max(np.abs(table.rhs0 * u_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+        power = u_hat.real**2 + u_hat.imag**2
+        ref_flux = grid.cell_volume * sum(np.sum(gi**2) for gi in g)
+        assert float(np.vdot(table.w_g, power)) == pytest.approx(ref_flux, rel=1e-12)
+
+    def test_a_non_finite_unit_remainder_is_a_blowup(self, u0, rational, monkeypatch):
+        # a unit row keeps no products, so its blow-up guard reads its remainder
+        table = _unit_table(u0.grid, 2)
+        rhs0 = table.rhs0.copy()
+        rhs0[1] = np.inf
+        monkeypatch.setattr(solver_module, "_unit_table", lambda grid, m: table._replace(rhs0=rhs0))
+        message = r"^non-finite coefficient-gradient product \(blow-up signal\) at t = 0, dt = 1\.000e-04$"
+        with pytest.raises(BlowupError, match=message):
+            solve(u0, _linear_config(rational))
 
 
 def _antidiffusive_first_state():
@@ -720,6 +761,16 @@ class TestBatch:
             steps = np.diff([r.t for r in row.reports])
             assert np.count_nonzero(np.abs(steps - config.dt_init) > 1e-12) <= 2
         assert len({len(row.reports) for row in batch}) == 3  # three dt_init, three step counts
+
+    def test_the_unit_row_leaving_first_changes_no_row(self, u0, rational):
+        # the n = 0 row, whose coefficient is exactly 1, gets the largest
+        # dt_init, so it is done first and leaves the products rows behind
+        configs = [dataclasses.replace(c, report_stride=1) for c in _mixed_rows(rational)]
+        configs[2] = dataclasses.replace(configs[2], dt_init=4e-4)
+        batch = solve(u0, configs)
+        assert len(batch[2].reports) < min(len(row.reports) for i, row in enumerate(batch) if i != 2)
+        for config, row in zip(configs, batch):
+            assert _bitwise_equal(row, solve(u0, config))
 
     @settings(max_examples=12, deadline=None)
     @given(order=st.permutations(range(5)))
