@@ -180,6 +180,15 @@ class _Spectrum(NamedTuple):
     w_lo: np.ndarray  # |xi|^(2(m-2)) times the Parseval weight (0 for m < 2)
 
 
+def _parseval(grid: GridSpec) -> np.ndarray:
+    """The Parseval weight cell_volume / M^N along the last axis of the half
+    spectrum, with the Hermitian multiplicity: 1 on its 0 and M/2 columns,
+    2 on the others."""
+    mult = np.full(grid.points_per_dim // 2 + 1, 2.0)
+    mult[[0, -1]] = 1.0
+    return grid.cell_volume / grid.points_per_dim**grid.dim * mult
+
+
 @lru_cache(maxsize=64)
 def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     """The multipliers of order m on the half spectrum, built on first use.
@@ -188,9 +197,8 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     ``np.fft.fftfreq`` in FFT order; the last axis keeps k = 0 .. M/2 only.
     ``div`` and ``chain`` zero each axis's Nyquist index k = -M/2, whose mode
     has no partner, so that odd-order derivatives of real fields stay real;
-    ``band`` keeps |k| <= M/3 on every axis.  The Parseval weight
-    cell_volume / M^N carries the Hermitian multiplicity: 1 on the last
-    axis's 0 and M/2 columns, 2 on the others.
+    ``band`` keeps |k| <= M/3 on every axis.  The weights carry
+    ``_parseval(grid)``.
     """
     n, h = grid.points_per_dim, grid.points_per_dim // 2 + 1
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
@@ -205,9 +213,7 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     div = [1j * axis(xi_odd, i) for i in range(grid.dim)]
     band = reduce(np.logical_and, (axis(keep, i) for i in range(grid.dim)))
     lap = (-k2) ** (m - 1)
-    mult = np.full(h, 2.0)
-    mult[[0, -1]] = 1.0
-    parseval = grid.cell_volume / n**grid.dim * mult
+    parseval = _parseval(grid)
     w_lo = parseval * k2 ** (m - 2) if m >= 2 else np.zeros_like(k2)
     return _Spectrum(
         grid=grid,
@@ -235,10 +241,9 @@ def _unit_table(grid: GridSpec, m: int) -> _UnitTable:
     div_j chain_j is real: the product of two imaginary multipliers."""
     spec = _spectrum(grid, m)
     sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
-    parseval = _spectrum(grid, 1).w_hi  # |xi|^0 times the Parseval weight
     return _UnitTable(
         rhs0=_freeze(sign * sum(d * c for d, c in zip(spec.div, spec.chain)).real),
-        w_g=_freeze(parseval * sum(c.real**2 + c.imag**2 for c in spec.chain)),
+        w_g=_freeze(_parseval(grid) * sum(c.real**2 + c.imag**2 for c in spec.chain)),
     )
 
 

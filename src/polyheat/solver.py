@@ -24,9 +24,11 @@ read them.  A unit row, whose coefficient is exactly 1 at every grid point
 (the simple path at n = 0, say), has p = g and takes all of these from its
 half spectrum: R_hat(u) = rhs0 u_hat with the real multiplier
 rhs0 = (-1)^(m-1) sum_j div_j chain_j, and int |g|^2 = sum w_g |u_hat|^2 by
-Parseval.  So its step makes one transform, the inverse of the new state
-that the tripwire and the snapshots read, where a products row makes
-1 + 2 dim.  The split reads the coefficient, not the config.  Each halving
+Parseval.  So a batch of unit rows makes one transform per step, the
+inverse of the new state that the tripwire and the snapshots read, where a
+batch with a products row makes 1 + 2 dim for all its rows and then gives
+its unit rows their own remainder and monitors.  The split reads the
+coefficient, not the config.  Each halving
 only re-applies e^(-c |xi|^(2m) dt) to the remainder.  A non-finite product
 spreads through the transforms to a non-finite candidate energy, so the
 blow-up guard looks at the products (a unit row's remainder) only when the
@@ -51,16 +53,16 @@ batch of one, on the same code path.  The state, the spectra and the
 products carry a leading row axis, so each transform, the spectral multiply
 and one coefficient call, with each row's n, eps and variant as columns,
 serve the whole batch once per step.  A row's reductions are dot products
-over its own row, and in a mixed batch only the products rows are indexed
-out for their chain, products and divergence, so a row is bitwise the same
-alone and in any batch.
+over its own row, and a unit row's remainder and monitors are its own
+expressions beside any rows, so a row is bitwise the same alone and in any
+batch.
 
 Step and driver.  ``_Step`` is the scheme: it holds the stacked state, the
 tables and the propagator cache, and ``_Step.advance`` takes one step of
 every row at the dts it is given, with the halvings, the blow-up, stiffness
 and tripwire exits, and the pass of the new state.  While the rows share dt
 the step is whole-array work with one propagator table; only a halving, a
-row leaving or a batch of both unit and products rows indexes rows.  The
+row leaving or the unit rows of a batch with products rows index rows.  The
 driver ``_solve_rows`` keeps each row's record: its clock and dt cap, its
 energy bound, the flux and dissipation trapezoid, targets, snapshots and
 reports, and it drops the rows that are done or failed while the others go
@@ -291,20 +293,20 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
-    spectra and grid values; the split the last pass made of them into unit
-    rows, whose coefficient is exactly 1 at every grid point, and products
-    rows, with the products of the latter and every row's monitor integrals;
-    and, rebuilt whenever a row leaves, the multipliers tiled over the rows,
-    each row's linear symbol lin = c |xi|^(2m), paths and eps, and the
-    propagator e^(-lin dt) of the last dts.  The unit rows' tables are
-    looked up when a row first needs them."""
+    spectra and grid values; the positions of the unit rows, whose
+    coefficient was exactly 1 at every grid point in the last pass; the
+    products of that pass and every row's monitor integrals; and, rebuilt
+    whenever a row leaves, the multipliers tiled over the rows, each row's
+    linear symbol lin = c |xi|^(2m), paths and eps, and the propagator
+    e^(-lin dt) of the last dts.  The unit rows' tables are looked up when a
+    row first needs them."""
 
     def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
         self.grid, self.m, self.trip = grid, rows[0].config.m, trip
         self.rows = rows
         self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
         self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
-        self.unit, self.unit_table = [], None
+        self.unit_table = None
         self._tables()
         self._pass()
 
@@ -314,61 +316,41 @@ class _Step:
         self.paths = tuple(row.config.path for row in self.rows)
         self.eps = tuple(row.config.eps for row in self.rows)
         self.prop_dts = self.prop = None
-        self._split(self.unit)
-
-    def _split(self, unit: list) -> None:
-        """Make the rows at the positions ``unit`` the unit rows and the
-        others the products rows, with the tables each side needs."""
-        self.unit = unit
-        self.prod = [i for i in range(len(self.rows)) if i not in unit]
-        # the products rows' multipliers: the batch's own while no row is a unit row
-        self.prod_spec = _rows_spectrum(self.grid, self.m, len(self.prod)) if unit and self.prod else self.spec
-        if unit and self.unit_table is None:
-            self.unit_table = _unit_table(self.grid, self.m)
 
     def _pass(self) -> None:
         """The pass of the current state: one coefficient call for the whole
-        batch, which splits it.  A unit row's flux and dissipation
-        integrand are both int |g|^2, the sum of w_g |u_hat|^2 over its own
-        row (Parseval), so its gradient chain is never formed; the products
-        rows, indexed out only when a unit row is beside them, go through
-        ``_products``."""
+        batch, which finds the unit rows.  Unless every row is a unit row,
+        the whole batch goes through ``_products``.  A unit row's flux and
+        dissipation integrand are then both int |g|^2, the sum of
+        w_g |u_hat|^2 over its own row (Parseval), whatever rows are beside
+        it."""
         coef = reg_coefficient(self.paths, self.eps, self.u)
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
-        unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
-        if unit != self.unit:
-            self._split(unit)
-        if not unit:
+        self.unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
+        if len(self.unit) < len(self.rows):
             self.p, self.flux, self.diss = _products(self.spec, coef, self.u_hat)
-            return
-        flux = [None] * len(self.rows)
-        for i in unit:
+        else:  # no chain, no products
+            self.p, self.flux, self.diss = [], [0.0] * len(self.rows), [0.0] * len(self.rows)
+        if self.unit and self.unit_table is None:
+            self.unit_table = _unit_table(self.grid, self.m)
+        for i in self.unit:
             power = self.u_hat[i].real ** 2 + self.u_hat[i].imag ** 2
-            flux[i] = float(np.vdot(self.unit_table.w_g, power))
-        self.p, diss = [], flux[:]
-        if self.prod:
-            self.p, p_flux, p_diss = _products(self.prod_spec, coef[self.prod], self.u_hat[self.prod])
-            for i, f, d in zip(self.prod, p_flux, p_diss):
-                flux[i], diss[i] = f, d
-        self.flux, self.diss = flux, diss
+            self.flux[i] = self.diss[i] = float(np.vdot(self.unit_table.w_g, power))
 
     def _finite(self, i: int, rem_hat: np.ndarray) -> bool:
         """Whether the products of the row at position i are finite.  A unit
-        row keeps no products: its guard reads its remainder instead."""
+        row's guard reads its remainder instead, the one its step used."""
         if i in self.unit:
             return bool(np.isfinite(rem_hat[i]).all())
-        j = self.prod.index(i)
-        return all(np.isfinite(pi[j]).all() for pi in self.p)
+        return all(np.isfinite(pi[i]).all() for pi in self.p)
 
     def drop(self, gone: list) -> None:
         """Take the rows at the positions ``gone`` out."""
         keep = [i for i in range(len(self.rows)) if i not in gone]
         self.rows = [self.rows[i] for i in keep]
         self.u_hat, self.u = self.u_hat[keep], self.u[keep]
-        # the products are held for the products rows alone, in their order
-        kept = [j for j, i in enumerate(self.prod) if i not in gone]
-        self.p = [pi[kept] for pi in self.p]
+        self.p = [pi[keep] for pi in self.p]
         self.unit = [keep.index(i) for i in self.unit if i not in gone]
         if self.rows:
             self._tables()
@@ -382,13 +364,13 @@ class _Step:
         it is dropped.
         """
         rows, u_hat, spec, dim = self.rows, self.u_hat, self.spec, self.grid.dim
-        if not self.unit:
-            rem_hat = _rhs_hat(spec, self.m, self.p) + self.lin * u_hat
-        else:  # every row by the unit rows' expression, then the products rows by theirs
+        unit = self.unit
+        if len(unit) == len(rows):
             rem_hat = self.lin * u_hat + self.unit_table.rhs0 * u_hat
-            if self.prod:
-                prod = self.prod
-                rem_hat[prod] = _rhs_hat(self.prod_spec, self.m, self.p) + self.lin[prod] * u_hat[prod]
+        else:  # every row by the products route, then the unit rows by their own expression
+            rem_hat = _rhs_hat(spec, self.m, self.p) + self.lin * u_hat
+            if unit:
+                rem_hat[unit] = self.lin[unit] * u_hat[unit] + self.unit_table.rhs0 * u_hat[unit]
         dt = _column(dts, dim)  # one float while the rows share dt
         if dts != self.prop_dts:
             self.prop_dts, self.prop = dts[:], np.exp(-self.lin * dt)

@@ -510,16 +510,6 @@ class TestUnitRoute:
         ref_flux = grid.cell_volume * sum(np.sum(gi**2) for gi in g)
         assert float(np.vdot(table.w_g, power)) == pytest.approx(ref_flux, rel=1e-12)
 
-    def test_a_non_finite_unit_remainder_is_a_blowup(self, u0, rational, monkeypatch):
-        # a unit row keeps no products, so its blow-up guard reads its remainder
-        table = _unit_table(u0.grid, 2)
-        rhs0 = table.rhs0.copy()
-        rhs0[1] = np.inf
-        monkeypatch.setattr(solver_module, "_unit_table", lambda grid, m: table._replace(rhs0=rhs0))
-        message = r"^non-finite coefficient-gradient product \(blow-up signal\) at t = 0, dt = 1\.000e-04$"
-        with pytest.raises(BlowupError, match=message):
-            solve(u0, _linear_config(rational))
-
 
 def _antidiffusive_first_state():
     """A coefficient of -1 on the initial state and 1 after it: the first
@@ -694,6 +684,13 @@ def _mixed_rows(rational):
     ]
 
 
+def _same_outcome(a, b) -> bool:
+    """``_bitwise_equal`` runs, or errors of one type with one message."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return _bitwise_equal(a, b)
+
+
 def _patched_rows(target, mode):
     """``reg_coefficient`` with the rows on path ``target`` changed.  Every
     live row takes one step per batch step, so the k-th call that holds the
@@ -808,6 +805,38 @@ class TestBatch:
         assert str(batch[1]) == str(solo_error.value)
         for i in (0, 2, 3, 4):
             assert _bitwise_equal(batch[i], solve(u0, configs[i]))
+
+    @pytest.mark.parametrize("mode,error", [("halve", None), ("stiff", StiffnessError), ("blowup", BlowupError)])
+    def test_the_unit_row_changing_route_changes_no_row(self, u0, rational, mode, error):
+        # the n = 0 row's coefficient is 1 but where it is patched: "halve" and
+        # "stiff" send its first state down the products route and "blowup"
+        # its fifth, beside products rows and after four unit-row passes
+        configs = _mixed_rows(rational)
+        target = configs[2].path
+        with mock.patch.object(solver_module, "reg_coefficient", _patched_rows(target, mode)):
+            batch = solve(u0, configs)
+        for i, config in enumerate(configs):
+            with mock.patch.object(solver_module, "reg_coefficient", _patched_rows(target, mode)):
+                solo = solve(u0, [config])[0]
+            assert _same_outcome(batch[i], solo)
+        if error is None:
+            assert len(batch[2].reports) > len(solve(u0, configs[2]).reports)  # it was halved
+        else:
+            assert isinstance(batch[2], error)
+
+    def test_a_unit_row_blowing_up_leaves_and_the_rest_go_on(self, u0, rational, monkeypatch):
+        # a non-finite remainder of the n = 0 row alone trips its blow-up
+        # guard, which reads the remainder of a unit row
+        table = _unit_table(u0.grid, 2)
+        rhs0 = table.rhs0.copy()
+        rhs0[1] = np.inf
+        monkeypatch.setattr(solver_module, "_unit_table", lambda grid, m: table._replace(rhs0=rhs0))
+        configs = _mixed_rows(rational)
+        batch = solve(u0, configs)
+        assert isinstance(batch[2], BlowupError)
+        assert str(batch[2]) == f"{solver_module._NONFINITE} at t = 0, dt = 1.000e-04"
+        for i, config in enumerate(configs):
+            assert _same_outcome(batch[i], solve(u0, [config])[0])
 
     def test_a_tripped_row_leaves_and_the_rest_go_on(self, u0, rational, monkeypatch):
         # sup|u| falls along these flows, so the row with the shortest first
