@@ -12,7 +12,6 @@ import numpy as np
 
 from polyheat.gridfield import Field, l2_norm, make_grid
 from polyheat.spectral_theory import (
-    MultiIndex,
     adjoint_eigenpolynomial,
     apply_L,
     apply_L_star,
@@ -26,7 +25,7 @@ grid = make_grid(1, 32.0, 256)
 
 print(f"eigen-residuals for A (m = {m}), lambda_beta = -|beta|/{2 * m}:")
 for order in range(5):
-    beta = MultiIndex((order,))
+    beta = (order,)
     psi = eigenfunction(beta, m, grid)
     lam = float(eigenvalue(beta, m))
     resid = l2_norm(Field(grid, apply_L(psi, m).values - lam * psi.values)) / l2_norm(psi)
@@ -36,19 +35,19 @@ for order in range(5):
 # below degree 2m the correction sum is empty and psi* is a pure monomial
 print("\nsymbolic adjoint eigenchecks (exact rational arithmetic):")
 for order in range(9):
-    beta = MultiIndex((order,))
+    beta = (order,)
     raw = adjoint_eigenpolynomial(beta, m, normalized=False)
-    exact = apply_L_star(raw, m) == raw.scaled(eigenvalue(beta, m))
+    exact = np.array_equal(apply_L_star(raw, m), raw * eigenvalue(beta, m))
     print(f"  |beta| = {order}: A* psi* = lambda psi*  ->  {exact}")
 
-print("\nexample polynomial, sqrt(2) psi*_2 at m = 1 (the Hermite case):")
-print(" ", dict(adjoint_eigenpolynomial(MultiIndex((2,)), 1, normalized=False).coeffs))
+print("\nexample polynomial, sqrt(2) psi*_2 at m = 1 (the Hermite case), coefficients of y^0, y^1, y^2:")
+print(" ", np.array2string(adjoint_eigenpolynomial((2,), 1, normalized=False), formatter={"all": str}))
 
 # pairing the two families over the box: the diagonal is exactly one (the
 # correction terms of psi* have degree < |beta| and integrate away against
 # the matching derivative of the profile)
 wide = make_grid(1, 44.0, 1024)
-betas, gram = biorthogonality_matrix(3, m, wide)
+betas, _, gram = biorthogonality_matrix(3, m, wide)
 print(f"\nbiorthogonality Gram matrix (m = {m}, orders <= 3):")
 with np.printoptions(precision=3, suppress=False):
     print(gram)

@@ -64,7 +64,6 @@ from .spectral_theory import (
     apply_L,
     apply_L_star,
     biorthogonality_matrix,
-    eigenfunction,
     eigenvalue,
     multi_indices_up_to,
 )
@@ -202,16 +201,15 @@ def _kernel_from_block(m, dim, r_max, dr) -> tuple:
 
 
 def _spectrum_from_block(grid: GridSpec, m, max_order) -> tuple:
-    """(m, max_order, Gram matrix).  The Gram matrix checks m and max_order
-    and carries the product boundary guard, so a max_order the box cannot
-    resolve is a config error."""
+    """(m, indices, eigenfunctions, Gram matrix).  The Gram matrix checks m
+    and max_order and carries the product boundary guard, so a max_order the
+    box cannot resolve is a config error."""
     try:
-        _, gram = biorthogonality_matrix(max_order, m, grid)
+        return (m, *biorthogonality_matrix(max_order, m, grid))
     except DecayAssertionError as err:
         raise ValueError(
             f"max_order {max_order} needs products psi_beta psi*_gamma that decay in the box: {err}"
         ) from err
-    return m, max_order, gram
 
 
 def _path_from_block(kind, n, **rest) -> RegPath:
@@ -274,16 +272,14 @@ def _cmd_kernel(built: dict, out: Path):
 
 def _cmd_spectrum(built: dict, out: Path):
     grid = built["grid"]
-    m, max_order, gram = built["spectrum"]
-    betas = multi_indices_up_to(grid.dim, max_order)
+    m, betas, psis, gram = built["spectrum"]
     rows = ["beta,lambda,rel_residual"]
     worst = 0.0
-    for beta in betas:
-        psi = eigenfunction(beta, m, grid)
+    for beta, psi in zip(betas, psis):
         lam = float(eigenvalue(beta, m))
         resid = l2_norm(Field(grid, apply_L(psi, m).values - lam * psi.values)) / l2_norm(psi)
         worst = max(worst, resid)
-        rows.append(f"{'|'.join(map(str, beta.entries))},{lam!r},{resid!r}")
+        rows.append(f"{'|'.join(map(str, beta))},{lam!r},{resid!r}")
     with open(out / "eigen_residuals.csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -293,7 +289,7 @@ def _cmd_spectrum(built: dict, out: Path):
     symbolic = {}
     for beta in multi_indices_up_to(grid.dim, 8):
         raw = adjoint_eigenpolynomial(beta, m, normalized=False)
-        symbolic["|".join(map(str, beta.entries))] = apply_L_star(raw, m) == raw.scaled(eigenvalue(beta, m))
+        symbolic["|".join(map(str, beta))] = np.array_equal(apply_L_star(raw, m), raw * eigenvalue(beta, m))
     with open(out / "adjoint_check.json", "w") as fh:
         json.dump(symbolic, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -110,8 +110,8 @@ class KernelProfile:
 def _radii_array(radii) -> np.ndarray:
     """``radii`` as a float array, or a ValueError saying what they must be."""
     r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or not np.all(np.isfinite(r)) or np.any(r < 0) or np.any(np.diff(r) <= 0):
-        raise ValueError("radii must be a 1-D array of finite, nonnegative, strictly increasing numbers")
+    if r.ndim != 1 or not r.size or not np.all(np.isfinite(r)) or np.any(r < 0) or np.any(np.diff(r) <= 0):
+        raise ValueError("radii must be a 1-D array of finite, nonnegative, strictly increasing numbers, at least one")
     return r
 
 

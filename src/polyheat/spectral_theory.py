@@ -12,9 +12,12 @@ scaled profile derivatives are eigenfunctions:
 The formal adjoint A* = -(-Delta)^m - (1/2m) y . grad has purely polynomial
 eigenfunctions
 
-    sqrt(beta!) psi*_beta = y^beta + sum_{j=1}^{floor(|beta|/2m)} (1/j!) (-Delta)^(mj) y^beta,
+    sqrt(beta!) psi*_beta = y^beta + sum_{j=1}^{floor(|beta|/2m)} (1/j!) (-Delta)^(mj) y^beta.
 
-handled here in exact rational arithmetic so the eigen-relation can be checked
+A multi-index beta is a tuple of 1 or 2 nonnegative ints.  A polynomial is a
+numpy coefficient array ``c`` of shape ``tuple(b + 1 for b in beta)`` with
+``c[k]`` the coefficient of y^k, in the layout of ``numpy.polynomial``.  Its
+entries are exact Fractions, so the eigen-relation can be checked
 symbolically, not just numerically.  Numeric checks pair psi_beta with
 psi*_gamma by plain quadrature over the box; the profile's decay makes the
 polynomially growing factors integrable there.
@@ -23,8 +26,8 @@ polynomially growing factors integrable there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -45,8 +48,6 @@ from .gridfield import (
 from .kernel import profile_fourier
 
 __all__ = [
-    "MultiIndex",
-    "PolynomialNVar",
     "apply_L",
     "eigenvalue",
     "eigenfunction",
@@ -57,102 +58,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """beta in N_0^N with the usual |beta| and beta! bookkeeping."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        e = tuple(int(b) for b in self.entries)
-        if len(e) not in (1, 2) or any(b < 0 for b in e):
-            raise ValueError(f"multi-index must hold 1 or 2 nonnegative integers, got {self.entries}")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def factorial(self) -> int:
-        out = 1
-        for b in self.entries:
-            out *= math.factorial(b)
-        return out
-
-
 def multi_indices_up_to(dim: int, max_order: int) -> list:
-    """All beta with |beta| <= max_order, graded lexicographic."""
-    if dim == 1:
-        return [MultiIndex((k,)) for k in range(max_order + 1)]
-    out = []
-    for total in range(max_order + 1):
-        for b1 in range(total, -1, -1):
-            out.append(MultiIndex((b1, total - b1)))
+    """All beta with |beta| <= max_order, graded, and within one order with
+    the first entry falling: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ..."""
+    betas = (b for b in product(range(max_order + 1), repeat=dim) if sum(b) <= max_order)
+    return sorted(betas, key=lambda b: (sum(b), [-e for e in b]))
+
+
+def _neg_laplacian(c: np.ndarray) -> np.ndarray:
+    """(-Delta) on a coefficient array, padded back to its shape."""
+    from numpy.polynomial.polynomial import polyder
+
+    out = 0 * c
+    for axis in range(c.ndim):
+        der = polyder(c, 2, axis=axis)
+        out[tuple(map(slice, der.shape))] -= der
     return out
-
-
-class PolynomialNVar:
-    """Sparse polynomial in N variables: {exponent tuple: coefficient}.
-
-    Coefficients may be exact Fractions (the adjoint eigenfunction check
-    relies on that) or floats; zero coefficients are never stored.
-    """
-
-    def __init__(self, nvars: int, coeffs: dict):
-        self.nvars = nvars
-        self.coeffs = {tuple(k): v for k, v in coeffs.items() if v != 0}
-        for k in self.coeffs:
-            if len(k) != nvars or any(e < 0 for e in k):
-                raise ValueError(f"bad exponent tuple {k} for {nvars} variables")
-
-    @property
-    def degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolynomialNVar) and self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __add__(self, other: "PolynomialNVar") -> "PolynomialNVar":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return PolynomialNVar(self.nvars, out)
-
-    def scaled(self, factor) -> "PolynomialNVar":
-        return PolynomialNVar(self.nvars, {k: factor * v for k, v in self.coeffs.items()})
-
-    def neg_laplacian(self) -> "PolynomialNVar":
-        """(-Delta) applied exactly: monomial-by-monomial exponent drop."""
-        out: dict = {}
-        for k, v in self.coeffs.items():
-            for d, e in enumerate(k):
-                if e >= 2:
-                    kk = list(k)
-                    kk[d] = e - 2
-                    kk = tuple(kk)
-                    out[kk] = out.get(kk, 0) - e * (e - 1) * v
-        return PolynomialNVar(self.nvars, out)
-
-    def euler(self) -> "PolynomialNVar":
-        """y . grad, diagonal on monomials: multiplies each by its degree."""
-        return PolynomialNVar(self.nvars, {k: sum(k) * v for k, v in self.coeffs.items()})
-
-    def evaluate(self, grid: GridSpec) -> np.ndarray:
-        if grid.dim != self.nvars:
-            raise ValueError("grid dimension does not match polynomial arity")
-        xs = coordinates(grid)
-        vals = np.zeros(grid.shape)
-        for k, v in self.coeffs.items():
-            term = np.ones(grid.shape)
-            for d, e in enumerate(k):
-                if e:
-                    term = term * np.broadcast_to(xs[d], grid.shape) ** e
-            vals += float(v) * term
-        return vals
-
-    def __repr__(self) -> str:
-        return f"PolynomialNVar({self.nvars}, {self.coeffs!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -171,78 +92,83 @@ def apply_L(f: Field, m: int) -> Field:
     return Field(grid, vals, f.time_tag)
 
 
-def eigenvalue(beta: MultiIndex, m: int) -> Fraction:
+def eigenvalue(beta: tuple, m: int) -> Fraction:
     """Exact point-spectrum value -|beta|/(2m)."""
-    return Fraction(-beta.order, 2 * m)
+    return Fraction(-sum(beta), 2 * m)
 
 
-def eigenfunction(beta: MultiIndex, m: int, grid: GridSpec) -> Field:
+def eigenfunction(beta: tuple, m: int, grid: GridSpec) -> Field:
     """psi_beta = (-1)^|beta|/sqrt(beta!) D^beta F on the grid.
 
     Derivatives are Fourier multipliers on the profile; an error is raised
     when the requested derivative pushes the spectral tail above the 1e-6
     noise-energy floor.
     """
-    if beta.order > 8:
+    if sum(beta) > 8:
         raise ValueError("derivative order above 8 amplifies truncation noise; refuse")
     fh = rfft(grid, profile_fourier(m, grid).values)
-    for d, e in zip(_spectrum(grid, 1).div, beta.entries, strict=True):
+    for d, e in zip(_spectrum(grid, 1).div, beta, strict=True):
         fh = fh * d**e
-    vals = irfft(grid, fh) * ((-1.0) ** beta.order / math.sqrt(beta.factorial))
+    vals = irfft(grid, fh) * ((-1.0) ** sum(beta) / math.sqrt(math.prod(map(math.factorial, beta))))
     out = Field(grid, vals)
     if spectral_tail_fraction(out) > 1e-6:
-        raise ValueError(f"under-resolved derivative D^{beta.entries} (spectral tail above noise floor)")
+        raise ValueError(f"under-resolved derivative D^{beta} (spectral tail above noise floor)")
     return out
 
 
-def adjoint_eigenpolynomial(beta: MultiIndex, m: int, normalized: bool = True) -> PolynomialNVar:
-    """Polynomial eigenfunction of the adjoint operator.
+def adjoint_eigenpolynomial(beta: tuple, m: int, normalized: bool = True) -> np.ndarray:
+    """Coefficient array of the adjoint operator's polynomial eigenfunction.
 
     With ``normalized=False`` the result is sqrt(beta!) psi*_beta, kept in
     exact Fractions (the correction sum terminates because every (-Delta)^m
     drops the degree by 2m).  The default divides by sqrt(beta!), which is
     irrational in general, so coefficients become floats.
     """
-    if beta.order > 12:
+    if sum(beta) > 12:
         raise ValueError("adjoint polynomials supported for |beta| <= 12")
-    base = PolynomialNVar(len(beta.entries), {beta.entries: Fraction(1)})
-    total = base
-    term = base
-    for j in range(1, beta.order // (2 * m) + 1):
+    total = np.full(tuple(b + 1 for b in beta), Fraction(0))
+    total[beta] = Fraction(1)
+    term = total
+    for j in range(1, sum(beta) // (2 * m) + 1):
         for _ in range(m):
-            term = term.neg_laplacian()
-        total = total + term.scaled(Fraction(1, math.factorial(j)))
+            term = _neg_laplacian(term)
+        total = total + term * Fraction(1, math.factorial(j))
     if not normalized:
         return total
-    return total.scaled(1.0 / math.sqrt(beta.factorial))
+    return (total * (1.0 / math.sqrt(math.prod(map(math.factorial, beta))))).astype(float)
 
 
-def apply_L_star(poly: PolynomialNVar, m: int) -> PolynomialNVar:
+def apply_L_star(poly: np.ndarray, m: int) -> np.ndarray:
     """-(-Delta)^m poly - (1/2m) y.grad(poly), exact on rational coefficients."""
-    if poly.degree > 12:
+    if np.argwhere(poly).sum(axis=1).max(initial=0) > 12:
         raise ValueError("polynomial degree above 12 not supported")
     lap = poly
     for _ in range(m):
-        lap = lap.neg_laplacian()
-    return lap.scaled(-1) + poly.euler().scaled(Fraction(-1, 2 * m))
+        lap = _neg_laplacian(lap)
+    return -lap + poly * sum(np.indices(poly.shape)) * Fraction(-1, 2 * m)
 
 
 def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
     """Gram matrix <psi_beta, psi*_gamma> for all |beta|, |gamma| <= max_order.
 
     Plain L^2 pairing over the box (the profile decay makes the polynomial
-    growth integrable).  Returns (indices, matrix).  m must be an integer of
-    at least 1 and max_order an integer in 0..4.
+    growth integrable).  Returns (indices, eigenfunctions psi_beta, matrix),
+    so a caller reuses the eigenfunctions instead of building them again.
+    m must be an integer of at least 1 and max_order an integer in 0..4.
     """
+    from numpy.polynomial.polynomial import polygrid2d, polyval
+
     require_int("m", m, lo=1)
     require_int("max_order", max_order, choices=(0, 1, 2, 3, 4))
     betas = multi_indices_up_to(grid.dim, max_order)
     psis = [eigenfunction(b, m, grid) for b in betas]
-    poly_vals = [adjoint_eigenpolynomial(b, m).evaluate(grid) for b in betas]
+    axes = [x.ravel() for x in coordinates(grid)]
+    on_grid = polyval if grid.dim == 1 else polygrid2d
+    poly_vals = [on_grid(*axes, adjoint_eigenpolynomial(b, m)) for b in betas]
     out = np.empty((len(betas), len(betas)))
     for i, psi in enumerate(psis):
         for j, pv in enumerate(poly_vals):
             integrand = Field(grid, psi.values * pv)
             assert_boundary_decay(integrand)
             out[i, j] = inner(psi, Field(grid, pv))
-    return betas, out
+    return betas, psis, out

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyheat import cli
+from polyheat import cli, spectral_theory
 from polyheat.cli import ConfigError, main, parse_config, report, run
 from polyheat.degeneracy import DegeneracyFunction, RegPath
 from polyheat.gridfield import GridSpec, bump, random_bumps, read_phf1
@@ -161,6 +161,25 @@ class TestRunCommands:
         assert manifest.outcome == "ok"
         assert manifest.highlights["adjoint_exact_all"] is True
         assert manifest.highlights["worst_eigen_residual"] <= 1e-4
+
+    def test_spectrum_builds_each_eigenfunction_once(self, tmp_path, monkeypatch):
+        # the residual table reuses the eigenfunctions the Gram matrix paired:
+        # four betas up to order 3 in 1-D, so four of each call, not eight
+        calls = {"eigenfunction": 0, "profile_fourier": 0}
+        for name in calls:
+            real = getattr(spectral_theory, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(spectral_theory, name, counting)
+        path = _dump(tmp_path, "spectrum.json", {
+            "grid": {"dim": 1, "half_width": 44.0, "points_per_dim": 1024},
+            "spectrum": {"m": 2, "max_order": 3},
+        })
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "sp")]) == 0
+        assert calls == {"eigenfunction": 4, "profile_fourier": 4}
 
     @pytest.mark.parametrize("max_order,code,files", [
         (2, 2, []),  # the Gram boundary guard fails at config build: no manifest, no artifact

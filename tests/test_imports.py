@@ -159,6 +159,7 @@ def test_package_root_binds_only_modules():
 _SCIPY_PROBE = """
 import json, sys
 import polyheat.cli
+cli_path = sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))
 from polyheat import homotopy, kernel, solver
 from polyheat.degeneracy import RegPath, degeneracy_function
 from polyheat.gridfield import bump, make_grid
@@ -174,7 +175,8 @@ table = homotopy.sweep(u0, homotopy.SweepSpec(schedule, 2, 0.1, [0.1, 0.03], dt_
 solve_path = scipy_modules()
 kernel.decay_fit(kernel.profile_bessel(2, 2, [0.05 * i for i in range(401)]))
 print(json.dumps({
-    "solve_path": solve_path, "rows": [row.status for row in table.rows], "kernel_path": scipy_modules(),
+    "cli_path": cli_path, "solve_path": solve_path, "rows": [row.status for row in table.rows],
+    "kernel_path": scipy_modules(),
 }))
 """
 
@@ -184,6 +186,9 @@ def test_solve_and_sweep_load_no_scipy():
     # layer (J_0, the decay fit, the radial integral) and a spline f need
     # it, and they import it on first use
     probe = _run_fresh(_SCIPY_PROBE)
+    # numpy.polynomial, which the spectrum and kernel code import on first
+    # use, would add milliseconds to every CLI start-up
+    assert probe["cli_path"] == []
     assert probe["solve_path"] == []
     assert probe["rows"] == ["ok", "ok"]
     assert {"scipy.special", "scipy.optimize"} <= set(probe["kernel_path"])

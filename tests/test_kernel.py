@@ -86,7 +86,9 @@ class TestProfileBessel:
             with pytest.raises(ValueError, match="finite"):
                 read_profile_csv(path)
 
-    @pytest.mark.parametrize("radii", [[0.0, 0.5, np.nan], [0.5, 0.0], [[0.0, 0.5]]], ids=["nan", "decreasing", "2-D"])
+    @pytest.mark.parametrize(
+        "radii", [[0.0, 0.5, np.nan], [0.5, 0.0], [[0.0, 0.5]], []], ids=["nan", "decreasing", "2-D", "empty"]
+    )
     def test_bad_radii_rejected_before_any_quadrature(self, monkeypatch, radii):
         calls = []
         real = kernel_module._radial_values

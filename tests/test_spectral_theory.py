@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
+from polyheat import spectral_theory
 from polyheat.gridfield import Field, coordinates, inner, l2_norm, make_grid
 from polyheat.kernel import profile_fourier
 from polyheat.spectral_theory import (
-    MultiIndex,
-    PolynomialNVar,
     adjoint_eigenpolynomial,
     apply_L,
     apply_L_star,
@@ -32,34 +32,32 @@ def grid_m1():
     return make_grid(1, 20.0, 256)
 
 
-class TestMultiIndex:
+class TestBetaTuples:
     def test_order_and_factorial(self):
-        b = MultiIndex((3, 2))
-        assert b.order == 5
-        assert b.factorial == 12
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MultiIndex((-1,))
+        # |beta| = 5 sets the eigenvalue; beta! = 3! 2! = 12 the normalisation
+        assert eigenvalue((3, 2), 2) == Fraction(-5, 4)
+        p = adjoint_eigenpolynomial((3, 2), 3)
+        assert p[3, 2] == 1.0 / math.sqrt(12)
 
     def test_enumeration_graded(self):
-        betas = multi_indices_up_to(2, 2)
-        orders = [b.order for b in betas]
+        assert multi_indices_up_to(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        assert multi_indices_up_to(1, 3) == [(0,), (1,), (2,), (3,)]
+        orders = [sum(b) for b in multi_indices_up_to(2, 6)]
         assert orders == sorted(orders)
-        assert len(betas) == 6
+        assert len(orders) == 28
 
 
 class TestEigenvalue:
     def test_zero_order(self):
-        assert eigenvalue(MultiIndex((0,)), 2) == 0
+        assert eigenvalue((0,), 2) == 0
 
     def test_example_m2(self):
-        assert eigenvalue(MultiIndex((3,)), 2) == Fraction(-3, 4)
-        assert float(eigenvalue(MultiIndex((3,)), 2)) == -0.75
+        assert eigenvalue((3,), 2) == Fraction(-3, 4)
+        assert float(eigenvalue((3,), 2)) == -0.75
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_order_2m_gives_minus_one(self, m):
-        assert eigenvalue(MultiIndex((2 * m,)), m) == -1
+        assert eigenvalue((2 * m,), m) == -1
 
 
 class TestApplyL:
@@ -79,13 +77,13 @@ class TestApplyL:
 
 class TestEigenfunction:
     def test_zeroth_is_profile(self, grid_m2):
-        psi0 = eigenfunction(MultiIndex((0,)), 2, grid_m2)
+        psi0 = eigenfunction((0,), 2, grid_m2)
         F = profile_fourier(2, grid_m2)
         assert np.max(np.abs(psi0.values - F.values)) <= 1e-14
 
     def test_m1_first_is_hermite_weighted(self, grid_m1):
         # psi_(1) is proportional to y e^(-y^2/4)
-        psi = eigenfunction(MultiIndex((1,)), 1, grid_m1)
+        psi = eigenfunction((1,), 1, grid_m1)
         x = np.broadcast_to(coordinates(grid_m1)[0], grid_m1.shape)
         target = x * np.exp(-(x**2) / 4.0)
         cos = np.sum(psi.values * target) / (
@@ -95,7 +93,7 @@ class TestEigenfunction:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
     def test_eigen_residual_m2(self, grid_m2, order):
-        beta = MultiIndex((order,))
+        beta = (order,)
         psi = eigenfunction(beta, 2, grid_m2)
         lam = float(eigenvalue(beta, 2))
         resid = Field(grid_m2, apply_L(psi, 2).values - lam * psi.values)
@@ -115,26 +113,27 @@ class TestEigenfunction:
 
     def test_rejects_high_order(self, grid_m2):
         with pytest.raises(ValueError):
-            eigenfunction(MultiIndex((9,)), 2, grid_m2)
+            eigenfunction((9,), 2, grid_m2)
 
     def test_under_resolved_derivative_raises(self):
         # a coarse grid resolves the m = 3 profile but not its 8th derivative
         coarse = make_grid(1, 20.0, 24)
         with pytest.raises(ValueError, match="under-resolved"):
-            eigenfunction(MultiIndex((8,)), 3, coarse)
+            eigenfunction((8,), 3, coarse)
 
 
 class TestAdjointPolynomials:
     def test_zero_order_is_one(self):
-        p = adjoint_eigenpolynomial(MultiIndex((0,)), 2)
-        assert p.coeffs == {(0,): 1.0}
+        p = adjoint_eigenpolynomial((0,), 2)
+        assert p.dtype == float
+        assert np.array_equal(p, [1.0])
 
     @pytest.mark.parametrize("m,entries", [(2, (1,)), (2, (3,)), (3, (5,)), (2, (1, 1))])
     def test_below_2m_is_pure_monomial(self, m, entries):
-        beta = MultiIndex(entries)
-        p = adjoint_eigenpolynomial(beta, m)
-        assert set(p.coeffs) == {beta.entries}
-        assert p.coeffs[beta.entries] == pytest.approx(1.0 / math.sqrt(beta.factorial))
+        p = adjoint_eigenpolynomial(entries, m)
+        assert p.shape == tuple(b + 1 for b in entries)
+        assert [tuple(k) for k in np.argwhere(p)] == [entries]
+        assert p[entries] == pytest.approx(1.0 / math.sqrt(math.prod(map(math.factorial, entries))))
 
     def test_m1_order2_hermite(self, grid_m1):
         # sqrt(2) psi* = y^2 - 2; sympy supplies the independent Laplacian
@@ -142,94 +141,132 @@ class TestAdjointPolynomials:
 
         y = sympy.symbols("y")
         assert sympy.diff(y**2, y, 2) == 2
-        raw = adjoint_eigenpolynomial(MultiIndex((2,)), 1, normalized=False)
-        assert raw.coeffs == {(2,): Fraction(1), (0,): Fraction(-2)}
-        psi_star = adjoint_eigenpolynomial(MultiIndex((2,)), 1)
+        raw = adjoint_eigenpolynomial((2,), 1, normalized=False)
+        assert np.array_equal(raw, [Fraction(-2), 0, Fraction(1)])
+        assert all(isinstance(c, Fraction) for c in raw)
+        psi_star = adjoint_eigenpolynomial((2,), 1)
         # quadrature cross-check: <psi_2, psi*_2> = 1
-        psi2 = eigenfunction(MultiIndex((2,)), 1, grid_m1)
-        val = inner(psi2, Field(grid_m1, psi_star.evaluate(grid_m1)))
+        psi2 = eigenfunction((2,), 1, grid_m1)
+        val = inner(psi2, Field(grid_m1, polyval(coordinates(grid_m1)[0], psi_star)))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_against_sympy_oracle(self):
-        # independent route: iterated Laplacian sums computed symbolically
+        # independent route: iterated Laplacian sums computed symbolically,
+        # over y1, y2 in 2-D, compared coefficient by coefficient
         import sympy
 
-        y = sympy.symbols("y")
-        for m, k in [(1, 4), (2, 5), (1, 6)]:
-            expr = y**k
-            total = y**k
-            for j in range(1, k // (2 * m) + 1):
-                term = y**k
+        cases = [(1, (4,)), (2, (5,)), (1, (6,)), (1, (2, 2)), (1, (3, 1)), (2, (4, 1)), (1, (0, 5)), (3, (6, 2))]
+        for m, beta in cases:
+            ys = sympy.symbols(f"y1:{len(beta) + 1}")
+            monomial = sympy.Mul(*(y**b for y, b in zip(ys, beta)))
+            total = monomial
+            for j in range(1, sum(beta) // (2 * m) + 1):
+                term = monomial
                 for _ in range(m * j):
-                    term = -sympy.diff(term, y, 2)
+                    term = -sum(sympy.diff(term, y, 2) for y in ys)
                 total = total + term / math.factorial(j)
-            total = sympy.expand(total)
-            raw = adjoint_eigenpolynomial(MultiIndex((k,)), m, normalized=False)
-            ours = sum(
-                float(c) * y**e[0] for e, c in raw.coeffs.items()
-            )
-            assert sympy.expand(total - ours) == 0
+            oracle = sympy.Poly(sympy.expand(total), *ys)
+            raw = adjoint_eigenpolynomial(beta, m, normalized=False)
+            ours = {k: c for k, c in np.ndenumerate(raw) if c}
+            assert ours == {k: Fraction(int(c.p), int(c.q)) for k, c in zip(oracle.monoms(), oracle.coeffs())}, beta
 
     def test_degree_bookkeeping(self):
         for m in (1, 2, 3):
             for beta in multi_indices_up_to(2, 6):
-                assert adjoint_eigenpolynomial(beta, m).degree == beta.order
+                p = adjoint_eigenpolynomial(beta, m)
+                assert p.shape == tuple(b + 1 for b in beta)
+                assert np.argwhere(p).sum(axis=1).max() == sum(beta)
+
+    def test_rejects_order_above_12(self):
+        assert adjoint_eigenpolynomial((6, 6), 1).shape == (7, 7)
+        with pytest.raises(ValueError, match=r"\|beta\| <= 12"):
+            adjoint_eigenpolynomial((13,), 1)
 
 
 class TestApplyLStar:
     def test_constant_maps_to_zero(self):
-        one = PolynomialNVar(1, {(0,): Fraction(1)})
-        assert apply_L_star(one, 2).coeffs == {}
+        out = apply_L_star(np.array([Fraction(1)]), 2)
+        assert out.shape == (1,)
+        assert not np.any(out)
 
     def test_first_order(self):
-        p = adjoint_eigenpolynomial(MultiIndex((1,)), 2, normalized=False)
+        p = adjoint_eigenpolynomial((1,), 2, normalized=False)
         out = apply_L_star(p, 2)
-        assert out == p.scaled(Fraction(-1, 4))
+        assert np.array_equal(out, p * Fraction(-1, 4))
 
     def test_m1_hermite_eigenvalue_exact(self):
-        psi_star = adjoint_eigenpolynomial(MultiIndex((2,)), 1)
+        psi_star = adjoint_eigenpolynomial((2,), 1)
         out = apply_L_star(psi_star, 1)
         # 1/(2m) = 1/2 is dyadic, so even the float route is exact here
-        assert out == psi_star.scaled(-1.0)
+        assert np.array_equal(out, -psi_star)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_exact_symbolic_eigenrelation_1d(self, m):
         for k in range(9):
-            beta = MultiIndex((k,))
+            beta = (k,)
             raw = adjoint_eigenpolynomial(beta, m, normalized=False)
-            assert apply_L_star(raw, m) == raw.scaled(eigenvalue(beta, m))
+            assert np.array_equal(apply_L_star(raw, m), raw * eigenvalue(beta, m))
 
     def test_exact_symbolic_eigenrelation_2d(self):
         for beta in multi_indices_up_to(2, 8):
             raw = adjoint_eigenpolynomial(beta, 2, normalized=False)
-            assert apply_L_star(raw, 2) == raw.scaled(eigenvalue(beta, 2))
+            assert np.array_equal(apply_L_star(raw, 2), raw * eigenvalue(beta, 2))
+
+    def test_rejects_degree_above_12(self):
+        # the limit is on the degree of the nonzero terms, not on the shape
+        wide = np.full((13, 13), Fraction(0))
+        wide[12, 0] = Fraction(1)
+        assert apply_L_star(wide, 1)[12, 0] == -6
+        wide[12, 1] = Fraction(1)
+        with pytest.raises(ValueError, match="degree above 12"):
+            apply_L_star(wide, 1)
+
+
+class TestCoefficientArrays:
+    def test_neg_laplacian_monomial(self):
+        # (-Delta) y1^2 y2 = -2 y2, in an array of the input's shape
+        p = np.full((3, 2), Fraction(0))
+        p[2, 1] = Fraction(1)
+        out = spectral_theory._neg_laplacian(p)
+        assert out.shape == (3, 2)
+        assert {k: c for k, c in np.ndenumerate(out) if c} == {(0, 1): Fraction(-2)}
+
+    def test_euler_is_degree_diagonal(self):
+        # y.grad (2 y^3) = 6 y^3; (-Delta)^2 kills y^3, so A* leaves -6/4 y^3
+        p = np.array([0, 0, 0, Fraction(2)], dtype=object)
+        assert np.array_equal(apply_L_star(p, 2), [0, 0, 0, Fraction(-3, 2)])
 
 
 class TestDuality:
     def test_pairing_transfers_to_adjoint(self, grid_m2):
         # <A v, w> = <v, A* w> for decaying v and polynomial w
         rng = np.random.default_rng(7)
-        x = np.broadcast_to(coordinates(grid_m2)[0], grid_m2.shape)
+        x = coordinates(grid_m2)[0]
         v = Field(grid_m2, (0.7 + 0.3 * np.cos(np.pi * x / 32.0)) * np.exp(-(x**2) / 6.0))
-        w = PolynomialNVar(1, {(0,): 0.5, (2,): rng.uniform(0.1, 1.0), (5,): 0.02})
+        w = np.array([0.5, 0.0, rng.uniform(0.1, 1.0), 0.0, 0.0, 0.02])
         m = 2
-        lhs = inner(apply_L(v, m), Field(grid_m2, w.evaluate(grid_m2)))
-        rhs = inner(v, Field(grid_m2, apply_L_star(w, m).evaluate(grid_m2)))
-        scale = l2_norm(v) * l2_norm(Field(grid_m2, w.evaluate(grid_m2)))
+        w_vals = Field(grid_m2, polyval(x, w))
+        lhs = inner(apply_L(v, m), w_vals)
+        rhs = inner(v, Field(grid_m2, polyval(x, apply_L_star(w, m).astype(float))))
+        scale = l2_norm(v) * l2_norm(w_vals)
         assert abs(lhs - rhs) <= 1e-6 * scale
 
 
 class TestBiorthogonality:
     def test_m1_identity(self, grid_m1):
-        _, gram = biorthogonality_matrix(3, 1, grid_m1)
+        _, _, gram = biorthogonality_matrix(3, 1, grid_m1)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-6
 
     def test_m2_near_identity(self):
         grid = make_grid(1, 44.0, 1024)
-        betas, gram = biorthogonality_matrix(3, 2, grid)
+        betas, psis, gram = biorthogonality_matrix(3, 2, grid)
         assert gram[0, 0] == pytest.approx(1.0, abs=1e-6)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-4
+        # the eigenfunctions returned are the ones paired, in index order
+        assert betas == [(0,), (1,), (2,), (3,)]
+        for beta, psi in zip(betas, psis):
+            assert np.array_equal(psi.values, eigenfunction(beta, 2, grid).values)
 
     def test_rejects_high_order(self, grid_m1):
         with pytest.raises(ValueError):
@@ -244,17 +281,3 @@ class TestBiorthogonality:
             biorthogonality_matrix(2, 0, grid_m1)
         with pytest.raises(TypeError, match="max_order must be an integer"):
             biorthogonality_matrix(2.0, 1, grid_m1)
-
-
-class TestPolynomialNVar:
-    def test_no_zero_coefficients_stored(self):
-        p = PolynomialNVar(1, {(1,): 0.0, (2,): 1.0})
-        assert (1,) not in p.coeffs
-
-    def test_neg_laplacian_monomial(self):
-        p = PolynomialNVar(2, {(2, 1): Fraction(1)})
-        assert p.neg_laplacian().coeffs == {(0, 1): Fraction(-2)}
-
-    def test_euler_is_degree_diagonal(self):
-        p = PolynomialNVar(1, {(3,): Fraction(2)})
-        assert p.euler().coeffs == {(3,): Fraction(6)}
