@@ -77,7 +77,7 @@ class GridSpec:
     dim : int
         Spatial dimension, 1 or 2.
     half_width : float
-        L > 0; the box is [-L, L)^N.
+        L in [1e-6, 1e6]; the box is [-L, L)^N.
     points_per_dim : int
         M, even and >= 8.  Powers of two keep the FFTs fast.
     """
@@ -89,6 +89,9 @@ class GridSpec:
     def __post_init__(self):
         require_int("dim", self.dim, choices=(1, 2))
         require_real("half_width", self.half_width, "positive")
+        # far inside the float range: the tables square L and raise pi M / 2L to the power 2m
+        if not 1e-6 <= self.half_width <= 1e6:
+            raise ValueError(f"half_width must lie in [1e-6, 1e6], got {self.half_width!r}")
         require_int("points_per_dim", self.points_per_dim)
         m = self.points_per_dim
         if m % 2 != 0 or m < 8:
@@ -254,7 +257,8 @@ def _rows_spectrum(grid: GridSpec, m: int, rows: int) -> _Spectrum:
 
     Operands of one shape keep numpy's elementwise loops off their
     broadcasting path, which takes about twice as long per call at M = 256.
-    The Parseval weights stay one row wide: they enter per-row dot products.
+    The Parseval weights stay one row wide: they enter per-row dot products;
+    so does ``band``, which cuts one summed spectrum.
     """
     spec = _spectrum(grid, m)
 
@@ -265,7 +269,6 @@ def _rows_spectrum(grid: GridSpec, m: int, rows: int) -> _Spectrum:
         chain=tuple(tile(c) for c in spec.chain),
         div=tuple(tile(d) for d in spec.div),
         k2m=tile(spec.k2m),
-        band=tile(spec.band),
     )
 
 

@@ -149,6 +149,7 @@ def linear_trajectory(u0: Field, m: int, times) -> tuple:
     returns every snapshot, so the call holds len(times) grid arrays at
     once.  A time of 0 returns u0's own values.
     """
+    require_int("m", m, lo=1)
     require_reals("times", times, sign="nonnegative")
     times = sorted(map(float, times))
     assert_boundary_decay(u0)
@@ -177,12 +178,12 @@ def correction_phi(
 
     The linear flow is sampled at ``time_nodes`` uniform quadrature times on
     [0, t]; each node s contributes the multiplier increment
-    e^(-|xi|^(2m) (t-s)) sum_i (i xi_i) w_hat_i  cut to the 2/3-rule band,
-    with  w = ln f(max(|u|, eta)) grad Delta^(m-1) u,  composited by the
-    trapezoid rule.  The mask and the i xi_i act elementwise, so cutting the
-    sum equals cutting each w_hat_i.  The clamp floor eta defaults to
-    1e-8 max|u0|.  Raises when the clamp was active on more than 20% of the
-    box at time t.
+    e^(-|xi|^(2m) (t-s)) sum_i (i xi_i) w_hat_i  with
+    w = ln f(max(|u|, eta)) grad Delta^(m-1) u,  composited by the
+    trapezoid rule and cut to the 2/3-rule band once, before phi's inverse.
+    The mask acts elementwise, so that cut equals cutting each w_hat_i.  The
+    clamp floor eta defaults to 1e-8 max|u0|.  Raises when the clamp was
+    active on more than 20% of the box at time t.
 
     The nodes go in blocks of max(1, _BLOCK_POINTS // grid points): one
     ``linear_trajectory`` call and one stacked gradient chain per block,
@@ -190,6 +191,7 @@ def correction_phi(
     phi is bitwise that of a node-by-node loop.  The memory it holds is
     bounded by a block of snapshots, not by ``time_nodes``.
     """
+    require_int("m", m, lo=1)
     require_real("t", t, "nonnegative")
     _check_quadrature(time_nodes, clamp_floor)
     grid = u0.grid
@@ -211,10 +213,10 @@ def correction_phi(
         logf = np.log(f(np.maximum(np.abs(snaps), eta)))
         rows = _rows_spectrum(grid, m, len(states))
         g = grad_chain(rows, rfft(grid, snaps))
-        w_hat = np.where(rows.band, divergence_hat(rows, [logf * gi for gi in g]), 0.0)
+        w_hat = divergence_hat(rows, [logf * gi for gi in g])
         for s, wt, w in zip(times, weights[lo:lo + block], w_hat):
             phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w)
-    values = irfft(grid, phi_hat)
+    values = irfft(grid, np.where(spec.band, phi_hat, 0.0))
 
     final = states[-1]
     clamped = float(np.mean(np.abs(final.values) < eta))
@@ -379,7 +381,7 @@ def sweep(u0: Field, spec: SweepSpec) -> ConvergenceTable:
     rows.sort(key=lambda r: (-(r.n if np.isfinite(r.n) else float("inf")),))
 
     ok_rows = [r for r in rows if r.status == "ok" and r.n > 0]
-    fit_rows = ok_rows[-3:] if len(ok_rows) >= 3 else ok_rows
+    fit_rows = ok_rows[-3:]
     if len(fit_rows) >= 2:
         slope, ci = _fit_slope([r.n for r in fit_rows], [r.l2_gap for r in fit_rows])
     else:

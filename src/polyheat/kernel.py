@@ -205,6 +205,7 @@ def phe_solve(u0: Field, m: int, t: float) -> Field:
     The zero mode is untouched, so the mass is preserved exactly.  The
     result is tagged u0's time tag (None counts as 0) plus t, for every t.
     """
+    require_int("m", m, lo=1)
     require_real("t", t, "nonnegative")
     assert_boundary_decay(u0)
     tag = (u0.time_tag or 0.0) + t

@@ -16,31 +16,30 @@ only when the parity-appropriate energy  bf = int |xi|^(2(m-1)) |u_hat|^2
 int |grad Delta^((m-2)/2) u|^2 for even m) stays within 1e-8 bf(0) of
 min(bf, bf(0)), a tolerance that scales with the data; otherwise dt is
 halved, up to 30 times.  Each accepted state goes through one pass that
-evaluates the coefficient once.  A products row, whose coefficient is not
-exactly 1 everywhere, then forms the gradient chain g = grad Delta^(m-1) u
-and the products p = coef g; the remainder R_hat(u) + c |xi|^(2m) u_hat of
-its next step and its flux monitors int |p|^2 and int p . g (dot products)
-read them.  A unit row, whose coefficient is exactly 1 at every grid point
-(the simple path at n = 0, say), has p = g and takes all of these from its
-half spectrum: R_hat(u) = rhs0 u_hat with the real multiplier
-rhs0 = (-1)^(m-1) sum_j div_j chain_j, and int |g|^2 = sum w_g |u_hat|^2 by
-Parseval.  So a batch of unit rows makes one transform per step, the
-inverse of the new state that the tripwire and the snapshots read, where a
-batch with a products row makes 1 + 2 dim for all its rows and then gives
-its unit rows their own remainder and monitors.  The split reads the
-coefficient, not the config.  Each halving
-only re-applies e^(-c |xi|^(2m) dt) to the remainder.  A non-finite product
-spreads through the transforms to a non-finite candidate energy, so the
-blow-up guard looks at the products (a unit row's remainder) only when the
-energy guard rejects a step.  At n = 0 the coefficient is exactly 1, and f
-is not evaluated when every row is at n = 0.  Every transform is a real FFT
-on the half spectrum, the multipliers are tabled once per (grid, m), and the
-propagator e^(-c |xi|^(2m) dt) is rebuilt only when dt changes.  No
-2/3-rule cut is applied: it removes aliasing only from quadratic products,
-and f^n(|u|) is neither polynomial nor smooth where u changes sign.  The
-divergence form keeps the zero mode untouched, so the mass is conserved
-exactly, and the accumulated dissipation 2 int_0^t int coef |g|^2 is tracked
-so the energy identity
+evaluates the coefficient once and leaves the state's remainder
+R_hat(u) + c |xi|^(2m) u_hat, which its step reads, and the flux monitors
+int |p|^2 and int p . g (dot products) of p = coef g and
+g = grad Delta^(m-1) u.  A products row, whose coefficient is not exactly 1
+everywhere, forms g and p on the grid.  A unit row, whose coefficient is
+exactly 1 at every grid point (the simple path at n = 0, say), has p = g
+and takes all of these from its half spectrum: R_hat(u) = rhs0 u_hat with
+the real multiplier rhs0 = (-1)^(m-1) sum_j div_j chain_j, and
+int |g|^2 = sum w_g |u_hat|^2 by Parseval.  So a batch of unit rows makes
+one transform per step, the inverse of the new state that the tripwire and
+the snapshots read, where a batch with a products row makes 1 + 2 dim for
+all its rows.  Only the pass picks a row's route, and from the coefficient,
+not the config.  Each halving only re-applies e^(-c |xi|^(2m) dt) to the
+remainder.  A non-finite product spreads through the transforms to a
+non-finite remainder and candidate energy, so the blow-up guard looks at
+the remainder only when the energy guard rejects a step.  At n = 0 the
+coefficient is exactly 1, and f is not evaluated when every row is at
+n = 0.  Every transform is a real FFT on the half spectrum, the multipliers
+are tabled once per (grid, m), and the propagator e^(-c |xi|^(2m) dt) is
+rebuilt only when dt changes.  No 2/3-rule cut is applied: it removes
+aliasing only from quadratic products, and f^n(|u|) is neither polynomial
+nor smooth where u changes sign.  The divergence form keeps the zero mode
+untouched, so the mass is conserved exactly, and the accumulated
+dissipation 2 int_0^t int coef |g|^2 is tracked so the energy identity
 
     bf(0) = bf(t) + 2 * dissipation(t)
 
@@ -200,14 +199,14 @@ class InterfaceReport:
 # row axis
 
 
-def _products(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray):
-    """The products route of the pass: the products p = coef g with
-    g = grad Delta^(m-1) u, one row per row of coef and u_hat = rfft(u), and
+def _products(spec: _Spectrum, m: int, coef: np.ndarray, u_hat: np.ndarray):
+    """The products route of the pass, one row per row of coef and
+    u_hat = rfft(u): the signed divergence (-1)^(m-1) div p on the half
+    spectrum of the products p = coef g with g = grad Delta^(m-1) u, and
     per row the flux int |p|^2 and the dissipation integrand
     int coef |g|^2 = int p . g.
 
-    The remainder and its blow-up guard read p; the monitors read the
-    integrals, each a dot product over its own row, so that a row's value
+    Each integral is a dot product over its own row, so that a row's value
     does not depend on the batch around it.
     """
     g = grad_chain(spec, u_hat)
@@ -222,13 +221,9 @@ def _products(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray):
             d = d + np.vdot(pr, gi[r])
         flux.append(float(vol * f))
         diss.append(float(vol * d))
-    return p, flux, diss
-
-
-def _rhs_hat(spec: _Spectrum, m: int, p: list) -> np.ndarray:
-    """(-1)^(m-1) div p on the half spectrum, from the products of ``_products``."""
+    del g, gi  # free the chain before the divergence's transforms: a lower peak
     sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return sign * divergence_hat(spec, p)
+    return sign * divergence_hat(spec, p), flux, diss
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +288,12 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
-    spectra and grid values; the positions of the unit rows, whose
-    coefficient was exactly 1 at every grid point in the last pass; the
-    products of that pass and every row's monitor integrals; and, rebuilt
-    whenever a row leaves, the multipliers tiled over the rows, each row's
-    linear symbol lin = c |xi|^(2m), paths and eps, and the propagator
-    e^(-lin dt) of the last dts.  The unit rows' tables are looked up when a
-    row first needs them."""
+    spectra and grid values; the remainders R_hat(u) + lin u_hat and the
+    monitor integrals of the last pass; and, rebuilt whenever a row leaves,
+    the multipliers tiled over the rows, each row's linear symbol
+    lin = c |xi|^(2m), paths and eps, and the propagator e^(-lin dt) of the
+    last dts.  The unit rows' tables are looked up when a row first needs
+    them."""
 
     def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
         self.grid, self.m, self.trip = grid, rows[0].config.m, trip
@@ -319,39 +313,36 @@ class _Step:
 
     def _pass(self) -> None:
         """The pass of the current state: one coefficient call for the whole
-        batch, which finds the unit rows.  Unless every row is a unit row,
-        the whole batch goes through ``_products``.  A unit row's flux and
-        dissipation integrand are then both int |g|^2, the sum of
-        w_g |u_hat|^2 over its own row (Parseval), whatever rows are beside
-        it."""
+        batch, which finds the unit rows, then every row's remainder and
+        monitors.  Unless every row is a unit row, the whole batch goes
+        through ``_products``; the unit rows then take their own remainder
+        lin u_hat + rhs0 u_hat, and a flux and dissipation integrand that
+        are both int |g|^2, the sum of w_g |u_hat|^2 over the row
+        (Parseval), whatever rows are beside them."""
         coef = reg_coefficient(self.paths, self.eps, self.u)
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
-        self.unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
-        if len(self.unit) < len(self.rows):
-            self.p, self.flux, self.diss = _products(self.spec, coef, self.u_hat)
-        else:  # no chain, no products
-            self.p, self.flux, self.diss = [], [0.0] * len(self.rows), [0.0] * len(self.rows)
-        if self.unit and self.unit_table is None:
+        unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
+        if unit and self.unit_table is None:
             self.unit_table = _unit_table(self.grid, self.m)
-        for i in self.unit:
-            power = self.u_hat[i].real ** 2 + self.u_hat[i].imag ** 2
+        u_hat, lin, rows = self.u_hat, self.lin, len(self.rows)
+        if len(unit) == rows:  # no chain, no products
+            self.rem = lin * u_hat + self.unit_table.rhs0 * u_hat
+            self.flux, self.diss = [0.0] * rows, [0.0] * rows
+        else:
+            rhs_hat, self.flux, self.diss = _products(self.spec, self.m, coef, u_hat)
+            self.rem = rhs_hat + lin * u_hat
+            if unit:
+                self.rem[unit] = lin[unit] * u_hat[unit] + self.unit_table.rhs0 * u_hat[unit]
+        for i in unit:
+            power = u_hat[i].real ** 2 + u_hat[i].imag ** 2
             self.flux[i] = self.diss[i] = float(np.vdot(self.unit_table.w_g, power))
-
-    def _finite(self, i: int, rem_hat: np.ndarray) -> bool:
-        """Whether the products of the row at position i are finite.  A unit
-        row's guard reads its remainder instead, the one its step used."""
-        if i in self.unit:
-            return bool(np.isfinite(rem_hat[i]).all())
-        return all(np.isfinite(pi[i]).all() for pi in self.p)
 
     def drop(self, gone: list) -> None:
         """Take the rows at the positions ``gone`` out."""
         keep = [i for i in range(len(self.rows)) if i not in gone]
         self.rows = [self.rows[i] for i in keep]
-        self.u_hat, self.u = self.u_hat[keep], self.u[keep]
-        self.p = [pi[keep] for pi in self.p]
-        self.unit = [keep.index(i) for i in self.unit if i not in gone]
+        self.u_hat, self.u, self.rem = self.u_hat[keep], self.u[keep], self.rem[keep]
         if self.rows:
             self._tables()
 
@@ -364,17 +355,11 @@ class _Step:
         it is dropped.
         """
         rows, u_hat, spec, dim = self.rows, self.u_hat, self.spec, self.grid.dim
-        unit = self.unit
-        if len(unit) == len(rows):
-            rem_hat = self.lin * u_hat + self.unit_table.rhs0 * u_hat
-        else:  # every row by the products route, then the unit rows by their own expression
-            rem_hat = _rhs_hat(spec, self.m, self.p) + self.lin * u_hat
-            if unit:
-                rem_hat[unit] = self.lin[unit] * u_hat[unit] + self.unit_table.rhs0 * u_hat[unit]
+        rem, self.rem = self.rem, None  # the new state's pass sets the next one
         dt = _column(dts, dim)  # one float while the rows share dt
         if dts != self.prop_dts:
             self.prop_dts, self.prop = dts[:], np.exp(-self.lin * dt)
-        cand_hat = self.prop * (u_hat + dt * rem_hat)
+        cand_hat = self.prop * (u_hat + dt * rem)
         energies, halvings, failures = [None] * len(rows), [0] * len(rows), {}
         # each trial row is accepted, fails or halves its own dt; past the
         # first try, which is whole-array work, this is the rare path
@@ -386,9 +371,9 @@ class _Step:
                 energies[i] = _bf_from_hat(spec, cand_hat[i])
                 if energies[i][0] <= bounds[i]:
                     continue
-                # a non-finite product spreads through the transforms to every
-                # candidate of the step, so the blow-up guard need look only here
-                if halvings[i] == 0 and not self._finite(i, rem_hat):
+                # a non-finite remainder makes every candidate of the step
+                # non-finite, so the blow-up guard need look only here
+                if halvings[i] == 0 and not np.isfinite(rem[i]).all():
                     failures[i] = BlowupError(f"{_NONFINITE} at t = {rows[i].t:g}, dt = {dts[i]:.3e}")
                 elif halvings[i] == 30:
                     failures[i] = StiffnessError(
@@ -404,9 +389,9 @@ class _Step:
                 cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
             if retry:
                 d = _column([dts[i] for i in retry], dim)
-                cand_hat[retry] = np.exp(-self.lin[retry] * d) * (u_hat[retry] + d * rem_hat[retry])
+                cand_hat[retry] = np.exp(-self.lin[retry] * d) * (u_hat[retry] + d * rem[retry])
             trial = retry
-        del rem_hat  # free it before the pass allocates the new products: a lower peak
+        del rem  # free it before the pass allocates the new products: a lower peak
         self.u, self.u_hat = irfft(self.grid, cand_hat), cand_hat
         if np.abs(self.u).max() > self.trip:  # the whole batch first: one reduction while no row trips
             for i, sup in enumerate(np.abs(self.u).reshape(len(rows), -1).max(axis=1).tolist()):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -35,6 +36,7 @@ from ._validate import require_int
 from .gridfield import (
     Field,
     GridSpec,
+    _freeze,
     _spectrum,
     assert_boundary_decay,
     coordinates,
@@ -97,6 +99,12 @@ def eigenvalue(beta: tuple, m: int) -> Fraction:
     return Fraction(-sum(beta), 2 * m)
 
 
+@lru_cache(maxsize=8, typed=True)
+def _profile_hat(m: int, grid: GridSpec) -> np.ndarray:
+    """Read-only half spectrum of the kernel profile, built once per (m, grid)."""
+    return _freeze(rfft(grid, profile_fourier(m, grid).values), complex)
+
+
 def eigenfunction(beta: tuple, m: int, grid: GridSpec) -> Field:
     """psi_beta = (-1)^|beta|/sqrt(beta!) D^beta F on the grid.
 
@@ -106,7 +114,7 @@ def eigenfunction(beta: tuple, m: int, grid: GridSpec) -> Field:
     """
     if sum(beta) > 8:
         raise ValueError("derivative order above 8 amplifies truncation noise; refuse")
-    fh = rfft(grid, profile_fourier(m, grid).values)
+    fh = _profile_hat(m, grid)
     for d, e in zip(_spectrum(grid, 1).div, beta, strict=True):
         fh = fh * d**e
     vals = irfft(grid, fh) * ((-1.0) ** sum(beta) / math.sqrt(math.prod(map(math.factorial, beta))))

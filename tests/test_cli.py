@@ -164,7 +164,9 @@ class TestRunCommands:
 
     def test_spectrum_builds_each_eigenfunction_once(self, tmp_path, monkeypatch):
         # the residual table reuses the eigenfunctions the Gram matrix paired:
-        # four betas up to order 3 in 1-D, so four of each call, not eight
+        # four betas up to order 3 in 1-D, so four eigenfunctions, not eight,
+        # all taken from one profile
+        spectral_theory._profile_hat.cache_clear()
         calls = {"eigenfunction": 0, "profile_fourier": 0}
         for name in calls:
             real = getattr(spectral_theory, name)
@@ -179,7 +181,7 @@ class TestRunCommands:
             "spectrum": {"m": 2, "max_order": 3},
         })
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "sp")]) == 0
-        assert calls == {"eigenfunction": 4, "profile_fourier": 4}
+        assert calls == {"eigenfunction": 4, "profile_fourier": 1}
 
     @pytest.mark.parametrize("max_order,code,files", [
         (2, 2, []),  # the Gram boundary guard fails at config build: no manifest, no artifact

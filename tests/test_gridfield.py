@@ -78,6 +78,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             make_grid(3, 10.0, 64)
 
+    @pytest.mark.parametrize("half_width", [2.532057791909379e-218, 1.3407807929942597e154, 8.98846567431158e307],
+                             ids=["wavenumbers overflow", "coordinates overflow", "dx overflows"])
+    def test_rejects_half_width_whose_tables_overflow(self, half_width):
+        # each one passed the constructor and then overflowed in the
+        # wavenumber table, in the bump, or in the coordinates
+        with pytest.raises(ValueError, match=r"^half_width must lie in \[1e-6, 1e6\]"):
+            make_grid(1, half_width, 256)
+
 
 def _full_spectrum(grid):
     """Per-axis wavenumbers pi*k/L and indices k on the full grid-shaped

@@ -212,6 +212,19 @@ class TestCorrectionPhi:
             call(u0, bad)
         assert transforms == []
 
+    @pytest.mark.parametrize("m", [0, 1.5, True], ids=["0", "1.5", "bool"])
+    @pytest.mark.parametrize("call", [
+        lambda u, m: phe_solve(u, m, 0.1),
+        lambda u, m: correction_phi(u, m, degeneracy_function("rational"), 0.1, clamp_floor=1e-14),
+        lambda u, m: linear_trajectory(u, m, [0.0, 0.1]),
+    ], ids=["phe_solve", "correction_phi", "linear_trajectory"])
+    def test_bad_m_rejected_before_any_transform(self, u0, transforms, call, m):
+        # the cached tables map True onto m = 1, and m = 0 or 1.5 onto a
+        # reciprocal of zero or a root of a negative number
+        with pytest.raises((TypeError, ValueError), match="^m must be"):
+            call(u0, m)
+        assert transforms == []
+
     def test_samples_the_linear_flow_at_the_nodes(self, u0, rational, monkeypatch):
         # the snapshots of the linear flow carry exactly the quadrature
         # nodes, at most one block of them per call

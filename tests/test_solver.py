@@ -82,19 +82,17 @@ def _one_step(u, dt, config):
 
 def _pass(u, config):
     """The products route of the solver's pass on u, as a batch of one row:
-    (products, flux, dissipation).  It runs whatever the coefficient, an
-    exact 1 included."""
-    spec = _spectrum(u.grid, config.m)
+    (signed divergence (-1)^(m-1) div p on the half spectrum, flux,
+    dissipation).  It runs whatever the coefficient, an exact 1 included."""
+    spec = _rows_spectrum(u.grid, config.m, 1)
     coef = reg_coefficient((config.path,), (config.eps,), u.values[None])
-    p, flux, diss = solver_module._products(spec, coef, rfft(u.grid, u.values)[None])
-    return p, flux[0], diss[0]
+    div_hat, flux, diss = solver_module._products(spec, config.m, coef, rfft(u.grid, u.values)[None])
+    return div_hat[0], flux[0], diss[0]
 
 
 def rhs(u, config):
-    """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the divergence of the products route's products."""
-    p, _, _ = _pass(u, config)
-    div_hat = solver_module._rhs_hat(_rows_spectrum(u.grid, config.m, 1), config.m, p)
-    return Field(u.grid, irfft(u.grid, div_hat[0]))
+    """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the signed divergence of the products route."""
+    return Field(u.grid, irfft(u.grid, _pass(u, config)[0]))
 
 
 def _linear_config(rational, **kw):
@@ -345,9 +343,10 @@ class TestSolve:
     def test_real_transforms_per_step(self, rational, monkeypatch, dim, half_width, points, n):
         # no complex transform at all; 3 at set-up (tail check, u0 there and
         # back) and per accepted step one inverse of the new state; at
-        # n > 0, where the coefficient is not 1, also dim for the first
-        # chain and per step dim for the chain and dim for the next
-        # divergence; one coefficient per accepted state, the initial one
+        # n > 0, where the coefficient is not 1, every pass also makes dim
+        # for the chain and dim for the divergence of the remainder, the
+        # pass of u0 and of the final state included; one coefficient per
+        # accepted state, the initial one
         # included; with the tables built, the grid is hashed a fixed number
         # of times per run, not per step
         grid = make_grid(dim, half_width, points)
@@ -379,7 +378,7 @@ class TestSolve:
             assert len(traj.reports) == steps + 1  # no halving
             assert calls["fft"] == calls["ifft"] == calls["fftn"] == calls["ifftn"] == 0
             per_step = 1 if n == 0 else 1 + 2 * dim
-            assert sum(calls[name] for name in real) == 3 + (0 if n == 0 else dim) + per_step * steps
+            assert sum(calls[name] for name in real) == 3 + (0 if n == 0 else 2 * dim) + per_step * steps
             assert calls["coef"] == 1 + steps
             counted.append(len(hashes))
         assert counted[0] == counted[1]
