@@ -46,10 +46,19 @@ __all__ = [
     "coefficient_bound",
 ]
 
+
+def _rational(t: np.ndarray) -> np.ndarray:
+    """t / (1 + t), divided into the array of 1 + t: the solver evaluates f
+    on the grid at every step, and this makes one grid-sized array where the
+    expression makes two, with the same ufuncs and so the same bits."""
+    d = np.add(1.0, t, out=np.empty_like(t))
+    return np.divide(t, d, out=d)
+
+
 # kind -> (f, f^{-1}) of the closed forms, each with sup f = 1
 _CLOSED_FORMS = {
     "tanh": (np.tanh, lambda y: float(np.arctanh(y))),
-    "rational": (lambda t: t / (1.0 + t), lambda y: y / (1.0 - y)),
+    "rational": (_rational, lambda y: y / (1.0 - y)),
     "exp_saturating": (lambda t: -np.expm1(-t), lambda y: float(-np.log1p(-y))),
 }
 _KINDS = (*_CLOSED_FORMS, "spline")
@@ -175,10 +184,18 @@ def _pow_underflow(vals: np.ndarray, n: float) -> np.ndarray:
     """vals^n = exp(n ln vals) for vals >= 0 and n > 0, exact 0 below e^-700.
 
     A column n may hold zeros, whose rows the caller resets to 1: there
-    0 * ln 0 is NaN, and numpy need not warn of it."""
+    0 * ln 0 is NaN, and numpy need not warn of it.  Past ln vals, each
+    stage (times n, max, exp, the cut) works in place on that one array,
+    the same ufunc on the same operands as a fresh temporary and so the
+    same bits, with no grid-sized allocation per stage."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        expo = n * np.log(vals)  # -inf at vals == 0
-    return np.where(expo < -700.0, 0.0, np.exp(np.maximum(expo, -700.0)))
+        expo = np.log(vals, out=np.empty_like(vals))  # -inf at vals == 0; an array also when 0-d
+        expo *= n
+    cut = expo < -700.0
+    np.maximum(expo, -700.0, out=expo)
+    np.exp(expo, out=expo)
+    expo[cut] = 0.0
+    return expo
 
 
 @lru_cache(maxsize=64)
@@ -201,19 +218,27 @@ def reg_coefficient(paths: tuple, eps: tuple, u):
     row is bitwise the coefficient of its own path.  Rows at n = 0 get
     exactly 1 for f^n, and a batch with every row at n = 0 does not evaluate
     f.  This is the only expression of the coefficient: the solver's step
-    evaluates it here.
+    evaluates it here, once per step, so each stage works in place on the
+    array it allocates first (sqrt(eps^2 + u^2), then f^n, then the floor
+    and weight), with the same ufunc on the same operands as a fresh
+    temporary and so the same bits.
     """
     u = np.asarray(u, dtype=float)
     cols = _row_columns(paths, eps, u.ndim)
     if cols.n is None:
         out = np.ones_like(u)
     else:
-        out = _pow_underflow(np.asarray(paths[0].f(np.sqrt(cols.eps2 + u**2)), dtype=float), cols.n)
+        t = np.square(u, out=np.empty_like(u))
+        t += cols.eps2
+        vals = np.asarray(paths[0].f(np.sqrt(t, out=t)), dtype=float)
+        del t  # before _pow_underflow allocates: at most two grid arrays live
+        out = _pow_underflow(vals, cols.n)
         if cols.idle is not None:
             out[cols.idle] = 1.0
     if cols.floor is not None:
-        out = cols.floor + cols.scale * out
-    return out
+        out *= cols.scale
+        out += cols.floor
+    return out if out.ndim else out[()]
 
 
 class _Columns(NamedTuple):

@@ -286,19 +286,30 @@ def _column(values: list, dim: int):
 # spectral operators
 
 
-def rfft(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def rfft(grid: GridSpec, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of a real grid array (unnormalized), over its trailing
-    grid.dim axes: leading axes index a batch of rows."""
+    grid.dim axes: leading axes index a batch of rows.
+
+    ``out``, a complex array of the result's shape, receives the spectrum
+    and is returned; the bits are those of a fresh result.  A caller that
+    transforms at every step hands in the same array each time, so the step
+    touches no newly mapped memory.
+    """
     if grid.dim == 1:  # the same transform as rfftn, minus its n-d set-up
-        return np.fft.rfft(values)
-    return np.fft.rfftn(values, s=grid.shape, axes=(-2, -1))
+        return np.fft.rfft(values, out=out)
+    return np.fft.rfftn(values, s=grid.shape, axes=(-2, -1), out=out)
 
 
-def irfft(grid: GridSpec, values_hat: np.ndarray) -> np.ndarray:
-    """Real grid array of a half spectrum; the inverse of ``rfft``."""
+def irfft(grid: GridSpec, values_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real grid array of a half spectrum; the inverse of ``rfft``.
+
+    ``out``, a real array of the result's shape, receives the values and is
+    returned, with the bits of a fresh result.  In 2-D numpy still allocates
+    its own complex stage of the inverse.
+    """
     if grid.dim == 1:
-        return np.fft.irfft(values_hat, n=grid.points_per_dim)
-    return np.fft.irfftn(values_hat, s=grid.shape, axes=(-2, -1))
+        return np.fft.irfft(values_hat, n=grid.points_per_dim, out=out)
+    return np.fft.irfftn(values_hat, s=grid.shape, axes=(-2, -1), out=out)
 
 
 def laplacian_power(f: Field, k: int) -> Field:

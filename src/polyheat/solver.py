@@ -18,11 +18,11 @@ min(bf, bf(0)), a tolerance that scales with the data; otherwise dt is
 halved, up to 30 times.  Each accepted state goes through one pass that
 evaluates the coefficient once and leaves the state's remainder
 R_hat(u) + c |xi|^(2m) u_hat, which its step reads, and the flux monitors
-int |p|^2 and int p . g (dot products) of p = coef g and
-g = grad Delta^(m-1) u.  A products row, whose coefficient is not exactly 1
-everywhere, forms g and p on the grid.  A unit row, whose coefficient is
-exactly 1 at every grid point (the simple path at n = 0, say), has p = g
-and takes all of these from its half spectrum: R_hat(u) = rhs0 u_hat with
+int |p|^2 and int p . g of p = coef g and g = grad Delta^(m-1) u.  A
+products row, whose coefficient is not exactly 1 everywhere, forms g and p
+on the grid.  A unit row, whose coefficient is exactly 1 at every grid
+point (the simple path at n = 0, say), has p = g and takes all of these
+from its half spectrum: R_hat(u) = rhs0 u_hat with
 the real multiplier rhs0 = (-1)^(m-1) sum_j div_j chain_j, and
 int |g|^2 = sum w_g |u_hat|^2 by Parseval.  So a batch of unit rows makes
 one transform per step, the inverse of the new state that the tripwire and
@@ -51,10 +51,11 @@ may differ in n, variant, eps (hence c) and dt_init.  One config is a
 batch of one, on the same code path.  The state, the spectra and the
 products carry a leading row axis, so each transform, the spectral multiply
 and one coefficient call, with each row's n, eps and variant as columns,
-serve the whole batch once per step.  A row's reductions are dot products
-over its own row, and a unit row's remainder and monitors are its own
-expressions beside any rows, so a row is bitwise the same alone and in any
-batch.
+serve the whole batch once per step.  A row's reductions are numpy's
+pairwise sums over its own row, and a unit row's remainder and monitors
+are its own expressions beside any rows, so a row is bitwise the same alone
+and in any batch.  BLAS's dot product is not used: it splits a long sum
+across its threads, so its bits would follow the thread count.
 
 Step and driver.  ``_Step`` is the scheme: it holds the stacked state, the
 tables and the propagator cache, and ``_Step.advance`` takes one step of
@@ -62,6 +63,13 @@ every row at the dts it is given, with the halvings, the blow-up, stiffness
 and tripwire exits, and the pass of the new state.  While the rows share dt
 the step is whole-array work with one propagator table; only a halving, a
 row leaving or the unit rows of a batch with products rows index rows.  The
+step runs in arrays that ``_Step._tables`` allocates once per batch shape
+(again when a row leaves): the state spectrum and its spare, the
+remainder, the grid values, the power and the work arrays of the pass.
+Fresh temporaries of a 256^2 grid are past glibc's mmap threshold, and
+the pages it maps and trims again cost about 56 000 minor page faults per
+40-step solve; with the fixed arrays about 10 800 remain, from the
+coefficient's own arrays and numpy's complex stage of each 2-D inverse.  The
 driver ``_solve_rows`` keeps each row's record: its clock and dt cap, its
 energy bound, the flux and dissipation trapezoid, targets, snapshots and
 reports, and it drops the rows that are done or failed while the others go
@@ -91,8 +99,6 @@ from .gridfield import (
     assert_boundary_decay,
     boundary_shell_max,
     coordinates,
-    divergence_hat,
-    grad_chain,
     irfft,
     rfft,
     spectral_tail_fraction,
@@ -199,31 +205,67 @@ class InterfaceReport:
 # row axis
 
 
-def _products(spec: _Spectrum, m: int, coef: np.ndarray, u_hat: np.ndarray):
-    """The products route of the pass, one row per row of coef and
-    u_hat = rfft(u): the signed divergence (-1)^(m-1) div p on the half
-    spectrum of the products p = coef g with g = grad Delta^(m-1) u, and
-    per row the flux int |p|^2 and the dissipation integrand
-    int coef |g|^2 = int p . g.
+def _row_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """Per row of b, the sum of a * b over the row, a broadcasting to b.
+    ``out``, shaped like b (it may be a or b), receives the products.
 
-    Each integral is a dot product over its own row, so that a row's value
-    does not depend on the batch around it.
+    One numpy pairwise sum per row of the flattened products, in one call
+    for the whole batch: its bits do not depend on the rows beside it, nor
+    on the thread count, where BLAS's dot product splits a long sum across
+    its threads."""
+    np.multiply(a, b, out=out)
+    return np.add.reduce(out.reshape(len(out), -1), axis=1).tolist()
+
+
+def _power_sums(weight: np.ndarray, u_hat: np.ndarray, power: np.ndarray, scratch: np.ndarray) -> list:
+    """Per row, the sum of weight |u_hat|^2 over the row; |u_hat|^2 is left
+    in ``power`` and ``scratch`` is overwritten (both shaped like u_hat,
+    real)."""
+    np.square(u_hat.real, out=power)
+    power += np.square(u_hat.imag, out=scratch)
+    return _row_sums(weight, power, scratch)
+
+
+def _unit_rows(table, lin: np.ndarray, u_hat: np.ndarray, rem: np.ndarray, s: np.ndarray,
+               power: np.ndarray, scratch: np.ndarray) -> list:
+    """Unit rows, whose coefficient is exactly 1: writes their remainder
+    lin u_hat + rhs0 u_hat to ``rem`` (``s`` is overwritten) and returns per
+    row the flux and dissipation integrand, both int |g|^2, the sum of
+    w_g |u_hat|^2 (Parseval) from the rows' power |u_hat|^2."""
+    np.multiply(lin, u_hat, out=rem)
+    rem += np.multiply(table.rhs0, u_hat, out=s)
+    return _row_sums(table.w_g, power, scratch)
+
+
+def _products(spec: _Spectrum, m: int, coef: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
+              s: np.ndarray, g: np.ndarray, p: np.ndarray):
+    """The products route of the pass, one row per row of coef and
+    u_hat = rfft(u): writes to ``out`` the signed divergence
+    (-1)^(m-1) div p on the half spectrum of the products p = coef g with
+    g = grad Delta^(m-1) u, and returns per row the flux int |p|^2 and the
+    dissipation integrand int coef |g|^2 = int p . g.
+
+    The axes stream through the scratch arrays, the half spectrum ``s`` and
+    the grid arrays ``g`` and ``p`` (shaped like u_hat and coef): g_j, then
+    p_j = coef g_j, then axis j's terms of the integrals and of the
+    divergence, so only one g, one p and one spectrum are live.  The step
+    hands in the same arrays at every pass.  Each integral is a sum over its
+    own row, in axis order, so that a row's value does not depend on the
+    batch around it.
     """
-    g = grad_chain(spec, u_hat)
-    p = [coef * gi for gi in g]
-    vol = spec.grid.cell_volume
-    flux, diss = [], []
-    for r in range(len(u_hat)):
-        f = d = 0
-        for pi, gi in zip(p, g):
-            pr = pi[r]
-            f = f + np.vdot(pr, pr)
-            d = d + np.vdot(pr, gi[r])
-        flux.append(float(vol * f))
-        diss.append(float(vol * d))
-    del g, gi  # free the chain before the divergence's transforms: a lower peak
-    sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return sign * divergence_hat(spec, p), flux, diss
+    grid, rows = spec.grid, len(u_hat)
+    flux, diss = [0.0] * rows, [0.0] * rows
+    out.fill(0.0)
+    for chain, div in zip(spec.chain, spec.div):
+        irfft(grid, np.multiply(chain, u_hat, out=s), out=g)
+        np.multiply(coef, g, out=p)
+        diss = [d + x for d, x in zip(diss, _row_sums(p, g, g))]
+        rfft(grid, p, out=s)
+        flux = [f + x for f, x in zip(flux, _row_sums(p, p, p))]
+        out += np.multiply(div, s, out=s)
+    np.multiply(1.0 if m % 2 == 1 else -1.0, out, out=out)  # (-1)^(m-1)
+    vol = grid.cell_volume
+    return [vol * f for f in flux], [vol * d for d in diss]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +276,9 @@ def _bf_from_hat(spec: _Spectrum, u_hat: np.ndarray):
     """(bf_energy, bf_lower) from the half spectrum u_hat = rfft(u) of one
     row: the sums of |xi|^(2(m-1)) |u_hat|^2 and of its |xi|^(2(m-2))
     analogue (the lower-order bound, meaningful for even m)."""
-    power = u_hat.real**2 + u_hat.imag**2
-    return float(np.vdot(spec.w_hi, power)), float(np.vdot(spec.w_lo, power))
+    power, scratch = np.empty((1, *u_hat.shape)), np.empty((1, *u_hat.shape))
+    bf = _power_sums(spec.w_hi, u_hat[None], power, scratch)[0]
+    return bf, _row_sums(spec.w_lo, power, scratch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +313,11 @@ def _shared(config: SolverConfig) -> tuple:
 
 
 class _Row:
-    """One row's own record: its clock, dt cap, step count, energies, flux
+    """One row's own record: its clock, dt cap, step count, energy, flux
     and dissipation integrals, next target, snapshots and reports, and its
     position in the caller's sequence."""
 
-    __slots__ = ("index", "config", "t", "dt_cap", "steps", "bf", "bf_lo", "flux", "diss",
+    __slots__ = ("index", "config", "t", "dt_cap", "steps", "bf", "flux", "diss",
                  "flux_acc", "diss_acc", "target", "snapshots", "reports")
 
     def __init__(self, index: int, config: SolverConfig):
@@ -288,20 +331,29 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
-    spectra and grid values; the remainders R_hat(u) + lin u_hat and the
-    monitor integrals of the last pass; and, rebuilt whenever a row leaves,
-    the multipliers tiled over the rows, each row's linear symbol
-    lin = c |xi|^(2m), paths and eps, and the propagator e^(-lin dt) of the
-    last dts.  The unit rows' tables are looked up when a row first needs
-    them."""
+    spectra, grid values and power |u_hat|^2; the remainders
+    R_hat(u) + lin u_hat and the monitor integrals of the last pass; and,
+    rebuilt by ``_tables`` whenever a row leaves, the multipliers tiled over
+    the rows, each row's linear symbol lin = c |xi|^(2m), paths and eps, the
+    propagator e^(-lin dt) of the last dts, and the step's work arrays.  The
+    unit rows' tables are looked up when a row first needs them.
+
+    A step writes into those fixed arrays, not into fresh temporaries (the
+    module docstring gives the page-fault counts).  The state spectrum has
+    two buffers: the candidate goes to the spare one, which aliases neither
+    the state nor its remainder that a halving reads, and becomes the state
+    when the step ends.
+    """
 
     def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
         self.grid, self.m, self.trip = grid, rows[0].config.m, trip
         self.rows = rows
         self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
         self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
+        self.rem, self.power = np.empty_like(self.u_hat), np.empty(self.u_hat.shape)
         self.unit_table = None
         self._tables()
+        _power_sums(self.spec.w_hi, self.u_hat, self.power, self.prod)
         self._pass()
 
     def _tables(self) -> None:
@@ -309,40 +361,49 @@ class _Step:
         self.lin = _column([row.config.c for row in self.rows], self.grid.dim) * self.spec.k2m
         self.paths = tuple(row.config.path for row in self.rows)
         self.eps = tuple(row.config.eps for row in self.rows)
-        self.prop_dts = self.prop = None
+        self.prop_dts = None
+        half, grid = self.u_hat.shape, self.u.shape
+        self.spare, self.s = np.empty(half, complex), np.empty(half, complex)
+        self.prop, self.prod = np.empty(half), np.empty(half)
+        self.g, self.p = np.empty(grid), np.empty(grid)
+
+    def bf_lower(self, i: int) -> float:
+        """The lower-order energy of row i of the state (meaningful for even
+        m): the sum of |xi|^(2(m-2)) |u_hat|^2, from the row's power."""
+        return _row_sums(self.spec.w_lo, self.power[i:i + 1], self.prod[i:i + 1])[0]
 
     def _pass(self) -> None:
         """The pass of the current state: one coefficient call for the whole
         batch, which finds the unit rows, then every row's remainder and
         monitors.  Unless every row is a unit row, the whole batch goes
-        through ``_products``; the unit rows then take their own remainder
-        lin u_hat + rhs0 u_hat, and a flux and dissipation integrand that
-        are both int |g|^2, the sum of w_g |u_hat|^2 over the row
-        (Parseval), whatever rows are beside them."""
+        through ``_products``; the unit rows then take ``_unit_rows``, row by
+        row, so that a unit row's values do not depend on the rows beside
+        it.  The power of the state is the one the step formed for its
+        energy guard."""
         coef = reg_coefficient(self.paths, self.eps, self.u)
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
         unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
         if unit and self.unit_table is None:
             self.unit_table = _unit_table(self.grid, self.m)
-        u_hat, lin, rows = self.u_hat, self.lin, len(self.rows)
-        if len(unit) == rows:  # no chain, no products
-            self.rem = lin * u_hat + self.unit_table.rhs0 * u_hat
-            self.flux, self.diss = [0.0] * rows, [0.0] * rows
-        else:
-            rhs_hat, self.flux, self.diss = _products(self.spec, self.m, coef, u_hat)
-            self.rem = rhs_hat + lin * u_hat
-            if unit:
-                self.rem[unit] = lin[unit] * u_hat[unit] + self.unit_table.rhs0 * u_hat[unit]
+        work = (self.lin, self.u_hat, self.rem, self.s, self.power, self.prod)
+        if len(unit) == len(self.rows):  # no chain, no products
+            self.flux = _unit_rows(self.unit_table, *work)
+            self.diss = self.flux[:]
+            return
+        self.flux, self.diss = _products(
+            self.spec, self.m, coef, self.u_hat, self.rem, self.s, self.g, self.p
+        )
+        self.rem += np.multiply(self.lin, self.u_hat, out=self.s)
         for i in unit:
-            power = u_hat[i].real ** 2 + u_hat[i].imag ** 2
-            self.flux[i] = self.diss[i] = float(np.vdot(self.unit_table.w_g, power))
+            self.flux[i] = self.diss[i] = _unit_rows(self.unit_table, *(a[i:i + 1] for a in work))[0]
 
     def drop(self, gone: list) -> None:
         """Take the rows at the positions ``gone`` out."""
         keep = [i for i in range(len(self.rows)) if i not in gone]
         self.rows = [self.rows[i] for i in keep]
-        self.u_hat, self.u, self.rem = self.u_hat[keep], self.u[keep], self.rem[keep]
+        self.u_hat, self.u = self.u_hat[keep], self.u[keep]
+        self.rem, self.power = self.rem[keep], self.power[keep]
         if self.rows:
             self._tables()
 
@@ -350,17 +411,22 @@ class _Step:
         """Step row i by dts[i], halving it in place until the candidate's
         bf is at most bounds[i], then pass the new state.
 
-        Returns per row the candidate's (bf, bf_lo) and its halvings, and the
+        Returns per row the candidate's bf and its halvings, and the
         failures as {position: error}.  A failed row keeps its state until
-        it is dropped.
+        it is dropped; its monitors are not read.
         """
-        rows, u_hat, spec, dim = self.rows, self.u_hat, self.spec, self.grid.dim
-        rem, self.rem = self.rem, None  # the new state's pass sets the next one
+        rows, u_hat, rem, dim = self.rows, self.u_hat, self.rem, self.grid.dim
         dt = _column(dts, dim)  # one float while the rows share dt
         if dts != self.prop_dts:
-            self.prop_dts, self.prop = dts[:], np.exp(-self.lin * dt)
-        cand_hat = self.prop * (u_hat + dt * rem)
-        energies, halvings, failures = [None] * len(rows), [0] * len(rows), {}
+            self.prop_dts = dts[:]
+            np.multiply(np.negative(self.lin, out=self.prop), dt, out=self.prop)  # -lin dt
+            np.exp(self.prop, out=self.prop)
+        # prop (u_hat + dt rem), factors in the other order: the same bits
+        cand_hat = np.multiply(dt, rem, out=self.spare)
+        cand_hat += u_hat
+        cand_hat *= self.prop
+        energies = _power_sums(self.spec.w_hi, cand_hat, self.power, self.prod)
+        halvings, failures = [0] * len(rows), {}
         # each trial row is accepted, fails or halves its own dt; past the
         # first try, which is whole-array work, this is the rare path
         trial = range(len(rows))
@@ -368,8 +434,7 @@ class _Step:
             retry = []
             for i in trial:
                 # a non-finite candidate has a non-finite bf, which the guard rejects too
-                energies[i] = _bf_from_hat(spec, cand_hat[i])
-                if energies[i][0] <= bounds[i]:
+                if energies[i] <= bounds[i]:
                     continue
                 # a non-finite remainder makes every candidate of the step
                 # non-finite, so the blow-up guard need look only here
@@ -378,7 +443,7 @@ class _Step:
                 elif halvings[i] == 30:
                     failures[i] = StiffnessError(
                         f"stiffness failure at t = {rows[i].t:g}: dt underflowed after 30 halvings "
-                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i][0] - rows[i].bf:.3e}, "
+                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i] - rows[i].bf:.3e}, "
                         f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
                     )
                 else:
@@ -390,11 +455,16 @@ class _Step:
             if retry:
                 d = _column([dts[i] for i in retry], dim)
                 cand_hat[retry] = np.exp(-self.lin[retry] * d) * (u_hat[retry] + d * rem[retry])
+                for i in retry:
+                    at = slice(i, i + 1)
+                    energies[i] = _power_sums(self.spec.w_hi, cand_hat[at], self.power[at], self.prod[at])[0]
             trial = retry
-        del rem  # free it before the pass allocates the new products: a lower peak
-        self.u, self.u_hat = irfft(self.grid, cand_hat), cand_hat
-        if np.abs(self.u).max() > self.trip:  # the whole batch first: one reduction while no row trips
-            for i, sup in enumerate(np.abs(self.u).reshape(len(rows), -1).max(axis=1).tolist()):
+        self.u_hat, self.spare = cand_hat, u_hat
+        # |u| goes to g, which is free between passes; the whole batch
+        # first: one reduction while no row trips
+        abs_u = np.abs(irfft(self.grid, cand_hat, out=self.u), out=self.g)
+        if abs_u.max() > self.trip:
+            for i, sup in enumerate(abs_u.reshape(len(rows), -1).max(axis=1).tolist()):
                 if sup > self.trip and i not in failures:
                     failures[i] = BlowupError(
                         f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
@@ -451,18 +521,19 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
 
     # every row starts from the same transform of u0
     u_hat0 = rfft(grid, u0.values)
-    bf0, bf_lo0 = _bf_from_hat(_spectrum(grid, first.m), u_hat0)
+    bf0 = _bf_from_hat(_spectrum(grid, first.m), u_hat0)[0]
     limit = _ENERGY_RTOL * bf0  # a step may raise bf this far above min(bf, bf(0))
     start = Field(grid, u0.values, 0.0)
 
-    def report(row, u_hat_row):
+    def report(row, i):
+        """Row ``row``'s report from the state of step position i."""
         # the zero mode is untouched by the scheme, so the mass stays constant
-        mass = float(grid.cell_volume * u_hat_row[zero].real)
+        mass = float(grid.cell_volume * step.u_hat[i][zero].real)
         return EnergyReport(
             t=row.t,
             mass=mass,
             bf_energy=row.bf,
-            bf_lower=row.bf_lo,
+            bf_lower=step.bf_lower(i),
             flux_l2_accum=row.flux_acc,
             dissipation_accum=row.diss_acc,
             dissipation_residual=row.bf + 2.0 * row.diss_acc - bf0,
@@ -470,10 +541,10 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
 
     rows = [_Row(i, config) for i, config in enumerate(configs)]
     step = _Step(grid, rows, u_hat0, _TRIPWIRE_FACTOR * float(np.max(np.abs(u0.values))))
-    for row, flux, diss in zip(rows, step.flux, step.diss):
-        row.bf, row.bf_lo, row.flux, row.diss = bf0, bf_lo0, flux, diss
+    for i, row in enumerate(rows):
+        row.bf, row.flux, row.diss = bf0, step.flux[i], step.diss[i]
         row.snapshots = [start]
-        row.reports = [report(row, u_hat0)]
+        row.reports = [report(row, i)]
     results = [None] * len(configs)
 
     def settle(i) -> bool:
@@ -487,7 +558,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
                 assert_boundary_decay(snap)
                 row.snapshots.append(snap)
                 if row.reports[-1].t != row.t:
-                    row.reports.append(report(row, step.u_hat[i]))
+                    row.reports.append(report(row, i))
                 row.target += 1
         except DecayAssertionError as err:
             results[row.index] = err
@@ -512,11 +583,11 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
             row.diss_acc += 0.5 * dt * (row.diss + step.diss[i])
             row.flux, row.diss = step.flux[i], step.diss[i]
             row.t += dt
-            row.bf, row.bf_lo = energies[i]
+            row.bf = energies[i]
             row.steps += 1
             row.dt_cap = min(row.config.dt_init, row.dt_cap * 2.0) if halvings[i] == 0 else dt
             if row.steps % first.report_stride == 0:
-                row.reports.append(report(row, step.u_hat[i]))
+                row.reports.append(report(row, i))
             if row.t >= reached[row.target] and settle(i):
                 gone.append(i)
         if gone:

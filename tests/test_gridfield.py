@@ -136,6 +136,21 @@ class TestSpectrumTable:
         assert band[(0,) * dim] and not band.all()
 
 
+class TestTransformsIntoOut:
+    @pytest.mark.parametrize("dim, points, rows", [(1, 64, None), (1, 64, 3), (2, 32, None), (2, 32, 3)])
+    def test_out_is_returned_with_the_fresh_bits(self, dim, points, rows):
+        grid = make_grid(dim, 8.0, points)
+        values = np.random.default_rng(5).standard_normal(grid.shape if rows is None else (rows, *grid.shape))
+        spectrum = rfft(grid, values)
+        out = np.empty_like(spectrum)
+        assert rfft(grid, values, out=out) is out
+        assert out.tobytes() == spectrum.tobytes()
+        back = irfft(grid, spectrum)
+        out = np.empty_like(back)
+        assert irfft(grid, spectrum, out=out) is out
+        assert out.tobytes() == back.tobytes()
+
+
 class TestFieldTypes:
     def test_rejects_nan(self, grid1):
         vals = np.zeros(grid1.shape)

@@ -1,7 +1,11 @@
 """Time-integration, monitor, and interface-diagnostic tests."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -86,7 +90,10 @@ def _pass(u, config):
     dissipation).  It runs whatever the coefficient, an exact 1 included."""
     spec = _rows_spectrum(u.grid, config.m, 1)
     coef = reg_coefficient((config.path,), (config.eps,), u.values[None])
-    div_hat, flux, diss = solver_module._products(spec, config.m, coef, rfft(u.grid, u.values)[None])
+    u_hat = rfft(u.grid, u.values)[None]
+    div_hat = np.empty_like(u_hat)
+    scratch = (np.empty_like(u_hat), np.empty_like(coef), np.empty_like(coef))
+    flux, diss = solver_module._products(spec, config.m, coef, u_hat, div_hat, *scratch)
     return div_hat[0], flux[0], diss[0]
 
 
@@ -597,6 +604,33 @@ class TestRunInvariants:
         assert max(abs(r.dissipation_residual) for r in reports) <= 1e-4 * bf[0]
 
 
+# a 2-D solve whose flux and dissipation integrals are long enough sums for
+# OpenBLAS to split a dot product across two threads
+_THREADS_PROBE = """
+from polyheat.degeneracy import RegPath, degeneracy_function
+from polyheat.gridfield import bump, make_grid
+from polyheat.solver import SolverConfig, solve
+u0 = bump(make_grid(2, 12.0, 128), 1.0, 4.0, steepness=6.0)
+path = RegPath(degeneracy_function("rational"), 0.2, "full")
+print(repr(solve(u0, SolverConfig(m=2, path=path, eps=1e-3, dt_init=5e-5, t_final=4e-4)).reports))
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(solver_module.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout)
+    assert reports[0].startswith("(EnergyReport(")
+    assert reports[0] == reports[1]
+
+
 class TestInterfaceReport:
     def test_positive_bump(self, grid):
         u = bump(grid, 1.0, 4.0, steepness=6.0)
@@ -877,3 +911,35 @@ class TestBatch:
         assert [type(e) for e in out] == [ValueError, ValueError]
         assert all("spectral tail" in str(e) for e in out)
 
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+class TestStepBuffers:
+    def test_state_spectrum_cycles_through_two_buffers(self, rational):
+        grid = make_grid(2, 12.0, 64)
+        configs = _mixed_rows(rational)[:3]
+        rows = [solver_module._Row(i, c) for i, c in enumerate(configs)]
+        step = solver_module._Step(grid, rows, rfft(grid, bump(grid, 1.0, 4.0, steepness=6.0).values), np.inf)
+
+        def states(steps):
+            seen = []
+            for _ in range(steps):
+                step.advance([1e-5] * len(step.rows), [np.inf] * len(step.rows))
+                seen.append(_address(step.u_hat))
+            return seen
+
+        def work():
+            arrays = (step.u, step.rem, step.power, step.s, step.g, step.p, step.prod, step.prop)
+            return [_address(a) for a in arrays]
+
+        pair, fixed = (_address(step.u_hat), _address(step.spare)), work()
+        assert states(4) == [pair[1], pair[0]] * 2
+        assert work() == fixed
+        step.drop([1])
+        assert step.u_hat.shape[0] == step.spare.shape[0] == step.g.shape[0] == 2
+        pair, fixed = (_address(step.u_hat), _address(step.spare)), work()
+        assert states(4) == [pair[1], pair[0]] * 2
+        assert work() == fixed
