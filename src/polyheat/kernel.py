@@ -8,9 +8,12 @@ independent routes:
       F(r) = (2 pi)^(-N/2) r^(1-N/2) int_0^inf e^(-s^(2m)) s^(N/2)
              J_{(N-2)/2}(r s) ds
 
-  by composite Gauss-Legendre quadrature with node-doubling control.  For
-  N = 1 the half-integer Bessel factor collapses to a cosine and the rule
-  reads (1/pi) int e^(-s^(2m)) cos(r s) ds; for N = 2 the factor is J_0.
+  with node-doubling control.  For N = 1 the half-integer Bessel factor
+  collapses to a cosine, F(r) = (1/pi) int_0^inf e^(-s^(2m)) cos(r s) ds,
+  and the integrand is even and entire in s: the trapezoid rule converges
+  geometrically for it, and halving the step reuses every node.  For N = 2
+  the integrand s J_0(r s) e^(-s^(2m)) is odd in s, where the trapezoid rule
+  is only O(h^2), so that case uses composite Gauss-Legendre panels.
 
 * ``profile_fourier`` computes the same function on a periodic grid as the
   exact linear flow of a unit point mass at x = 0, taken to t = 1: the
@@ -24,6 +27,7 @@ which ``decay_fit`` recovers from the envelope of the tabulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -65,7 +69,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation point and total node count for the radial integral."""
+    """Truncation point and node count for the radial integral.  In 1-D,
+    ``nodes`` counts the trapezoid rule's intervals (it evaluates one node
+    more); in 2-D it counts the Gauss-Legendre nodes."""
 
     s_max: float
     nodes: int
@@ -117,8 +123,9 @@ def _radii_array(radii) -> np.ndarray:
 
 def profile_quadrature(m: int, dim: int) -> QuadratureSpec:
     """The starting quadrature for tabulating F_{m,N}, once m and dim are
-    checked: 64 nodes up to s_max = 2 * 40^(1/2m).  e^(-s_max^(2m)) < 1e-16
-    needs s_max^(2m) > 36.8, and here s_max^(2m) = 40 * 4^m >= 160."""
+    checked: 64 nodes (1-D: intervals) up to s_max = 2 * 40^(1/2m).
+    e^(-s_max^(2m)) < 1e-16 needs s_max^(2m) > 36.8, and here
+    s_max^(2m) = 40 * 4^m >= 160."""
     require_int("m", m, lo=1)
     require_int("dim", dim, choices=(1, 2))
     return QuadratureSpec(s_max=2.0 * 40.0 ** (1.0 / (2 * m)), nodes=64)
@@ -127,9 +134,18 @@ def profile_quadrature(m: int, dim: int) -> QuadratureSpec:
 _PANEL_NODES = 32
 
 
+@cache
+def _legendre_rule():
+    """The 32-point Gauss-Legendre nodes and weights on [-1, 1], read-only:
+    every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_panels(s_max: float, total_nodes: int):
     panels = max(1, int(np.ceil(total_nodes / _PANEL_NODES)))
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x, w = _legendre_rule()
     edges = np.linspace(0.0, s_max, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -138,33 +154,58 @@ def _gauss_panels(s_max: float, total_nodes: int):
     return s, wt
 
 
-def _radial_values(m: int, dim: int, radii: np.ndarray, s_max: float, nodes: int) -> np.ndarray:
-    s, wt = _gauss_panels(s_max, nodes)
-    damp = np.exp(-(s ** (2 * m))) * wt
-    if dim == 1:
-        return np.cos(np.outer(radii, s)) @ damp / np.pi
-    return besselj(0, np.outer(radii, s)) @ (s * damp) / (2.0 * np.pi)
+def _trapezoid_tables(m: int, radii: np.ndarray, s_max: float, nodes: int):
+    """(1/pi) int_0^s_max cos(r s) e^(-s^(2m)) ds at each radius, by the
+    trapezoid rule with nodes, 2 nodes, 4 nodes, ... intervals, one
+    tabulation per ``next``.  The s = 0 node has half weight; s_max carries
+    a full one, but e^(-s_max^(2m)) is below 1e-16.  Each halving of the
+    step evaluates only the new midpoints and adds them to the running sum."""
+    h = s_max / nodes
+    s = h * np.arange(nodes + 1)
+    weight = np.exp(-(s ** (2 * m)))
+    weight[0] = 0.5  # e^0 at half weight
+    total = np.zeros(radii.size)
+    while True:
+        total += np.cos(np.outer(radii, s)) @ weight
+        yield total * (h / np.pi)
+        h *= 0.5
+        s = h * np.arange(1, 2 * nodes, 2)
+        weight = np.exp(-(s ** (2 * m)))
+        nodes *= 2
+
+
+def _gauss_tables(m: int, radii: np.ndarray, s_max: float, nodes: int):
+    """(1/2pi) int_0^s_max s J_0(r s) e^(-s^(2m)) ds at each radius, by
+    Gauss-Legendre panels with nodes, 2 nodes, 4 nodes, ... in all, one
+    tabulation per ``next``."""
+    while True:
+        s, wt = _gauss_panels(s_max, nodes)
+        damp = np.exp(-(s ** (2 * m))) * wt
+        yield besselj(0, np.outer(radii, s)) @ (s * damp) / (2.0 * np.pi)
+        nodes *= 2
 
 
 def profile_bessel(m: int, dim: int, radii) -> KernelProfile:
     """Tabulate F_{m,N} at the given radii by the oscillatory radial integral.
 
-    The rule starts from ``profile_quadrature(m, dim)``.  The r = 0 entry is
-    evaluated at r = 1e-8 (the integrand is analytic in r, so no separate
-    limit formula is needed).  Node counts double until the tabulation
-    stabilizes; failure to stabilize below 1e-8 is an error.  The profile
+    The rule starts from ``profile_quadrature(m, dim)``: a nested trapezoid
+    rule in 1-D, Gauss-Legendre panels in 2-D.  The r = 0 entry is evaluated
+    at r = 1e-8 (the integrand is analytic in r, so no separate limit
+    formula is needed).  Node counts double until the tabulation stabilizes
+    below 1e-13; failure to stabilize below 1e-8 is an error.  The profile
     records the truncation point and the final node count.
     """
     quadrature = profile_quadrature(m, dim)
     radii = _radii_array(radii)
     r_eval = np.where(radii == 0.0, 1e-8, radii)
 
-    nodes = max(quadrature.nodes, _PANEL_NODES)
-    vals = _radial_values(m, dim, r_eval, quadrature.s_max, nodes)
+    nodes = quadrature.nodes
+    tables = (_trapezoid_tables if dim == 1 else _gauss_tables)(m, r_eval, quadrature.s_max, nodes)
+    vals = next(tables)
     residual = np.inf
     for _ in range(9):
         nodes *= 2
-        refined = _radial_values(m, dim, r_eval, quadrature.s_max, nodes)
+        refined = next(tables)
         residual = float(np.max(np.abs(refined - vals)))
         vals = refined
         if residual < 1e-13:
@@ -256,12 +297,28 @@ def _envelope_points(profile: KernelProfile):
     return r[idx], v[idx]
 
 
+def _linear_decay(r: np.ndarray, logv: np.ndarray, alpha: float):
+    """(ln C, a, residual sum of squares) of the least-squares fit of
+    ln C - a r^alpha to ``logv`` at this alpha."""
+    x = r**alpha
+    xc, yc = x - x.mean(), logv - logv.mean()
+    a = -float(xc @ yc) / float(xc @ xc)
+    resid = yc + a * xc
+    return float(logv.mean() + a * x.mean()), a, float(resid @ resid)
+
+
 def decay_fit(profile: KernelProfile) -> DecayFit:
     """Fit ln|envelope| = ln C - a r^alpha over the outer envelope maxima.
 
     Requires at least five envelope points spanning a decade of decay; the
     innermost quarter of the maxima is dropped since the algebraic prefactor
-    of the tail distorts the exponent there.
+    of the tail distorts the exponent there.  The model is linear in
+    (ln C, a) at fixed alpha, so those are solved exactly for each alpha
+    (variable projection; Golub & Pereyra, Inverse Problems 19, 2003), and
+    alpha in [1, 2.5] minimizes the residual sum
+    of squares: a grid of 16 exponents brackets the minimum, and a golden
+    section search narrows the bracket to 1e-10.  A fit with a <= 0 finds
+    no decay and is an error.
     """
     r, v = _envelope_points(profile)
     if r.size >= 8:
@@ -271,23 +328,31 @@ def decay_fit(profile: KernelProfile) -> DecayFit:
         raise ValueError(f"insufficient decay range: only {r.size} envelope maxima")
     if v.max() / v.min() < 10.0:
         raise ValueError("insufficient decay range: envelope spans less than a decade")
-    from scipy.optimize import least_squares
-
     logv = np.log(v)
-    alpha0 = 2 * profile.m / (2 * profile.m - 1)
-    a0 = max((logv[0] - logv[-1]) / (r[-1] ** alpha0 - r[0] ** alpha0), 1e-3)
 
-    def resid(p):
-        log_c, a, alpha = p
-        return log_c - a * r**alpha - logv
+    def rss(alpha):
+        return _linear_decay(r, logv, alpha)[2]
 
-    sol = least_squares(
-        resid,
-        x0=np.array([logv[0] + a0 * r[0] ** alpha0, a0, alpha0]),
-        bounds=([-50.0, 1e-6, 1.0], [50.0, 50.0, 2.5]),
-    )
-    log_c, a, alpha = sol.x
-    return DecayFit(C=float(np.exp(log_c)), a=float(a), alpha=float(alpha))
+    grid = np.linspace(1.0, 2.5, 16)
+    best = int(np.argmin([rss(alpha) for alpha in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    golden = (5.0**0.5 - 1.0) / 2.0
+    c, d = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    fc, fd = rss(c), rss(d)
+    while hi - lo > 1e-10:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = rss(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = rss(d)
+    alpha = 0.5 * (lo + hi)
+    log_c, a, _ = _linear_decay(r, logv, alpha)
+    if a <= 0.0:
+        raise ValueError(f"no decay: the envelope fit has a = {a:.3g} <= 0")
+    return DecayFit(C=float(np.exp(log_c)), a=a, alpha=float(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +362,7 @@ def decay_fit(profile: KernelProfile) -> DecayFit:
 def write_profile_csv(path, profile: KernelProfile) -> None:
     q = profile.quadrature
     lines = [f"# m={profile.m} N={profile.dim} s_max={float(q.s_max)!r} nodes={q.nodes}", "r,F"]
-    for r, v in zip(profile.radii, profile.values):
-        lines.append(f"{float(r)!r},{float(v)!r}")
+    lines.extend(f"{r!r},{v!r}" for r, v in zip(profile.radii.tolist(), profile.values.tolist()))
     if profile.decay_fit is not None:
         f = profile.decay_fit
         lines.append(f"# fit C={f.C!r} a={f.a!r} alpha={f.alpha!r}")

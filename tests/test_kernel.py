@@ -91,11 +91,57 @@ class TestProfileBessel:
     )
     def test_bad_radii_rejected_before_any_quadrature(self, monkeypatch, radii):
         calls = []
-        real = kernel_module._radial_values
-        monkeypatch.setattr(kernel_module, "_radial_values", lambda *a: calls.append(1) or real(*a))
-        with pytest.raises(ValueError, match="radii must be"):
-            profile_bessel(2, 1, radii)
+        for rule in ("_trapezoid_tables", "_gauss_tables"):
+            real = getattr(kernel_module, rule)
+            monkeypatch.setattr(kernel_module, rule, lambda *a, real=real: calls.append(1) or real(*a))
+        for dim in (1, 2):
+            with pytest.raises(ValueError, match="radii must be"):
+                profile_bessel(2, dim, radii)
         assert calls == []
+
+
+# the criterion-1 tabulations: (m, N) -> r_max, at dr = 0.02
+CRITERION_1 = {(1, 1): 12.0, (2, 1): 36.0, (3, 1): 68.0, (2, 2): 36.0}
+
+
+@pytest.fixture(scope="module")
+def criterion_1_profiles():
+    return {
+        case: profile_bessel(*case, np.arange(0.0, r_max + 0.01, 0.02)) for case, r_max in CRITERION_1.items()
+    }
+
+
+class TestTrapezoidRule:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_against_adaptive_quadrature(self, m):
+        # independent oracle: QUADPACK's cosine-weighted rule on [0, S] with
+        # S^(2m) = 200, so the truncated tail is below e^-200
+        r_max = CRITERION_1[(m, 1)]
+        radii = np.linspace(0.0, r_max, 6)
+        p = profile_bessel(m, 1, radii)
+        oracle = []
+        for r in radii:
+            value, err = quad(
+                lambda s: np.exp(-(s ** (2 * m))), 0.0, 200.0 ** (1 / (2 * m)),
+                weight="cos", wvar=r, epsabs=1e-14, epsrel=1e-13, limit=200,
+            )
+            assert err < 1e-13
+            oracle.append(value / np.pi)
+        assert np.max(np.abs(p.values - np.array(oracle))) <= 1e-12
+
+    def test_criterion_1_node_counts(self, criterion_1_profiles):
+        nodes = [criterion_1_profiles[(m, 1)].quadrature.nodes for m in (1, 2, 3)]
+        assert nodes == [128, 128, 256]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_each_doubling_evaluates_only_new_nodes(self, monkeypatch, m):
+        columns = []
+        real = np.cos
+        monkeypatch.setattr(kernel_module.np, "cos", lambda x: columns.append(x.shape[1]) or real(x))
+        p = profile_bessel(m, 1, np.arange(0.0, CRITERION_1[(m, 1)] + 0.01, 0.02))
+        # the start's 64 intervals take 65 nodes; each doubling adds the midpoints
+        assert columns[0] == 65 and len(columns) >= 2
+        assert sum(columns) == p.quadrature.nodes + 1
 
 
 class TestProfileFourier:
@@ -194,6 +240,34 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="insufficient decay range"):
             decay_fit(p)
 
+    def test_growing_envelope_is_no_decay(self):
+        r = np.linspace(0.0, 30.0, 1501)
+        p = KernelProfile(2, 1, r, np.cos(r) * np.exp(0.2 * r), profile_quadrature(2, 1))
+        with pytest.raises(ValueError, match="no decay"):
+            decay_fit(p)
+
+    @pytest.mark.parametrize("case", list(CRITERION_1), ids=[f"m{m}_N{d}" for m, d in CRITERION_1])
+    def test_no_worse_than_bounded_least_squares(self, criterion_1_profiles, case):
+        # reference: the full three-parameter fit by scipy's trust-region
+        # least squares, on the same envelope points, with its former bounds
+        from scipy.optimize import least_squares
+
+        p = criterion_1_profiles[case]
+        r, v = kernel_module._envelope_points(p)
+        if r.size >= 8:
+            r, v = r[r.size // 4:], v[r.size // 4:]
+        logv = np.log(v)
+        alpha0 = 2 * p.m / (2 * p.m - 1)
+        a0 = max((logv[0] - logv[-1]) / (r[-1] ** alpha0 - r[0] ** alpha0), 1e-3)
+        sol = least_squares(
+            lambda q: q[0] - q[1] * r ** q[2] - logv,
+            x0=np.array([logv[0] + a0 * r[0] ** alpha0, a0, alpha0]),
+            bounds=([-50.0, 1e-6, 1.0], [50.0, 50.0, 2.5]),
+        )
+        fit = decay_fit(p)
+        rss = float(np.sum((np.log(fit.C) - fit.a * r**fit.alpha - logv) ** 2))
+        assert rss <= float(np.sum(sol.fun**2)) * (1.0 + 1e-12)
+
 
 class TestProfileCsv:
     def test_roundtrip(self, tmp_path, profile_m2):
@@ -205,6 +279,20 @@ class TestProfileCsv:
         assert np.allclose(back.radii, p.radii, atol=0)
         assert np.allclose(back.values, p.values, atol=0)
         assert back.decay_fit == p.decay_fit
+
+    @pytest.mark.parametrize("with_fit", [True, False], ids=["fit", "no-fit"])
+    def test_bytes_match_per_element_formatting(self, tmp_path, profile_m2, with_fit):
+        p = replace(profile_m2, decay_fit=decay_fit(profile_m2)) if with_fit else profile_m2
+        q = p.quadrature
+        lines = [f"# m={p.m} N={p.dim} s_max={float(q.s_max)!r} nodes={q.nodes}", "r,F"]
+        for r, v in zip(p.radii, p.values):
+            lines.append(f"{float(r)!r},{float(v)!r}")
+        if with_fit:
+            f = p.decay_fit
+            lines.append(f"# fit C={f.C!r} a={f.a!r} alpha={f.alpha!r}")
+        path = tmp_path / "profile.csv"
+        write_profile_csv(path, p)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_header_format(self, tmp_path, profile_m2):
         path = tmp_path / "profile.csv"
