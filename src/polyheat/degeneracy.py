@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validate import require_real, require_reals
-from .gridfield import _column
+from .gridfield import _column, _freeze
 
 __all__ = [
     "DegeneracyFunction",
@@ -74,6 +74,9 @@ class DegeneracyFunction:
 
     Hashable despite the ``params`` dict: the hash covers kind and t_max only,
     and equal functions agree on both.
+
+    A call checks t >= 0 and returns a float for a scalar t; it wraps
+    ``_eval``, the unchecked evaluation that ``reg_coefficient`` makes.
     """
 
     kind: str
@@ -114,12 +117,17 @@ class DegeneracyFunction:
         return float(np.asarray(self.params["values"], dtype=float)[-1])
 
     def __call__(self, t):
-        t = _domain(t)
-        if self.kind in _CLOSED_FORMS:
-            out = _CLOSED_FORMS[self.kind][0](t)
-        else:
-            out = np.where(t <= self.t_max, self._spline(np.minimum(t, self.t_max)), self.bound)
+        """f(t), rejected unless t >= 0; a float for a scalar t."""
+        out = self._eval(_domain(t))
         return out if out.ndim else float(out)
+
+    def _eval(self, t: np.ndarray):
+        """f on a float array t >= 0, unchecked: the coefficient's argument
+        sqrt(eps^2 + u^2) cannot be negative, and the check would cost two
+        grid passes at every step."""
+        if self.kind in _CLOSED_FORMS:
+            return _CLOSED_FORMS[self.kind][0](t)
+        return np.where(t <= self.t_max, self._spline(np.minimum(t, self.t_max)), self.bound)
 
     def inverse(self, y: float) -> float:
         """f^{-1}(y) for y in the range of f (monotonicity makes it unique)."""
@@ -180,20 +188,22 @@ def f_pow_n(f: DegeneracyFunction, n: float, t):
     return out if out.ndim else float(out)
 
 
-def _pow_underflow(vals: np.ndarray, n: float) -> np.ndarray:
-    """vals^n = exp(n ln vals) for vals >= 0 and n > 0, exact 0 below e^-700.
+def _pow_underflow(vals, n, out: np.ndarray | None = None) -> np.ndarray:
+    """vals^n = exp(n ln vals) for vals >= 0 and n > 0, exact 0 below e^-700,
+    written to ``out`` (a float array of vals' shape; a fresh one when None)
+    and returned.
 
-    A column n may hold zeros, whose rows the caller resets to 1: there
-    0 * ln 0 is NaN, and numpy need not warn of it.  Past ln vals, each
-    stage (times n, max, exp, the cut) works in place on that one array,
-    the same ufunc on the same operands as a fresh temporary and so the
-    same bits, with no grid-sized allocation per stage."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expo = np.log(vals, out=np.empty_like(vals))  # -inf at vals == 0; an array also when 0-d
+    A per-row n may hold zeros, whose rows the caller resets to 1: there
+    0 * ln 0 is NaN, and numpy need not warn of it, nor of exp's underflow
+    below the cut, whose entries the cut then sets to 0.  Each stage (ln,
+    times n, exp, the cut) works in place on ``out``, the same ufunc on the
+    same operands as a fresh temporary and so the same bits, with no
+    grid-sized allocation per stage.  ``out`` may be vals itself."""
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        expo = np.log(vals, out=np.empty_like(vals) if out is None else out)  # -inf at vals == 0
         expo *= n
-    cut = expo < -700.0
-    np.maximum(expo, -700.0, out=expo)
-    np.exp(expo, out=expo)
+        cut = expo < -700.0
+        np.exp(expo, out=expo)
     expo[cut] = 0.0
     return expo
 
@@ -204,7 +214,7 @@ def _floor(path: RegPath, eps: float) -> float:
     return f_pow_n(path.f, path.n, eps)
 
 
-def reg_coefficient(paths: tuple, eps: tuple, u):
+def reg_coefficient(paths: tuple, eps: tuple, u, out: np.ndarray | None = None):
     """The parabolic coefficient of each path's variant, vectorized over u:
     phi_eps(u) = f^n(eps) + (1 - eps) f^n(sqrt(eps^2 + u^2)) on a full path,
     eps in (0, 1], and psi_eps(u) = f^n(sqrt(eps^2 + u^2)) on a simple one,
@@ -214,25 +224,30 @@ def reg_coefficient(paths: tuple, eps: tuple, u):
     one path, u carries one leading row per path, and one path
     ``reg_coefficient((path,), (eps,), u)`` gives phi_eps or psi_eps on u
     itself.  The simple path is the full formula with floor 0 and weight 1,
-    so each row's n, eps, floor and weight broadcast as columns and every
-    row is bitwise the coefficient of its own path.  Rows at n = 0 get
+    so each row's n, eps, floor and weight enter as per-row constants and
+    every row is bitwise the coefficient of its own path.  Rows at n = 0 get
     exactly 1 for f^n, and a batch with every row at n = 0 does not evaluate
-    f.  This is the only expression of the coefficient: the solver's step
-    evaluates it here, once per step, so each stage works in place on the
-    array it allocates first (sqrt(eps^2 + u^2), then f^n, then the floor
-    and weight), with the same ufunc on the same operands as a fresh
-    temporary and so the same bits.
+    f.
+
+    ``out``, a float array of u's shape, receives the coefficient and is
+    returned, with the bits of a fresh result; the solver's step hands in
+    the same array at every pass.  This is the only expression of the
+    coefficient, and the step evaluates it once per step, so every stage
+    works in place on ``out``: sqrt(eps^2 + u^2), then f^n, then the floor
+    and weight, with the same ufunc on the same operands as a fresh
+    temporary and so the same bits.  Only f itself makes a grid array.  f
+    is evaluated unchecked, since sqrt(eps^2 + u^2) >= 0.
     """
     u = np.asarray(u, dtype=float)
-    cols = _row_columns(paths, eps, u.ndim)
+    cols = _row_columns(paths, eps, u.shape)
+    if out is None:
+        out = np.empty_like(u)
     if cols.n is None:
-        out = np.ones_like(u)
+        out.fill(1.0)
     else:
-        t = np.square(u, out=np.empty_like(u))
-        t += cols.eps2
-        vals = np.asarray(paths[0].f(np.sqrt(t, out=t)), dtype=float)
-        del t  # before _pow_underflow allocates: at most two grid arrays live
-        out = _pow_underflow(vals, cols.n)
+        np.square(u, out=out)
+        out += cols.eps2
+        _pow_underflow(paths[0].f._eval(np.sqrt(out, out=out)), cols.n, out=out)
         if cols.idle is not None:
             out[cols.idle] = 1.0
     if cols.floor is not None:
@@ -242,9 +257,11 @@ def reg_coefficient(paths: tuple, eps: tuple, u):
 
 
 class _Columns(NamedTuple):
-    """Per-row constants of a batched coefficient, each a column over u's
-    rows, or a plain float where every row shares it (numpy's scalar path is
-    the cheaper one, and a batch of one then makes its row's scalar call)."""
+    """Per-row constants of a batch, each tiled to u's shape, or a plain
+    float where every row shares it (numpy's scalar path is the cheaper
+    one, and a batch of one then makes its row's scalar call).  Tiled,
+    like the multipliers of ``_rows_spectrum``, because operands of one
+    shape keep numpy's elementwise loops off their broadcasting path."""
 
     n: object  # n; None when every row is at n = 0
     eps2: object  # eps^2
@@ -254,10 +271,10 @@ class _Columns(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
-    """The columns of a batch, checked once: one eps per path, in its
-    variant's range, and one f for every row.  Each entry is the scalar
-    path's own expression, so a row matches its solo call."""
+def _row_columns(paths: tuple, eps: tuple, shape: tuple) -> _Columns:
+    """The constants of a batch on u of ``shape``, checked once: one eps per
+    path, in its variant's range, and one f for every row.  Each entry is
+    the scalar path's own expression, so a row matches its solo call."""
     if len(paths) != len(eps) or any(p.f != paths[0].f for p in paths):
         raise ValueError("a batch needs one eps per path and one f for every path")
     full = [p.variant == "full" for p in paths]
@@ -266,12 +283,17 @@ def _row_columns(paths: tuple, eps: tuple, ndim: int) -> _Columns:
             raise ValueError(f"eps must lie in {'(0, 1]' if is_full else '[0, 1]'}, got {e!r} in row {row}")
     idle = [i for i, p in enumerate(paths) if p.n == 0]
     floor = [_floor(p, float(e)) if is_full else 0.0 for p, e, is_full in zip(paths, eps, full)]
+
+    def tile(values):
+        col = _column(values, len(shape) - 1)
+        return _freeze(np.broadcast_to(col, shape)) if isinstance(col, np.ndarray) else col
+
     return _Columns(
-        n=None if len(idle) == len(paths) else _column([p.n for p in paths], ndim - 1),
-        eps2=_column([e**2 for e in eps], ndim - 1),
+        n=None if len(idle) == len(paths) else tile([p.n for p in paths]),
+        eps2=tile([e**2 for e in eps]),
         idle=np.array(idle, dtype=int) if 0 < len(idle) < len(paths) else None,
-        floor=_column(floor, ndim - 1) if any(full) else None,
-        scale=_column([1.0 - e if is_full else 1.0 for e, is_full in zip(eps, full)], ndim - 1),
+        floor=tile(floor) if any(full) else None,
+        scale=tile([1.0 - e if is_full else 1.0 for e, is_full in zip(eps, full)]),
     )
 
 

@@ -132,7 +132,9 @@ class Field:
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
             raise ValueError(f"values shape {self.values.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
+        # the method, not np.all: its dispatch would be half the cost of a
+        # field, and correction_phi makes one per quadrature node
+        if not np.isfinite(self.values).all():
             raise FloatingPointError("field contains non-finite values")
         object.__setattr__(self, "values", _freeze(self.values))
 

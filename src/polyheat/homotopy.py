@@ -16,13 +16,14 @@ is the Duhamel field
 so (u0, m, f, t) fix it: ``correction_phi`` samples the linear flow from u0
 itself and evaluates phi as a Fourier-multiplier time quadrature.  It takes
 the quadrature nodes in blocks of about ``_BLOCK_POINTS`` grid values: one
-transform of u0 and one stacked inverse give a block's snapshots, and one
-stacked gradient chain their integrands, so the memory it holds is bounded
-by a block, not by the node count.  The overall sign is not fixed a priori
-here but resolved against the measured (u_n - u_lin)/n and reported.  The
-log factor is clamped at a floor eta, and the fraction of the box where the
-clamp was active at the evaluation time is reported: a large fraction means
-the log-singularity dominates and the expansion is unreliable.
+transform of u0 and one stacked inverse give a block's snapshots, one
+stacked gradient chain their integrands and one array expression their
+increments, so the memory it holds is bounded by a block, not by the node
+count.  The overall sign is not fixed a priori here but resolved against
+the measured (u_n - u_lin)/n and reported.  The log factor is clamped at a
+floor eta, and the fraction of the box where the clamp was active at the
+evaluation time is reported: a large fraction means the log-singularity
+dominates and the expansion is unreliable.
 """
 
 from __future__ import annotations
@@ -187,9 +188,13 @@ def correction_phi(
 
     The nodes go in blocks of max(1, _BLOCK_POINTS // grid points): one
     ``linear_trajectory`` call and one stacked gradient chain per block,
-    whose increments are then added one node at a time, in node order, so
-    phi is bitwise that of a node-by-node loop.  The memory it holds is
-    bounded by a block of snapshots, not by ``time_nodes``.
+    then the block's increments in one array expression, a row per node.
+    The running phi_hat joins the first row, and one reduce over the node
+    axis adds the rows in sequence: numpy sums along an outer axis row by
+    row, where it would sum pairwise along the contiguous one.  So phi_hat
+    collects the increments in node order and phi is bitwise that of a
+    node-by-node loop.  The memory it holds is bounded by a block of
+    snapshots, not by ``time_nodes``.
     """
     require_int("m", m, lo=1)
     require_real("t", t, "nonnegative")
@@ -203,6 +208,9 @@ def correction_phi(
     weights[0] *= 0.5
     weights[-1] *= 0.5
 
+    column = (-1,) + (1,) * grid.dim  # a node per row
+    lags, weights = np.reshape(t - nodes, column), np.reshape(weights, column)
+
     spec = _spectrum(grid, m)
     block = max(1, _BLOCK_POINTS // u0.values.size)
     phi_hat = np.zeros(spec.k2m.shape, dtype=complex)
@@ -214,8 +222,9 @@ def correction_phi(
         rows = _rows_spectrum(grid, m, len(states))
         g = grad_chain(rows, rfft(grid, snaps))
         w_hat = divergence_hat(rows, [logf * gi for gi in g])
-        for s, wt, w in zip(times, weights[lo:lo + block], w_hat):
-            phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w)
+        terms = weights[lo:lo + block] * (np.exp(-spec.k2m * lags[lo:lo + block]) * w_hat)
+        terms[0] += phi_hat
+        np.add.reduce(terms, axis=0, out=phi_hat)  # row by row, in node order
     values = irfft(grid, np.where(spec.band, phi_hat, 0.0))
 
     final = states[-1]

@@ -65,16 +65,17 @@ the step is whole-array work with one propagator table; only a halving, a
 row leaving or the unit rows of a batch with products rows index rows.  The
 step runs in arrays that ``_Step._tables`` allocates once per batch shape
 (again when a row leaves): the state spectrum and its spare, the
-remainder, the grid values, the power and the work arrays of the pass.
-Fresh temporaries of a 256^2 grid are past glibc's mmap threshold, and
-the pages it maps and trims again cost about 56 000 minor page faults per
-40-step solve; with the fixed arrays about 10 800 remain, from the
-coefficient's own arrays and numpy's complex stage of each 2-D inverse.  The
-driver ``_solve_rows`` keeps each row's record: its clock and dt cap, its
-energy bound, the flux and dissipation trapezoid, targets, snapshots and
-reports, and it drops the rows that are done or failed while the others go
-on.  Another scheme, such as a second-order exponential step, replaces
-``advance`` alone.
+remainder, the grid values, the power, the coefficient and the work arrays
+of the pass.  Fresh temporaries of a 256^2 grid are past glibc's mmap
+threshold, and the pages it maps and trims again cost about 56 000 minor
+page faults per 40-step solve.  With the fixed arrays about 1 700 remain:
+f's values inside the coefficient and numpy's complex stage of each 2-D
+inverse are still fresh, but the heap no longer shrinks between steps, so
+their pages stay mapped.  ``_solve_rows`` keeps each row's record: its
+clock and dt cap, its energy bound, the flux and dissipation trapezoid,
+targets, snapshots and reports, and it drops the rows that are done or
+failed while the others go on.  Another scheme, such as a
+second-order exponential step, replaces ``advance`` alone.
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
-    spectra, grid values and power |u_hat|^2; the remainders
+    spectra, grid values, coefficient and power |u_hat|^2; the remainders
     R_hat(u) + lin u_hat and the monitor integrals of the last pass; and,
     rebuilt by ``_tables`` whenever a row leaves, the multipliers tiled over
     the rows, each row's linear symbol lin = c |xi|^(2m), paths and eps, the
@@ -365,7 +366,7 @@ class _Step:
         half, grid = self.u_hat.shape, self.u.shape
         self.spare, self.s = np.empty(half, complex), np.empty(half, complex)
         self.prop, self.prod = np.empty(half), np.empty(half)
-        self.g, self.p = np.empty(grid), np.empty(grid)
+        self.g, self.p, self.coef = np.empty(grid), np.empty(grid), np.empty(grid)
 
     def bf_lower(self, i: int) -> float:
         """The lower-order energy of row i of the state (meaningful for even
@@ -380,7 +381,7 @@ class _Step:
         row, so that a unit row's values do not depend on the rows beside
         it.  The power of the state is the one the step formed for its
         energy guard."""
-        coef = reg_coefficient(self.paths, self.eps, self.u)
+        coef = reg_coefficient(self.paths, self.eps, self.u, out=self.coef)
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
         unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]

@@ -228,6 +228,32 @@ class TestBatchedCoefficient:
             reg_coefficient(paths, (0.5, 2.0), np.zeros((2, 4)))
 
 
+# (n, eps, variant) per row: one full row, one simple row, a batch with
+# every row at n = 0, and a mixed batch with an n = 0 row
+_OUT_CASES = {
+    "full": ((0.2, 1e-3, "full"),),
+    "simple": ((0.1, 1e-5, "simple"),),
+    "all-n0": ((0.0, 0.5, "full"), (0.0, 1.0, "simple")),
+    "mixed": ((0.1, 1e-3, "simple"), (0.3, 1e-2, "full"), (0.0, 1.0, "simple"), (0.05, 1e-3, "full")),
+}
+
+
+class TestOutArray:
+    @pytest.mark.parametrize("case", _OUT_CASES)
+    @pytest.mark.parametrize("grid_shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    def test_returns_out_with_the_bits_of_a_fresh_call(self, rational, case, grid_shape):
+        # out starts as NaN, so an entry no stage writes would show
+        rows = _OUT_CASES[case]
+        paths = tuple(RegPath(rational, n, variant) for n, _, variant in rows)
+        eps = tuple(e for _, e, _ in rows)
+        shape = grid_shape if len(rows) == 1 else (len(rows), *grid_shape)
+        u = np.linspace(-3.0, 3.0, int(np.prod(shape))).reshape(shape)[..., ::-1].copy()
+        buf = np.full(shape, np.nan)
+        out = reg_coefficient(paths, eps, u, out=buf)
+        assert out is buf
+        assert out.tobytes() == reg_coefficient(paths, eps, u).tobytes()
+
+
 class TestFullPath:
     def test_value_at_zero(self, rational):
         p = RegPath(rational, 0.3, "full")

@@ -431,9 +431,9 @@ class TestPathDependence:
 
         real, rows = solver_module.reg_coefficient, []
 
-        def counted(paths, eps, u):
+        def counted(paths, eps, u, out=None):
             rows.append(len(paths))
-            return real(paths, eps, u)
+            return real(paths, eps, u, out=out)
 
         monkeypatch.setattr(solver_module, "reg_coefficient", counted)
         path_dependence_report(u0, 2, rational, 1e-2, 1e-3, 0.002, dt_init=1e-4)

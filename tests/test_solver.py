@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -330,7 +331,7 @@ class TestSolve:
 
     def test_blowup_names_t_and_dt(self, u0, rational, monkeypatch):
         config = _linear_config(rational, report_stride=10**6)
-        monkeypatch.setattr(solver_module, "reg_coefficient", lambda path, eps, u: np.full_like(u, np.inf))
+        monkeypatch.setattr(solver_module, "reg_coefficient", lambda path, eps, u, out=None: np.full_like(u, np.inf))
         with pytest.raises(BlowupError, match=r"non-finite .* at t = 0, dt = 1\.000e-04"):
             solve(u0, config)
 
@@ -371,7 +372,7 @@ class TestSolve:
             monkeypatch.setattr(np.fft, name, lambda *a, _f=fn, _n=name, **k: calls.update([_n]) or _f(*a, **k))
         coef = solver_module.reg_coefficient
         monkeypatch.setattr(
-            solver_module, "reg_coefficient", lambda *a: calls.update(["coef"]) or coef(*a)
+            solver_module, "reg_coefficient", lambda *a, **k: calls.update(["coef"]) or coef(*a, **k)
         )
         grid_hash = GridSpec.__hash__
         hashes = []
@@ -523,7 +524,7 @@ def _antidiffusive_first_state():
     rise fits the energy guard's tolerance."""
     calls = []
 
-    def coef(path, eps, u):
+    def coef(path, eps, u, out=None):
         calls.append(1)
         return np.full_like(u, -1.0 if len(calls) == 1 else 1.0)
 
@@ -734,8 +735,8 @@ def _patched_rows(target, mode):
     real = solver_module.reg_coefficient
     calls = []
 
-    def coef(path, eps, u):
-        out = real(path, eps, u)
+    def coef(path, eps, u, out=None):
+        out = real(path, eps, u, out=out)
         if isinstance(path, RegPath):  # SolverConfig's own sampled-peak check
             return out
         if target in path:
@@ -943,3 +944,21 @@ class TestStepBuffers:
         pair, fixed = (_address(step.u_hat), _address(step.spare)), work()
         assert states(4) == [pair[1], pair[0]] * 2
         assert work() == fixed
+
+    def test_products_step_allocates_at_most_one_and_a_half_grid_arrays(self, rational):
+        # the coefficient goes to the step's own array, so past the warm-up
+        # a 2-D products step allocates f's values and numpy's complex stage
+        # of the inverse, each about one grid array, but not both at once
+        grid = make_grid(2, 12.0, 128)
+        config = SolverConfig(m=2, path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=5e-5, t_final=0.002)
+        u_hat0 = rfft(grid, bump(grid, 1.0, 4.0, steepness=6.0).values)
+        step = solver_module._Step(grid, [solver_module._Row(0, config)], u_hat0, np.inf)
+        for _ in range(3):
+            step.advance([5e-5], [np.inf])
+        tracemalloc.start()
+        try:
+            step.advance([5e-5], [np.inf])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * grid.points_per_dim**2
