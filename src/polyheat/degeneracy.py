@@ -73,7 +73,9 @@ class DegeneracyFunction:
     last knot for a spline.
 
     Hashable despite the ``params`` dict: the hash covers kind and t_max only,
-    and equal functions agree on both.
+    and equal functions agree on both.  It is computed once, at
+    construction, from the kind's position in the kinds and t_max, not from
+    the kind's string, whose hash changes from one process to the next.
 
     A call checks t >= 0 and returns a float for a scalar t; it wraps
     ``_eval``, the unchecked evaluation that ``reg_coefficient`` makes.
@@ -105,9 +107,10 @@ class DegeneracyFunction:
             object.__setattr__(self, "_spline", PchipInterpolator(ts, fs, extrapolate=False))
             object.__setattr__(self, "t_max", float(ts[-1]))
         self._check_admissible()
+        object.__setattr__(self, "_hash", hash((_KINDS.index(self.kind), self.t_max)))
 
     def __hash__(self):
-        return hash((self.kind, self.t_max))
+        return self._hash
 
     @property
     def bound(self) -> float:
@@ -166,7 +169,12 @@ def degeneracy_function(kind: str, **params) -> DegeneracyFunction:
 
 @dataclass(frozen=True)
 class RegPath:
-    """A nonlinearity f with exponent n and a regularization variant."""
+    """A nonlinearity f with exponent n and a regularization variant.
+
+    Equal paths hash equal.  The hash is computed once, at construction:
+    the coefficient's memo of per-row constants is keyed by a batch's paths,
+    one per row and state, and would otherwise hash each path and its f
+    through Python on every call."""
 
     f: DegeneracyFunction
     n: float
@@ -176,6 +184,10 @@ class RegPath:
         require_real("n", self.n, "nonnegative")
         if self.variant not in ("full", "simple"):
             raise ValueError("variant must be 'full' or 'simple'")
+        object.__setattr__(self, "_hash", hash((self.f, self.n, self.variant == "full")))
+
+    def __hash__(self):
+        return self._hash
 
 
 def f_pow_n(f: DegeneracyFunction, n: float, t):

@@ -24,14 +24,16 @@ on the grid.  A unit row, whose coefficient is exactly 1 at every grid
 point (the simple path at n = 0, say), has p = g and takes all of these
 from its half spectrum: R_hat(u) = rhs0 u_hat with
 the real multiplier rhs0 = (-1)^(m-1) sum_j div_j chain_j, and
-int |g|^2 = sum w_g |u_hat|^2 by Parseval.  So a batch of unit rows makes
-one transform per step, the inverse of the new state that the tripwire and
-the snapshots read, where a batch with a products row makes 1 + 2 dim for
-all its rows.  Only the pass picks a row's route, and from the coefficient,
-not the config.  Each halving only re-applies e^(-c |xi|^(2m) dt) to the
-remainder.  A non-finite product spreads through the transforms to a
-non-finite remainder and candidate energy, so the blow-up guard looks at
-the remainder only when the energy guard rejects a step.  At n = 0 the
+int |g|^2 = sum w_g |u_hat|^2 by Parseval.  So a batch of unit rows needs
+no transform to step, only the inverse of each new state that the tripwire,
+the coefficient and the snapshots read, and makes one inverse per block of
+steps (below), where a batch with a products row makes 1 + 2 dim
+transforms per step for all its rows.  Only the pass picks a row's route,
+and from the coefficient, not the config.  Each halving only re-applies
+e^(-c |xi|^(2m) dt) to the remainder.  A non-finite product spreads through
+the transforms to a non-finite remainder and candidate energy, so the
+blow-up guard looks at the remainder only when the energy guard rejects a
+step.  At n = 0 the
 coefficient is exactly 1, and f is not evaluated when every row is at
 n = 0.  Every transform is a real FFT on the half spectrum, the multipliers
 are tabled once per (grid, m), and the propagator e^(-c |xi|^(2m) dt) is
@@ -74,8 +76,26 @@ inverse are still fresh, but the heap no longer shrinks between steps, so
 their pages stay mapped.  ``_solve_rows`` keeps each row's record: its
 clock and dt cap, its energy bound, the flux and dissipation trapezoid,
 targets, snapshots and reports, and it drops the rows that are done or
-failed while the others go on.  Another scheme, such as a
-second-order exponential step, replaces ``advance`` alone.
+failed while the others go on.
+
+Blocks.  While every live row was a unit row at the last pass and every
+row steps at its dt_init, one dt for all, ``_Step.block`` takes up to 64
+steps at once (fewer where its arrays would pass 1 MiB; a 2-D 256^2 state
+steps alone).  It runs the candidates of ``advance`` with each new state's
+unit remainder in turn, in the same ufuncs as ``advance`` and
+``_unit_rows`` (``_candidate`` and ``_unit_remainder``), then serves the
+whole block at once: one inverse transform, one power, the energy and
+flux sums, one tripwire maximum per state, and one coefficient call for
+the states that pass the energy guard and the tripwire.  It accepts the
+states up to the first that fails a guard or trips the wire, which
+``advance`` then takes again with its halving or its error, or up to and
+with the first state that is not all unit rows, whose coefficient the pass
+reuses; so each state's coefficient is evaluated once, and a row is
+bitwise the same whether it steps in blocks or not.  A block ends before a
+row's next clipped step and at its next target or report step, and
+``_solve_rows`` keeps each state's record as after ``advance``.  Another
+scheme, such as a second-order exponential step, replaces ``advance`` and
+with it the block's recurrence, the candidate and the unit remainder.
 """
 
 from __future__ import annotations
@@ -125,6 +145,12 @@ _TRIPWIRE_FACTOR = 10.0
 # A step may raise the high-order energy by at most this fraction of bf(0)
 # above min(bf, bf(0)): round-off room that scales with the data.
 _ENERGY_RTOL = 1e-8
+
+# A batch of unit rows steps in blocks of at most this many states, fewer
+# where the block's arrays would pass _BLOCK_BYTES; below two it steps alone
+# (see "Blocks" in the module docstring).
+_BLOCK_STEPS = 64
+_BLOCK_BYTES = 1 << 20
 
 # The interface diagnostics look at the box K = [-1, 1]^N and ignore entries
 # below this fraction of the field's peak.
@@ -227,14 +253,31 @@ def _power_sums(weight: np.ndarray, u_hat: np.ndarray, power: np.ndarray, scratc
     return _row_sums(weight, power, scratch)
 
 
+def _candidate(dt, u_hat: np.ndarray, rem: np.ndarray, prop: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The step's candidate prop (u_hat + dt rem), written to ``out`` and
+    returned; the factors go in the other order, with the same bits."""
+    np.multiply(dt, rem, out=out)
+    out += u_hat
+    out *= prop
+    return out
+
+
+def _unit_remainder(lin: np.ndarray, rhs0: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """A unit row's remainder lin u_hat + rhs0 u_hat, written to ``out`` and
+    returned (``s`` is overwritten)."""
+    np.multiply(lin, u_hat, out=out)
+    out += np.multiply(rhs0, u_hat, out=s)
+    return out
+
+
 def _unit_rows(table, lin: np.ndarray, u_hat: np.ndarray, rem: np.ndarray, s: np.ndarray,
                power: np.ndarray, scratch: np.ndarray) -> list:
     """Unit rows, whose coefficient is exactly 1: writes their remainder
-    lin u_hat + rhs0 u_hat to ``rem`` (``s`` is overwritten) and returns per
-    row the flux and dissipation integrand, both int |g|^2, the sum of
-    w_g |u_hat|^2 (Parseval) from the rows' power |u_hat|^2."""
-    np.multiply(lin, u_hat, out=rem)
-    rem += np.multiply(table.rhs0, u_hat, out=s)
+    to ``rem`` (``s`` is overwritten) and returns per row the flux and
+    dissipation integrand, both int |g|^2, the sum of w_g |u_hat|^2
+    (Parseval) from the rows' power |u_hat|^2."""
+    _unit_remainder(lin, table.rhs0, u_hat, rem, s)
     return _row_sums(table.w_g, power, scratch)
 
 
@@ -367,28 +410,34 @@ class _Step:
         self.spare, self.s = np.empty(half, complex), np.empty(half, complex)
         self.prop, self.prod = np.empty(half), np.empty(half)
         self.g, self.p, self.coef = np.empty(grid), np.empty(grid), np.empty(grid)
+        # a block state: its spectrum, power and row sums, grid values and coefficient
+        state_bytes = 32 * self.u_hat.size + 16 * self.u.size
+        self.block_cap = min(_BLOCK_STEPS, _BLOCK_BYTES // state_bytes)
+        self.block_arrays = None
 
     def bf_lower(self, i: int) -> float:
         """The lower-order energy of row i of the state (meaningful for even
         m): the sum of |xi|^(2(m-2)) |u_hat|^2, from the row's power."""
         return _row_sums(self.spec.w_lo, self.power[i:i + 1], self.prod[i:i + 1])[0]
 
-    def _pass(self) -> None:
+    def _pass(self, coef: np.ndarray | None = None) -> None:
         """The pass of the current state: one coefficient call for the whole
-        batch, which finds the unit rows, then every row's remainder and
-        monitors.  Unless every row is a unit row, the whole batch goes
-        through ``_products``; the unit rows then take ``_unit_rows``, row by
-        row, so that a unit row's values do not depend on the rows beside
-        it.  The power of the state is the one the step formed for its
-        energy guard."""
-        coef = reg_coefficient(self.paths, self.eps, self.u, out=self.coef)
+        batch (or the coefficient ``block`` evaluated for it), which finds
+        the unit rows, then every row's remainder and monitors.  Unless every
+        row is a unit row, the whole batch goes through ``_products``; the
+        unit rows then take ``_unit_rows``, row by row, so that a unit row's
+        values do not depend on the rows beside it.  The power of the state
+        is the one the step formed for its energy guard."""
+        if coef is None:
+            coef = reg_coefficient(self.paths, self.eps, self.u, out=self.coef)
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
         unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
+        self.all_unit = len(unit) == len(self.rows)
         if unit and self.unit_table is None:
             self.unit_table = _unit_table(self.grid, self.m)
         work = (self.lin, self.u_hat, self.rem, self.s, self.power, self.prod)
-        if len(unit) == len(self.rows):  # no chain, no products
+        if self.all_unit:  # no chain, no products
             self.flux = _unit_rows(self.unit_table, *work)
             self.diss = self.flux[:]
             return
@@ -408,6 +457,16 @@ class _Step:
         if self.rows:
             self._tables()
 
+    def _propagator(self, dts: list):
+        """Make ``prop`` e^(-lin dt) for row i's dt dts[i], unless it already
+        is; returns dts as a column (one float while the rows share dt)."""
+        dt = _column(dts, self.grid.dim)
+        if dts != self.prop_dts:
+            self.prop_dts = dts[:]
+            np.multiply(np.negative(self.lin, out=self.prop), dt, out=self.prop)  # -lin dt
+            np.exp(self.prop, out=self.prop)
+        return dt
+
     def advance(self, dts: list, bounds: list):
         """Step row i by dts[i], halving it in place until the candidate's
         bf is at most bounds[i], then pass the new state.
@@ -417,15 +476,8 @@ class _Step:
         it is dropped; its monitors are not read.
         """
         rows, u_hat, rem, dim = self.rows, self.u_hat, self.rem, self.grid.dim
-        dt = _column(dts, dim)  # one float while the rows share dt
-        if dts != self.prop_dts:
-            self.prop_dts = dts[:]
-            np.multiply(np.negative(self.lin, out=self.prop), dt, out=self.prop)  # -lin dt
-            np.exp(self.prop, out=self.prop)
-        # prop (u_hat + dt rem), factors in the other order: the same bits
-        cand_hat = np.multiply(dt, rem, out=self.spare)
-        cand_hat += u_hat
-        cand_hat *= self.prop
+        dt = self._propagator(dts)
+        cand_hat = _candidate(dt, u_hat, rem, self.prop, self.spare)
         energies = _power_sums(self.spec.w_hi, cand_hat, self.power, self.prod)
         halvings, failures = [0] * len(rows), {}
         # each trial row is accepted, fails or halves its own dt; past the
@@ -473,6 +525,47 @@ class _Step:
                     )
         self._pass()
         return energies, halvings, failures
+
+    def block(self, steps: int, dt: float, bf: list, bf0: float, limit: float) -> list:
+        """Up to ``steps`` steps of dt for every row as one block (see
+        "Blocks" in the module docstring), from the rows' energies ``bf``:
+        a state's energy guard is min(bf, bf0) + limit on the state before
+        it.  The last state accepted becomes the state and gets its pass.
+        Returns per accepted state the rows' (bf, flux, dissipation
+        integrand); an empty list when the first state fails."""
+        rows = len(self.rows)
+        if self.block_arrays is None:
+            states = (self.block_cap * rows,)
+            self.block_arrays = (np.empty(states + self.u_hat.shape[1:], complex),
+                                 *(np.empty(states + self.u_hat.shape[1:]) for _ in range(2)),
+                                 *(np.empty(states + self.u.shape[1:]) for _ in range(2)))
+        hat, power, sums, u, coef = (a[:steps * rows] for a in self.block_arrays)
+        self._propagator([dt] * rows)
+        u_hat, rem = self.u_hat, self.rem
+        for j in range(steps):
+            u_hat = _candidate(dt, u_hat, rem, self.prop, hat[j * rows:(j + 1) * rows])
+            rem = _unit_remainder(self.lin, self.unit_table.rhs0, u_hat, self.spare, self.s)
+        energies = _power_sums(self.spec.w_hi, hat, power, sums)
+        ok = 0
+        while ok < steps:
+            new = energies[ok * rows:(ok + 1) * rows]
+            if not all(e <= min(b, bf0) + limit for e, b in zip(new, bf)):
+                break
+            ok, bf = ok + 1, new
+        if ok:
+            irfft(self.grid, hat[:ok * rows], out=u[:ok * rows])
+            sups = np.abs(u[:ok * rows], out=coef[:ok * rows]).reshape(ok, -1).max(axis=1).tolist()
+            ok = next((j for j, sup in enumerate(sups) if sup > self.trip), ok)
+        if not ok:
+            return []
+        coef = reg_coefficient(self.paths * ok, self.eps * ok, u[:ok * rows], out=coef[:ok * rows])
+        units = (coef == 1.0).reshape(ok, -1).all(axis=1).tolist()
+        ok = next((j + 1 for j, unit in enumerate(units) if not unit), ok)
+        flux = _row_sums(self.unit_table.w_g, power[:ok * rows], sums[:ok * rows])
+        at = [slice(j * rows, (j + 1) * rows) for j in range(ok)]
+        self.u_hat[...], self.u[...], self.power[...] = hat[at[-1]], u[at[-1]], power[at[-1]]
+        self._pass(coef[at[-1]])
+        return [(energies[a], flux[a], flux[a]) for a in at[:-1]] + [(energies[at[-1]], self.flux, self.diss)]
 
 
 def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajectory | list:
@@ -547,6 +640,49 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         row.snapshots = [start]
         row.reports = [report(row, i)]
     results = [None] * len(configs)
+    stride = first.report_stride
+
+    def block_steps(rows) -> int:
+        """How many steps the rows take as one block: up to and with each
+        row's next target or report step, before its next clipped step, and
+        at most the step's block length; 0 unless every row was a unit row
+        at the batch's last pass and steps at its dt_init, one dt for all."""
+        dt = rows[0].dt_cap
+        if not step.all_unit or any(row.dt_cap != dt or row.config.dt_init != dt for row in rows):
+            return 0
+        steps = step.block_cap
+        for row in rows:
+            t, done, target = row.t, 0, targets[row.target]
+            while done < steps and dt <= target - t:  # not clipped
+                done += 1
+                t += dt
+                if t >= reached[row.target] or (row.steps + done) % stride == 0:
+                    break
+            steps = done
+        return steps
+
+    def accept(dts, energies, flux, diss, halvings, failures) -> list:
+        """Each row's record of its step of dts[i], or its failure; returns
+        the positions of the rows that failed or are done."""
+        gone = []
+        for i, row in enumerate(step.rows):
+            if i in failures:
+                results[row.index] = failures[i]
+                gone.append(i)
+                continue
+            dt = dts[i]
+            row.flux_acc += 0.5 * dt * (row.flux + flux[i])
+            row.diss_acc += 0.5 * dt * (row.diss + diss[i])
+            row.flux, row.diss = flux[i], diss[i]
+            row.t += dt
+            row.bf = energies[i]
+            row.steps += 1
+            row.dt_cap = min(row.config.dt_init, row.dt_cap * 2.0) if halvings[i] == 0 else dt
+            if row.steps % stride == 0:
+                row.reports.append(report(row, i))
+            if row.t >= reached[row.target] and settle(i):
+                gone.append(i)
+        return gone
 
     def settle(i) -> bool:
         """Take the snapshots row i has reached; True once it is done."""
@@ -571,26 +707,16 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
 
     while step.rows:
         rows = step.rows
-        dts = [min(row.dt_cap, targets[row.target] - row.t) for row in rows]
-        energies, halvings, failures = step.advance(dts, [min(row.bf, bf0) + limit for row in rows])
-        gone = []
-        for i, row in enumerate(rows):
-            if i in failures:
-                results[row.index] = failures[i]
-                gone.append(i)
-                continue
-            dt = dts[i]
-            row.flux_acc += 0.5 * dt * (row.flux + step.flux[i])
-            row.diss_acc += 0.5 * dt * (row.diss + step.diss[i])
-            row.flux, row.diss = step.flux[i], step.diss[i]
-            row.t += dt
-            row.bf = energies[i]
-            row.steps += 1
-            row.dt_cap = min(row.config.dt_init, row.dt_cap * 2.0) if halvings[i] == 0 else dt
-            if row.steps % first.report_stride == 0:
-                row.reports.append(report(row, i))
-            if row.t >= reached[row.target] and settle(i):
-                gone.append(i)
+        steps = block_steps(rows)
+        states = step.block(steps, rows[0].dt_cap, [row.bf for row in rows], bf0, limit) if steps > 1 else []
+        if states:
+            dts, whole, gone = [rows[0].dt_cap] * len(rows), [0] * len(rows), []
+            for energies, flux, diss in states:
+                gone += accept(dts, energies, flux, diss, whole, {})
+        else:
+            dts = [min(row.dt_cap, targets[row.target] - row.t) for row in rows]
+            energies, halvings, failures = step.advance(dts, [min(row.bf, bf0) + limit for row in rows])
+            gone = accept(dts, energies, step.flux, step.diss, halvings, failures)
         if gone:
             step.drop(gone)
     return results

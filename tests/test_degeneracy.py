@@ -1,5 +1,7 @@
 """Nonlinearity kinds, regularization paths, and the small-n expansion."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,17 @@ class TestFullPathFloor:
         b = degeneracy_function("spline", **knots)
         assert a == b and hash(a) == hash(b)
         assert hash(RegPath(a, 0.1, "full")) == hash(RegPath(b, 0.1, "full"))
+
+    def test_a_path_hashes_its_stored_value(self, monkeypatch):
+        # each object hashes once, at construction; equal paths built apart,
+        # with n as an int or a float, or through a pickle, still hash equal
+        knots = {"knots": [0.0, 1.0, 3.0], "values": [0.0, 0.5, 0.9]}
+        a = RegPath(degeneracy_function("spline", **knots), 0, "simple")
+        b = RegPath(degeneracy_function("spline", **knots), 0.0, "simple")
+        assert a == b == pickle.loads(pickle.dumps(a))
+        assert hash(a) == hash(b) == hash(pickle.loads(pickle.dumps(a)))
+        monkeypatch.setattr(DegeneracyFunction, "__hash__", lambda self: pytest.fail("f hashed again"))
+        assert hash((a, b) * 8) == hash((b, a) * 8)
 
 
 class TestBatchedCoefficient:

@@ -726,27 +726,27 @@ def _same_outcome(a, b) -> bool:
 
 
 def _patched_rows(target, mode):
-    """``reg_coefficient`` with the rows on path ``target`` changed.  Every
-    live row takes one step per batch step, so the k-th call that holds the
-    target sees its k-th state alone and in any batch: ``"halve"`` sets -1
-    on the initial state (the first step raises the energy and is halved),
-    ``"stiff"`` sets -1e12 there (no halving helps), and ``"blowup"`` sets
-    inf from the fifth state on."""
+    """``reg_coefficient`` with the rows on path ``target`` changed.  Each
+    state's coefficient is evaluated once, in state order, so the k-th
+    occurrence of the target, counted over all calls, is its k-th state
+    alone and in any batch: ``"halve"`` sets -1 on the initial state (the
+    first step raises the energy and is halved), ``"stiff"`` sets -1e12
+    there (no halving helps), and ``"blowup"`` sets inf from the fifth
+    state on."""
     real = solver_module.reg_coefficient
-    calls = []
+    states = []
 
     def coef(path, eps, u, out=None):
         out = real(path, eps, u, out=out)
         if isinstance(path, RegPath):  # SolverConfig's own sampled-peak check
             return out
-        if target in path:
-            calls.append(1)
         for i, p in enumerate(path):
             if p != target:
                 continue
-            if mode in ("halve", "stiff") and len(calls) == 1:
+            states.append(1)
+            if mode in ("halve", "stiff") and len(states) == 1:
                 out[i] = -1.0 if mode == "halve" else -1e12
-            elif mode == "blowup" and len(calls) >= 5:
+            elif mode == "blowup" and len(states) >= 5:
                 out[i] = np.inf
         return out
 
@@ -912,6 +912,136 @@ class TestBatch:
         assert [type(e) for e in out] == [ValueError, ValueError]
         assert all("spectral tail" in str(e) for e in out)
 
+
+# ---------------------------------------------------------------------------
+# blocks of unit-row steps
+
+
+def _taken_blocks(monkeypatch) -> list:
+    """Per ``_Step.block`` call from now on, the number of its rows and of
+    the states it accepted."""
+    real, taken = solver_module._Step.block, []
+
+    def block(self, *args):
+        states = real(self, *args)
+        taken.append((len(self.rows), len(states)))
+        return states
+
+    monkeypatch.setattr(solver_module._Step, "block", block)
+    return taken
+
+
+def _beside_a_products_row(u, config):
+    """The outcome of ``config``'s row in a batch with a products row, where
+    no block runs."""
+    other = dataclasses.replace(config, path=dataclasses.replace(config.path, n=0.2), eps=1e-3)
+    return solve(u, [config, other])[0]
+
+
+def _non_unit_at(target, state):
+    """``reg_coefficient`` with 0.5 on the row of path ``target`` at its
+    ``state``-th state (u0 is state 0), counted over all calls as in
+    ``_patched_rows``."""
+    real, states = solver_module.reg_coefficient, []
+
+    def coef(path, eps, u, out=None):
+        out = real(path, eps, u, out=out)
+        for i, p in enumerate(path):
+            if p == target:
+                states.append(1)
+                if len(states) == state + 1:
+                    out[i] = 0.5
+        return out
+
+    return coef
+
+
+class TestBlock:
+    """A batch of unit rows that step at their dt_init takes its steps in
+    blocks; every case is bitwise the same row beside a products row, where
+    no block runs."""
+
+    @pytest.mark.parametrize("dim,half_width,points,kw", [
+        # a snapshot and report steps that land inside a block of up to 64
+        pytest.param(1, 24.0, 256, dict(snapshot_times=(0.00234, 0.0051), report_stride=7), id="targets"),
+        # 143 steps: two whole blocks and a short one
+        pytest.param(1, 24.0, 256, dict(t_final=0.0143), id="short-last-block"),
+        # blocks of 5 states, the most that fit the block's bytes
+        pytest.param(2, 8.0, 80, dict(t_final=0.002, snapshot_times=(0.00063,), report_stride=9), id="2-D"),
+    ])
+    def test_matches_the_row_beside_a_products_row(self, rational, monkeypatch, dim, half_width, points, kw):
+        grid = make_grid(dim, half_width, points)
+        u = bump(grid, 1.0, 4.0, steepness=6.0)
+        config = _linear_config(rational, **{"report_stride": 10**6, **kw})
+        reference = _beside_a_products_row(u, config)
+        taken = _taken_blocks(monkeypatch)
+        assert _bitwise_equal(solve(u, config), reference)
+        assert max(states for _, states in taken) > 1
+
+    def test_a_tripwire_inside_a_block(self, rational, monkeypatch):
+        # the crest between two bumps rises under the fourth-order flow, past
+        # 1.006 sup|u0| at step 91, inside the second block
+        grid = make_grid(1, 24.0, 256)
+        u = Field(grid, sum(bump(grid, 1.0, 4.0, center=c, steepness=6.0).values for c in (-1.25, 1.25)))
+        monkeypatch.setattr(solver_module, "_TRIPWIRE_FACTOR", 1.006)
+        config = _linear_config(rational, report_stride=10**6)
+        reference = _beside_a_products_row(u, config)
+        taken = _taken_blocks(monkeypatch)
+        with pytest.raises(BlowupError, match=r"^boundedness tripwire: .* at t = 0\.0091$") as solo:
+            solve(u, config)
+        assert str(solo.value) == str(reference)
+        assert taken[:2] == [(1, 64), (1, 26)]
+
+    def test_an_energy_guard_failing_inside_a_block(self, u0, rational, monkeypatch):
+        # each step must lower bf by 4.615e-4 bf(0); the 89th lowers it less,
+        # at every halving too
+        monkeypatch.setattr(solver_module, "_ENERGY_RTOL", -4.615e-4)
+        config = _linear_config(rational, report_stride=10**6)
+        reference = _beside_a_products_row(u0, config)
+        taken = _taken_blocks(monkeypatch)
+        with pytest.raises(StiffnessError, match=r"^stiffness failure at t = 0\.0088: ") as solo:
+            solve(u0, config)
+        assert str(solo.value) == str(reference)
+        assert taken[:2] == [(1, 64), (1, 24)]
+
+    @pytest.mark.parametrize("state", [1, solver_module._BLOCK_STEPS, solver_module._BLOCK_STEPS + 1])
+    def test_a_state_turning_non_unit(self, u0, rational, state):
+        # the non-unit state is accepted and passed as a products row; the
+        # states a block computed after it are dropped
+        config = _linear_config(rational, report_stride=10**6)
+        with mock.patch.object(solver_module, "reg_coefficient", _non_unit_at(config.path, state)):
+            solo = solve(u0, config)
+        with mock.patch.object(solver_module, "reg_coefficient", _non_unit_at(config.path, state)):
+            reference = _beside_a_products_row(u0, config)
+        assert _bitwise_equal(solo, reference)
+        assert not _bitwise_equal(solo, solve(u0, config))
+
+    @pytest.mark.parametrize("dt_inits,shared", [((1e-4, 1e-4), True), ((1e-4, 5e-5), False)])
+    def test_unit_rows_share_blocks_at_one_dt(self, u0, rational, monkeypatch, dt_inits, shared):
+        # at two dts no block runs until the first row is done and leaves
+        configs = [_linear_config(rational, eps=eps, dt_init=dt, report_stride=10**6)
+                   for eps, dt in zip((1e-3, 1.0), dt_inits)]
+        solos = [solve(u0, config) for config in configs]
+        taken = _taken_blocks(monkeypatch)
+        for solo, row in zip(solos, solve(u0, configs)):
+            assert _bitwise_equal(row, solo)
+        assert any(rows == 2 for rows, _ in taken) == shared
+        assert max(states for _, states in taken) > 1
+
+    def test_one_coefficient_per_state_and_one_inverse_per_block(self, u0, rational, monkeypatch):
+        # dt = 2^-14 sums exactly, so the run takes 1 000 whole steps
+        steps = 1000
+        config = _linear_config(rational, dt_init=2.0**-14, t_final=steps * 2.0**-14, report_stride=10**9)
+        inverses, points = [], []
+        irfft_, coef = np.fft.irfft, solver_module.reg_coefficient
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: inverses.append(1) or irfft_(*a, **k))
+        monkeypatch.setattr(
+            solver_module, "reg_coefficient", lambda p, e, u, out=None: points.append(u.size) or coef(p, e, u, out=out)
+        )
+        traj = solve(u0, config)
+        assert traj.snapshots[-1].time_tag == config.t_final
+        assert sum(points) == (steps + 1) * u0.grid.points_per_dim
+        assert len(inverses) <= steps / 32 + 4
 
 
 def _address(a: np.ndarray) -> int:
