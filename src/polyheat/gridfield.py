@@ -17,7 +17,9 @@ grid.shape[:-1] + (M/2 + 1,): full FFT order on every axis but the last,
 which keeps k = 0 .. M/2.  Wavevectors are pi*k/L for k = -M/2 .. M/2-1.
 ``rfft`` and ``irfft`` here are the package's only transforms, and
 ``_spectrum``, which tables the multipliers of one (grid, m) once, read-only,
-is the only place that knows the wavenumber layout.  A sum over the half
+is the only place that knows the wavenumber layout.  ``_coef_divergence``,
+the one div(coef grad Delta^(m-1) u) of the solver and the Duhamel
+correction, is the only reader of its gradient chain.  A sum over the half
 spectrum weights the last axis's 0 and M/2 columns once and every other
 column twice (Hermitian symmetry).
 """
@@ -44,8 +46,6 @@ __all__ = [
     "rfft",
     "irfft",
     "laplacian_power",
-    "grad_chain",
-    "divergence_hat",
     "gradient",
     "integrate",
     "inner",
@@ -324,24 +324,52 @@ def laplacian_power(f: Field, k: int) -> Field:
     return Field(f.grid, irfft(f.grid, (-k2) ** k * rfft(f.grid, f.values)), f.time_tag)
 
 
-def grad_chain(spec: _Spectrum, u_hat: np.ndarray) -> list:
-    """Real components of grad Delta^(m-1) u from u_hat = rfft(u), for the
-    order m of the multiplier table ``spec``; a batch of rows stays one."""
-    return [irfft(spec.grid, c * u_hat) for c in spec.chain]
+def _row_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
+    """Per row of b, the sum of a * b over the row, a broadcasting to b.
+    ``out``, shaped like b (it may be a or b), receives the products.
+
+    One numpy pairwise sum per row of the flattened products, in one call
+    for the whole batch: its bits do not depend on the rows beside it, nor
+    on the thread count, where BLAS's dot product splits a long sum across
+    its threads."""
+    np.multiply(a, b, out=out)
+    return np.add.reduce(out.reshape(len(out), -1), axis=1).tolist()
 
 
-def divergence_hat(spec: _Spectrum, components) -> np.ndarray:
-    """Half-spectrum coefficients of the divergence of real components.
-    Components of a batch of rows take the table of ``_rows_spectrum``."""
-    acc = np.zeros(spec.k2m.shape, dtype=complex)
-    for d, c in zip(spec.div, components):
-        acc += d * rfft(spec.grid, c)
-    return acc
+def _coef_divergence(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
+                     s: np.ndarray, g: np.ndarray, p: np.ndarray):
+    """The package's one div(coef grad Delta^(m-1) u), for the order m of
+    ``spec`` (the table of ``_rows_spectrum``), one row per row of coef and
+    u_hat = rfft(u): writes to ``out`` the divergence div p, unsigned, on
+    the half spectrum of the products p = coef g with g = grad Delta^(m-1) u,
+    and returns per row the flux int |p|^2 and the dissipation integrand
+    int coef |g|^2 = int p . g.
+
+    The axes stream through the work arrays, the half spectrum ``s`` and
+    the grid arrays ``g`` and ``p`` (shaped like u_hat and coef): g_j, then
+    p_j = coef g_j, then axis j's terms of the integrals and of the
+    divergence, so only one g, one p and one spectrum are live.  Each
+    integral is a sum over its own row, in axis order, so that a row's
+    value does not depend on the batch around it.
+    """
+    grid, rows = spec.grid, len(u_hat)
+    flux, diss = [0.0] * rows, [0.0] * rows
+    out.fill(0.0)
+    for chain, div in zip(spec.chain, spec.div):
+        irfft(grid, np.multiply(chain, u_hat, out=s), out=g)
+        np.multiply(coef, g, out=p)
+        diss = [d + x for d, x in zip(diss, _row_sums(p, g, g))]
+        rfft(grid, p, out=s)
+        flux = [f + x for f, x in zip(flux, _row_sums(p, p, p))]
+        out += np.multiply(div, s, out=s)
+    vol = grid.cell_volume
+    return [vol * f for f in flux], [vol * d for d in diss]
 
 
 def gradient(f: Field) -> tuple:
     """Spectral gradient of a scalar field: one array per axis."""
-    return tuple(grad_chain(_spectrum(f.grid, 1), rfft(f.grid, f.values)))
+    u_hat = rfft(f.grid, f.values)
+    return tuple(irfft(f.grid, c * u_hat) for c in _spectrum(f.grid, 1).chain)
 
 
 def integrate(f: Field) -> float:

@@ -14,11 +14,12 @@ is the Duhamel field
                                                grad Delta^(m-1) u_lin(s)] ds,
 
 so (u0, m, f, t) fix it: ``correction_phi`` samples the linear flow from u0
-itself and evaluates phi as a Fourier-multiplier time quadrature.  It takes
-the quadrature nodes in blocks of about ``_BLOCK_POINTS`` grid values: one
-transform of u0 and one stacked inverse give a block's snapshots, one
-stacked gradient chain their integrands and one array expression their
-increments, so the memory it holds is bounded by a block, not by the node
+itself and evaluates phi as a Fourier-multiplier time quadrature.  As
+d/dn f^n = ln f at n = 0, the integrand is the solver's divergence with
+coef = ln f, from the same kernel, ``gridfield._coef_divergence``.  The
+nodes go in blocks of about ``_BLOCK_POINTS`` grid values: one transform of
+u0 and one stacked inverse give a block's snapshots, one kernel call their
+integrands, so the memory it holds is bounded by a block, not by the node
 count.  The overall sign is not fixed a priori here but resolved against
 the measured (u_n - u_lin)/n and reported.  The log factor is clamped at a
 floor eta, and the fraction of the box where the clamp was active at the
@@ -39,11 +40,10 @@ from ._validate import require_int, require_real, require_reals
 from .degeneracy import DegeneracyFunction, RegPath
 from .gridfield import (
     Field,
+    _coef_divergence,
     _rows_spectrum,
     _spectrum,
     assert_boundary_decay,
-    divergence_hat,
-    grad_chain,
     irfft,
     l2_norm,
     rfft,
@@ -186,9 +186,10 @@ def correction_phi(
     clamp floor eta defaults to 1e-8 max|u0|.  Raises when the clamp was
     active on more than 20% of the box at time t.
 
-    The nodes go in blocks of max(1, _BLOCK_POINTS // grid points): one
-    ``linear_trajectory`` call and one stacked gradient chain per block,
-    then the block's increments in one array expression, a row per node.
+    The nodes go in blocks of max(1, _BLOCK_POINTS // grid points), at most
+    ``time_nodes``: per block one ``linear_trajectory`` call, one
+    ``_coef_divergence`` call (its sums unread) in work arrays made once per
+    call, and the increments, a row per node, in place of the divergence.
     The running phi_hat joins the first row, and one reduce over the node
     axis adds the rows in sequence: numpy sums along an outer axis row by
     row, where it would sum pairwise along the contiguous one.  So phi_hat
@@ -212,19 +213,25 @@ def correction_phi(
     lags, weights = np.reshape(t - nodes, column), np.reshape(weights, column)
 
     spec = _spectrum(grid, m)
-    block = max(1, _BLOCK_POINTS // u0.values.size)
+    block = min(time_nodes, max(1, _BLOCK_POINTS // u0.values.size))
     phi_hat = np.zeros(spec.k2m.shape, dtype=complex)
+    # the kernel's divergence, spectrum and products p (max(|u|, eta) first);
+    # each block's snapshots, free once transformed, hold its chain g
+    half = (block,) + spec.k2m.shape
+    work = (np.empty(half, complex), np.empty(half, complex), np.empty((block,) + grid.shape))
     for lo in range(0, time_nodes, block):
         times = nodes[lo:lo + block]
         states = linear_trajectory(u0, m, times)
         snaps = np.stack([snap.values for snap in states])
-        logf = np.log(f(np.maximum(np.abs(snaps), eta)))
-        rows = _rows_spectrum(grid, m, len(states))
-        g = grad_chain(rows, rfft(grid, snaps))
-        w_hat = divergence_hat(rows, [logf * gi for gi in g])
-        terms = weights[lo:lo + block] * (np.exp(-spec.k2m * lags[lo:lo + block]) * w_hat)
-        terms[0] += phi_hat
-        np.add.reduce(terms, axis=0, out=phi_hat)  # row by row, in node order
+        w_hat, s, p = (a[:len(states)] for a in work)
+        logf = f(np.maximum(np.abs(snaps, out=p), eta, out=p))
+        np.log(logf, out=logf)
+        _coef_divergence(_rows_spectrum(grid, m, len(states)), logf, rfft(grid, snaps), w_hat, s, snaps, p)
+        w_hat *= np.exp(-spec.k2m * lags[lo:lo + block])  # the terms, in place
+        w_hat *= weights[lo:lo + block]
+        w_hat[0] += phi_hat
+        np.add.reduce(w_hat, axis=0, out=phi_hat)  # row by row, in node order
+        del snaps, logf  # before the next block makes its own
     values = irfft(grid, np.where(spec.band, phi_hat, 0.0))
 
     final = states[-1]

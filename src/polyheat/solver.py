@@ -20,7 +20,8 @@ evaluates the coefficient once and leaves the state's remainder
 R_hat(u) + c |xi|^(2m) u_hat, which its step reads, and the flux monitors
 int |p|^2 and int p . g of p = coef g and g = grad Delta^(m-1) u.  A
 products row, whose coefficient is not exactly 1 everywhere, forms g and p
-on the grid.  A unit row, whose coefficient is exactly 1 at every grid
+on the grid in ``gridfield._coef_divergence``, and the pass signs its
+divergence.  A unit row, whose coefficient is exactly 1 at every grid
 point (the simple path at n = 0, say), has p = g and takes all of these
 from its half spectrum: R_hat(u) = rhs0 u_hat with
 the real multiplier rhs0 = (-1)^(m-1) sum_j div_j chain_j, and
@@ -112,7 +113,9 @@ from .gridfield import (
     DecayAssertionError,
     Field,
     GridSpec,
+    _coef_divergence,
     _column,
+    _row_sums,
     _rows_spectrum,
     _spectrum,
     _Spectrum,
@@ -232,18 +235,6 @@ class InterfaceReport:
 # row axis
 
 
-def _row_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
-    """Per row of b, the sum of a * b over the row, a broadcasting to b.
-    ``out``, shaped like b (it may be a or b), receives the products.
-
-    One numpy pairwise sum per row of the flattened products, in one call
-    for the whole batch: its bits do not depend on the rows beside it, nor
-    on the thread count, where BLAS's dot product splits a long sum across
-    its threads."""
-    np.multiply(a, b, out=out)
-    return np.add.reduce(out.reshape(len(out), -1), axis=1).tolist()
-
-
 def _power_sums(weight: np.ndarray, u_hat: np.ndarray, power: np.ndarray, scratch: np.ndarray) -> list:
     """Per row, the sum of weight |u_hat|^2 over the row; |u_hat|^2 is left
     in ``power`` and ``scratch`` is overwritten (both shaped like u_hat,
@@ -254,8 +245,8 @@ def _power_sums(weight: np.ndarray, u_hat: np.ndarray, power: np.ndarray, scratc
 
 
 def _candidate(dt, u_hat: np.ndarray, rem: np.ndarray, prop: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The step's candidate prop (u_hat + dt rem), written to ``out`` and
-    returned; the factors go in the other order, with the same bits."""
+    """The step's candidate prop (u_hat + dt rem), written to ``out`` (it may
+    be rem) and returned; the factors go in the other order, same bits."""
     np.multiply(dt, rem, out=out)
     out += u_hat
     out *= prop
@@ -279,37 +270,6 @@ def _unit_rows(table, lin: np.ndarray, u_hat: np.ndarray, rem: np.ndarray, s: np
     (Parseval) from the rows' power |u_hat|^2."""
     _unit_remainder(lin, table.rhs0, u_hat, rem, s)
     return _row_sums(table.w_g, power, scratch)
-
-
-def _products(spec: _Spectrum, m: int, coef: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
-              s: np.ndarray, g: np.ndarray, p: np.ndarray):
-    """The products route of the pass, one row per row of coef and
-    u_hat = rfft(u): writes to ``out`` the signed divergence
-    (-1)^(m-1) div p on the half spectrum of the products p = coef g with
-    g = grad Delta^(m-1) u, and returns per row the flux int |p|^2 and the
-    dissipation integrand int coef |g|^2 = int p . g.
-
-    The axes stream through the scratch arrays, the half spectrum ``s`` and
-    the grid arrays ``g`` and ``p`` (shaped like u_hat and coef): g_j, then
-    p_j = coef g_j, then axis j's terms of the integrals and of the
-    divergence, so only one g, one p and one spectrum are live.  The step
-    hands in the same arrays at every pass.  Each integral is a sum over its
-    own row, in axis order, so that a row's value does not depend on the
-    batch around it.
-    """
-    grid, rows = spec.grid, len(u_hat)
-    flux, diss = [0.0] * rows, [0.0] * rows
-    out.fill(0.0)
-    for chain, div in zip(spec.chain, spec.div):
-        irfft(grid, np.multiply(chain, u_hat, out=s), out=g)
-        np.multiply(coef, g, out=p)
-        diss = [d + x for d, x in zip(diss, _row_sums(p, g, g))]
-        rfft(grid, p, out=s)
-        flux = [f + x for f, x in zip(flux, _row_sums(p, p, p))]
-        out += np.multiply(div, s, out=s)
-    np.multiply(1.0 if m % 2 == 1 else -1.0, out, out=out)  # (-1)^(m-1)
-    vol = grid.cell_volume
-    return [vol * f for f in flux], [vol * d for d in diss]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +384,10 @@ class _Step:
         """The pass of the current state: one coefficient call for the whole
         batch (or the coefficient ``block`` evaluated for it), which finds
         the unit rows, then every row's remainder and monitors.  Unless every
-        row is a unit row, the whole batch goes through ``_products``; the
-        unit rows then take ``_unit_rows``, row by row, so that a unit row's
-        values do not depend on the rows beside it.  The power of the state
-        is the one the step formed for its energy guard."""
+        row is a unit row, the whole batch goes through ``_coef_divergence``;
+        the unit rows then take ``_unit_rows``, row by row, so that a unit
+        row's values do not depend on the rows beside it.  The power of the
+        state is the one the step formed for its energy guard."""
         if coef is None:
             coef = reg_coefficient(self.paths, self.eps, self.u, out=self.coef)
         # each row's first entry first, so a products row costs no pass over its grid
@@ -441,9 +401,9 @@ class _Step:
             self.flux = _unit_rows(self.unit_table, *work)
             self.diss = self.flux[:]
             return
-        self.flux, self.diss = _products(
-            self.spec, self.m, coef, self.u_hat, self.rem, self.s, self.g, self.p
-        )
+        self.flux, self.diss = _coef_divergence(self.spec, coef, self.u_hat, self.rem, self.s, self.g, self.p)
+        if self.m % 2 == 0:  # (-1)^(m-1); negation is exact
+            np.negative(self.rem, out=self.rem)
         self.rem += np.multiply(self.lin, self.u_hat, out=self.s)
         for i in unit:
             self.flux[i] = self.diss[i] = _unit_rows(self.unit_table, *(a[i:i + 1] for a in work))[0]
@@ -506,8 +466,8 @@ class _Step:
                     continue
                 cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
             if retry:
-                d = _column([dts[i] for i in retry], dim)
-                cand_hat[retry] = np.exp(-self.lin[retry] * d) * (u_hat[retry] + d * rem[retry])
+                d, r = _column([dts[i] for i in retry], dim), rem[retry]
+                cand_hat[retry] = _candidate(d, u_hat[retry], r, np.exp(np.negative(self.lin[retry]) * d), r)
                 for i in retry:
                     at = slice(i, i + 1)
                     energies[i] = _power_sums(self.spec.w_hi, cand_hat[at], self.power[at], self.prod[at])[0]

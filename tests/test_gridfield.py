@@ -14,7 +14,6 @@ from polyheat.gridfield import (
     boundary_shell_max,
     bump,
     coordinates,
-    divergence_hat,
     gradient,
     inner,
     integrate,
@@ -47,10 +46,10 @@ def _band_limited(f):
 
 
 def divergence(grid, components):
-    """Spectral divergence of a vector field given by its components, through
-    the solver's kernel."""
+    """Spectral divergence of a vector field given by its components: the
+    sum over axes of each component's half spectrum times i xi_j."""
     spec = gridfield_module._spectrum(grid, 1)
-    return Field(grid, irfft(grid, divergence_hat(spec, components)))
+    return Field(grid, irfft(grid, sum(d * rfft(grid, c) for d, c in zip(spec.div, components))))
 
 
 def _gaussian(grid, scale=1.0):

@@ -15,7 +15,6 @@ from polyheat.gridfield import (
     _spectrum,
     bump,
     coordinates,
-    grad_chain,
     gradient,
     irfft,
     l2_norm,
@@ -40,6 +39,12 @@ from polyheat.homotopy import (
 )
 from polyheat.kernel import phe_solve
 from polyheat.solver import SolverConfig, StiffnessError, Trajectory, solve
+
+
+def grad_chain(spec, u_hat) -> list:
+    """Real components of grad Delta^(m-1) u from u_hat = rfft(u), for the
+    order m of the multiplier table ``spec``."""
+    return [irfft(spec.grid, c * u_hat) for c in spec.chain]
 
 
 def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:

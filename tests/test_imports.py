@@ -4,8 +4,9 @@ root binds only ``__version__`` and modules, a process that only solves and
 sweeps loads no scipy, every polyheat name a demo or the benchmark reads
 exists, every function the benchmark's layer tracer wraps exists and a
 sweep reaches it, every benchmark workload builds, every transform the
-package makes is a real one made in ``gridfield.rfft``/``irfft``, and every
-default of a public function or dataclass is one that some call sets."""
+package makes is a real one made in ``gridfield.rfft``/``irfft``, only
+``gridfield`` reads the gradient-chain multipliers, and every default of a
+public function or dataclass is one that some call sets."""
 
 import ast
 import importlib.util
@@ -475,6 +476,34 @@ def test_detects_misplaced_transforms():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_transforms_only_in_gridfield_rfft_irfft(path):
     assert misplaced_transforms(path.stem, path.read_text()) == []
+
+
+# the one module that reads a ``_Spectrum``'s gradient-chain multipliers:
+# the home of the divergence kernel, which the solver and the Duhamel
+# correction both call
+CHAIN_HOME = "gridfield"
+
+
+def chain_reads(source: str) -> list:
+    """The lines that read a ``chain`` attribute, ``itertools.chain`` aside."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "chain"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "itertools")
+    )
+
+
+def test_detects_chain_reads():
+    source = "import itertools\ng = spec.chain[0]\nitertools.chain(a, b)\nfor c in rows.chain: pass\n"
+    assert chain_reads(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_gradient_chain_read_only_by_the_kernel_module(path):
+    # a module that forms grad Delta^(m-1) u itself would be a second
+    # divergence kernel beside gridfield._coef_divergence
+    if path.stem != CHAIN_HOME:
+        assert chain_reads(path.read_text()) == []
 
 
 def _count_calls(monkeypatch, function, calls: Counter, key: str) -> None:

@@ -19,13 +19,12 @@ from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n, reg_coeff
 from polyheat.gridfield import (
     Field,
     GridSpec,
+    _coef_divergence,
     _rows_spectrum,
     _spectrum,
     _unit_table,
     bump,
     coordinates,
-    divergence_hat,
-    grad_chain,
     integrate,
     irfft,
     l2_norm,
@@ -85,18 +84,24 @@ def _one_step(u, dt, config):
     return traj.snapshots[-1]
 
 
-def _pass(u, config):
-    """The products route of the solver's pass on u, as a batch of one row:
-    (signed divergence (-1)^(m-1) div p on the half spectrum, flux,
-    dissipation).  It runs whatever the coefficient, an exact 1 included."""
-    spec = _rows_spectrum(u.grid, config.m, 1)
-    coef = reg_coefficient((config.path,), (config.eps,), u.values[None])
-    u_hat = rfft(u.grid, u.values)[None]
+def _kernel(grid, m, coef, u_hat):
+    """The package's divergence kernel on one row, the grid array coef and
+    the half spectrum u_hat = rfft(u): (div(coef grad Delta^(m-1) u) on the
+    half spectrum, flux int |coef g|^2, dissipation int coef |g|^2)."""
+    coef, u_hat = coef[None], u_hat[None]
     div_hat = np.empty_like(u_hat)
-    scratch = (np.empty_like(u_hat), np.empty_like(coef), np.empty_like(coef))
-    flux, diss = solver_module._products(spec, config.m, coef, u_hat, div_hat, *scratch)
+    work = (np.empty_like(u_hat), np.empty_like(coef), np.empty_like(coef))
+    flux, diss = _coef_divergence(_rows_spectrum(grid, m, 1), coef, u_hat, div_hat, *work)
     return div_hat[0], flux[0], diss[0]
 
+
+def _pass(u, config):
+    """The products route of the solver's pass on u: (signed divergence
+    (-1)^(m-1) div p on the half spectrum, flux, dissipation).  It runs
+    whatever the coefficient, an exact 1 included."""
+    coef = reg_coefficient((config.path,), (config.eps,), u.values[None])[0]
+    div_hat, flux, diss = _kernel(u.grid, config.m, coef, rfft(u.grid, u.values))
+    return (-1.0) ** (config.m - 1) * div_hat, flux, diss
 
 def rhs(u, config):
     """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the signed divergence of the products route."""
@@ -149,6 +154,16 @@ class TestRhs:
             m=2, path=RegPath(rational, 0.4, "full"), eps=1e-2, dt_init=1e-4, t_final=0.01
         )
         assert abs(integrate(rhs(u0, config))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_pass_leaves_the_signed_divergence_plus_lin_u_hat(self, u0, rational, m):
+        # the kernel's divergence is unsigned; the solver's pass gives a
+        # products row's remainder the sign (-1)^(m-1) before adding lin u_hat
+        config = SolverConfig(m=m, path=RegPath(rational, 0.3, "full"), eps=1e-2, dt_init=1e-4, t_final=0.01)
+        u_hat = rfft(u0.grid, u0.values)
+        step = solver_module._Step(u0.grid, [solver_module._Row(0, config)], u_hat, np.inf)
+        div_hat = _kernel(u0.grid, m, reg_coefficient((config.path,), (config.eps,), step.u)[0], u_hat)[0]
+        assert np.array_equal(step.rem[0], (-1.0) ** (m - 1) * div_hat + step.lin[0] * u_hat)
 
 
 class TestStepImex:
@@ -433,8 +448,8 @@ class TestKernelProperties:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), dim=st.sampled_from((1, 2)))
     def test_divergence_zero_mode_is_exactly_zero(self, data, dim):
-        comps = [data.draw(_low_mode_field(dim)).values for _ in range(dim)]
-        div_hat = divergence_hat(_spectrum(_PROPERTY_GRIDS[dim], 2), comps)
+        u, coef = (data.draw(_low_mode_field(dim)) for _ in range(2))
+        div_hat = _kernel(u.grid, 2, coef.values, rfft(u.grid, u.values))[0]
         assert div_hat[(0,) * dim] == 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -473,23 +488,24 @@ class TestHalfSpectrumKernel:
     def test_matches_complex_reference(self, data, dim, m):
         u = _nyquist_field(data, dim)
         grid = u.grid
+        coef = np.exp(0.25 * data.draw(_low_mode_field(dim)).values)  # positive, not constant
         spec = _spectrum(grid, m)
         k2, k_odd = _full_wavenumbers(grid)
         h = grid.points_per_dim // 2 + 1
-        bound = np.max(k2) ** m * np.max(np.abs(u.values))
+        bound = np.max(k2) ** m * np.max(np.abs(u.values)) * np.max(coef)
 
         u_full = np.fft.fftn(u.values)
         ref_chain = [np.fft.ifftn(1j * ki * (-k2) ** (m - 1) * u_full).real for ki in k_odd]
-        for got, ref in zip(grad_chain(spec, rfft(grid, u.values)), ref_chain):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * bound
-
-        comps = [u.values] + [_nyquist_field(data, dim).values for _ in range(dim - 1)]
         ref_div = np.zeros(grid.shape, dtype=complex)
-        for ki, c in zip(k_odd, comps):
-            ref_div += 1j * ki * np.fft.fftn(c)
-        got_div = divergence_hat(spec, comps)
+        for ki, g in zip(k_odd, ref_chain):
+            ref_div += 1j * ki * np.fft.fftn(coef * g)
+        ref_flux = grid.cell_volume * sum(np.sum((coef * g) ** 2) for g in ref_chain)
+        ref_diss = grid.cell_volume * sum(np.sum(coef * g**2) for g in ref_chain)
+
+        got_div, flux, diss = _kernel(grid, m, coef, rfft(grid, u.values))
         assert got_div.shape == grid.shape[:-1] + (h,)
         assert np.max(np.abs(got_div - ref_div[..., :h])) <= 1e-12 * bound * grid.points_per_dim**dim
+        assert (flux, diss) == pytest.approx((ref_flux, ref_diss), rel=1e-12)
 
         scale = grid.cell_volume / grid.points_per_dim**dim
         power = np.abs(u_full) ** 2
@@ -508,13 +524,12 @@ class TestUnitRoute:
         # white noise carries every mode, the Nyquist-corner ones included
         grid = make_grid(dim, 12.0, points)
         u_hat = rfft(grid, np.random.default_rng(dim * 10 + m).standard_normal(grid.shape))
-        spec, table = _spectrum(grid, m), _unit_table(grid, m)
-        g = grad_chain(spec, u_hat)
-        sign = 1.0 if m % 2 == 1 else -1.0
-        ref = sign * divergence_hat(spec, g)
+        table = _unit_table(grid, m)
+        div_hat, ref_flux, ref_diss = _kernel(grid, m, np.ones(grid.shape), u_hat)
+        ref = (-1.0) ** (m - 1) * div_hat
         assert np.max(np.abs(table.rhs0 * u_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert ref_diss == ref_flux
         power = u_hat.real**2 + u_hat.imag**2
-        ref_flux = grid.cell_volume * sum(np.sum(gi**2) for gi in g)
         assert float(np.vdot(table.w_g, power)) == pytest.approx(ref_flux, rel=1e-12)
 
 
