@@ -159,14 +159,16 @@ def _trapezoid_tables(m: int, radii: np.ndarray, s_max: float, nodes: int):
     trapezoid rule with nodes, 2 nodes, 4 nodes, ... intervals, one
     tabulation per ``next``.  The s = 0 node has half weight; s_max carries
     a full one, but e^(-s_max^(2m)) is below 1e-16.  Each halving of the
-    step evaluates only the new midpoints and adds them to the running sum."""
+    step evaluates only the new midpoints and adds them to the running sum.
+    Each radius is summed by ``einsum``, not by a BLAS matrix-vector product
+    that OpenBLAS splits across threads, so the bits follow no thread count."""
     h = s_max / nodes
     s = h * np.arange(nodes + 1)
     weight = np.exp(-(s ** (2 * m)))
     weight[0] = 0.5  # e^0 at half weight
     total = np.zeros(radii.size)
     while True:
-        total += np.cos(np.outer(radii, s)) @ weight
+        total += np.einsum("ij,j->i", np.cos(np.outer(radii, s)), weight)
         yield total * (h / np.pi)
         h *= 0.5
         s = h * np.arange(1, 2 * nodes, 2)
@@ -177,11 +179,12 @@ def _trapezoid_tables(m: int, radii: np.ndarray, s_max: float, nodes: int):
 def _gauss_tables(m: int, radii: np.ndarray, s_max: float, nodes: int):
     """(1/2pi) int_0^s_max s J_0(r s) e^(-s^(2m)) ds at each radius, by
     Gauss-Legendre panels with nodes, 2 nodes, 4 nodes, ... in all, one
-    tabulation per ``next``."""
+    tabulation per ``next``, each radius summed as in
+    ``_trapezoid_tables``."""
     while True:
         s, wt = _gauss_panels(s_max, nodes)
         damp = np.exp(-(s ** (2 * m))) * wt
-        yield besselj(0, np.outer(radii, s)) @ (s * damp) / (2.0 * np.pi)
+        yield np.einsum("ij,j->i", besselj(0, np.outer(radii, s)), s * damp) / (2.0 * np.pi)
         nodes *= 2
 
 

@@ -15,8 +15,9 @@ only when the parity-appropriate energy  bf = int |xi|^(2(m-1)) |u_hat|^2
 (equal to int |Delta^((m-1)/2) u|^2 for odd m and
 int |grad Delta^((m-2)/2) u|^2 for even m) stays within 1e-8 bf(0) of
 min(bf, bf(0)), a tolerance that scales with the data; otherwise dt is
-halved, up to 30 times.  Each accepted state goes through one pass that
-evaluates the coefficient once and leaves the state's remainder
+halved, up to 30 times, and a row past its step budget (``_Row``) fails.
+Each accepted state goes through one pass that evaluates the coefficient
+once and leaves the state's remainder
 R_hat(u) + c |xi|^(2m) u_hat, which its step reads, and the flux monitors
 int |p|^2 and int p . g of p = coef g and g = grad Delta^(m-1) u.  A
 products row, whose coefficient is not exactly 1 everywhere, forms g and p
@@ -30,13 +31,12 @@ no transform to step, only the inverse of each new state that the tripwire,
 the coefficient and the snapshots read, and makes one inverse per block of
 steps (below), where a batch with a products row makes 1 + 2 dim
 transforms per step for all its rows.  Only the pass picks a row's route,
-and from the coefficient, not the config.  Each halving only re-applies
-e^(-c |xi|^(2m) dt) to the remainder.  A non-finite product spreads through
-the transforms to a non-finite remainder and candidate energy, so the
-blow-up guard looks at the remainder only when the energy guard rejects a
-step.  At n = 0 the
-coefficient is exactly 1, and f is not evaluated when every row is at
-n = 0.  Every transform is a real FFT on the half spectrum, the multipliers
+and from the coefficient, not the config.  A halving reuses the remainder
+and forms the candidate again at the new dt.  A non-finite product spreads
+through the transforms to a non-finite remainder and candidate energy, so
+the blow-up guard looks at the remainder only when the energy guard
+rejects a step.  At n = 0 the coefficient is exactly 1, and f is not
+evaluated when every row is at n = 0.  Every transform is a real FFT on the half spectrum, the multipliers
 are tabled once per (grid, m), and the propagator e^(-c |xi|^(2m) dt) is
 rebuilt only when dt changes.  No 2/3-rule cut is applied: it removes
 aliasing only from quadratic products, and f^n(|u|) is neither polynomial
@@ -61,47 +61,46 @@ and in any batch.  BLAS's dot product is not used: it splits a long sum
 across its threads, so its bits would follow the thread count.
 
 Step and driver.  ``_Step`` is the scheme: it holds the stacked state, the
-tables and the propagator cache, and ``_Step.advance`` takes one step of
-every row at the dts it is given, with the halvings, the blow-up, stiffness
-and tripwire exits, and the pass of the new state.  While the rows share dt
-the step is whole-array work with one propagator table; only a halving, a
-row leaving or the unit rows of a batch with products rows index rows.  The
-step runs in arrays that ``_Step._tables`` allocates once per batch shape
-(again when a row leaves): the state spectrum and its spare, the
+tables and the propagator cache, and ``_Step.advance``, the one caller of
+``_candidate`` and ``_unit_remainder``, steps every row at the dts it is
+given, a block of steps included (below), with the halvings, the blow-up,
+stiffness, step-budget and tripwire exits, and the pass of the new state.  While the
+rows share dt the step is whole-array work with one propagator table; only
+a row leaving or the unit rows of a batch with products rows index rows.
+The step runs in arrays that ``_Step._tables`` allocates once per batch
+shape (again when a row leaves): the state spectrum and its spare, the
 remainder, the grid values, the power, the coefficient and the work arrays
 of the pass.  Fresh temporaries of a 256^2 grid are past glibc's mmap
 threshold, and the pages it maps and trims again cost about 56 000 minor
 page faults per 40-step solve.  With the fixed arrays about 1 700 remain:
 f's values inside the coefficient and numpy's complex stage of each 2-D
 inverse are still fresh, but the heap no longer shrinks between steps, so
-their pages stay mapped.  ``_solve_rows`` keeps each row's record: its
-clock and dt cap, its energy bound, the flux and dissipation trapezoid,
-targets, snapshots and reports, and it drops the rows that are done or
-failed while the others go on.
+their pages stay mapped.  ``_solve_rows`` keeps each row's record
+(``_Row``) and picks its dt, and it drops the rows that are done or failed
+while the others go on.
 
 Blocks.  While every live row was a unit row at the last pass and every
-row steps at its dt_init, one dt for all, ``_Step.block`` takes up to 64
-steps at once (fewer where its arrays would pass 1 MiB; a 2-D 256^2 state
-steps alone).  It runs the candidates of ``advance`` with each new state's
-unit remainder in turn, in the same ufuncs as ``advance`` and
-``_unit_rows`` (``_candidate`` and ``_unit_remainder``), then serves the
-whole block at once: one inverse transform, one power, the energy and
-flux sums, one tripwire maximum per state, and one coefficient call for
-the states that pass the energy guard and the tripwire.  It accepts the
-states up to the first that fails a guard or trips the wire, which
-``advance`` then takes again with its halving or its error, or up to and
-with the first state that is not all unit rows, whose coefficient the pass
-reuses; so each state's coefficient is evaluated once, and a row is
-bitwise the same whether it steps in blocks or not.  A block ends before a
-row's next clipped step and at its next target or report step, and
-``_solve_rows`` keeps each state's record as after ``advance``.  Another
-scheme, such as a second-order exponential step, replaces ``advance`` and
-with it the block's recurrence, the candidate and the unit remainder.
+row steps at its dt_init, one dt for all, ``_solve_rows`` asks ``advance``
+for up to 64 states at once (fewer where their arrays would pass 1 MiB; a
+2-D 256^2 state steps alone), ending before a row's next clipped step and
+at its next target or report step.  ``advance`` steps each state from the
+one before with its unit remainder, in the ufuncs of one step and of the
+pass, and serves the whole block at once: one inverse transform, one
+power, the energy and flux sums, one tripwire maximum, and one coefficient
+call.  State 0 is guarded as in any step; the block keeps each later state
+that its rules in ``advance`` allow, so it ends before a state that fails
+a guard or trips the wire, which the next ``advance`` takes again as its
+state 0, or with the first state that is not all unit rows, whose
+coefficient the pass reuses.  So each state's coefficient is evaluated
+once, and a row is bitwise the same whether it steps in blocks or not.
+Another scheme, such as a second-order exponential step, replaces
+``advance`` and with it the block's recurrence.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
@@ -148,6 +147,10 @@ _TRIPWIRE_FACTOR = 10.0
 # A step may raise the high-order energy by at most this fraction of bf(0)
 # above min(bf, bf(0)): round-off room that scales with the data.
 _ENERGY_RTOL = 1e-8
+
+# A step whose energy guard still fails after this many halvings of its dt
+# is a stiffness failure.
+_MAX_HALVINGS = 30
 
 # A batch of unit rows steps in blocks of at most this many states, fewer
 # where the block's arrays would pass _BLOCK_BYTES; below two it steps alone
@@ -245,8 +248,8 @@ def _power_sums(weight: np.ndarray, u_hat: np.ndarray, power: np.ndarray, scratc
 
 
 def _candidate(dt, u_hat: np.ndarray, rem: np.ndarray, prop: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The step's candidate prop (u_hat + dt rem), written to ``out`` (it may
-    be rem) and returned; the factors go in the other order, same bits."""
+    """The step's candidate prop (u_hat + dt rem), written to ``out`` and
+    returned; the factors go in the other order, same bits."""
     np.multiply(dt, rem, out=out)
     out += u_hat
     out *= prop
@@ -255,21 +258,11 @@ def _candidate(dt, u_hat: np.ndarray, rem: np.ndarray, prop: np.ndarray, out: np
 
 def _unit_remainder(lin: np.ndarray, rhs0: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
                     s: np.ndarray) -> np.ndarray:
-    """A unit row's remainder lin u_hat + rhs0 u_hat, written to ``out`` and
-    returned (``s`` is overwritten)."""
-    np.multiply(lin, u_hat, out=out)
-    out += np.multiply(rhs0, u_hat, out=s)
+    """A unit row's remainder rhs0 u_hat + lin u_hat, in the pass's order,
+    written to ``out`` and returned (``s`` is overwritten)."""
+    np.multiply(rhs0, u_hat, out=out)
+    out += np.multiply(lin, u_hat, out=s)
     return out
-
-
-def _unit_rows(table, lin: np.ndarray, u_hat: np.ndarray, rem: np.ndarray, s: np.ndarray,
-               power: np.ndarray, scratch: np.ndarray) -> list:
-    """Unit rows, whose coefficient is exactly 1: writes their remainder
-    to ``rem`` (``s`` is overwritten) and returns per row the flux and
-    dissipation integrand, both int |g|^2, the sum of w_g |u_hat|^2
-    (Parseval) from the rows' power |u_hat|^2."""
-    _unit_remainder(lin, table.rhs0, u_hat, rem, s)
-    return _row_sums(table.w_g, power, scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +310,23 @@ def _shared(config: SolverConfig) -> tuple:
 
 
 class _Row:
-    """One row's own record: its clock, dt cap, step count, energy, flux
-    and dissipation integrals, next target, snapshots and reports, and its
-    position in the caller's sequence."""
+    """One row's own record: its clock, dt cap, accepted and rejected step
+    counts and step budget, energy, flux and dissipation integrals, next
+    target, snapshots and reports, and its position in the caller's
+    sequence."""
 
-    __slots__ = ("index", "config", "t", "dt_cap", "steps", "bf", "flux", "diss",
+    __slots__ = ("index", "config", "t", "dt_cap", "steps", "rejected", "budget", "bf", "flux", "diss",
                  "flux_acc", "diss_acc", "target", "snapshots", "reports")
 
     def __init__(self, index: int, config: SolverConfig):
         self.index, self.config = index, config
-        self.t, self.dt_cap, self.steps, self.target = 0.0, config.dt_init, 0, 0
+        self.t, self.dt_cap, self.steps, self.rejected, self.target = 0.0, config.dt_init, 0, 0, 0
         self.flux_acc = self.diss_acc = 0.0
+        # a run that never halves takes one step per dt_init and at most one
+        # clipped step per target; the budget, on accepted and rejected steps
+        # alike, is four times that plus one full halving and its climb back
+        targets = len({t for t in config.snapshot_times if t > 0.0} | {config.t_final})
+        self.budget = 4 * (math.ceil(config.t_final / config.dt_init) + targets) + 2 * _MAX_HALVINGS
 
 
 _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
@@ -336,21 +335,23 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
     spectra, grid values, coefficient and power |u_hat|^2; the remainders
-    R_hat(u) + lin u_hat and the monitor integrals of the last pass; and,
-    rebuilt by ``_tables`` whenever a row leaves, the multipliers tiled over
-    the rows, each row's linear symbol lin = c |xi|^(2m), paths and eps, the
-    propagator e^(-lin dt) of the last dts, and the step's work arrays.  The
-    unit rows' tables are looked up when a row first needs them.
+    R_hat(u) + lin u_hat and the monitor integrals of the last pass; bf(0)
+    and the energy guard's tolerance; and, rebuilt by ``_tables`` whenever
+    a row leaves, the multipliers tiled over the rows, each row's linear
+    symbol lin = c |xi|^(2m), paths and eps, the propagator e^(-lin dt) of
+    the last dts, and the step's work arrays.  The unit rows' tables are
+    looked up when a row first needs them.
 
     A step writes into those fixed arrays, not into fresh temporaries (the
     module docstring gives the page-fault counts).  The state spectrum has
     two buffers: the candidate goes to the spare one, which aliases neither
     the state nor its remainder that a halving reads, and becomes the state
-    when the step ends.
+    when the step ends.  A block's states go to arrays of its own.
     """
 
-    def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, trip: float):
+    def __init__(self, grid: GridSpec, rows: list, u_hat0: np.ndarray, bf0: float, trip: float):
         self.grid, self.m, self.trip = grid, rows[0].config.m, trip
+        self.bf0, self.limit = bf0, _ENERGY_RTOL * bf0  # a step may raise bf this far above min(bf, bf(0))
         self.rows = rows
         self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
         self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
@@ -358,7 +359,7 @@ class _Step:
         self.unit_table = None
         self._tables()
         _power_sums(self.spec.w_hi, self.u_hat, self.power, self.prod)
-        self._pass()
+        self._pass(reg_coefficient(self.paths, self.eps, self.u, out=self.coef))
 
     def _tables(self) -> None:
         self.spec = _rows_spectrum(self.grid, self.m, len(self.rows))
@@ -380,33 +381,34 @@ class _Step:
         m): the sum of |xi|^(2(m-2)) |u_hat|^2, from the row's power."""
         return _row_sums(self.spec.w_lo, self.power[i:i + 1], self.prod[i:i + 1])[0]
 
-    def _pass(self, coef: np.ndarray | None = None) -> None:
-        """The pass of the current state: one coefficient call for the whole
-        batch (or the coefficient ``block`` evaluated for it), which finds
-        the unit rows, then every row's remainder and monitors.  Unless every
-        row is a unit row, the whole batch goes through ``_coef_divergence``;
-        the unit rows then take ``_unit_rows``, row by row, so that a unit
-        row's values do not depend on the rows beside it.  The power of the
-        state is the one the step formed for its energy guard."""
-        if coef is None:
-            coef = reg_coefficient(self.paths, self.eps, self.u, out=self.coef)
+    def _pass(self, coef: np.ndarray) -> None:
+        """The pass of the current state, from its coefficient ``coef`` (one
+        call for the whole batch), which finds the unit rows: every row's
+        remainder, its signed divergence plus lin u_hat, and its monitors.
+        Unless every row is a unit row, the whole batch goes through
+        ``_coef_divergence``; the unit rows then take rhs0 u_hat and the
+        Parseval sum, row by row, so that a unit row's values do not depend
+        on the rows beside it.  The power of the state is the one the step
+        formed for its energy guard."""
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
         unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
         self.all_unit = len(unit) == len(self.rows)
         if unit and self.unit_table is None:
             self.unit_table = _unit_table(self.grid, self.m)
-        work = (self.lin, self.u_hat, self.rem, self.s, self.power, self.prod)
         if self.all_unit:  # no chain, no products
-            self.flux = _unit_rows(self.unit_table, *work)
+            np.multiply(self.unit_table.rhs0, self.u_hat, out=self.rem)
+            self.flux = _row_sums(self.unit_table.w_g, self.power, self.prod)
             self.diss = self.flux[:]
-            return
-        self.flux, self.diss = _coef_divergence(self.spec, coef, self.u_hat, self.rem, self.s, self.g, self.p)
-        if self.m % 2 == 0:  # (-1)^(m-1); negation is exact
-            np.negative(self.rem, out=self.rem)
+        else:
+            self.flux, self.diss = _coef_divergence(self.spec, coef, self.u_hat, self.rem, self.s, self.g, self.p)
+            if self.m % 2 == 0:  # (-1)^(m-1); negation is exact
+                np.negative(self.rem, out=self.rem)
+            for i in unit:
+                np.multiply(self.unit_table.rhs0, self.u_hat[i], out=self.rem[i])
+                self.flux[i] = self.diss[i] = _row_sums(self.unit_table.w_g, self.power[i:i + 1],
+                                                        self.prod[i:i + 1])[0]
         self.rem += np.multiply(self.lin, self.u_hat, out=self.s)
-        for i in unit:
-            self.flux[i] = self.diss[i] = _unit_rows(self.unit_table, *(a[i:i + 1] for a in work))[0]
 
     def drop(self, gone: list) -> None:
         """Take the rows at the positions ``gone`` out."""
@@ -427,105 +429,109 @@ class _Step:
             np.exp(self.prop, out=self.prop)
         return dt
 
-    def advance(self, dts: list, bounds: list):
-        """Step row i by dts[i], halving it in place until the candidate's
-        bf is at most bounds[i], then pass the new state.
+    def advance(self, dts: list, bf: list, steps: int = 1):
+        """Step row i by dts[i] from its energy bf[i], up to ``steps`` times
+        for a block of unit rows, and pass the last state kept.  A state's
+        energy guard is min(bf, bf0) + limit on the state before it.
 
-        Returns per row the candidate's bf and its halvings, and the
-        failures as {position: error}.  A failed row keeps its state until
-        it is dropped; its monitors are not read.
+        State 0 is guarded row by row: a failing row halves its dt in place
+        and counts a rejected step, the whole batch stepping again at one
+        state, or records a blow-up or stiffness error.  A later state is kept while no row has failed or
+        halved, every row passes its guard and the tripwire, and the state
+        before it was all unit rows.  Returns per kept state the rows' (bf,
+        flux, dissipation integrand), per row its halvings, and the failures
+        as {position: error}.  A failed row keeps its state until it is
+        dropped; its monitors are not read.
         """
-        rows, u_hat, rem, dim = self.rows, self.u_hat, self.rem, self.grid.dim
+        rows, u_hat, rem, n = self.rows, self.u_hat, self.rem, len(self.rows)
+        block = steps > 1
+        if block:  # the block's own arrays: spectra, power, row sums, grid values and coefficient
+            if self.block_arrays is None:
+                half, grid = (self.block_cap * n, *u_hat.shape[1:]), (self.block_cap * n, *self.u.shape[1:])
+                self.block_arrays = (np.empty(half, complex), *(np.empty(shape) for shape in (half, half, grid, grid)))
+            hat, power, sums, u, coef = (a[:steps * n] for a in self.block_arrays)
+        else:  # the step's own arrays; the new state swaps with u_hat
+            hat, power, sums, u, coef = self.spare, self.power, self.prod, self.u, self.coef
         dt = self._propagator(dts)
-        cand_hat = _candidate(dt, u_hat, rem, self.prop, self.spare)
-        energies = _power_sums(self.spec.w_hi, cand_hat, self.power, self.prod)
-        halvings, failures = [0] * len(rows), {}
-        # each trial row is accepted, fails or halves its own dt; past the
-        # first try, which is whole-array work, this is the rare path
-        trial = range(len(rows))
+        state = _candidate(dt, u_hat, rem, self.prop, hat[:n])
+        for j in range(1, steps):  # each state steps from the last with its unit remainder
+            after = _unit_remainder(self.lin, self.unit_table.rhs0, state, self.spare, self.s)
+            state = _candidate(dt, state, after, self.prop, hat[j * n:(j + 1) * n])
+        energies = _power_sums(self.spec.w_hi, hat, power, sums)
+        bf0, limit, halvings, failures = self.bf0, self.limit, [0] * n, {}
+        # each row over its guard fails or halves its own dt; past the first
+        # try, which is whole-array work, this is the rare path (a non-finite
+        # candidate has a non-finite bf, which the guard rejects too)
+        trial = [i for i, b in enumerate(bf) if not energies[i] <= min(b, bf0) + limit]
         while trial:
             retry = []
             for i in trial:
-                # a non-finite candidate has a non-finite bf, which the guard rejects too
-                if energies[i] <= bounds[i]:
-                    continue
+                row = rows[i]
+                tries = row.steps + row.rejected + 1
                 # a non-finite remainder makes every candidate of the step
                 # non-finite, so the blow-up guard need look only here
                 if halvings[i] == 0 and not np.isfinite(rem[i]).all():
-                    failures[i] = BlowupError(f"{_NONFINITE} at t = {rows[i].t:g}, dt = {dts[i]:.3e}")
-                elif halvings[i] == 30:
+                    failures[i] = BlowupError(f"{_NONFINITE} at t = {row.t:g}, dt = {dts[i]:.3e}")
+                elif halvings[i] == _MAX_HALVINGS:
                     failures[i] = StiffnessError(
-                        f"stiffness failure at t = {rows[i].t:g}: dt underflowed after 30 halvings "
-                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i] - rows[i].bf:.3e}, "
-                        f"finite = {bool(np.isfinite(cand_hat[i]).all())})"
+                        f"stiffness failure at t = {row.t:g}: dt underflowed after {_MAX_HALVINGS} halvings "
+                        f"(last dt = {dts[i]:.3e}, bf jump {energies[i] - bf[i]:.3e}, "
+                        f"finite = {bool(np.isfinite(hat[i]).all())})"
+                    )
+                elif tries > row.budget:
+                    failures[i] = StiffnessError(
+                        f"stiffness failure at t = {row.t:g}: step budget spent, {tries} accepted and "
+                        f"rejected steps against a budget of {row.budget} (last dt = {dts[i]:.3e})"
                     )
                 else:
                     halvings[i] += 1
+                    row.rejected += 1
                     dts[i] *= 0.5
                     retry.append(i)
-                    continue
-                cand_hat[i] = u_hat[i]  # a finite stand-in until the row leaves
-            if retry:
-                d, r = _column([dts[i] for i in retry], dim), rem[retry]
-                cand_hat[retry] = _candidate(d, u_hat[retry], r, np.exp(np.negative(self.lin[retry]) * d), r)
-                for i in retry:
-                    at = slice(i, i + 1)
-                    energies[i] = _power_sums(self.spec.w_hi, cand_hat[at], self.power[at], self.prod[at])[0]
-            trial = retry
-        self.u_hat, self.spare = cand_hat, u_hat
-        # |u| goes to g, which is free between passes; the whole batch
-        # first: one reduction while no row trips
-        abs_u = np.abs(irfft(self.grid, cand_hat, out=self.u), out=self.g)
-        if abs_u.max() > self.trip:
-            for i, sup in enumerate(abs_u.reshape(len(rows), -1).max(axis=1).tolist()):
+            if retry:  # the whole batch again, at one state
+                steps = 1
+                state = _candidate(self._propagator(dts), u_hat, rem, self.prop, hat[:n])
+                energies = _power_sums(self.spec.w_hi, state, power[:n], sums[:n])
+            trial = [i for i in retry if not energies[i] <= min(bf[i], bf0) + limit]
+        for i in failures:
+            hat[i], steps = u_hat[i], 1  # a finite stand-in until the row leaves, and no later state
+        kept = 1
+        if block:  # each later state while every row passes its guard on the one before
+            while kept < steps and all(e <= min(b, bf0) + limit for e, b in zip(
+                    energies[kept * n:(kept + 1) * n], energies[(kept - 1) * n:kept * n])):
+                kept += 1
+            hat, u, coef = hat[:kept * n], u[:kept * n], coef[:kept * n]
+        # |u| goes to the coefficient's array, which is free until the
+        # coefficient call; one maximum for all states while no row trips
+        abs_u = np.abs(irfft(self.grid, hat, out=u), out=coef)
+        if abs_u.max() > self.trip:  # the block ends before the first state in which a row trips
+            sups = abs_u.reshape(kept * n, -1).max(axis=1).tolist()
+            kept = max(next(j for j, sup in enumerate(sups) if sup > self.trip) // n, 1)
+            for i, sup in enumerate(sups[:n]):  # unless that is state 0, where those rows fail
                 if sup > self.trip and i not in failures:
                     failures[i] = BlowupError(
                         f"boundedness tripwire: sup|u| = {sup:.3g} exceeds "
                         f"{_TRIPWIRE_FACTOR:g} * sup|u0| = {self.trip:.3g} at t = {rows[i].t + dts[i]:g}"
                     )
-        self._pass()
-        return energies, halvings, failures
-
-    def block(self, steps: int, dt: float, bf: list, bf0: float, limit: float) -> list:
-        """Up to ``steps`` steps of dt for every row as one block (see
-        "Blocks" in the module docstring), from the rows' energies ``bf``:
-        a state's energy guard is min(bf, bf0) + limit on the state before
-        it.  The last state accepted becomes the state and gets its pass.
-        Returns per accepted state the rows' (bf, flux, dissipation
-        integrand); an empty list when the first state fails."""
-        rows = len(self.rows)
-        if self.block_arrays is None:
-            states = (self.block_cap * rows,)
-            self.block_arrays = (np.empty(states + self.u_hat.shape[1:], complex),
-                                 *(np.empty(states + self.u_hat.shape[1:]) for _ in range(2)),
-                                 *(np.empty(states + self.u.shape[1:]) for _ in range(2)))
-        hat, power, sums, u, coef = (a[:steps * rows] for a in self.block_arrays)
-        self._propagator([dt] * rows)
-        u_hat, rem = self.u_hat, self.rem
-        for j in range(steps):
-            u_hat = _candidate(dt, u_hat, rem, self.prop, hat[j * rows:(j + 1) * rows])
-            rem = _unit_remainder(self.lin, self.unit_table.rhs0, u_hat, self.spare, self.s)
-        energies = _power_sums(self.spec.w_hi, hat, power, sums)
-        ok = 0
-        while ok < steps:
-            new = energies[ok * rows:(ok + 1) * rows]
-            if not all(e <= min(b, bf0) + limit for e, b in zip(new, bf)):
-                break
-            ok, bf = ok + 1, new
-        if ok:
-            irfft(self.grid, hat[:ok * rows], out=u[:ok * rows])
-            sups = np.abs(u[:ok * rows], out=coef[:ok * rows]).reshape(ok, -1).max(axis=1).tolist()
-            ok = next((j for j, sup in enumerate(sups) if sup > self.trip), ok)
-        if not ok:
-            return []
-        coef = reg_coefficient(self.paths * ok, self.eps * ok, u[:ok * rows], out=coef[:ok * rows])
-        units = (coef == 1.0).reshape(ok, -1).all(axis=1).tolist()
-        ok = next((j + 1 for j, unit in enumerate(units) if not unit), ok)
-        flux = _row_sums(self.unit_table.w_g, power[:ok * rows], sums[:ok * rows])
-        at = [slice(j * rows, (j + 1) * rows) for j in range(ok)]
-        self.u_hat[...], self.u[...], self.power[...] = hat[at[-1]], u[at[-1]], power[at[-1]]
-        self._pass(coef[at[-1]])
-        return [(energies[a], flux[a], flux[a]) for a in at[:-1]] + [(energies[at[-1]], self.flux, self.diss)]
+            u, coef = u[:kept * n], coef[:kept * n]
+        if not block:  # one state: it swaps with u_hat
+            self.u_hat, self.spare = hat, u_hat
+            self._pass(reg_coefficient(self.paths, self.eps, u, out=coef))
+            return [(energies, self.flux, self.diss)], halvings, failures
+        coef, states = reg_coefficient(self.paths * kept, self.eps * kept, u, out=coef), []
+        if kept > 1:  # up to and with the first state that is not all unit rows
+            units = (coef == 1.0).reshape(kept, -1).all(axis=1).tolist()
+            kept = next((j + 1 for j, unit in enumerate(units) if not unit), kept)
+        before = (kept - 1) * n
+        if before:  # all unit rows: each row's flux is its Parseval sum
+            flux = _row_sums(self.unit_table.w_g, power[:before], sums[:before])
+            states = [(energies[a:a + n], flux[a:a + n], flux[a:a + n]) for a in range(0, before, n)]
+        # the last state kept, into the step's arrays
+        last = slice(before, kept * n)
+        self.u_hat[...], self.u[...], self.power[...] = hat[last], u[last], power[last]
+        self._pass(coef[last])
+        states.append((energies[last], self.flux, self.diss))
+        return states, halvings, failures
 
 
 def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajectory | list:
@@ -533,8 +539,8 @@ def solve(u0: Field, config: SolverConfig | Sequence[SolverConfig]) -> Trajector
 
     Snapshots are taken exactly at the requested times (dt is clipped to land
     on them) and each must pass the boundary-shell decay assertion.  Raises
-    StiffnessError when 30 dt-halvings cannot make a step acceptable and
-    BlowupError if the uniform-boundedness tripwire fires.
+    StiffnessError when 30 dt-halvings cannot make a step acceptable or the
+    step budget is spent, and BlowupError if the tripwire fires.
 
     ``config`` may also be a sequence of row configs that share f, m,
     t_final, snapshot_times and report_stride (n, variant, eps and dt_init
@@ -576,7 +582,6 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
     # every row starts from the same transform of u0
     u_hat0 = rfft(grid, u0.values)
     bf0 = _bf_from_hat(_spectrum(grid, first.m), u_hat0)[0]
-    limit = _ENERGY_RTOL * bf0  # a step may raise bf this far above min(bf, bf(0))
     start = Field(grid, u0.values, 0.0)
 
     def report(row, i):
@@ -594,7 +599,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
         )
 
     rows = [_Row(i, config) for i, config in enumerate(configs)]
-    step = _Step(grid, rows, u_hat0, _TRIPWIRE_FACTOR * float(np.max(np.abs(u0.values))))
+    step = _Step(grid, rows, u_hat0, bf0, _TRIPWIRE_FACTOR * float(np.max(np.abs(u0.values))))
     for i, row in enumerate(rows):
         row.bf, row.flux, row.diss = bf0, step.flux[i], step.diss[i]
         row.snapshots = [start]
@@ -603,13 +608,14 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
     stride = first.report_stride
 
     def block_steps(rows) -> int:
-        """How many steps the rows take as one block: up to and with each
-        row's next target or report step, before its next clipped step, and
-        at most the step's block length; 0 unless every row was a unit row
-        at the batch's last pass and steps at its dt_init, one dt for all."""
+        """How many steps the rows take in the next ``advance``: up to and
+        with each row's next target or report step, before its next clipped
+        step, and at most the step's block length; 1 unless every row was a
+        unit row at the batch's last pass and steps at its dt_init, one dt
+        for all."""
         dt = rows[0].dt_cap
         if not step.all_unit or any(row.dt_cap != dt or row.config.dt_init != dt for row in rows):
-            return 0
+            return 1
         steps = step.block_cap
         for row in rows:
             t, done, target = row.t, 0, targets[row.target]
@@ -619,7 +625,7 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
                 if t >= reached[row.target] or (row.steps + done) % stride == 0:
                     break
             steps = done
-        return steps
+        return max(steps, 1)
 
     def accept(dts, energies, flux, diss, halvings, failures) -> list:
         """Each row's record of its step of dts[i], or its failure; returns
@@ -667,16 +673,11 @@ def _solve_rows(u0: Field, configs: tuple) -> list:
 
     while step.rows:
         rows = step.rows
-        steps = block_steps(rows)
-        states = step.block(steps, rows[0].dt_cap, [row.bf for row in rows], bf0, limit) if steps > 1 else []
-        if states:
-            dts, whole, gone = [rows[0].dt_cap] * len(rows), [0] * len(rows), []
-            for energies, flux, diss in states:
-                gone += accept(dts, energies, flux, diss, whole, {})
-        else:
-            dts = [min(row.dt_cap, targets[row.target] - row.t) for row in rows]
-            energies, halvings, failures = step.advance(dts, [min(row.bf, bf0) + limit for row in rows])
-            gone = accept(dts, energies, step.flux, step.diss, halvings, failures)
+        dts = [min(row.dt_cap, targets[row.target] - row.t) for row in rows]
+        states, halvings, failures = step.advance(dts, [row.bf for row in rows], block_steps(rows))
+        gone = []
+        for energies, flux, diss in states:
+            gone += accept(dts, energies, flux, diss, halvings, failures)
         if gone:
             step.drop(gone)
     return results

@@ -5,8 +5,10 @@ sweeps loads no scipy, every polyheat name a demo or the benchmark reads
 exists, every function the benchmark's layer tracer wraps exists and a
 sweep reaches it, every benchmark workload builds, every transform the
 package makes is a real one made in ``gridfield.rfft``/``irfft``, only
-``gridfield`` reads the gradient-chain multipliers, and every default of a
-public function or dataclass is one that some call sets."""
+``gridfield`` reads the gradient-chain multipliers, only
+``solver._Step.advance`` calls the step's candidate and unit remainder,
+and every default of a public function or dataclass is one that some call
+sets."""
 
 import ast
 import importlib.util
@@ -504,6 +506,52 @@ def test_gradient_chain_read_only_by_the_kernel_module(path):
     # divergence kernel beside gridfield._coef_divergence
     if path.stem != CHAIN_HOME:
         assert chain_reads(path.read_text()) == []
+
+
+# the step's own expressions and the one function that may call them: a
+# second caller would be a second step path beside ``_Step.advance``
+STEP_EXPRESSIONS = {"_candidate", "_unit_remainder"}
+STEP_HOME = "_Step.advance"
+
+
+def step_callers(source: str) -> list:
+    """``(function, callee)`` for each call of a ``STEP_EXPRESSIONS`` name,
+    with the enclosing function as ``Class.method``, ``function`` or
+    ``<module>``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call) and _dotted(node.func) in STEP_EXPRESSIONS:
+            found.append((owner, _dotted(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detects_step_callers():
+    source = (
+        "def _candidate(dt, u, r, p, out): return out\n"
+        "class _Step:\n"
+        "    def advance(self):\n        return _candidate(1, 2, 3, 4, 5)\n"
+        "    def block(self):\n        _unit_remainder(1, 2, 3, 4, 5)\n"
+        "        def inner(): return _candidate(1, 2, 3, 4, 5)\n"
+        "x = _candidate(1, 2, 3, 4, 5)\n"
+    )
+    assert step_callers(source) == [
+        ("_Step.advance", "_candidate"), ("_Step.block", "_unit_remainder"),
+        ("_Step.block.inner", "_candidate"), ("<module>", "_candidate"),
+    ]
+
+
+def test_only_the_step_calls_the_step_expressions():
+    source = (Path(polyheat.__file__).parent / "solver.py").read_text()
+    callers = step_callers(source)
+    assert {callee for _, callee in callers} == STEP_EXPRESSIONS
+    assert [caller for caller, _ in callers if caller != STEP_HOME] == []
 
 
 def _count_calls(monkeypatch, function, calls: Counter, key: str) -> None:

@@ -1,6 +1,10 @@
 """Kernel profile, polyharmonic flow, and decay-fit tests."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,36 @@ class TestProfileCsv:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# m=2 N=1 s_max=")
         assert lines[1] == "r,F"
+
+
+# the criterion-1 tabulations with their decay fits, as the bytes of the CSV
+# files ``polyheat kernel`` writes; the 2-D profile's radius sums are long
+# enough for OpenBLAS to split a matrix-vector product across two threads
+_THREADS_PROBE = """
+import hashlib, sys
+from dataclasses import replace
+from pathlib import Path
+import numpy as np
+from polyheat.kernel import decay_fit, profile_bessel, write_profile_csv
+path = Path(sys.argv[1])
+for (m, dim), r_max in {(1, 1): 12.0, (2, 1): 36.0, (3, 1): 68.0, (2, 2): 36.0}.items():
+    profile = profile_bessel(m, dim, np.arange(0.0, r_max + 1e-9, 0.02))
+    write_profile_csv(path, replace(profile, decay_fit=decay_fit(profile)))
+    print(m, dim, hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_profiles_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(kernel_module.__file__).resolve().parents[1])
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        path = tmp_path / f"profile-{threads}.csv"
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROBE, str(path)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        tables.append(run.stdout)
+    assert len(tables[0].splitlines()) == 4
+    assert tables[0] == tables[1]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -161,7 +162,7 @@ class TestRhs:
         # products row's remainder the sign (-1)^(m-1) before adding lin u_hat
         config = SolverConfig(m=m, path=RegPath(rational, 0.3, "full"), eps=1e-2, dt_init=1e-4, t_final=0.01)
         u_hat = rfft(u0.grid, u0.values)
-        step = solver_module._Step(u0.grid, [solver_module._Row(0, config)], u_hat, np.inf)
+        step = solver_module._Step(u0.grid, [solver_module._Row(0, config)], u_hat, np.inf, np.inf)
         div_hat = _kernel(u0.grid, m, reg_coefficient((config.path,), (config.eps,), step.u)[0], u_hat)[0]
         assert np.array_equal(step.rem[0], (-1.0) ** (m - 1) * div_hat + step.lin[0] * u_hat)
 
@@ -343,6 +344,23 @@ class TestSolve:
         with pytest.raises(StiffnessError, match="30 halvings") as info:
             solve(u0, config)
         assert f"dt = {config.dt_init * 2.0**-30:.3e}" in str(info.value)
+
+    def test_a_stalled_run_spends_its_step_budget(self, u0, rational):
+        # a remainder that stays anti-diffusive halves nearly every step, and
+        # dt falls to about 1e-20 without 30 halvings in any one step; the
+        # clock stalls near 1.7e-9 until the accepted and rejected steps pass
+        # the row's budget.  Without the budget the coefficient turns
+        # diffusive after that many states, and the run ends without error.
+        config = _linear_config(rational, report_stride=10**6)
+        budget = solver_module._Row(0, config).budget
+        assert budget == 4 * (100 + 1) + 2 * solver_module._MAX_HALVINGS
+        with mock.patch.object(solver_module, "reg_coefficient", _antidiffusive_first_state(budget)):
+            with pytest.raises(StiffnessError) as info:
+                solve(u0, config)
+        message = r"^stiffness failure at t = (\S+): step budget spent, (\d+) accepted and rejected steps against "
+        t, tries = re.match(message + rf"a budget of {budget} \(last dt = (\S+)\)$", str(info.value)).group(1, 2)
+        assert 0.0 < float(t) < 1e-8
+        assert budget < int(tries) <= budget + 10  # a few steps past it, at the next rejected one
 
     def test_blowup_names_t_and_dt(self, u0, rational, monkeypatch):
         config = _linear_config(rational, report_stride=10**6)
@@ -533,15 +551,16 @@ class TestUnitRoute:
         assert float(np.vdot(table.w_g, power)) == pytest.approx(ref_flux, rel=1e-12)
 
 
-def _antidiffusive_first_state():
-    """A coefficient of -1 on the initial state and 1 after it: the first
-    step raises the energy in proportion to dt, so it is halved until the
-    rise fits the energy guard's tolerance."""
+def _antidiffusive_first_state(states=1):
+    """A coefficient of -1 on the first ``states`` states (the initial one
+    alone by default) and 1 after them: each of their steps raises the
+    energy in proportion to dt, so it is halved until the rise fits the
+    energy guard's tolerance."""
     calls = []
 
     def coef(path, eps, u, out=None):
         calls.append(1)
-        return np.full_like(u, -1.0 if len(calls) == 1 else 1.0)
+        return np.full_like(u, -1.0 if len(calls) <= states else 1.0)
 
     return coef
 
@@ -933,16 +952,18 @@ class TestBatch:
 
 
 def _taken_blocks(monkeypatch) -> list:
-    """Per ``_Step.block`` call from now on, the number of its rows and of
-    the states it accepted."""
-    real, taken = solver_module._Step.block, []
+    """Per ``_Step.advance`` call with more than one state to take (a block)
+    from now on, the number of its rows and of the states it kept."""
+    real, taken = solver_module._Step.advance, []
 
-    def block(self, *args):
-        states = real(self, *args)
-        taken.append((len(self.rows), len(states)))
-        return states
+    def advance(self, dts, bf, steps=1):
+        rows = len(self.rows)
+        states, halvings, failures = real(self, dts, bf, steps)
+        if steps > 1:
+            taken.append((rows, len(states)))
+        return states, halvings, failures
 
-    monkeypatch.setattr(solver_module._Step, "block", block)
+    monkeypatch.setattr(solver_module._Step, "advance", advance)
     return taken
 
 
@@ -969,6 +990,21 @@ def _non_unit_at(target, state):
         return out
 
     return coef
+
+
+def _raised_at(call):
+    """``_candidate`` with the last row of its ``call``-th result raised by
+    1 %, counted over all calls."""
+    real, calls = solver_module._candidate, []
+
+    def candidate(*args):
+        out = real(*args)
+        calls.append(1)
+        if len(calls) == call:
+            out[-1] *= 1.01
+        return out
+
+    return candidate
 
 
 class TestBlock:
@@ -1019,6 +1055,30 @@ class TestBlock:
         assert str(solo.value) == str(reference)
         assert taken[:2] == [(1, 64), (1, 24)]
 
+    @pytest.mark.parametrize("call,taken,halved", [
+        # the first state of the second block: the row halves, and the block
+        # drops to that one state
+        pytest.param(51, [(2, 50), (2, 1)], True, id="first-state"),
+        # the third state of the first block: the block ends before it, and
+        # the next block takes it again, unraised
+        pytest.param(3, [(2, 2), (2, 48)], False, id="later-state"),
+    ])
+    def test_one_row_failing_the_guard_inside_a_block(self, u0, rational, monkeypatch, call, taken, halved):
+        # blocks end at report steps, so alone and as a pair the rows take
+        # blocks of 50 states; the candidate of one call is raised on the
+        # last row alone, which fails that row's energy guard, and each row
+        # keeps its solo bits
+        configs = [_linear_config(rational, eps=eps, report_stride=50) for eps in (1e-3, 1.0)]
+        with mock.patch.object(solver_module, "_candidate", _raised_at(call)):
+            solo = solve(u0, configs[1])
+        assert _bitwise_equal(solo, solve(u0, configs[1])) != halved
+        blocks = _taken_blocks(monkeypatch)
+        with mock.patch.object(solver_module, "_candidate", _raised_at(call)):
+            batch = solve(u0, configs)
+        assert blocks[:2] == taken
+        assert _bitwise_equal(batch[0], solve(u0, configs[0]))
+        assert _bitwise_equal(batch[1], solo)
+
     @pytest.mark.parametrize("state", [1, solver_module._BLOCK_STEPS, solver_module._BLOCK_STEPS + 1])
     def test_a_state_turning_non_unit(self, u0, rational, state):
         # the non-unit state is accepted and passed as a products row; the
@@ -1068,12 +1128,13 @@ class TestStepBuffers:
         grid = make_grid(2, 12.0, 64)
         configs = _mixed_rows(rational)[:3]
         rows = [solver_module._Row(i, c) for i, c in enumerate(configs)]
-        step = solver_module._Step(grid, rows, rfft(grid, bump(grid, 1.0, 4.0, steepness=6.0).values), np.inf)
+        # bf(0) = inf makes every energy bound inf
+        step = solver_module._Step(grid, rows, rfft(grid, bump(grid, 1.0, 4.0, steepness=6.0).values), np.inf, np.inf)
 
         def states(steps):
             seen = []
             for _ in range(steps):
-                step.advance([1e-5] * len(step.rows), [np.inf] * len(step.rows))
+                step.advance([1e-5] * len(step.rows), [0.0] * len(step.rows))
                 seen.append(_address(step.u_hat))
             return seen
 
@@ -1097,12 +1158,12 @@ class TestStepBuffers:
         grid = make_grid(2, 12.0, 128)
         config = SolverConfig(m=2, path=RegPath(rational, 0.2, "full"), eps=1e-3, dt_init=5e-5, t_final=0.002)
         u_hat0 = rfft(grid, bump(grid, 1.0, 4.0, steepness=6.0).values)
-        step = solver_module._Step(grid, [solver_module._Row(0, config)], u_hat0, np.inf)
+        step = solver_module._Step(grid, [solver_module._Row(0, config)], u_hat0, np.inf, np.inf)
         for _ in range(3):
-            step.advance([5e-5], [np.inf])
+            step.advance([5e-5], [0.0])
         tracemalloc.start()
         try:
-            step.advance([5e-5], [np.inf])
+            step.advance([5e-5], [0.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
