@@ -183,6 +183,9 @@ class _Spectrum(NamedTuple):
     band: np.ndarray  # 2/3-rule mask, True on retained modes
     w_hi: np.ndarray  # |xi|^(2(m-1)) times the Parseval weight
     w_lo: np.ndarray  # |xi|^(2(m-2)) times the Parseval weight (0 for m < 2)
+    # for a coefficient of exactly 1, where the products are the chain g itself:
+    rhs0: np.ndarray  # (-1)^(m-1) sum_j div_j chain_j, real: (-1)^(m-1) div g = rhs0 u_hat
+    w_g: np.ndarray  # the Parseval weight times sum_j |chain_j|^2: int |g|^2 = sum w_g |u_hat|^2
 
 
 def _parseval(grid: GridSpec) -> np.ndarray:
@@ -203,7 +206,9 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     ``div`` and ``chain`` zero each axis's Nyquist index k = -M/2, whose mode
     has no partner, so that odd-order derivatives of real fields stay real;
     ``band`` keeps |k| <= M/3 on every axis.  The weights carry
-    ``_parseval(grid)``.
+    ``_parseval(grid)``.  ``rhs0`` and ``w_g`` are formed from the frozen
+    ``div`` and ``chain``, so their Nyquist indices stay zeroed; each
+    div_j chain_j is real, the product of two imaginary multipliers.
     """
     n, h = grid.points_per_dim, grid.points_per_dim // 2 + 1
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
@@ -220,35 +225,19 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     lap = (-k2) ** (m - 1)
     parseval = _parseval(grid)
     w_lo = parseval * k2 ** (m - 2) if m >= 2 else np.zeros_like(k2)
+    chain = tuple(_freeze(d * lap, complex) for d in div)
+    div = tuple(_freeze(d, complex) for d in div)
+    sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
     return _Spectrum(
         grid=grid,
-        chain=tuple(_freeze(d * lap, complex) for d in div),
-        div=tuple(_freeze(d, complex) for d in div),
+        chain=chain,
+        div=div,
         k2m=_freeze(k2**m),
         band=_freeze(band, bool),
         w_hi=_freeze(parseval * k2 ** (m - 1)),
         w_lo=_freeze(w_lo),
-    )
-
-
-class _UnitTable(NamedTuple):
-    """Read-only half-spectrum tables of one (grid, m) for a coefficient of
-    exactly 1, where the products are the gradient chain g itself."""
-
-    rhs0: np.ndarray  # (-1)^(m-1) sum_j div_j chain_j: (-1)^(m-1) div g = rhs0 u_hat
-    w_g: np.ndarray  # the Parseval weight times sum_j |chain_j|^2: int |g|^2 = sum w_g |u_hat|^2
-
-
-@lru_cache(maxsize=64)
-def _unit_table(grid: GridSpec, m: int) -> _UnitTable:
-    """The tables of ``_UnitTable`` from those of ``_spectrum(grid, m)``, so
-    that the Nyquist indices stay zeroed as in ``div`` and ``chain``.  Each
-    div_j chain_j is real: the product of two imaginary multipliers."""
-    spec = _spectrum(grid, m)
-    sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
-    return _UnitTable(
-        rhs0=_freeze(sign * sum(d * c for d, c in zip(spec.div, spec.chain)).real),
-        w_g=_freeze(_parseval(grid) * sum(c.real**2 + c.imag**2 for c in spec.chain)),
+        rhs0=_freeze(sign * sum(d * c for d, c in zip(div, chain)).real),
+        w_g=_freeze(parseval * sum(c.real**2 + c.imag**2 for c in chain)),
     )
 
 
@@ -260,7 +249,8 @@ def _rows_spectrum(grid: GridSpec, m: int, rows: int) -> _Spectrum:
     Operands of one shape keep numpy's elementwise loops off their
     broadcasting path, which takes about twice as long per call at M = 256.
     The Parseval weights stay one row wide: they enter per-row dot products;
-    so does ``band``, which cuts one summed spectrum.
+    so does ``rhs0``, which the solver applies to unit rows only, and
+    ``band``, which cuts one summed spectrum.
     """
     spec = _spectrum(grid, m)
 

@@ -118,7 +118,6 @@ from .gridfield import (
     _rows_spectrum,
     _spectrum,
     _Spectrum,
-    _unit_table,
     assert_boundary_decay,
     boundary_shell_max,
     coordinates,
@@ -339,8 +338,8 @@ class _Step:
     and the energy guard's tolerance; and, rebuilt by ``_tables`` whenever
     a row leaves, the multipliers tiled over the rows, each row's linear
     symbol lin = c |xi|^(2m), paths and eps, the propagator e^(-lin dt) of
-    the last dts, and the step's work arrays.  The unit rows' tables are
-    looked up when a row first needs them.
+    the last dts, and the step's work arrays.  The unit rows' ``rhs0`` and
+    ``w_g`` are in the same table, one row wide.
 
     A step writes into those fixed arrays, not into fresh temporaries (the
     module docstring gives the page-fault counts).  The state spectrum has
@@ -356,7 +355,6 @@ class _Step:
         self.u_hat = np.repeat(u_hat0[None], len(rows), axis=0)
         self.u = np.repeat(irfft(grid, u_hat0)[None], len(rows), axis=0)
         self.rem, self.power = np.empty_like(self.u_hat), np.empty(self.u_hat.shape)
-        self.unit_table = None
         self._tables()
         _power_sums(self.spec.w_hi, self.u_hat, self.power, self.prod)
         self._pass(reg_coefficient(self.paths, self.eps, self.u, out=self.coef))
@@ -386,28 +384,23 @@ class _Step:
         call for the whole batch), which finds the unit rows: every row's
         remainder, its signed divergence plus lin u_hat, and its monitors.
         Unless every row is a unit row, the whole batch goes through
-        ``_coef_divergence``; the unit rows then take rhs0 u_hat and the
-        Parseval sum, row by row, so that a unit row's values do not depend
-        on the rows beside it.  The power of the state is the one the step
-        formed for its energy guard."""
+        ``_coef_divergence``; then each unit row takes rhs0 u_hat and its
+        Parseval sum on its own, so that its values do not depend on the
+        rows beside it.  The power of the state is the one the step formed
+        for its energy guard."""
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
         unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
         self.all_unit = len(unit) == len(self.rows)
-        if unit and self.unit_table is None:
-            self.unit_table = _unit_table(self.grid, self.m)
         if self.all_unit:  # no chain, no products
-            np.multiply(self.unit_table.rhs0, self.u_hat, out=self.rem)
-            self.flux = _row_sums(self.unit_table.w_g, self.power, self.prod)
-            self.diss = self.flux[:]
+            self.flux, self.diss = [0.0] * len(unit), [0.0] * len(unit)
         else:
             self.flux, self.diss = _coef_divergence(self.spec, coef, self.u_hat, self.rem, self.s, self.g, self.p)
             if self.m % 2 == 0:  # (-1)^(m-1); negation is exact
                 np.negative(self.rem, out=self.rem)
-            for i in unit:
-                np.multiply(self.unit_table.rhs0, self.u_hat[i], out=self.rem[i])
-                self.flux[i] = self.diss[i] = _row_sums(self.unit_table.w_g, self.power[i:i + 1],
-                                                        self.prod[i:i + 1])[0]
+        for i in unit:
+            np.multiply(self.spec.rhs0, self.u_hat[i], out=self.rem[i])
+            self.flux[i] = self.diss[i] = _row_sums(self.spec.w_g, self.power[i:i + 1], self.prod[i:i + 1])[0]
         self.rem += np.multiply(self.lin, self.u_hat, out=self.s)
 
     def drop(self, gone: list) -> None:
@@ -455,7 +448,7 @@ class _Step:
         dt = self._propagator(dts)
         state = _candidate(dt, u_hat, rem, self.prop, hat[:n])
         for j in range(1, steps):  # each state steps from the last with its unit remainder
-            after = _unit_remainder(self.lin, self.unit_table.rhs0, state, self.spare, self.s)
+            after = _unit_remainder(self.lin, self.spec.rhs0, state, self.spare, self.s)
             state = _candidate(dt, state, after, self.prop, hat[j * n:(j + 1) * n])
         energies = _power_sums(self.spec.w_hi, hat, power, sums)
         bf0, limit, halvings, failures = self.bf0, self.limit, [0] * n, {}
@@ -524,7 +517,7 @@ class _Step:
             kept = next((j + 1 for j, unit in enumerate(units) if not unit), kept)
         before = (kept - 1) * n
         if before:  # all unit rows: each row's flux is its Parseval sum
-            flux = _row_sums(self.unit_table.w_g, power[:before], sums[:before])
+            flux = _row_sums(self.spec.w_g, power[:before], sums[:before])
             states = [(energies[a:a + n], flux[a:a + n], flux[a:a + n]) for a in range(0, before, n)]
         # the last state kept, into the step's arrays
         last = slice(before, kept * n)

@@ -122,6 +122,15 @@ class TestSpectrumTable:
             assert np.all(div[nyquist] == 0.0)
             assert np.array_equal(div.imag[~nyquist], x[..., :h][~nyquist])
             assert np.all(div.real == 0.0)
+        # the unit-row tables, from the table's own div and chain: a
+        # coefficient of exactly 1 makes the products the chain g itself, so
+        # (-1)^(m-1) div g = rhs0 u_hat and int |g|^2 = sum w_g |u_hat|^2
+        rhs0 = (-1.0) ** (m - 1) * sum(d * c for d, c in zip(spec.div, spec.chain)).real
+        w_g = gridfield_module._parseval(grid) * sum(c.real**2 + c.imag**2 for c in spec.chain)
+        for table, ref in ((spec.rhs0, rhs0), (spec.w_g, w_g)):
+            assert table.shape == half and table.dtype == np.float64
+            assert not table.flags.writeable
+            assert table.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dim,half_width,points", _SPECTRUM_GRIDS)
     def test_band_keeps_a_third_per_axis(self, dim, half_width, points):

@@ -23,7 +23,6 @@ from polyheat.gridfield import (
     _coef_divergence,
     _rows_spectrum,
     _spectrum,
-    _unit_table,
     bump,
     coordinates,
     integrate,
@@ -533,8 +532,8 @@ class TestHalfSpectrumKernel:
 
 class TestUnitRoute:
     """A row whose coefficient is exactly 1 takes its remainder and monitors
-    from the tables of ``_unit_table``; they match the products route, which
-    forms the gradient chain g in grid space."""
+    from ``rhs0`` and ``w_g`` of ``_spectrum``; they match the products
+    route, which forms the gradient chain g in grid space."""
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("dim,points", [(1, 256), (2, 128)])
@@ -542,7 +541,7 @@ class TestUnitRoute:
         # white noise carries every mode, the Nyquist-corner ones included
         grid = make_grid(dim, 12.0, points)
         u_hat = rfft(grid, np.random.default_rng(dim * 10 + m).standard_normal(grid.shape))
-        table = _unit_table(grid, m)
+        table = _spectrum(grid, m)
         div_hat, ref_flux, ref_diss = _kernel(grid, m, np.ones(grid.shape), u_hat)
         ref = (-1.0) ** (m - 1) * div_hat
         assert np.max(np.abs(table.rhs0 * u_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -787,6 +786,36 @@ def _patched_rows(target, mode):
     return coef
 
 
+def _trip_row_1(u0, configs, monkeypatch) -> None:
+    """Set the tripwire factor so that row 1 of ``_mixed_rows`` alone trips
+    it, on its first step.  sup|u| falls along these flows, so the row with
+    the shortest first step (row 1, dt_init 5e-5) has the largest
+    first-step ratio sup|u| / sup|u0|; the factor is halfway between it and
+    the next largest."""
+    peak = float(np.max(np.abs(u0.values)))
+    ratios = []
+    for config in configs:
+        first = dataclasses.replace(config, t_final=config.dt_init, snapshot_times=())
+        ratios.append(float(np.max(np.abs(solve(u0, first).snapshots[-1].values))) / peak)
+    second, top = sorted(ratios)[-2:]
+    assert ratios.index(top) == 1 and second < top < 1.0
+    monkeypatch.setattr(solver_module, "_TRIPWIRE_FACTOR", 0.5 * (top + second))
+
+
+def _inject_rhs0(monkeypatch, index, value) -> None:
+    """``solver._rows_spectrum`` with ``rhs0[index]`` set to ``value``: the
+    remainder of a unit row carries it, that of a products row does not."""
+    real = solver_module._rows_spectrum
+
+    def rows_spectrum(grid, m, rows):
+        spec = real(grid, m, rows)
+        rhs0 = spec.rhs0.copy()
+        rhs0[index] = value
+        return spec._replace(rhs0=rhs0)
+
+    monkeypatch.setattr(solver_module, "_rows_spectrum", rows_spectrum)
+
+
 @pytest.fixture(scope="module")
 def mixed_batch(u0, rational):
     return solve(u0, _mixed_rows(rational))
@@ -895,10 +924,7 @@ class TestBatch:
     def test_a_unit_row_blowing_up_leaves_and_the_rest_go_on(self, u0, rational, monkeypatch):
         # a non-finite remainder of the n = 0 row alone trips its blow-up
         # guard, which reads the remainder of a unit row
-        table = _unit_table(u0.grid, 2)
-        rhs0 = table.rhs0.copy()
-        rhs0[1] = np.inf
-        monkeypatch.setattr(solver_module, "_unit_table", lambda grid, m: table._replace(rhs0=rhs0))
+        _inject_rhs0(monkeypatch, 1, np.inf)
         configs = _mixed_rows(rational)
         batch = solve(u0, configs)
         assert isinstance(batch[2], BlowupError)
@@ -907,19 +933,8 @@ class TestBatch:
             assert _same_outcome(batch[i], solve(u0, [config])[0])
 
     def test_a_tripped_row_leaves_and_the_rest_go_on(self, u0, rational, monkeypatch):
-        # sup|u| falls along these flows, so the row with the shortest first
-        # step (row 1, dt_init 5e-5) has the largest first-step ratio
-        # sup|u| / sup|u0|; a factor between it and the next largest trips
-        # row 1 alone
         configs = _mixed_rows(rational)
-        peak = float(np.max(np.abs(u0.values)))
-        ratios = []
-        for config in configs:
-            first = dataclasses.replace(config, t_final=config.dt_init, snapshot_times=())
-            ratios.append(float(np.max(np.abs(solve(u0, first).snapshots[-1].values))) / peak)
-        second, top = sorted(ratios)[-2:]
-        assert ratios.index(top) == 1 and second < top < 1.0
-        monkeypatch.setattr(solver_module, "_TRIPWIRE_FACTOR", 0.5 * (top + second))
+        _trip_row_1(u0, configs, monkeypatch)
         batch = solve(u0, configs)
         with pytest.raises(BlowupError, match=r"^boundedness tripwire: .* at t = 5e-05$") as solo_error:
             solve(u0, configs[1])
@@ -927,6 +942,21 @@ class TestBatch:
         assert str(batch[1]) == str(solo_error.value)
         for i in (0, 2, 3, 4):
             assert _bitwise_equal(batch[i], solve(u0, configs[i]))
+
+    def test_a_row_blowing_up_beside_a_row_tripping_in_the_same_step(self, u0, rational, monkeypatch):
+        # row 1 trips the wire on its first step and the n = 0 row 2 blows up
+        # in the same step; the failed row's state stands in for its
+        # non-finite candidate, so the tripwire's maximum still sees row 1
+        configs = _mixed_rows(rational)
+        _trip_row_1(u0, configs, monkeypatch)
+        solos = [solve(u0, [config])[0] for config in configs]
+        _inject_rhs0(monkeypatch, 1, np.inf)
+        batch = solve(u0, configs)
+        assert isinstance(batch[2], BlowupError)
+        assert str(batch[2]) == f"{solver_module._NONFINITE} at t = 0, dt = 1.000e-04"
+        assert isinstance(solos[1], BlowupError)
+        for i in (0, 1, 3, 4):
+            assert _same_outcome(batch[i], solos[i])
 
     def test_rows_share_the_horizon(self, u0, rational):
         configs = _mixed_rows(rational)
