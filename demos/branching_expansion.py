@@ -11,8 +11,8 @@ full-vs-simple path comparison reports how strongly the finite-eps solutions
 feel the choice of regularization.
 """
 
-from polyheat.degeneracy import RegPath, degeneracy_function
-from polyheat.gridfield import Field, bump, l2_norm, make_grid
+from polyheat.degeneracy import DegeneracyFunction, RegPath
+from polyheat.gridfield import Field, GridSpec, bump, l2_norm
 from polyheat.homotopy import (
     Schedule,
     branching_residual,
@@ -24,9 +24,9 @@ from polyheat.homotopy import (
 from polyheat.kernel import phe_solve
 from polyheat.solver import SolverConfig, solve
 
-grid = make_grid(1, 24.0, 256)
+grid = GridSpec(dim=1, half_width=24.0, points_per_dim=256)
 u0 = bump(grid, amplitude=1.0, width=4.0, steepness=6.0)
-f = degeneracy_function("rational")
+f = DegeneracyFunction("rational")
 schedule = Schedule("eps_of_n", 1.0, f)
 t_eval = 0.1
 

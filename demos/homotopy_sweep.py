@@ -12,8 +12,8 @@ shrinks essentially linearly in n, which the fitted log-log slope reports.
 
 import pathlib
 
-from polyheat.degeneracy import degeneracy_function
-from polyheat.gridfield import bump, make_grid
+from polyheat.degeneracy import DegeneracyFunction
+from polyheat.gridfield import GridSpec, bump
 from polyheat.homotopy import (
     Schedule,
     SweepSpec,
@@ -27,7 +27,7 @@ from polyheat.homotopy import (
 out = pathlib.Path("demo-out/sweep")
 out.mkdir(parents=True, exist_ok=True)
 
-f = degeneracy_function("rational")
+f = DegeneracyFunction("rational")
 schedule = Schedule("eps_of_n", 1.0, f)
 
 print("schedule law n |ln f(eps(n))| = sqrt(n):")
@@ -35,7 +35,7 @@ for n in (1e-1, 1e-2, 1e-3):
     n_eff, eps = schedule_eval(schedule, n)
     print(f"  n = {n:<6g} -> eps = {eps:.3e}, product = {n_eff * abs(__import__('math').log(f(eps))):.4f}")
 
-grid = make_grid(1, 24.0, 256)
+grid = GridSpec(dim=1, half_width=24.0, points_per_dim=256)
 u0 = bump(grid, amplitude=1.0, width=4.0, steepness=6.0)
 
 print("\nrunning the sweep (one solver run per row) ...")

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from polyheat.gridfield import coordinates, integrate, make_grid
+from polyheat.gridfield import GridSpec, coordinates, integrate
 from polyheat.kernel import (
     decay_fit,
     profile_bessel,
@@ -48,7 +48,7 @@ for m, r_max in ranges.items():
 print("\nGaussian check: F_1(0) =", profiles[1].values[0], "vs (4 pi)^-1/2 =", (4 * np.pi) ** -0.5)
 
 # -- the same function from its Fourier transform ----------------------------
-grid = make_grid(1, 24.0, 256)
+grid = GridSpec(dim=1, half_width=24.0, points_per_dim=256)
 x = np.broadcast_to(coordinates(grid)[0], grid.shape)
 F2 = profile_fourier(2, grid)
 print("\nFourier route, m=2: grid integral =", integrate(F2))

@@ -15,16 +15,16 @@ import pathlib
 
 import numpy as np
 
-from polyheat.degeneracy import RegPath, degeneracy_function
-from polyheat.gridfield import bump, make_grid, write_phf1
+from polyheat.degeneracy import DegeneracyFunction, RegPath
+from polyheat.gridfield import GridSpec, bump, write_phf1
 from polyheat.solver import SolverConfig, interface_report, solve, write_energy_csv
 
 out = pathlib.Path("demo-out/solve")
 out.mkdir(parents=True, exist_ok=True)
 
-grid = make_grid(1, 24.0, 256)
+grid = GridSpec(dim=1, half_width=24.0, points_per_dim=256)
 u0 = bump(grid, amplitude=1.0, width=4.0, steepness=6.0)
-f = degeneracy_function("rational")
+f = DegeneracyFunction("rational")
 
 config = SolverConfig(
     m=2,

@@ -10,7 +10,7 @@ and assembles the biorthogonality Gram matrix.
 
 import numpy as np
 
-from polyheat.gridfield import Field, l2_norm, make_grid
+from polyheat.gridfield import Field, GridSpec, l2_norm
 from polyheat.spectral_theory import (
     adjoint_eigenpolynomial,
     apply_L,
@@ -21,7 +21,7 @@ from polyheat.spectral_theory import (
 )
 
 m = 2
-grid = make_grid(1, 32.0, 256)
+grid = GridSpec(dim=1, half_width=32.0, points_per_dim=256)
 
 print(f"eigen-residuals for A (m = {m}), lambda_beta = -|beta|/{2 * m}:")
 for order in range(5):
@@ -46,7 +46,7 @@ print(" ", np.array2string(adjoint_eigenpolynomial((2,), 1, normalized=False), f
 # pairing the two families over the box: the diagonal is exactly one (the
 # correction terms of psi* have degree < |beta| and integrate away against
 # the matching derivative of the profile)
-wide = make_grid(1, 44.0, 1024)
+wide = GridSpec(dim=1, half_width=44.0, points_per_dim=1024)
 betas, _, gram = biorthogonality_matrix(3, m, wide)
 print(f"\nbiorthogonality Gram matrix (m = {m}, orders <= 3):")
 with np.printoptions(precision=3, suppress=False):

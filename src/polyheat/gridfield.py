@@ -519,7 +519,7 @@ def read_phf1(path):
         raise ValueError(f"bad magic {magic!r}, not a PHF1 file")
     if kind != 0:
         raise ValueError(f"unknown payload kind {kind}")
-    grid = make_grid(dim, length, m)
+    grid = GridSpec(dim=dim, half_width=length, points_per_dim=m)
     payload = np.frombuffer(raw, dtype="<f8", offset=_PHF1_HEADER.size)
     if payload.size != m**dim:
         raise ValueError(f"payload holds {payload.size} values, expected {m**dim}")

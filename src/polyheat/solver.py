@@ -26,10 +26,12 @@ divergence.  A unit row, whose coefficient is exactly 1 at every grid
 point (the simple path at n = 0, say), has p = g and takes all of these
 from its half spectrum: R_hat(u) = rhs0 u_hat with
 the real multiplier rhs0 = (-1)^(m-1) sum_j div_j chain_j, and
-int |g|^2 = sum w_g |u_hat|^2 by Parseval.  So a batch of unit rows needs
-no transform to step, only the inverse of each new state that the tripwire,
-the coefficient and the snapshots read, and makes one inverse per block of
-steps (below), where a batch with a products row makes 1 + 2 dim
+int |g|^2 = sum w_g |u_hat|^2 by Parseval.  Its step is then linear and
+diagonal at a fixed dt: u_hat(t+dt) = G u_hat with the gain
+G = e^(-c |xi|^(2m) dt) (1 + dt (rhs0 + c |xi|^(2m))), one complex
+multiply.  So a batch of unit rows needs no transform to step, only the
+inverse of each new state that the tripwire, the coefficient and the
+snapshots read, and makes one inverse per block of steps (below), where a batch with a products row makes 1 + 2 dim
 transforms per step for all its rows.  Only the pass picks a row's route,
 and from the coefficient, not the config.  A halving reuses the remainder
 and forms the candidate again at the new dt.  A non-finite product spreads
@@ -38,8 +40,9 @@ the blow-up guard looks at the remainder only when the energy guard
 rejects a step.  At n = 0 the coefficient is exactly 1, and f is not
 evaluated when every row is at n = 0.  Every transform is a real FFT on the half spectrum, the multipliers
 are tabled once per (grid, m), and the propagator e^(-c |xi|^(2m) dt) is
-rebuilt only when dt changes.  No 2/3-rule cut is applied: it removes
-aliasing only from quadratic products, and f^n(|u|) is neither polynomial
+rebuilt only when dt changes, and G with it while the batch has a unit
+row.  No 2/3-rule cut is applied: it removes aliasing only from quadratic
+products, and f^n(|u|) is neither polynomial
 nor smooth where u changes sign.  The divergence form keeps the zero mode
 untouched, so the mass is conserved exactly, and the accumulated
 dissipation 2 int_0^t int coef |g|^2 is tracked so the energy identity
@@ -55,14 +58,14 @@ batch of one, on the same code path.  The state, the spectra and the
 products carry a leading row axis, so each transform, the spectral multiply
 and one coefficient call, with each row's n, eps and variant as columns,
 serve the whole batch once per step.  A row's reductions are numpy's
-pairwise sums over its own row, and a unit row's remainder and monitors
-are its own expressions beside any rows, so a row is bitwise the same alone
-and in any batch.  BLAS's dot product is not used: it splits a long sum
+pairwise sums over its own row, and a unit row's step, remainder and
+monitors are its own expressions beside any rows, so a row is bitwise the
+same alone and in any batch.  BLAS's dot product is not used: it splits a long sum
 across its threads, so its bits would follow the thread count.
 
 Step and driver.  ``_Step`` is the scheme: it holds the stacked state, the
 tables and the propagator cache, and ``_Step.advance``, the one caller of
-``_candidate`` and ``_unit_remainder``, steps every row at the dts it is
+``_candidate`` and ``_unit_states``, steps every row at the dts it is
 given, a block of steps included (below), with the halvings, the blow-up,
 stiffness, step-budget and tripwire exits, and the pass of the new state.  While the
 rows share dt the step is whole-array work with one propagator table; only
@@ -83,9 +86,9 @@ Blocks.  While every live row was a unit row at the last pass and every
 row steps at its dt_init, one dt for all, ``_solve_rows`` asks ``advance``
 for up to 64 states at once (fewer where their arrays would pass 1 MiB; a
 2-D 256^2 state steps alone), ending before a row's next clipped step and
-at its next target or report step.  ``advance`` steps each state from the
-one before with its unit remainder, in the ufuncs of one step and of the
-pass, and serves the whole block at once: one inverse transform, one
+at its next target or report step.  ``advance`` forms each state from the
+one before by the rows' gain G (``_unit_states``), the multiply of a single
+step, and serves the whole block at once: one inverse transform, one
 power, the energy and flux sums, one tripwire maximum, and one coefficient
 call.  State 0 is guarded as in any step; the block keeps each later state
 that its rules in ``advance`` allow, so it ends before a state that fails
@@ -93,8 +96,9 @@ a guard or trips the wire, which the next ``advance`` takes again as its
 state 0, or with the first state that is not all unit rows, whose
 coefficient the pass reuses.  So each state's coefficient is evaluated
 once, and a row is bitwise the same whether it steps in blocks or not.
-Another scheme, such as a second-order exponential step, replaces
-``advance`` and with it the block's recurrence.
+Another scheme, such as a second-order exponential step, replaces the
+products rows' candidate and G; a unit row's step stays one fixed gain per
+dt, and its block the same running product.
 """
 
 from __future__ import annotations
@@ -255,12 +259,18 @@ def _candidate(dt, u_hat: np.ndarray, rem: np.ndarray, prop: np.ndarray, out: np
     return out
 
 
-def _unit_remainder(lin: np.ndarray, rhs0: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
-                    s: np.ndarray) -> np.ndarray:
-    """A unit row's remainder rhs0 u_hat + lin u_hat, in the pass's order,
-    written to ``out`` and returned (``s`` is overwritten)."""
-    np.multiply(rhs0, u_hat, out=out)
-    out += np.multiply(lin, u_hat, out=s)
+def _unit_states(gain: np.ndarray, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unit rows' states from u_hat, each the one before times its gain:
+    ``out`` takes len(out) // len(u_hat) of them, state after state, and is
+    returned.  Each state is one contiguous complex multiply, the single
+    step's own, so a block's states have the bits of single steps.
+    ``np.multiply.accumulate`` along the state axis runs a strided loop,
+    which gives a product that underflows to zero another sign and is
+    slower past one row of a 1-D spectrum."""
+    n = len(u_hat)
+    np.multiply(u_hat, gain, out=out[:n])
+    for j in range(n, len(out), n):
+        np.multiply(out[j - n:j], gain, out=out[j:j + n])
     return out
 
 
@@ -334,12 +344,14 @@ _NONFINITE = "non-finite coefficient-gradient product (blow-up signal)"
 class _Step:
     """The scheme over the live rows, in the caller's order: their stacked
     spectra, grid values, coefficient and power |u_hat|^2; the remainders
-    R_hat(u) + lin u_hat and the monitor integrals of the last pass; bf(0)
+    R_hat(u) + lin u_hat, the monitor integrals and the unit rows'
+    positions of the last pass (kept in step when a row leaves); bf(0)
     and the energy guard's tolerance; and, rebuilt by ``_tables`` whenever
     a row leaves, the multipliers tiled over the rows, each row's linear
     symbol lin = c |xi|^(2m), paths and eps, the propagator e^(-lin dt) of
-    the last dts, and the step's work arrays.  The unit rows' ``rhs0`` and
-    ``w_g`` are in the same table, one row wide.
+    the last dts, while the batch has a unit row its gain
+    e^(-lin dt) (1 + dt (rhs0 + lin)), and the step's work arrays.  The unit
+    rows' ``rhs0`` and ``w_g`` are in the same table, one row wide.
 
     A step writes into those fixed arrays, not into fresh temporaries (the
     module docstring gives the page-fault counts).  The state spectrum has
@@ -364,7 +376,7 @@ class _Step:
         self.lin = _column([row.config.c for row in self.rows], self.grid.dim) * self.spec.k2m
         self.paths = tuple(row.config.path for row in self.rows)
         self.eps = tuple(row.config.eps for row in self.rows)
-        self.prop_dts = None
+        self.prop_dts = self.gain = None
         half, grid = self.u_hat.shape, self.u.shape
         self.spare, self.s = np.empty(half, complex), np.empty(half, complex)
         self.prop, self.prod = np.empty(half), np.empty(half)
@@ -373,6 +385,11 @@ class _Step:
         state_bytes = 32 * self.u_hat.size + 16 * self.u.size
         self.block_cap = min(_BLOCK_STEPS, _BLOCK_BYTES // state_bytes)
         self.block_arrays = None
+
+    @property
+    def all_unit(self) -> bool:
+        """Whether every live row was a unit row at the last pass."""
+        return len(self.unit) == len(self.rows)
 
     def bf_lower(self, i: int) -> float:
         """The lower-order energy of row i of the state (meaningful for even
@@ -390,8 +407,7 @@ class _Step:
         for its energy guard."""
         # each row's first entry first, so a products row costs no pass over its grid
         firsts = coef.reshape(len(coef), -1)[:, 0].tolist()
-        unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
-        self.all_unit = len(unit) == len(self.rows)
+        self.unit = unit = [i for i, c in enumerate(firsts) if c == 1.0 and (coef[i] == 1.0).all()]
         if self.all_unit:  # no chain, no products
             self.flux, self.diss = [0.0] * len(unit), [0.0] * len(unit)
         else:
@@ -409,23 +425,33 @@ class _Step:
         self.rows = [self.rows[i] for i in keep]
         self.u_hat, self.u = self.u_hat[keep], self.u[keep]
         self.rem, self.power = self.rem[keep], self.power[keep]
+        self.unit = [j for j, i in enumerate(keep) if i in self.unit]  # at their new positions
         if self.rows:
             self._tables()
 
     def _propagator(self, dts: list):
-        """Make ``prop`` e^(-lin dt) for row i's dt dts[i], unless it already
-        is; returns dts as a column (one float while the rows share dt)."""
+        """Make ``prop`` e^(-lin dt) for row i's dt dts[i] and, while the
+        batch has a unit row, ``gain`` prop (1 + dt (rhs0 + lin)), unless
+        they already are; returns dts as a column (one float while the rows
+        share dt)."""
         dt = _column(dts, self.grid.dim)
-        if dts != self.prop_dts:
-            self.prop_dts = dts[:]
+        if dts != self.prop_dts or (self.unit and self.gain is None):
+            self.prop_dts, self.gain = dts[:], None
             np.multiply(np.negative(self.lin, out=self.prop), dt, out=self.prop)  # -lin dt
             np.exp(self.prop, out=self.prop)
+            if self.unit:  # complex: a real gain would be cast to complex in every multiply
+                factor = np.add(self.spec.rhs0, self.lin, out=self.prod)
+                factor *= dt
+                factor += 1.0
+                self.gain = np.multiply(factor, self.prop, out=np.empty(self.u_hat.shape, complex))
         return dt
 
     def advance(self, dts: list, bf: list, steps: int = 1):
         """Step row i by dts[i] from its energy bf[i], up to ``steps`` times
-        for a block of unit rows, and pass the last state kept.  A state's
-        energy guard is min(bf, bf0) + limit on the state before it.
+        for a block of unit rows, and pass the last state kept.  A unit row's
+        states are its gain steps (``_unit_states``), a products row's its
+        candidate; a state's energy guard is min(bf, bf0) + limit on the
+        state before it.
 
         State 0 is guarded row by row: a failing row halves its dt in place
         and counts a rejected step, the whole batch stepping again at one
@@ -445,20 +471,25 @@ class _Step:
             hat, power, sums, u, coef = (a[:steps * n] for a in self.block_arrays)
         else:  # the step's own arrays; the new state swaps with u_hat
             hat, power, sums, u, coef = self.spare, self.power, self.prod, self.u, self.coef
-        dt = self._propagator(dts)
-        state = _candidate(dt, u_hat, rem, self.prop, hat[:n])
-        for j in range(1, steps):  # each state steps from the last with its unit remainder
-            after = _unit_remainder(self.lin, self.spec.rhs0, state, self.spare, self.s)
-            state = _candidate(dt, state, after, self.prop, hat[j * n:(j + 1) * n])
-        energies = _power_sums(self.spec.w_hi, hat, power, sums)
         bf0, limit, halvings, failures = self.bf0, self.limit, [0] * n, {}
-        # each row over its guard fails or halves its own dt; past the first
-        # try, which is whole-array work, this is the rare path (a non-finite
-        # candidate has a non-finite bf, which the guard rejects too)
-        trial = [i for i, b in enumerate(bf) if not energies[i] <= min(b, bf0) + limit]
-        while trial:
+        trial = range(n)
+        while trial:  # the first try, then the whole batch again at one state while a row halves
+            dt = self._propagator(dts)
+            if self.all_unit:
+                _unit_states(self.gain, u_hat, hat[:steps * n])
+            else:  # each unit row's candidate is its own gain step
+                _candidate(dt, u_hat, rem, self.prop, hat[:n])
+                for i in self.unit:
+                    _unit_states(self.gain[i:i + 1], u_hat[i:i + 1], hat[i:i + 1])
+            energies = _power_sums(self.spec.w_hi, hat[:steps * n], power[:steps * n], sums[:steps * n])
+            # each row over its guard fails or halves its own dt; past the
+            # first try, which is whole-array work, this is the rare path (a
+            # non-finite candidate has a non-finite bf, which the guard
+            # rejects too)
             retry = []
             for i in trial:
+                if energies[i] <= min(bf[i], bf0) + limit:
+                    continue
                 row = rows[i]
                 tries = row.steps + row.rejected + 1
                 # a non-finite remainder makes every candidate of the step
@@ -481,11 +512,9 @@ class _Step:
                     row.rejected += 1
                     dts[i] *= 0.5
                     retry.append(i)
-            if retry:  # the whole batch again, at one state
+            if retry:
                 steps = 1
-                state = _candidate(self._propagator(dts), u_hat, rem, self.prop, hat[:n])
-                energies = _power_sums(self.spec.w_hi, state, power[:n], sums[:n])
-            trial = [i for i in retry if not energies[i] <= min(bf[i], bf0) + limit]
+            trial = retry
         for i in failures:
             hat[i], steps = u_hat[i], 1  # a finite stand-in until the row leaves, and no later state
         kept = 1

@@ -510,7 +510,7 @@ def test_gradient_chain_read_only_by_the_kernel_module(path):
 
 # the step's own expressions and the one function that may call them: a
 # second caller would be a second step path beside ``_Step.advance``
-STEP_EXPRESSIONS = {"_candidate", "_unit_remainder"}
+STEP_EXPRESSIONS = {"_candidate", "_unit_states"}
 STEP_HOME = "_Step.advance"
 
 
@@ -537,12 +537,12 @@ def test_detects_step_callers():
         "def _candidate(dt, u, r, p, out): return out\n"
         "class _Step:\n"
         "    def advance(self):\n        return _candidate(1, 2, 3, 4, 5)\n"
-        "    def block(self):\n        _unit_remainder(1, 2, 3, 4, 5)\n"
+        "    def block(self):\n        _unit_states(1, 2, 3)\n"
         "        def inner(): return _candidate(1, 2, 3, 4, 5)\n"
         "x = _candidate(1, 2, 3, 4, 5)\n"
     )
     assert step_callers(source) == [
-        ("_Step.advance", "_candidate"), ("_Step.block", "_unit_remainder"),
+        ("_Step.advance", "_candidate"), ("_Step.block", "_unit_states"),
         ("_Step.block.inner", "_candidate"), ("<module>", "_candidate"),
     ]
 

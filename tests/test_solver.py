@@ -550,6 +550,54 @@ class TestUnitRoute:
         assert float(np.vdot(table.w_g, power)) == pytest.approx(ref_flux, rel=1e-12)
 
 
+def _gain_step(dim, m, n, rational):
+    """A ``_Step`` of two rows at exponent n on white noise, which carries
+    every mode; bf(0) = inf makes every energy bound inf."""
+    grid = make_grid(dim, 12.0, 256 if dim == 1 else 64)
+    u_hat = rfft(grid, np.random.default_rng(dim * 10 + m).standard_normal(grid.shape))
+    configs = [SolverConfig(m=m, path=RegPath(rational, n, "simple"), eps=eps, dt_init=1e-4, t_final=1e-3)
+               for eps in (1e-3, 1.0)]
+    rows = [solver_module._Row(i, c) for i, c in enumerate(configs)]
+    return solver_module._Step(grid, rows, u_hat, np.inf, np.inf)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+class TestGain:
+    """A unit row steps by one multiply with its gain prop (1 + dt (rhs0 +
+    lin)), built beside the propagator, and a block of its states is a
+    running product of that gain."""
+
+    def test_one_gain_step_is_the_candidate(self, rational, dim, m):
+        step = _gain_step(dim, m, 0.0, rational)
+        u_hat, spec = step.u_hat, step.spec
+        for dt in (1e-4, 3e-5, 1e-4):  # the gain follows dt
+            step._propagator([dt, dt])
+            ref = solver_module._candidate(dt, u_hat, spec.rhs0 * u_hat + step.lin * u_hat, step.prop,
+                                           np.empty_like(u_hat))
+            got = solver_module._unit_states(step.gain, u_hat, np.empty_like(u_hat))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_a_block_is_single_gain_steps(self, rational, dim, m):
+        step, k = _gain_step(dim, m, 0.0, rational), 5
+        step._propagator([1e-4, 1e-4])
+        n = len(step.u_hat)
+        block = solver_module._unit_states(step.gain, step.u_hat, np.empty((k * n, *step.u_hat.shape[1:]), complex))
+        state = step.u_hat
+        for j in range(k):
+            state = solver_module._unit_states(step.gain, state, np.empty_like(state))
+            assert block[j * n:(j + 1) * n].tobytes() == state.tobytes()
+
+    def test_a_products_batch_builds_no_gain(self, rational, dim, m):
+        step = _gain_step(dim, m, 0.2, rational)
+        for dt in (1e-5, 5e-6, 1e-5):
+            step.advance([dt, dt], [0.0, 0.0])
+            assert step.unit == [] and step.gain is None
+        step = _gain_step(dim, m, 0.0, rational)
+        step.advance([1e-5, 1e-5], [0.0, 0.0])
+        assert step.all_unit and step.gain.shape == step.u_hat.shape
+
+
 def _antidiffusive_first_state(states=1):
     """A coefficient of -1 on the first ``states`` states (the initial one
     alone by default) and 1 after them: each of their steps raises the
@@ -1023,18 +1071,20 @@ def _non_unit_at(target, state):
 
 
 def _raised_at(call):
-    """``_candidate`` with the last row of its ``call``-th result raised by
-    1 %, counted over all calls."""
-    real, calls = solver_module._candidate, []
+    """``_unit_states`` with the last row of its ``call``-th state raised by
+    1 %, states counted over all calls."""
+    real, states = solver_module._unit_states, []
 
-    def candidate(*args):
-        out = real(*args)
-        calls.append(1)
-        if len(calls) == call:
-            out[-1] *= 1.01
+    def unit_states(gain, u_hat, out):
+        real(gain, u_hat, out)
+        n = len(u_hat)
+        for j in range(len(out) // n):
+            states.append(1)
+            if len(states) == call:
+                out[(j + 1) * n - 1] *= 1.01
         return out
 
-    return candidate
+    return unit_states
 
 
 class TestBlock:
@@ -1095,15 +1145,15 @@ class TestBlock:
     ])
     def test_one_row_failing_the_guard_inside_a_block(self, u0, rational, monkeypatch, call, taken, halved):
         # blocks end at report steps, so alone and as a pair the rows take
-        # blocks of 50 states; the candidate of one call is raised on the
-        # last row alone, which fails that row's energy guard, and each row
-        # keeps its solo bits
+        # blocks of 50 states; one state is raised on the last row alone,
+        # which fails that row's energy guard, and each row keeps its solo
+        # bits
         configs = [_linear_config(rational, eps=eps, report_stride=50) for eps in (1e-3, 1.0)]
-        with mock.patch.object(solver_module, "_candidate", _raised_at(call)):
+        with mock.patch.object(solver_module, "_unit_states", _raised_at(call)):
             solo = solve(u0, configs[1])
         assert _bitwise_equal(solo, solve(u0, configs[1])) != halved
         blocks = _taken_blocks(monkeypatch)
-        with mock.patch.object(solver_module, "_candidate", _raised_at(call)):
+        with mock.patch.object(solver_module, "_unit_states", _raised_at(call)):
             batch = solve(u0, configs)
         assert blocks[:2] == taken
         assert _bitwise_equal(batch[0], solve(u0, configs[0]))
@@ -1120,6 +1170,20 @@ class TestBlock:
             reference = _beside_a_products_row(u0, config)
         assert _bitwise_equal(solo, reference)
         assert not _bitwise_equal(solo, solve(u0, config))
+
+    def test_unit_rows_block_as_soon_as_a_products_row_leaves(self, u0, rational, monkeypatch):
+        # the products row trips the wire on its first step and leaves; the
+        # two unit rows then take a block on the very next ``advance``: two
+        # states, up to their first report step
+        mixed = _mixed_rows(rational)
+        configs = [mixed[2], mixed[1], dataclasses.replace(mixed[2], eps=1e-3)]
+        _trip_row_1(u0, configs, monkeypatch)
+        solos = [solve(u0, configs[i]) for i in (0, 2)]
+        taken = _taken_blocks(monkeypatch)
+        batch = solve(u0, configs)
+        assert isinstance(batch[1], BlowupError)
+        assert taken[0] == (2, 2)
+        assert _bitwise_equal(batch[0], solos[0]) and _bitwise_equal(batch[2], solos[1])
 
     @pytest.mark.parametrize("dt_inits,shared", [((1e-4, 1e-4), True), ((1e-4, 5e-5), False)])
     def test_unit_rows_share_blocks_at_one_dt(self, u0, rational, monkeypatch, dt_inits, shared):
