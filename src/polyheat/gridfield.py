@@ -4,10 +4,11 @@ The box [-L, L)^N (N in {1, 2}) with M uniform points per dimension stands in
 for the whole space; everything downstream assumes the data it touches decays
 well inside the boundary, and the helpers here let callers assert that.
 
-All differential operators are Fourier multipliers on the torus, so gradient,
-divergence and integer Laplacian powers are exact on band-limited data and
-conservation identities (zero integral of any divergence, adjointness of
-gradient and divergence) hold to round-off.
+Every differential operator is a Fourier multiplier on the torus that a
+caller reads from ``_spectrum`` (i xi_j in ``div``, |xi|^2 in ``k2m`` at
+m = 1) and applies to its own transform, so the operators are exact on
+band-limited data and conservation identities (zero integral of any
+divergence, adjointness of gradient and divergence) hold to round-off.
 
 Transform convention: every field is real, so the operators transform with
 ``rfft``/``irfft`` (numpy's ``rfftn``/``irfftn`` over both axes in 2-D and
@@ -45,8 +46,6 @@ __all__ = [
     "radius",
     "rfft",
     "irfft",
-    "laplacian_power",
-    "gradient",
     "integrate",
     "inner",
     "l2_norm",
@@ -304,16 +303,6 @@ def irfft(grid: GridSpec, values_hat: np.ndarray, out: np.ndarray | None = None)
     return np.fft.irfftn(values_hat, s=grid.shape, axes=(-2, -1), out=out)
 
 
-def laplacian_power(f: Field, k: int) -> Field:
-    """Exact spectral k-th power of the Laplacian; k = 0 is the identity."""
-    if k < 0 or int(k) != k:
-        raise ValueError("Laplacian power k must be a nonnegative integer")
-    if k == 0:
-        return f
-    k2 = _spectrum(f.grid, 1).k2m  # |xi|^2
-    return Field(f.grid, irfft(f.grid, (-k2) ** k * rfft(f.grid, f.values)), f.time_tag)
-
-
 def _row_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
     """Per row of b, the sum of a * b over the row, a broadcasting to b.
     ``out``, shaped like b (it may be a or b), receives the products.
@@ -354,12 +343,6 @@ def _coef_divergence(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray, out: 
         out += np.multiply(div, s, out=s)
     vol = grid.cell_volume
     return [vol * f for f in flux], [vol * d for d in diss]
-
-
-def gradient(f: Field) -> tuple:
-    """Spectral gradient of a scalar field: one array per axis."""
-    u_hat = rfft(f.grid, f.values)
-    return tuple(irfft(f.grid, c * u_hat) for c in _spectrum(f.grid, 1).chain)
 
 
 def integrate(f: Field) -> float:

@@ -141,23 +141,24 @@ class CorrectionField:
 _BLOCK_POINTS = 1 << 14
 
 
-def linear_trajectory(u0: Field, m: int, times) -> tuple:
-    """Exact multiplier snapshots of the linear flow at the given times, in
-    ascending order, each bitwise equal to ``phe_solve(u0, m, s)``.
+def linear_trajectory(u0: Field, m: int, times) -> np.ndarray:
+    """Exact multiplier values of the linear flow from u0, one row per time
+    in the order given, each row bitwise equal to ``phe_solve(u0, m, s)``'s
+    values.
 
     One boundary guard and one transform of u0 serve every time: the
     multipliers e^(-|xi|^(2m) s) stack as rows and one inverse transform
-    returns every snapshot, so the call holds len(times) grid arrays at
-    once.  A time of 0 returns u0's own values.
+    returns every row, so the call holds len(times) grid arrays at once.  A
+    time-0 row holds u0's own values.
     """
     require_int("m", m, lo=1)
     require_reals("times", times, sign="nonnegative")
-    times = sorted(map(float, times))
     assert_boundary_decay(u0)
-    grid, tag = u0.grid, u0.time_tag or 0.0
-    s = np.reshape(times, (-1,) + (1,) * grid.dim)
+    grid = u0.grid
+    s = np.reshape(np.asarray(times, dtype=float), (-1,) + (1,) * grid.dim)
     values = irfft(grid, np.exp(-_spectrum(grid, m).k2m * s) * rfft(grid, u0.values))
-    return tuple(Field(grid, u0.values if t == 0.0 else v, tag + t) for t, v in zip(times, values))
+    values[s.ravel() == 0.0] = u0.values
+    return values
 
 
 def _check_quadrature(time_nodes, clamp_floor) -> None:
@@ -187,9 +188,12 @@ def correction_phi(
     active on more than 20% of the box at time t.
 
     The nodes go in blocks of max(1, _BLOCK_POINTS // grid points), at most
-    ``time_nodes``: per block one ``linear_trajectory`` call, one
-    ``_coef_divergence`` call (its sums unread) in work arrays made once per
-    call, and the increments, a row per node, in place of the divergence.
+    ``time_nodes``: per block one ``linear_trajectory`` call, whose array
+    of snapshots is then the chain's work space, one ``_coef_divergence``
+    call (its sums unread) in work arrays made once per call, and the
+    increments, a row per node, in place of the divergence.  The clamped
+    fraction is read from the last block's last row, the flow at t, before
+    that row is overwritten.
     The running phi_hat joins the first row, and one reduce over the node
     axis adds the rows in sequence: numpy sums along an outer axis row by
     row, where it would sum pairwise along the contiguous one.  So phi_hat
@@ -220,13 +224,13 @@ def correction_phi(
     half = (block,) + spec.k2m.shape
     work = (np.empty(half, complex), np.empty(half, complex), np.empty((block,) + grid.shape))
     for lo in range(0, time_nodes, block):
-        times = nodes[lo:lo + block]
-        states = linear_trajectory(u0, m, times)
-        snaps = np.stack([snap.values for snap in states])
-        w_hat, s, p = (a[:len(states)] for a in work)
+        snaps = linear_trajectory(u0, m, nodes[lo:lo + block])
+        if lo + block >= time_nodes:  # the last row is the flow at t
+            clamped = float(np.mean(np.abs(snaps[-1]) < eta))
+        w_hat, s, p = (a[:len(snaps)] for a in work)
         logf = f(np.maximum(np.abs(snaps, out=p), eta, out=p))
         np.log(logf, out=logf)
-        _coef_divergence(_rows_spectrum(grid, m, len(states)), logf, rfft(grid, snaps), w_hat, s, snaps, p)
+        _coef_divergence(_rows_spectrum(grid, m, len(snaps)), logf, rfft(grid, snaps), w_hat, s, snaps, p)
         w_hat *= np.exp(-spec.k2m * lags[lo:lo + block])  # the terms, in place
         w_hat *= weights[lo:lo + block]
         w_hat[0] += phi_hat
@@ -234,8 +238,6 @@ def correction_phi(
         del snaps, logf  # before the next block makes its own
     values = irfft(grid, np.where(spec.band, phi_hat, 0.0))
 
-    final = states[-1]
-    clamped = float(np.mean(np.abs(final.values) < eta))
     if clamped > 0.2:
         raise RuntimeError(
             f"log-singularity dominates: correction unreliable "

@@ -40,10 +40,8 @@ from .gridfield import (
     _spectrum,
     assert_boundary_decay,
     coordinates,
-    gradient,
     inner,
     irfft,
-    laplacian_power,
     rfft,
     spectral_tail_fraction,
 )
@@ -83,13 +81,16 @@ def _neg_laplacian(c: np.ndarray) -> np.ndarray:
 
 
 def apply_L(f: Field, m: int) -> Field:
-    """-(-Delta)^m f + (1/2m) y.grad(f) + (N/2m) f, spectrally."""
+    """-(-Delta)^m f + (1/2m) y.grad(f) + (N/2m) f, spectrally, from one
+    transform of f."""
+    require_int("m", m, lo=1)
     assert_boundary_decay(f)
     grid = f.grid
+    spec, f_hat = _spectrum(grid, 1), rfft(grid, f.values)
     sign = -1.0 if m % 2 == 0 else 1.0  # -(-Delta)^m = (-1)^(m+1) Delta^m
-    vals = sign * laplacian_power(f, m).values
-    for x, g in zip(coordinates(grid), gradient(f)):
-        vals = vals + np.broadcast_to(x, grid.shape) * g / (2.0 * m)
+    vals = sign * irfft(grid, (-spec.k2m) ** m * f_hat)
+    for x, d in zip(coordinates(grid), spec.div):
+        vals = vals + np.broadcast_to(x, grid.shape) * irfft(grid, d * f_hat) / (2.0 * m)
     vals = vals + grid.dim / (2.0 * m) * f.values
     return Field(grid, vals, f.time_tag)
 

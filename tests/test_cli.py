@@ -15,7 +15,7 @@ from polyheat import cli, spectral_theory
 from polyheat.cli import ConfigError, main, parse_config, report, run
 from polyheat.degeneracy import DegeneracyFunction, RegPath
 from polyheat.gridfield import GridSpec, bump, random_bumps, read_phf1
-from polyheat.homotopy import Schedule, SweepSpec
+from polyheat.homotopy import Schedule, SweepSpec, sweep
 from polyheat.kernel import KernelProfile, QuadratureSpec
 from polyheat.solver import SolverConfig
 
@@ -136,6 +136,18 @@ class TestRunCommands:
         data = json.loads((tmp_path / "k" / "manifest.json").read_text())
         assert data["outcome"] == "ok"
 
+    def test_kernel_too_short_for_a_fit_still_writes_the_profile(self, tmp_path):
+        # r_max = 4 holds no envelope maximum of the m = 2 profile: the fit
+        # is skipped with its reason and the run is ok
+        path = _dump(tmp_path, "kernel.json", {"kernel": {"m": 2, "dim": 1, "r_max": 4.0, "dr": 0.1}})
+        assert main(["kernel", "--config", str(path), "--out", str(tmp_path / "k")]) == 0
+        data = json.loads((tmp_path / "k" / "manifest.json").read_text())
+        assert data["outcome"] == "ok"
+        assert [a["name"] for a in data["artifacts"]] == ["profile_m2_N1.csv"]
+        assert data["highlights"] == {
+            "m": 2, "dim": 1, "decay_fit": "skipped: insufficient decay range: only 0 envelope maxima",
+        }
+
     def test_solve_artifacts_and_roundtrip(self, tmp_path):
         config = parse_config(json.dumps(dict(MINIMAL_SOLVE, out_dir=str(tmp_path / "s"))), command="solve")
         manifest = run(config)
@@ -209,6 +221,26 @@ class TestRunCommands:
         data = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert data["outcome"] == "failed"
         assert "log-singularity dominates" in data["reason"]
+
+    def test_branch_writes_phi_and_ratios(self, tmp_path):
+        cfg = json.loads(json.dumps(SWEEP_CONFIG))
+        cfg["branch"] = cfg.pop("sweep")
+        path = _dump(tmp_path, "branch.json", cfg)
+        assert main(["branch", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+        data = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert data["outcome"] == "ok"
+        built = parse_config(json.dumps(cfg), command="branch").built
+        table = sweep(built["u0"], built["branch"])
+        lines = (tmp_path / "b" / "branch.csv").read_text().splitlines()
+        assert lines[0] == "n,eps,linear_gap,remainder_ratio,ablated_ratio"
+        branched = [r for r in table.rows if r.status == "ok" and r.n > 0]
+        assert len(branched) == 2
+        assert [line.split(",")[0] for line in lines[1:]] == [repr(r.n) for r in branched]
+        phi = read_phf1(tmp_path / "b" / "phi.phf1")
+        assert phi.values.tobytes() == table.phi.values.tobytes()
+        ratios = [r.correction_gap / r.n for r in branched]
+        assert data["highlights"]["remainder_ratios"] == ratios
+        assert ratios[0] > ratios[1] and data["highlights"]["remainder_decreasing"] is True
 
     def test_failed_reason_keeps_traceback_tail(self, tmp_path, monkeypatch, capsys):
         def _exploding_solve(u0, config):

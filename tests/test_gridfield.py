@@ -14,12 +14,10 @@ from polyheat.gridfield import (
     boundary_shell_max,
     bump,
     coordinates,
-    gradient,
     inner,
     integrate,
     irfft,
     l2_norm,
-    laplacian_power,
     make_grid,
     radius,
     read_phf1,
@@ -50,6 +48,18 @@ def divergence(grid, components):
     sum over axes of each component's half spectrum times i xi_j."""
     spec = gridfield_module._spectrum(grid, 1)
     return Field(grid, irfft(grid, sum(d * rfft(grid, c) for d, c in zip(spec.div, components))))
+
+
+def laplacian_power(f, k):
+    """Delta^k f by the multiplier (-|xi|^2)^k, |xi|^2 from the m = 1 table."""
+    k2 = gridfield_module._spectrum(f.grid, 1).k2m
+    return Field(f.grid, irfft(f.grid, (-k2) ** k * rfft(f.grid, f.values)))
+
+
+def gradient(f):
+    """grad f by the multipliers i xi_j of the table's ``div``: one array per axis."""
+    f_hat = rfft(f.grid, f.values)
+    return tuple(irfft(f.grid, d * f_hat) for d in gridfield_module._spectrum(f.grid, 1).div)
 
 
 def _gaussian(grid, scale=1.0):
@@ -177,9 +187,8 @@ class TestFieldTypes:
 
 
 class TestLaplacianPower:
-    def test_identity_at_zero(self, grid1):
-        u = _gaussian(grid1)
-        assert laplacian_power(u, 0) is u
+    """The identities of the multipliers that ``spectral_theory.apply_L``
+    applies: |xi|^2 (``k2m`` at m = 1) and i xi_j (``div``)."""
 
     def test_sine_eigenfunction(self, grid1):
         x = np.broadcast_to(coordinates(grid1)[0], grid1.shape)
@@ -211,10 +220,6 @@ class TestLaplacianPower:
         u = _gaussian(grid1)
         for k in (1, 2, 3):
             assert abs(integrate(laplacian_power(u, k))) <= 1e-12
-
-    def test_rejects_negative_power(self, grid1):
-        with pytest.raises(ValueError):
-            laplacian_power(_gaussian(grid1), -1)
 
 
 class TestGradientDivergence:

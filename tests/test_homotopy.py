@@ -11,11 +11,11 @@ import pytest
 from polyheat import homotopy
 from polyheat.degeneracy import RegPath, degeneracy_function
 from polyheat.gridfield import (
+    DecayAssertionError,
     Field,
     _spectrum,
     bump,
     coordinates,
-    gradient,
     irfft,
     l2_norm,
     make_grid,
@@ -38,7 +38,7 @@ from polyheat.homotopy import (
     write_table_csv,
 )
 from polyheat.kernel import phe_solve
-from polyheat.solver import SolverConfig, StiffnessError, Trajectory, solve
+from polyheat.solver import SolverConfig, StiffnessError, solve
 
 
 def grad_chain(spec, u_hat) -> list:
@@ -47,21 +47,21 @@ def grad_chain(spec, u_hat) -> list:
     return [irfft(spec.grid, c * u_hat) for c in spec.chain]
 
 
-def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
-    """Residual of the linear very-weak identity against low-mode windows.
+def very_weak_residual(grid, times, snaps, m: int, mode_count: int = 3) -> float:
+    """Residual of the linear very-weak identity against low-mode windows,
+    for the snapshot values ``snaps`` on ``grid``, one array per time in
+    ``times``.
 
     Test functions are cos/sin(k pi x_1 / L) times a temporal window
     vanishing at both endpoints; the residual
     | int int phi_t u + (-1)^m int int grad phi . grad Delta^(m-1) u |
-    is evaluated by trapezoid over the trajectory snapshots and maximized
-    over the test set.  It vanishes for the linear flow and shrinks along a
+    is evaluated by trapezoid over the snapshots and maximized over the
+    test set.  It vanishes for the linear flow and shrinks along a
     homotopy sweep.
     """
-    snaps = trajectory.snapshots if isinstance(trajectory, Trajectory) else tuple(trajectory)
     if len(snaps) < 3:
         raise ValueError("need at least three snapshots for the time quadrature")
-    grid = snaps[0].grid
-    times = np.array([s.time_tag for s in snaps])
+    times = np.asarray(times, dtype=float)
     T = times[-1]
     x1 = np.broadcast_to(coordinates(grid)[0], grid.shape)
     sign = (-1.0) ** m
@@ -71,14 +71,14 @@ def very_weak_residual(trajectory, m: int, mode_count: int = 3) -> float:
     for k in range(1, mode_count + 1):
         kappa = k * np.pi / grid.half_width
         for spatial in (np.cos(kappa * x1), np.sin(kappa * x1)):
-            tests.append((spatial, gradient(Field(grid, spatial))))
+            tests.append((spatial, grad_chain(_spectrum(grid, 1), rfft(grid, spatial))))  # the gradient
     spec = _spectrum(grid, m)
     term1 = np.empty((len(tests), len(snaps)))
     term2 = np.empty((len(tests), len(snaps)))
     for j, s in enumerate(snaps):
-        gv = grad_chain(spec, rfft(grid, s.values))
+        gv = grad_chain(spec, rfft(grid, s))
         for i, (spatial, dphi) in enumerate(tests):
-            term1[i, j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s.values))
+            term1[i, j] = dtime_part[j] * grid.cell_volume * float(np.sum(spatial * s))
             dot = sum(a * b for a, b in zip(dphi, gv))
             term2[i, j] = time_part[j] * grid.cell_volume * float(np.sum(dot))
     return max(abs(np.trapezoid(a + sign * b, times)) for a, b in zip(term1, term2))
@@ -231,19 +231,27 @@ class TestCorrectionPhi:
         assert transforms == []
 
     def test_samples_the_linear_flow_at_the_nodes(self, u0, rational, monkeypatch):
-        # the snapshots of the linear flow carry exactly the quadrature
-        # nodes, at most one block of them per call
+        # the linear flow is sampled at exactly the quadrature nodes, in
+        # order, at most one block of them per call
         seen = []
 
         def recording(u, m, times):
-            seen.append(linear_trajectory(u, m, times))
-            return seen[-1]
+            seen.append(list(times))
+            return linear_trajectory(u, m, times)
 
         monkeypatch.setattr(homotopy, "linear_trajectory", recording)
         correction_phi(u0, 2, rational, 0.1, time_nodes=641, clamp_floor=1e-14)
         block = homotopy._BLOCK_POINTS // u0.values.size
-        assert len(seen) > 1 and all(len(snaps) <= block for snaps in seen)
-        assert [s.time_tag for snaps in seen for s in snaps] == list(np.linspace(0.0, 0.1, 641))
+        assert len(seen) > 1 and all(len(times) <= block for times in seen)
+        assert [s for times in seen for s in times] == list(np.linspace(0.0, 0.1, 641))
+
+    def test_constructs_no_field(self, u0, rational, monkeypatch):
+        # the snapshots stay one array per block: no Field is made per node
+        made = []
+        real = Field.__post_init__
+        monkeypatch.setattr(Field, "__post_init__", lambda self: made.append(1) or real(self))
+        correction_phi(u0, 2, rational, 0.1, time_nodes=641, clamp_floor=1e-14)
+        assert made == []
 
     def test_one_guard_and_five_transforms_per_block(self, u0, rational, monkeypatch, transforms):
         # 641 nodes in blocks of 64: per block one guard, the transform of
@@ -278,14 +286,15 @@ class TestCorrectionPhi:
 
     @pytest.mark.parametrize("dim,points", [(1, 256), (2, 64)])
     def test_linear_trajectory_bitwise_equal_to_phe_solve(self, dim, points):
-        # unsorted times come back sorted; time 0 is u0's own values
+        # one row per time in the order given; the time-0 row is u0's own values
         grid = make_grid(dim, 24.0 if dim == 1 else 12.0, points)
-        u0 = Field(grid, bump(grid, 1.0, 4.0, steepness=6.0).values, 0.5)
+        u0 = bump(grid, 1.0, 4.0, steepness=6.0)
         times = [0.07, 0.0, 0.1, 0.003, 0.05]
         snaps = linear_trajectory(u0, 2, np.array(times))
-        assert [s.time_tag for s in snaps] == [0.5 + t for t in sorted(times)]
-        for s, t in zip(snaps, sorted(times)):
-            assert np.array_equal(s.values, phe_solve(u0, 2, t).values)
+        assert isinstance(snaps, np.ndarray) and snaps.shape == (len(times),) + grid.shape
+        for s, t in zip(snaps, times):
+            assert s.tobytes() == phe_solve(u0, 2, t).values.tobytes()
+        assert snaps[1].tobytes() == u0.values.tobytes()
 
     def test_quadrature_node_convergence(self, u0, rational):
         # the Duhamel endpoint limits uniform trapezoid to ~O(h^(4/3)), so
@@ -345,6 +354,17 @@ class TestSweep:
         by_status = {r.status.split(":")[0] for r in table.rows}
         assert by_status == {"ok", "failed"}
 
+    def test_no_branching_row_keeps_phi_as_computed(self, u0, rational):
+        # only the n = 0 control row solves (n = 1e-14 leaves the schedule's
+        # range), so no row resolves phi's sign: phi is returned as computed
+        table = sweep(u0, SweepSpec(Schedule("eps_of_n", 1.0, rational), 2, 0.1, [0.0, 1e-14],
+                                    dt_init=5e-5, time_nodes=21, clamp_floor=1e-14))
+        assert [r.status.split(":")[0] for r in table.rows] == ["failed", "ok"]
+        raw = correction_phi(u0, 2, rational, 0.1, time_nodes=21, clamp_floor=1e-14)
+        assert table.phi.sign == 1
+        assert table.phi.values.tobytes() == raw.values.tobytes()
+        assert math.isnan(table.slope)
+
     def test_failed_row_keeps_its_parameter(self, tmp_path, u0, rational, monkeypatch):
         # eps = 2 has no (n, eps) pair: NaN n and eps, the 2 in param, which
         # table.csv writes too; the eps = 0.2 row's solve fails after the
@@ -392,20 +412,23 @@ class TestVeryWeakResidual:
     def test_vanishes_for_linear_flow(self, u0):
         # second-order time quadrature: the identity residual shrinks 4x per
         # node doubling and sits well below 1e-6 by 161 nodes
-        fine = very_weak_residual(linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 161)), 2)
-        coarse = very_weak_residual(linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 81)), 2)
+        fine, coarse = (
+            very_weak_residual(u0.grid, times, linear_trajectory(u0, 2, times), 2)
+            for times in (np.linspace(0.0, 0.1, 161), np.linspace(0.0, 0.1, 81))
+        )
         assert fine <= 1e-6
         assert coarse / fine >= 3.5
 
     def test_one_transform_per_snapshot_and_test_function(self, u0, monkeypatch):
-        snaps = linear_trajectory(u0, 2, np.linspace(0.0, 0.1, 21))
+        times = np.linspace(0.0, 0.1, 21)
+        snaps = linear_trajectory(u0, 2, times)
         calls = []
         for name in ("fftn", "rfftn", "rfft"):  # every forward transform, complex or real
             forward = getattr(np.fft, name)
             monkeypatch.setattr(
                 np.fft, name, lambda *a, _f=forward, **k: calls.append(1) or _f(*a, **k)
             )
-        very_weak_residual(snaps, 2, mode_count=3)
+        very_weak_residual(u0.grid, times, snaps, 2, mode_count=3)
         assert len(calls) == len(snaps) + 2 * 3
 
     def test_decreases_along_schedule(self, u0, rational):
@@ -418,7 +441,8 @@ class TestVeryWeakResidual:
                 t_final=0.1, report_stride=10**6,
                 snapshot_times=tuple(np.linspace(0.005, 0.1, 20)),
             )
-            resids.append(very_weak_residual(solve(u0, config), 2))
+            snaps = solve(u0, config).snapshots
+            resids.append(very_weak_residual(u0.grid, [s.time_tag for s in snaps], [s.values for s in snaps], 2))
         assert resids[1] < resids[0]
 
 
@@ -428,6 +452,19 @@ class TestPathDependence:
         assert rep.gap_l2 >= 0.0
         assert rep.floor_l2 > 0.0
         assert isinstance(rep.within_10x_floor, bool)
+
+    def test_a_failed_row_is_raised(self, rational):
+        # the n = 0 row's final snapshot reaches the boundary shell: the
+        # report raises that row's own error
+        grid = make_grid(1, 10.0, 256)
+        u = bump(grid, 1.0, 2.5, steepness=6.0)
+        zero = SolverConfig(m=2, path=RegPath(rational, 0.0, "simple"), eps=1.0, dt_init=1e-4,
+                            t_final=0.02, report_stride=10**9)
+        with pytest.raises(DecayAssertionError) as solo:
+            solve(u, zero)
+        with pytest.raises(DecayAssertionError) as err:
+            path_dependence_report(u, 2, rational, 0.5, 1e-3, 0.02, dt_init=1e-4)
+        assert str(err.value) == str(solo.value)
 
     def test_one_coefficient_call_per_step(self, u0, rational, monkeypatch):
         # the full, simple and n = 0 rows share one call at every state:

@@ -26,6 +26,7 @@ from polyheat.gridfield import (
 )
 from polyheat.kernel import (
     KernelProfile,
+    QuadratureError,
     QuadratureSpec,
     decay_fit,
     phe_solve,
@@ -102,6 +103,20 @@ class TestProfileBessel:
             with pytest.raises(ValueError, match="radii must be"):
                 profile_bessel(2, dim, radii)
         assert calls == []
+
+    def test_unstable_tabulation_raises_with_its_residual(self, monkeypatch):
+        # tables that alternate between 0 and 1 never settle: after nine
+        # doublings the error carries the last step between them
+        def alternating(m, radii, s_max, nodes):
+            while True:
+                yield np.zeros(radii.size)
+                yield np.ones(radii.size)
+
+        monkeypatch.setattr(kernel_module, "_trapezoid_tables", alternating)
+        nodes = profile_quadrature(2, 1).nodes * 2**9
+        with pytest.raises(QuadratureError, match=rf"^radial quadrature did not converge \(residual 1\.000e\+00 after {nodes} nodes\)$") as err:
+            profile_bessel(2, 1, [0.0, 0.5])
+        assert err.value.residual == 1.0
 
 
 # the criterion-1 tabulations: (m, N) -> r_max, at dr = 0.02

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from polyheat import solver as solver_module
 from polyheat.degeneracy import RegPath, degeneracy_function, f_pow_n, reg_coefficient
 from polyheat.gridfield import (
+    DecayAssertionError,
     Field,
     GridSpec,
     _coef_divergence,
@@ -201,19 +202,19 @@ class TestBfEnergies:
         bf, bf_lo = _bf_from_hat(_spectrum(grid, 2), rfft(grid, z.values))
         assert bf == bf_lo == integrate(z) == 0.0
 
-    def test_m3_against_laplacian_route(self, grid, u0):
-        from polyheat.gridfield import laplacian_power
+    @staticmethod
+    def _laplacian(grid, u):
+        """Delta u by the multiplier -|xi|^2."""
+        return irfft(grid, -_spectrum(grid, 1).k2m * rfft(grid, u.values))
 
+    def test_m3_against_laplacian_route(self, grid, u0):
         bf, _ = _bf_from_hat(_spectrum(grid, 3), rfft(grid, u0.values))
-        lap = laplacian_power(u0, 1)
-        direct = integrate(Field(grid, lap.values**2))
+        direct = integrate(Field(grid, self._laplacian(grid, u0) ** 2))
         assert abs(bf - direct) <= 1e-12 * max(1.0, direct)
 
     def test_m2_against_integration_by_parts(self, grid, u0):
-        from polyheat.gridfield import laplacian_power
-
         bf, _ = _bf_from_hat(_spectrum(grid, 2), rfft(grid, u0.values))
-        parts = -integrate(Field(grid, u0.values * laplacian_power(u0, 1).values))
+        parts = -integrate(Field(grid, u0.values * self._laplacian(grid, u0)))
         assert abs(bf - parts) <= 1e-12 * max(1.0, parts)
 
 
@@ -990,6 +991,24 @@ class TestBatch:
         assert str(batch[1]) == str(solo_error.value)
         for i in (0, 2, 3, 4):
             assert _bitwise_equal(batch[i], solve(u0, configs[i]))
+
+    def test_a_row_failing_the_decay_guard_leaves_and_the_rest_go_on(self, rational):
+        # the n = 0 row steps in blocks and its final snapshot reaches the
+        # boundary shell (1.213e-08); the two n = 0.5 rows stay inside it
+        grid = make_grid(1, 10.0, 256)
+        u = bump(grid, 1.0, 2.5, steepness=6.0)
+        configs = [
+            SolverConfig(m=2, path=RegPath(rational, n, variant), eps=1e-3, dt_init=1e-4, t_final=0.02,
+                         snapshot_times=(0.01,), report_stride=10**9)
+            for n, variant in ((0.0, "simple"), (0.5, "simple"), (0.5, "full"))
+        ]
+        batch = solve(u, configs)
+        with pytest.raises(DecayAssertionError, match=r"carries magnitude 1\.213e-08 ") as solo_error:
+            solve(u, configs[0])
+        assert isinstance(batch[0], DecayAssertionError)
+        assert str(batch[0]) == str(solo_error.value)
+        for i in (1, 2):
+            assert _bitwise_equal(batch[i], solve(u, configs[i]))
 
     def test_a_row_blowing_up_beside_a_row_tripping_in_the_same_step(self, u0, rational, monkeypatch):
         # row 1 trips the wire on its first step and the n = 0 row 2 blows up

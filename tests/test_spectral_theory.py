@@ -74,6 +74,24 @@ class TestApplyL:
         gauss = Field(grid_m1, np.exp(-(x**2) / 4.0) / math.sqrt(4.0 * np.pi))
         assert l2_norm(apply_L(gauss, 1)) <= 1e-8
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_forward_transform(self, monkeypatch, dim):
+        # f is transformed once; the Laplacian power and every component of
+        # the gradient are multipliers on that one spectrum
+        grid = make_grid(dim, 32.0, 256 if dim == 1 else 128)
+        psi = eigenfunction((1,) * dim, 2, grid)
+        calls = []
+        for name in ("fft", "fftn", "rfft", "rfftn"):
+            forward = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=forward, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        apply_L(psi, 2)
+        assert calls == ["rfft" if dim == 1 else "rfftn"]
+
+    @pytest.mark.parametrize("m", [0, -1, 1.5, True], ids=["0", "-1", "1.5", "bool"])
+    def test_bad_m_rejected(self, grid_m2, m):
+        with pytest.raises((TypeError, ValueError), match="^m must be"):
+            apply_L(profile_fourier(2, grid_m2), m)
+
 
 class TestEigenfunction:
     def test_zeroth_is_profile(self, grid_m2):
