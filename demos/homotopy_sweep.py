@@ -42,7 +42,7 @@ print("\nrunning the sweep (one solver run per row) ...")
 spec = SweepSpec(
     schedule, m=2, t_eval=0.1,
     n_values=[0.0, 1e-1, 3e-2, 1e-2, 3e-3],
-    dt_init=2e-5, clamp_floor=1e-14,
+    dt_init=2e-5,
 )
 table = sweep(u0, spec)
 

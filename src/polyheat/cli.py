@@ -357,21 +357,18 @@ def _cmd_branch(built: dict, out: Path):
     write_phf1(out / "phi.phf1", phi)
     artifacts = artifacts + ["phi.phf1", "branch.csv"]
 
+    ok = [r for r in table.rows if r.status == "ok" and r.n > 0]
+    ratios = [r.correction_gap / r.n for r in ok]
     rows = ["n,eps,linear_gap,remainder_ratio,ablated_ratio"]
-    phi_norm = l2_norm(phi)
-    for r in table.rows:
-        if r.status != "ok" or r.n <= 0:
-            continue
-        ablated = r.l2_gap / r.n
-        rows.append(f"{r.n!r},{r.eps!r},{r.correction_gap!r},{r.correction_gap / r.n!r},{ablated!r}")
+    rows += [f"{r.n!r},{r.eps!r},{r.correction_gap!r},{ratio!r},{r.l2_gap / r.n!r}"
+             for r, ratio in zip(ok, ratios)]
     with open(out / "branch.csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
-    ratios = [r.correction_gap / r.n for r in table.rows if r.status == "ok" and r.n > 0]
     highlights = {
         "sign_of_phi": table.phi.sign,
         "clamped_fraction": table.phi.clamped_fraction,
-        "phi_l2": phi_norm,
+        "phi_l2": l2_norm(phi),
         "remainder_ratios": ratios,
         "remainder_decreasing": all(a > b for a, b in zip(ratios, ratios[1:])),
         "slope": table.slope,

@@ -19,10 +19,11 @@ which keeps k = 0 .. M/2.  Wavevectors are pi*k/L for k = -M/2 .. M/2-1.
 ``rfft`` and ``irfft`` here are the package's only transforms, and
 ``_spectrum``, which tables the multipliers of one (grid, m) once, read-only,
 is the only place that knows the wavenumber layout.  ``_coef_divergence``,
-the one div(coef grad Delta^(m-1) u) of the solver and the Duhamel
-correction, is the only reader of its gradient chain.  A sum over the half
-spectrum weights the last axis's 0 and M/2 columns once and every other
-column twice (Hermitian symmetry).
+the one (-1)^(m-1) div(coef grad Delta^(m-1) u) of the solver and the
+Duhamel correction, is the only reader of its gradient chain; it and the
+table's ``rhs0`` are the only places that apply the sign (-1)^(m-1).  A
+sum over the half spectrum weights the last axis's 0 and M/2 columns once
+and every other column twice (Hermitian symmetry).
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ class _Spectrum(NamedTuple):
     """Read-only half-spectrum multipliers of one (grid, m)."""
 
     grid: GridSpec
+    m: int
     chain: tuple  # i xi_j (-|xi|^2)^(m-1) per axis, Nyquist zeroed
     div: tuple  # i xi_j per axis, Nyquist zeroed (broadcastable)
     k2m: np.ndarray  # |xi|^(2m)
@@ -229,6 +231,7 @@ def _spectrum(grid: GridSpec, m: int) -> _Spectrum:
     sign = 1.0 if m % 2 == 1 else -1.0  # (-1)^(m-1)
     return _Spectrum(
         grid=grid,
+        m=m,
         chain=chain,
         div=div,
         k2m=_freeze(k2**m),
@@ -317,19 +320,20 @@ def _row_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list:
 
 def _coef_divergence(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray, out: np.ndarray,
                      s: np.ndarray, g: np.ndarray, p: np.ndarray):
-    """The package's one div(coef grad Delta^(m-1) u), for the order m of
-    ``spec`` (the table of ``_rows_spectrum``), one row per row of coef and
-    u_hat = rfft(u): writes to ``out`` the divergence div p, unsigned, on
-    the half spectrum of the products p = coef g with g = grad Delta^(m-1) u,
-    and returns per row the flux int |p|^2 and the dissipation integrand
-    int coef |g|^2 = int p . g.
+    """The package's one (-1)^(m-1) div(coef grad Delta^(m-1) u), for the
+    order m of ``spec`` (the table of ``_rows_spectrum``), one row per row of
+    coef and u_hat = rfft(u): writes to ``out`` the signed divergence
+    (-1)^(m-1) div p on the half spectrum of the products p = coef g with
+    g = grad Delta^(m-1) u, and returns per row the flux int |p|^2 and the
+    dissipation integrand int coef |g|^2 = int p . g.
 
     The axes stream through the work arrays, the half spectrum ``s`` and
     the grid arrays ``g`` and ``p`` (shaped like u_hat and coef): g_j, then
     p_j = coef g_j, then axis j's terms of the integrals and of the
     divergence, so only one g, one p and one spectrum are live.  Each
     integral is a sum over its own row, in axis order, so that a row's
-    value does not depend on the batch around it.
+    value does not depend on the batch around it.  The sign goes on last,
+    by an exact negation of the sum at even m.
     """
     grid, rows = spec.grid, len(u_hat)
     flux, diss = [0.0] * rows, [0.0] * rows
@@ -341,6 +345,8 @@ def _coef_divergence(spec: _Spectrum, coef: np.ndarray, u_hat: np.ndarray, out: 
         rfft(grid, p, out=s)
         flux = [f + x for f, x in zip(flux, _row_sums(p, p, p))]
         out += np.multiply(div, s, out=s)
+    if spec.m % 2 == 0:
+        np.negative(out, out=out)
     vol = grid.cell_volume
     return [vol * f for f in flux], [vol * d for d in diss]
 

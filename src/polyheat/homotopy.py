@@ -10,21 +10,21 @@ nonlinearity of every row) and measures how fast the solutions approach the
 linear solution u_lin with the same data.  The first-order correction in n
 is the Duhamel field
 
-    phi(x, t) = sgn * int_0^t grad H(t - s) * [ln f(|u_lin(s)|)
-                                               grad Delta^(m-1) u_lin(s)] ds,
+    phi(x, t) = (-1)^(m-1) int_0^t grad H(t - s) * [ln f(|u_lin(s)|)
+                                                    grad Delta^(m-1) u_lin(s)] ds,
 
-so (u0, m, f, t) fix it: ``correction_phi`` samples the linear flow from u0
-itself and evaluates phi as a Fourier-multiplier time quadrature.  As
-d/dn f^n = ln f at n = 0, the integrand is the solver's divergence with
-coef = ln f, from the same kernel, ``gridfield._coef_divergence``.  The
-nodes go in blocks of about ``_BLOCK_POINTS`` grid values: one transform of
-u0 and one stacked inverse give a block's snapshots, one kernel call their
-integrands, so the memory it holds is bounded by a block, not by the node
-count.  The overall sign is not fixed a priori here but resolved against
-the measured (u_n - u_lin)/n and reported.  The log factor is clamped at a
-floor eta, and the fraction of the box where the clamp was active at the
-evaluation time is reported: a large fraction means the log-singularity
-dominates and the expansion is unreliable.
+so (u0, m, f, t) fix it, sign included: ``correction_phi`` samples the
+linear flow from u0 itself and evaluates phi as a Fourier-multiplier time
+quadrature.  As d/dn f^n = ln f at n = 0, the integrand is the solver's
+signed divergence with coef = ln f, from the same kernel,
+``gridfield._coef_divergence``, which applies the equation's (-1)^(m-1).
+The nodes go in blocks of about ``_BLOCK_POINTS`` grid values: one
+transform of u0 and one stacked inverse give a block's snapshots, one
+kernel call their integrands, so the memory it holds is bounded by a
+block, not by the node count.  The log factor is clamped at a floor eta,
+and the fraction of the box where the clamp was active at the evaluation
+time is reported: a large fraction means the log-singularity dominates
+and the expansion is unreliable.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "schedule_eval",
     "linear_trajectory",
     "correction_phi",
-    "resolve_phi_sign",
     "branching_residual",
     "sweep",
     "path_dependence_report",
@@ -133,7 +132,7 @@ class CorrectionField:
     values: np.ndarray
     clamp_floor: float
     clamped_fraction: float
-    sign: int  # +1 as computed; resolve_phi_sign may flip it
+    sign: int  # the equation's (-1)^(m-1), which the divergence kernel applied
 
 
 # grid values per block of quadrature nodes in ``correction_phi``: 64 nodes
@@ -184,8 +183,12 @@ def correction_phi(
     w = ln f(max(|u|, eta)) grad Delta^(m-1) u,  composited by the
     trapezoid rule and cut to the 2/3-rule band once, before phi's inverse.
     The mask acts elementwise, so that cut equals cutting each w_hat_i.  The
-    clamp floor eta defaults to 1e-8 max|u0|.  Raises when the clamp was
-    active on more than 20% of the box at time t.
+    kernel signs each increment by (-1)^(m-1), so phi is the first-order
+    term of the equation as posed, and ``sign`` records that factor.  The
+    clamp floor eta defaults to 1e-14 max|u0|, about a hundred times the
+    transform's round-off: on criterion 9's data the clamp covers 9.8% of
+    the box there, and 44% at 1e-8.  Raises when the clamp was active on
+    more than 20% of the box at time t.
 
     The nodes go in blocks of max(1, _BLOCK_POINTS // grid points), at most
     ``time_nodes``: per block one ``linear_trajectory`` call, whose array
@@ -205,9 +208,10 @@ def correction_phi(
     require_real("t", t, "nonnegative")
     _check_quadrature(time_nodes, clamp_floor)
     grid = u0.grid
-    eta = clamp_floor if clamp_floor is not None else 1e-8 * max(float(np.max(np.abs(u0.values))), 1e-300)
+    eta = clamp_floor if clamp_floor is not None else 1e-14 * max(float(np.max(np.abs(u0.values))), 1e-300)
+    sign = (-1) ** (m - 1)
     if t == 0.0:
-        return CorrectionField(grid, 0.0, np.zeros(grid.shape), clamp_floor=eta, clamped_fraction=0.0, sign=1)
+        return CorrectionField(grid, 0.0, np.zeros(grid.shape), clamp_floor=eta, clamped_fraction=0.0, sign=sign)
     nodes = np.linspace(0.0, t, time_nodes)
     weights = np.full(time_nodes, t / (time_nodes - 1))
     weights[0] *= 0.5
@@ -243,15 +247,7 @@ def correction_phi(
             f"log-singularity dominates: correction unreliable "
             f"(clamped fraction {clamped:.3f} > 0.2 at t = {t:g})"
         )
-    return CorrectionField(grid=grid, t=t, values=values, clamp_floor=eta, clamped_fraction=clamped, sign=1)
-
-
-def resolve_phi_sign(u_n: Field, u_lin: Field, phi: CorrectionField) -> CorrectionField:
-    """Pick the sign of phi by least squares against the measured u_n - u_lin."""
-    d = u_n.values - u_lin.values
-    score = float(np.sum(d * phi.values))
-    sign = 1 if score >= 0 else -1
-    return replace(phi, values=sign * phi.values, sign=sign * phi.sign)
+    return CorrectionField(grid=grid, t=t, values=values, clamp_floor=eta, clamped_fraction=clamped, sign=sign)
 
 
 @dataclass(frozen=True)
@@ -337,9 +333,9 @@ class SweepSpec:
 
 def sweep(u0: Field, spec: SweepSpec) -> ConvergenceTable:
     """One solver run per schedule point, measured against the cached linear
-    solution; the correction field is computed once, its sign is resolved
-    on the smallest successful n, and it is returned as ``table.phi``.
-    The nonlinearity is the schedule's own ``f``.
+    solution; the correction field is computed once and returned, as
+    ``correction_phi`` gave it, as ``table.phi``.  The nonlinearity is the
+    schedule's own ``f``.
 
     The coupled (n, eps) pair is derived per row from the row's parameter,
     which the row keeps as ``param``.  Row failures (stiffness, blow-up,
@@ -350,7 +346,7 @@ def sweep(u0: Field, spec: SweepSpec) -> ConvergenceTable:
     schedule, m, t_eval = spec.schedule, spec.m, spec.t_eval
     params = sorted(set(float(v) for v in spec.n_values), reverse=True)
     u_lin = phe_solve(u0, m, t_eval)
-    phi_raw = correction_phi(u0, m, schedule.f, t_eval, spec.time_nodes, spec.clamp_floor)
+    phi = correction_phi(u0, m, schedule.f, t_eval, spec.time_nodes, spec.clamp_floor)
 
     # per parameter: (n, eps, status, final state), n and eps NaN where the
     # schedule has no pair for it, the state None where the row failed
@@ -368,13 +364,6 @@ def sweep(u0: Field, spec: SweepSpec) -> ConvergenceTable:
             results[v] = (config.path.n, config.eps, "failed: " + str(out), None)
         else:
             results[v] = (config.path.n, config.eps, "ok", out.snapshots[-1])
-
-    ok_results = [results[v] for v in params if results[v][3] is not None and results[v][0] > 0]
-    if ok_results:
-        smallest = min(ok_results, key=lambda r: r[0])
-        phi = resolve_phi_sign(smallest[3], u_lin, phi_raw)
-    else:
-        phi = phi_raw
 
     rows = []
     for v in params:

@@ -21,7 +21,7 @@ once and leaves the state's remainder
 R_hat(u) + c |xi|^(2m) u_hat, which its step reads, and the flux monitors
 int |p|^2 and int p . g of p = coef g and g = grad Delta^(m-1) u.  A
 products row, whose coefficient is not exactly 1 everywhere, forms g and p
-on the grid in ``gridfield._coef_divergence``, and the pass signs its
+on the grid in ``gridfield._coef_divergence``, which signs its
 divergence.  A unit row, whose coefficient is exactly 1 at every grid
 point (the simple path at n = 0, say), has p = g and takes all of these
 from its half spectrum: R_hat(u) = rhs0 u_hat with
@@ -399,9 +399,10 @@ class _Step:
     def _pass(self, coef: np.ndarray) -> None:
         """The pass of the current state, from its coefficient ``coef`` (one
         call for the whole batch), which finds the unit rows: every row's
-        remainder, its signed divergence plus lin u_hat, and its monitors.
-        Unless every row is a unit row, the whole batch goes through
-        ``_coef_divergence``; then each unit row takes rhs0 u_hat and its
+        remainder, its signed divergence (-1)^(m-1) div p plus lin u_hat,
+        and its monitors.  Unless every row is a unit row, the whole batch
+        goes through ``_coef_divergence``, which applies the sign; then each
+        unit row takes rhs0 u_hat, signed by its table, and its
         Parseval sum on its own, so that its values do not depend on the
         rows beside it.  The power of the state is the one the step formed
         for its energy guard."""
@@ -412,8 +413,6 @@ class _Step:
             self.flux, self.diss = [0.0] * len(unit), [0.0] * len(unit)
         else:
             self.flux, self.diss = _coef_divergence(self.spec, coef, self.u_hat, self.rem, self.s, self.g, self.p)
-            if self.m % 2 == 0:  # (-1)^(m-1); negation is exact
-                np.negative(self.rem, out=self.rem)
         for i in unit:
             np.multiply(self.spec.rhs0, self.u_hat[i], out=self.rem[i])
             self.flux[i] = self.diss[i] = _row_sums(self.spec.w_g, self.power[i:i + 1], self.prod[i:i + 1])[0]

@@ -40,7 +40,7 @@ from .gridfield import (
     _spectrum,
     assert_boundary_decay,
     coordinates,
-    inner,
+    integrate,
     irfft,
     rfft,
     spectral_tail_fraction,
@@ -179,5 +179,5 @@ def biorthogonality_matrix(max_order: int, m: int, grid: GridSpec):
         for j, pv in enumerate(poly_vals):
             integrand = Field(grid, psi.values * pv)
             assert_boundary_decay(integrand)
-            out[i, j] = inner(psi, Field(grid, pv))
+            out[i, j] = integrate(integrand)
     return betas, psis, out

@@ -4,6 +4,7 @@ with the linear very-weak identity as a reference for the trajectories."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from polyheat.homotopy import (
     correction_phi,
     linear_trajectory,
     path_dependence_report,
-    resolve_phi_sign,
     schedule_eval,
     sweep,
     write_plot_data,
@@ -87,11 +87,12 @@ def very_weak_residual(grid, times, snaps, m: int, mode_count: int = 3) -> float
 def correction_phi_by_node(u0, m, f, t, time_nodes=41, clamp_floor=None):
     """The Duhamel quadrature one node at a time, each snapshot its own
     ``phe_solve`` and each component of w cut to the 2/3-rule band before
-    its derivative: the reference that the blocked ``correction_phi``, which
-    cuts the divergence once, must reproduce bitwise.  Returns (phi values,
-    clamped fraction)."""
+    its derivative, and phi signed by the equation's (-1)^(m-1) at the end:
+    the reference that the blocked ``correction_phi``, which cuts the
+    divergence once and signs each increment, must reproduce bitwise.
+    Returns (phi values, clamped fraction)."""
     grid = u0.grid
-    eta = clamp_floor if clamp_floor is not None else 1e-8 * max(float(np.max(np.abs(u0.values))), 1e-300)
+    eta = clamp_floor if clamp_floor is not None else 1e-14 * max(float(np.max(np.abs(u0.values))), 1e-300)
     nodes = np.linspace(0.0, t, time_nodes)
     states = tuple(phe_solve(u0, m, float(s)) for s in sorted(nodes))
 
@@ -108,7 +109,7 @@ def correction_phi_by_node(u0, m, f, t, time_nodes=41, clamp_floor=None):
         for d, gi in zip(spec.div, g):
             w_hat = w_hat + d * np.where(spec.band, rfft(grid, logf * gi), 0.0)
         phi_hat += wt * (np.exp(-spec.k2m * (t - s)) * w_hat)
-    values = irfft(grid, phi_hat)
+    values = (-1.0) ** (m - 1) * irfft(grid, phi_hat)  # negation is exact
 
     final = states[-1]
     clamped = float(np.mean(np.abs(final.values) < eta))
@@ -193,7 +194,17 @@ class TestCorrectionPhi:
     def test_time_zero_is_empty_integral(self, u0, rational):
         phi = correction_phi(u0, 2, rational, 0.0, time_nodes=2)
         assert np.max(np.abs(phi.values)) == 0.0
-        assert phi.clamp_floor == 1e-8 * np.max(np.abs(u0.values))
+        assert phi.clamp_floor == 1e-14 * np.max(np.abs(u0.values))
+        assert phi.sign == -1
+
+    def test_default_floor_passes_criterion_9_data(self, u0, rational):
+        # 25 of 256 points clamp at t = 0.1 (0.441 of the box at 1e-8 max|u0|,
+        # past the guard's 0.2); u0's peak is 1, so the floor is 1e-14 itself
+        phi = correction_phi(u0, 2, rational, 0.1, time_nodes=641)
+        assert phi.clamp_floor == 1e-14
+        assert phi.clamped_fraction == 25 / 256
+        assert phi.values.tobytes() == correction_phi(u0, 2, rational, 0.1, time_nodes=641,
+                                                      clamp_floor=1e-14).values.tobytes()
 
     @pytest.mark.parametrize("t", [0.1, 0.0])
     @pytest.mark.parametrize("time_nodes,clamp_floor", [
@@ -323,6 +334,28 @@ class TestBranchingResidual:
         assert small_sweep.phi.sign == -1
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
+    def test_wrong_sign_lifts_every_gap_above_the_ablated_one(self, small_sweep, u0, rational, monkeypatch):
+        # the sign is the equation's, not fitted to the rows, so a sign fault
+        # in phi shows: each corrected gap rises above the ablated one and
+        # the remainder ratios stop decreasing, which criterion 9 gates
+        real = homotopy.correction_phi
+
+        def flipped(*args):
+            phi = real(*args)
+            return replace(phi, values=-phi.values, sign=-phi.sign)
+
+        monkeypatch.setattr(homotopy, "correction_phi", flipped)
+        wrong = sweep(u0, SweepSpec(Schedule("eps_of_n", 1.0, rational), 2, 0.1, [0.0, 1e-1, 3e-2, 1e-2],
+                                    dt_init=5e-5, clamp_floor=1e-14))
+        assert wrong.phi.sign == -small_sweep.phi.sign
+        pairs = [(r, w) for r, w in zip(small_sweep.rows, wrong.rows) if r.n > 0]
+        assert [r.n for r, _ in pairs] == [w.n for _, w in pairs] == [1e-1, 3e-2, 1e-2]
+        for right, bad in pairs:
+            assert right.l2_gap == bad.l2_gap
+            assert right.correction_gap < right.l2_gap < bad.correction_gap
+        ratios = [w.correction_gap / w.n for _, w in pairs]
+        assert not all(a > b for a, b in zip(ratios, ratios[1:]))
+
     def test_ablated_control_bounded_below(self, small_sweep, u0, rational):
         phi = correction_phi(u0, 2, rational, 0.1, clamp_floor=1e-14)
         phi_norm = l2_norm(Field(u0.grid, phi.values))
@@ -354,15 +387,20 @@ class TestSweep:
         by_status = {r.status.split(":")[0] for r in table.rows}
         assert by_status == {"ok", "failed"}
 
-    def test_no_branching_row_keeps_phi_as_computed(self, u0, rational):
-        # only the n = 0 control row solves (n = 1e-14 leaves the schedule's
-        # range), so no row resolves phi's sign: phi is returned as computed
-        table = sweep(u0, SweepSpec(Schedule("eps_of_n", 1.0, rational), 2, 0.1, [0.0, 1e-14],
-                                    dt_init=5e-5, time_nodes=21, clamp_floor=1e-14))
-        assert [r.status.split(":")[0] for r in table.rows] == ["failed", "ok"]
-        raw = correction_phi(u0, 2, rational, 0.1, time_nodes=21, clamp_floor=1e-14)
-        assert table.phi.sign == 1
-        assert table.phi.values.tobytes() == raw.values.tobytes()
+    @pytest.mark.parametrize("n_values", [[0.0, 1e-14], [0.0, 1e-1, 1e-14]],
+                             ids=["no branching row", "a branching row"])
+    @pytest.mark.parametrize("m,t_eval", [(2, 0.1), (3, 0.02)], ids=["m2", "m3"])
+    def test_phi_carries_the_equation_sign(self, u0, rational, m, t_eval, n_values):
+        # n = 1e-14 leaves the schedule's range and n = 0 is the control, so
+        # n = 0.1 is the only row that can branch; with it or without it the
+        # sweep's phi is correction_phi's, signed (-1)^(m-1) by the kernel
+        table = sweep(u0, SweepSpec(Schedule("eps_of_n", 1.0, rational), m, t_eval, n_values,
+                                    dt_init=5e-5, time_nodes=21))
+        statuses = [r.status.split(":")[0] for r in table.rows]
+        assert statuses == ["failed"] + ["ok"] * (len(n_values) - 1)
+        phi = correction_phi(u0, m, rational, t_eval, time_nodes=21)
+        assert table.phi.sign == phi.sign == (-1) ** (m - 1)
+        assert table.phi.values.tobytes() == phi.values.tobytes()
         assert math.isnan(table.slope)
 
     def test_failed_row_keeps_its_parameter(self, tmp_path, u0, rational, monkeypatch):

@@ -5,10 +5,10 @@ sweeps loads no scipy, every polyheat name a demo or the benchmark reads
 exists, every function the benchmark's layer tracer wraps exists and a
 sweep reaches it, every benchmark workload builds, every transform the
 package makes is a real one made in ``gridfield.rfft``/``irfft``, only
-``gridfield`` reads the gradient-chain multipliers, only
-``solver._Step.advance`` calls the step's candidate and unit remainder,
-and every default of a public function or dataclass is one that some call
-sets."""
+``gridfield`` reads the gradient-chain multipliers, neither ``solver``
+nor ``homotopy`` tests the parity of m, only ``solver._Step.advance``
+calls the step's candidate and unit remainder, and every default of a
+public function or dataclass is one that some call sets."""
 
 import ast
 import importlib.util
@@ -506,6 +506,32 @@ def test_gradient_chain_read_only_by_the_kernel_module(path):
     # divergence kernel beside gridfield._coef_divergence
     if path.stem != CHAIN_HOME:
         assert chain_reads(path.read_text()) == []
+
+
+# the modules that take the divergence's sign (-1)^(m-1) as gridfield's
+# kernel and ``rhs0`` apply it: a parity test of m in either would be a
+# second place that decides the equation's sign
+SIGN_TAKERS = ("solver", "homotopy")
+
+
+def parity_tests(source: str) -> list:
+    """The lines that take an expression ``% 2``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant) and node.right.value == 2
+    )
+
+
+def test_detects_parity_tests():
+    source = "if m % 2 == 0:\n    x = -x\nk = m % 3\nsign = 1 - 2 * ((m - 1) % 2)\n"
+    assert parity_tests(source) == [1, 4]
+
+
+@pytest.mark.parametrize("module", SIGN_TAKERS)
+def test_no_parity_test_of_m_outside_gridfield(module):
+    source = (Path(polyheat.__file__).parent / f"{module}.py").read_text()
+    assert parity_tests(source) == []
 
 
 # the step's own expressions and the one function that may call them: a

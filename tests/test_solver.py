@@ -87,8 +87,9 @@ def _one_step(u, dt, config):
 
 def _kernel(grid, m, coef, u_hat):
     """The package's divergence kernel on one row, the grid array coef and
-    the half spectrum u_hat = rfft(u): (div(coef grad Delta^(m-1) u) on the
-    half spectrum, flux int |coef g|^2, dissipation int coef |g|^2)."""
+    the half spectrum u_hat = rfft(u): (the signed divergence
+    (-1)^(m-1) div(coef grad Delta^(m-1) u) on the half spectrum, flux
+    int |coef g|^2, dissipation int coef |g|^2)."""
     coef, u_hat = coef[None], u_hat[None]
     div_hat = np.empty_like(u_hat)
     work = (np.empty_like(u_hat), np.empty_like(coef), np.empty_like(coef))
@@ -101,8 +102,7 @@ def _pass(u, config):
     (-1)^(m-1) div p on the half spectrum, flux, dissipation).  It runs
     whatever the coefficient, an exact 1 included."""
     coef = reg_coefficient((config.path,), (config.eps,), u.values[None])[0]
-    div_hat, flux, diss = _kernel(u.grid, config.m, coef, rfft(u.grid, u.values))
-    return (-1.0) ** (config.m - 1) * div_hat, flux, diss
+    return _kernel(u.grid, config.m, coef, rfft(u.grid, u.values))
 
 def rhs(u, config):
     """(-1)^(m-1) div(coef(u) grad Delta^(m-1) u): the signed divergence of the products route."""
@@ -158,13 +158,13 @@ class TestRhs:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_pass_leaves_the_signed_divergence_plus_lin_u_hat(self, u0, rational, m):
-        # the kernel's divergence is unsigned; the solver's pass gives a
-        # products row's remainder the sign (-1)^(m-1) before adding lin u_hat
+        # the kernel's divergence carries the sign (-1)^(m-1); the solver's
+        # pass adds lin u_hat to it and signs nothing itself
         config = SolverConfig(m=m, path=RegPath(rational, 0.3, "full"), eps=1e-2, dt_init=1e-4, t_final=0.01)
         u_hat = rfft(u0.grid, u0.values)
         step = solver_module._Step(u0.grid, [solver_module._Row(0, config)], u_hat, np.inf, np.inf)
         div_hat = _kernel(u0.grid, m, reg_coefficient((config.path,), (config.eps,), step.u)[0], u_hat)[0]
-        assert np.array_equal(step.rem[0], (-1.0) ** (m - 1) * div_hat + step.lin[0] * u_hat)
+        assert np.array_equal(step.rem[0], div_hat + step.lin[0] * u_hat)
 
 
 class TestStepImex:
@@ -517,6 +517,7 @@ class TestHalfSpectrumKernel:
         ref_div = np.zeros(grid.shape, dtype=complex)
         for ki, g in zip(k_odd, ref_chain):
             ref_div += 1j * ki * np.fft.fftn(coef * g)
+        ref_div *= (-1.0) ** (m - 1)  # the equation's sign
         ref_flux = grid.cell_volume * sum(np.sum((coef * g) ** 2) for g in ref_chain)
         ref_diss = grid.cell_volume * sum(np.sum(coef * g**2) for g in ref_chain)
 
@@ -543,8 +544,7 @@ class TestUnitRoute:
         grid = make_grid(dim, 12.0, points)
         u_hat = rfft(grid, np.random.default_rng(dim * 10 + m).standard_normal(grid.shape))
         table = _spectrum(grid, m)
-        div_hat, ref_flux, ref_diss = _kernel(grid, m, np.ones(grid.shape), u_hat)
-        ref = (-1.0) ** (m - 1) * div_hat
+        ref, ref_flux, ref_diss = _kernel(grid, m, np.ones(grid.shape), u_hat)
         assert np.max(np.abs(table.rhs0 * u_hat - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert ref_diss == ref_flux
         power = u_hat.real**2 + u_hat.imag**2
